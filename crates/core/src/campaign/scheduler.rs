@@ -595,28 +595,33 @@ where
     let opts = shared.opts;
     let done = AtomicBool::new(false);
     let result = std::thread::scope(|s| {
-        s.spawn(|| {
+        let heartbeat = s.spawn(|| {
             // Renew at a third of the lease so two heartbeats can be lost
-            // before the lease lapses; poll the done flag fast enough not
-            // to delay terminal records.
+            // before the lease lapses. Between renewals the thread is
+            // parked; the claimant unparks it once the ladder returns.
             let interval = Duration::from_millis((opts.lease_ms / 3).max(1));
             loop {
                 let started = Instant::now();
-                while started.elapsed() < interval {
+                // A park may end early or spuriously: only the flag and
+                // the clock decide.
+                loop {
                     if done.load(Ordering::SeqCst) {
                         return;
                     }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                if done.load(Ordering::SeqCst) {
-                    return;
+                    match interval.checked_sub(started.elapsed()) {
+                        Some(left) if !left.is_zero() => std::thread::park_timeout(left),
+                        _ => break,
+                    }
                 }
                 let mut st = lock(&shared.state);
                 let _ = st.journal.record_renewed(*hash, me, now_ms() + opts.lease_ms);
             }
         });
         let r = run_ladder(shared, mix, *hash, &id, runner);
+        // Flag first, then wake: a heartbeat that read the flag before the
+        // store finds the unpark token waiting when it parks.
         done.store(true, Ordering::SeqCst);
+        heartbeat.thread().unpark();
         r
     });
     result
@@ -859,6 +864,22 @@ mod tests {
         assert!(o.dir.join("report.txt").exists());
         assert!(o.dir.join("journal.jsonl").exists());
         assert!(o.dir.join("campaign.json").exists(), "manifest for joiners");
+        let _ = std::fs::remove_dir_all(&o.dir);
+    }
+
+    #[test]
+    fn finishing_a_mix_does_not_wait_for_the_heartbeat() {
+        let o = opts("instant");
+        let _ = std::fs::remove_dir_all(&o.dir);
+        let mut sp = spec();
+        sp.seeds = (0..32).collect();
+        let started = Instant::now();
+        let run = run_campaign(&sp, &o, fake_runner).expect("run");
+        let elapsed = started.elapsed();
+        assert_eq!(run.executed, 64);
+        // A heartbeat that polled its flag every 25 ms held each mix for
+        // that long: 1.6 s over 64 mixes whose runner returns at once.
+        assert!(elapsed < Duration::from_millis(800), "{elapsed:?}");
         let _ = std::fs::remove_dir_all(&o.dir);
     }
 

@@ -64,7 +64,9 @@ impl CriticalPath {
 /// from a leaf that finishes at the makespan, repeatedly step to a
 /// predecessor-candidate leaf that finishes exactly when the current hop
 /// could begin — either a model/sequential predecessor or, under
-/// concurrency limits, the previous occupant of the hop's slot.
+/// concurrency limits, the previous occupant of the hop's slot. No leaf is
+/// stepped to twice, so the walk ends after at most one hop per leaf even
+/// when zero-duration leaves end at the instant they start.
 pub fn critical_path(
     model: &ExecutionModel,
     trace: &ExecutionTrace,
@@ -89,8 +91,10 @@ pub fn critical_path_of(
         .copied()
         .find(|&id| result.end[id.0 as usize] == makespan);
     let mut hops: Vec<CriticalHop> = Vec::new();
+    let mut visited = vec![false; trace.instances().len()];
 
     while let Some(id) = current {
+        visited[id.0 as usize] = true;
         let (s, e) = (result.start[id.0 as usize], result.end[id.0 as usize]);
         hops.push(CriticalHop {
             instance: id,
@@ -109,7 +113,7 @@ pub fn critical_path_of(
         let mut cands: Vec<InstanceId> = leaves
             .iter()
             .copied()
-            .filter(|&c| c != id && result.end[c.0 as usize] == s)
+            .filter(|&c| !visited[c.0 as usize] && result.end[c.0 as usize] == s)
             .collect();
         cands.sort_by_key(|&c| {
             let ci = trace.instance(c);
@@ -229,5 +233,43 @@ mod tests {
             .find(|i| i.duration() == 20 * MILLIS)
             .unwrap();
         assert!(!on_path.contains(&short.id.0));
+    }
+
+    #[test]
+    fn zero_duration_leaves_do_not_trap_the_walk() {
+        // z0 and z1 start and end at the instant `a` ends: each is a
+        // predecessor candidate of the other, and both precede `a` in id
+        // order, so the walk used to bounce between them forever.
+        let mut b = ExecutionModelBuilder::new("job");
+        let r = b.root();
+        let [z0, z1, a, d] = ["z0", "z1", "a", "d"].map(|name| b.child(r, name, Repeat::Once));
+        for after_a in [z0, z1, d] {
+            b.edge(a, after_a);
+        }
+        let model = b.build();
+        let mut tb = TraceBuilder::new(&model);
+        tb.add_phase(&[("job", 0)], 0, 20 * MILLIS, None, None).unwrap();
+        for (name, start, end) in [("z0", 10, 10), ("z1", 10, 10), ("a", 0, 10), ("d", 10, 20)] {
+            tb.add_phase(
+                &[("job", 0), (name, 0)],
+                start * MILLIS,
+                end * MILLIS,
+                Some(0),
+                Some(0),
+            )
+            .unwrap();
+        }
+        let trace = tb.build().unwrap();
+        let cp = critical_path(&model, &trace, &ReplayConfig::default());
+        let at = |i: u32, start: u64, end: u64| CriticalHop {
+            instance: InstanceId(i),
+            start: start * MILLIS,
+            end: end * MILLIS,
+        };
+        assert_eq!(
+            cp.hops,
+            vec![at(3, 0, 10), at(2, 10, 10), at(1, 10, 10), at(4, 10, 20)]
+        );
+        assert_eq!(cp.makespan, 20 * MILLIS);
     }
 }

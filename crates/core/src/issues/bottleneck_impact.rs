@@ -7,16 +7,129 @@
 //! Exact limit, or to the resource's capacity for Variable rules). Blocking
 //! bottlenecks are simpler — the blocked time just disappears.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::attribution::PerformanceProfile;
-use crate::bottleneck::{BottleneckReport, ConsumableBottleneck};
-use crate::issues::{IssueConfig, IssueKind, PerformanceIssue};
+use crate::attribution::{InstanceUsage, PerformanceProfile};
+use crate::bottleneck::BottleneckReport;
+use crate::issues::{rank, IssueConfig, IssueKind, PerformanceIssue, WhatIf};
 use crate::model::execution::ExecutionModel;
 use crate::model::rules::AttributionRule;
-use crate::replay::{replay, replay_original, ReplayConfig};
+use crate::replay::ReplayConfig;
 use crate::trace::execution::{ExecutionTrace, InstanceId};
+use crate::trace::resource::ResourceInstance;
 use crate::trace::timeslice::Nanos;
+
+/// `profile.usages` grouped by instance (in profile order), so a what-if
+/// looks at the resources of the instance it shrinks and nothing else.
+type UsagesByInstance<'p> = HashMap<InstanceId, Vec<&'p InstanceUsage>>;
+
+fn usages_by_instance(profile: &PerformanceProfile) -> UsagesByInstance<'_> {
+    let mut by_instance = UsagesByInstance::new();
+    for u in &profile.usages {
+        by_instance.entry(u.instance).or_default().push(u);
+    }
+    by_instance
+}
+
+impl WhatIf<'_> {
+    /// Removing all bottlenecks on the consumable resource kind
+    /// `resource_kind`.
+    fn consumable(
+        &mut self,
+        profile: &PerformanceProfile,
+        usages: &UsagesByInstance<'_>,
+        report: &BottleneckReport,
+        resource_kind: &str,
+        cfg: &IssueConfig,
+    ) -> PerformanceIssue {
+        // Bottlenecked slices per instance, restricted to the target kind.
+        let mut slices_per_instance: BTreeMap<InstanceId, BTreeSet<usize>> = BTreeMap::new();
+        for b in &report.consumable {
+            if profile.resources[b.resource.0 as usize].kind == resource_kind {
+                slices_per_instance
+                    .entry(b.instance)
+                    .or_default()
+                    .extend(b.slices.iter().copied());
+            }
+        }
+
+        let slice_ns = profile.grid.slice_nanos();
+        let patch: Vec<(InstanceId, Nanos)> = slices_per_instance
+            .iter()
+            .map(|(&id, slices)| {
+                let own = usages.get(&id).map_or(&[][..], Vec::as_slice);
+                let mut saved = 0.0f64;
+                for &s in slices {
+                    let factor = next_limit_fraction(&profile.resources, own, resource_kind, s)
+                        .max(cfg.floor_factor);
+                    saved += (1.0 - factor.min(1.0)) * slice_ns as f64;
+                }
+                let orig = self.trace.instance(id).duration();
+                (id, (orig as f64 - saved).max(0.0) as Nanos)
+            })
+            .collect();
+        self.evaluate(
+            IssueKind::ConsumableBottleneck {
+                resource_kind: resource_kind.to_string(),
+            },
+            &patch,
+            patch.len(),
+        )
+    }
+
+    /// Removing all blocking on the blocking resource kind `resource_kind`:
+    /// each affected phase shortens by its blocked time.
+    fn blocking(&mut self, report: &BottleneckReport, resource_kind: &str) -> PerformanceIssue {
+        let mut saved: BTreeMap<InstanceId, Nanos> = BTreeMap::new();
+        for b in &report.blocking {
+            if b.resource == resource_kind {
+                *saved.entry(b.instance).or_insert(0) += (b.blocked_secs * 1e9) as Nanos;
+            }
+        }
+        let patch: Vec<(InstanceId, Nanos)> = saved
+            .into_iter()
+            .map(|(id, ns)| (id, self.trace.instance(id).duration().saturating_sub(ns)))
+            .collect();
+        self.evaluate(
+            IssueKind::BlockingBottleneck {
+                resource_kind: resource_kind.to_string(),
+            },
+            &patch,
+            patch.len(),
+        )
+    }
+
+    /// One candidate per resource kind seen in the bottleneck report:
+    /// consumable kinds, then blocking kinds, each in name order.
+    pub(crate) fn bottleneck_candidates(
+        &mut self,
+        profile: &PerformanceProfile,
+        report: &BottleneckReport,
+        cfg: &IssueConfig,
+    ) -> Vec<PerformanceIssue> {
+        let mut issues = Vec::new();
+
+        let consumable_kinds: BTreeSet<&str> = report
+            .consumable
+            .iter()
+            .map(|b| profile.resources[b.resource.0 as usize].kind.as_str())
+            .collect();
+        let usages = usages_by_instance(profile);
+        for kind in consumable_kinds {
+            issues.push(self.consumable(profile, &usages, report, kind, cfg));
+        }
+
+        let blocking_kinds: BTreeSet<&str> = report
+            .blocking
+            .iter()
+            .map(|b| b.resource.as_str())
+            .collect();
+        for kind in blocking_kinds {
+            issues.push(self.blocking(report, kind));
+        }
+        issues
+    }
+}
 
 /// Simulates removing all bottlenecks on the consumable resource kind
 /// `resource_kind`.
@@ -29,71 +142,27 @@ pub fn consumable_issue(
     replay_cfg: &ReplayConfig,
     cfg: &IssueConfig,
 ) -> PerformanceIssue {
-    // Bottlenecked slices per instance, restricted to the target kind.
-    let mut slices_per_instance: HashMap<InstanceId, BTreeSet<usize>> = HashMap::new();
-    for b in &report.consumable {
-        if profile.resources[b.resource.0 as usize].kind == resource_kind {
-            slices_per_instance
-                .entry(b.instance)
-                .or_default()
-                .extend(b.slices.iter().copied());
-        }
-    }
-    let affected = slices_per_instance.len();
-
-    let slice_ns = profile.grid.slice_nanos();
-    let adjusted: HashMap<InstanceId, Nanos> = slices_per_instance
-        .iter()
-        .map(|(&id, slices)| {
-            let orig = trace.instance(id).duration();
-            let mut saved = 0.0f64;
-            for &s in slices {
-                let factor = next_limit_fraction(profile, id, resource_kind, s)
-                    .max(cfg.floor_factor);
-                saved += (1.0 - factor.min(1.0)) * slice_ns as f64;
-            }
-            let new = (orig as f64 - saved).max(0.0) as Nanos;
-            (id, new)
-        })
-        .collect();
-
-    let base = replay_original(model, trace, replay_cfg);
-    let optimistic = replay(
-        model,
-        trace,
-        &|id| {
-            adjusted
-                .get(&id)
-                .copied()
-                .unwrap_or_else(|| trace.instance(id).duration())
-        },
-        replay_cfg,
-    );
-    PerformanceIssue::from_makespans(
-        IssueKind::ConsumableBottleneck {
-            resource_kind: resource_kind.to_string(),
-        },
-        base.makespan,
-        optimistic.makespan,
-        affected,
+    WhatIf::new(model, trace, replay_cfg).consumable(
+        profile,
+        &usages_by_instance(profile),
+        report,
+        resource_kind,
+        cfg,
     )
 }
 
-/// The highest utilization fraction `id` shows on any resource other than
-/// `removed_kind` in slice `s` — the point at which the next resource
-/// becomes the bottleneck.
+/// The highest utilization fraction an instance shows on any resource other
+/// than `removed_kind` in slice `s` — the point at which the next resource
+/// becomes the bottleneck. `own` holds that instance's usages only.
 fn next_limit_fraction(
-    profile: &PerformanceProfile,
-    id: InstanceId,
+    resources: &[ResourceInstance],
+    own: &[&InstanceUsage],
     removed_kind: &str,
     s: usize,
 ) -> f64 {
     let mut max_frac = 0.0f64;
-    for u in &profile.usages {
-        if u.instance != id {
-            continue;
-        }
-        let res = &profile.resources[u.resource.0 as usize];
+    for u in own {
+        let res = &resources[u.resource.0 as usize];
         if res.kind == removed_kind {
             continue;
         }
@@ -117,36 +186,13 @@ pub fn blocking_issue(
     resource_kind: &str,
     replay_cfg: &ReplayConfig,
 ) -> PerformanceIssue {
-    let mut saved: HashMap<InstanceId, Nanos> = HashMap::new();
-    for b in &report.blocking {
-        if b.resource == resource_kind {
-            *saved.entry(b.instance).or_insert(0) += (b.blocked_secs * 1e9) as Nanos;
-        }
-    }
-    let affected = saved.len();
-    let base = replay_original(model, trace, replay_cfg);
-    let optimistic = replay(
-        model,
-        trace,
-        &|id| {
-            let orig = trace.instance(id).duration();
-            orig.saturating_sub(saved.get(&id).copied().unwrap_or(0))
-        },
-        replay_cfg,
-    );
-    PerformanceIssue::from_makespans(
-        IssueKind::BlockingBottleneck {
-            resource_kind: resource_kind.to_string(),
-        },
-        base.makespan,
-        optimistic.makespan,
-        affected,
-    )
+    WhatIf::new(model, trace, replay_cfg).blocking(report, resource_kind)
 }
 
-/// Runs the full sweep the paper describes: one what-if per resource kind
-/// seen in the bottleneck report, returning issues above the reporting
-/// threshold, most impactful first.
+/// Runs the sweep over the bottleneck report alone: one what-if per
+/// resource kind seen in it, returning issues above the reporting
+/// threshold, most impactful first. [`detect_issues`](super::detect_issues)
+/// runs the same candidates, and the imbalance ones, on one replay plan.
 pub fn detect_bottleneck_issues(
     model: &ExecutionModel,
     trace: &ExecutionTrace,
@@ -155,30 +201,8 @@ pub fn detect_bottleneck_issues(
     replay_cfg: &ReplayConfig,
     cfg: &IssueConfig,
 ) -> Vec<PerformanceIssue> {
-    let mut issues = Vec::new();
-
-    let consumable_kinds: BTreeSet<String> = report
-        .consumable
-        .iter()
-        .map(|b: &ConsumableBottleneck| {
-            profile.resources[b.resource.0 as usize].kind.clone()
-        })
-        .collect();
-    for kind in consumable_kinds {
-        issues.push(consumable_issue(
-            model, trace, profile, report, &kind, replay_cfg, cfg,
-        ));
-    }
-
-    let blocking_kinds: BTreeSet<String> =
-        report.blocking.iter().map(|b| b.resource.clone()).collect();
-    for kind in blocking_kinds {
-        issues.push(blocking_issue(model, trace, report, &kind, replay_cfg));
-    }
-
-    issues.retain(|i| i.reduction >= cfg.min_reduction);
-    issues.sort_by(|a, b| b.reduction.total_cmp(&a.reduction));
-    issues
+    let issues = WhatIf::new(model, trace, replay_cfg).bottleneck_candidates(profile, report, cfg);
+    rank(issues, cfg)
 }
 
 #[cfg(test)]
@@ -318,5 +342,56 @@ mod tests {
         );
         // Phase a is 100 of 200 ms; 10 % of it is 5 % of the makespan.
         assert!(issue.reduction <= 0.051, "reduction {}", issue.reduction);
+    }
+
+    #[test]
+    fn a_what_if_reads_only_the_usages_of_the_instance_it_shrinks() {
+        let (model, trace, rt) = setup();
+        let mut prof = build_profile(&model, &RuleSet::new(), &trace, &rt, &ProfileConfig::default());
+        let report = BottleneckReport::build(&trace, &prof, &BottleneckConfig::default());
+        let cpu_issue = |prof: &PerformanceProfile| {
+            consumable_issue(
+                &model,
+                &trace,
+                prof,
+                &report,
+                "cpu",
+                &ReplayConfig::default(),
+                &IssueConfig::default(),
+            )
+        };
+        let before = cpu_issue(&prof);
+        let a = report.consumable[0].instance;
+        let own = usages_by_instance(&prof)[&a].len();
+
+        // A second resource kind, saturated over the whole run by ten
+        // times as many usages as the profile holds, none of them `a`'s.
+        prof.resources.push(ResourceInstance {
+            kind: "net".into(),
+            machine: Some(0),
+            capacity: 1.0,
+        });
+        let net = crate::trace::ResourceIdx(prof.resources.len() as u32 - 1);
+        let slices = prof.grid.num_slices();
+        let saturating = |instance: InstanceId| InstanceUsage {
+            instance,
+            resource: net,
+            rule: AttributionRule::Variable(1.0),
+            first_slice: 0,
+            demand: vec![1.0; slices],
+            usage: vec![1.0; slices],
+        };
+        let unrelated = 10 * prof.usages.len() as u32;
+        prof.usages
+            .extend((0..unrelated).map(|k| saturating(InstanceId(1000 + k))));
+        assert_eq!(usages_by_instance(&prof)[&a].len(), own);
+        let after = cpu_issue(&prof);
+        assert_eq!(after.optimistic_makespan, before.optimistic_makespan);
+        assert_eq!(after.affected_instances, before.affected_instances);
+
+        // The same usage on `a` itself is read: the network now binds.
+        prof.usages.push(saturating(a));
+        assert_eq!(usages_by_instance(&prof)[&a].len(), own + 1);
+        assert_eq!(cpu_issue(&prof).optimistic_makespan, before.base_makespan);
     }
 }

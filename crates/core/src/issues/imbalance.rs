@@ -9,11 +9,11 @@
 //! outlier analysis — the tooling that surfaced the PowerGraph
 //! synchronization bug in §IV-D.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use crate::issues::{IssueConfig, IssueKind, PerformanceIssue};
+use crate::issues::{rank, IssueConfig, IssueKind, PerformanceIssue, WhatIf};
 use crate::model::execution::{ExecutionModel, PhaseTypeId};
-use crate::replay::{replay, replay_original, ReplayConfig};
+use crate::replay::ReplayConfig;
 use crate::trace::execution::{ExecutionTrace, InstanceId};
 use crate::trace::timeslice::Nanos;
 
@@ -147,6 +147,44 @@ pub fn imbalance_groups(
         .collect()
 }
 
+impl WhatIf<'_> {
+    /// Perfectly balancing `groups`, the groups of `phase_type`: every
+    /// member of a group of two or more takes the group's mean duration.
+    fn imbalance(&mut self, phase_type: PhaseTypeId, groups: &[GroupDetail]) -> PerformanceIssue {
+        let mut patch: Vec<(InstanceId, Nanos)> = Vec::new();
+        let mut affected = 0usize;
+        for g in groups {
+            if g.members.len() < 2 {
+                continue;
+            }
+            let mean = g.mean() as Nanos;
+            for &(id, _, d) in &g.members {
+                if d != mean {
+                    affected += 1;
+                }
+                patch.push((id, mean));
+            }
+        }
+        self.evaluate(IssueKind::Imbalance { phase_type }, &patch, affected)
+    }
+
+    /// One candidate per leaf phase type that shows concurrency, in type
+    /// order.
+    pub(crate) fn imbalance_candidates(&mut self) -> Vec<PerformanceIssue> {
+        let mut issues = Vec::new();
+        for ty in (0..self.model.num_types() as u32).map(PhaseTypeId) {
+            if !self.model.is_leaf(ty) {
+                continue;
+            }
+            let groups = imbalance_groups(self.model, self.trace, ty);
+            if groups.iter().any(|g| g.members.len() >= 2) {
+                issues.push(self.imbalance(ty, &groups));
+            }
+        }
+        issues
+    }
+}
+
 /// Simulates perfectly balancing all groups of `phase_type`.
 pub fn imbalance_issue(
     model: &ExecutionModel,
@@ -155,38 +193,7 @@ pub fn imbalance_issue(
     replay_cfg: &ReplayConfig,
 ) -> PerformanceIssue {
     let groups = imbalance_groups(model, trace, phase_type);
-    let mut adjusted: HashMap<InstanceId, Nanos> = HashMap::new();
-    let mut affected = 0usize;
-    for g in &groups {
-        if g.members.len() < 2 {
-            continue;
-        }
-        let mean = g.mean() as Nanos;
-        for &(id, _, d) in &g.members {
-            if d != mean {
-                affected += 1;
-            }
-            adjusted.insert(id, mean);
-        }
-    }
-    let base = replay_original(model, trace, replay_cfg);
-    let optimistic = replay(
-        model,
-        trace,
-        &|id| {
-            adjusted
-                .get(&id)
-                .copied()
-                .unwrap_or_else(|| trace.instance(id).duration())
-        },
-        replay_cfg,
-    );
-    PerformanceIssue::from_makespans(
-        IssueKind::Imbalance { phase_type },
-        base.makespan,
-        optimistic.makespan,
-        affected,
-    )
+    WhatIf::new(model, trace, replay_cfg).imbalance(phase_type, &groups)
 }
 
 /// Sweeps every leaf phase type that shows concurrency and reports the
@@ -197,25 +204,8 @@ pub fn detect_imbalance_issues(
     replay_cfg: &ReplayConfig,
     cfg: &IssueConfig,
 ) -> Vec<PerformanceIssue> {
-    let mut types: Vec<PhaseTypeId> = Vec::new();
-    for ty in (0..model.num_types() as u32).map(PhaseTypeId) {
-        if !model.is_leaf(ty) {
-            continue;
-        }
-        let has_group = imbalance_groups(model, trace, ty)
-            .iter()
-            .any(|g| g.members.len() >= 2);
-        if has_group {
-            types.push(ty);
-        }
-    }
-    let mut issues: Vec<PerformanceIssue> = types
-        .into_iter()
-        .map(|ty| imbalance_issue(model, trace, ty, replay_cfg))
-        .filter(|i| i.reduction >= cfg.min_reduction)
-        .collect();
-    issues.sort_by(|a, b| b.reduction.total_cmp(&a.reduction));
-    issues
+    let issues = WhatIf::new(model, trace, replay_cfg).imbalance_candidates();
+    rank(issues, cfg)
 }
 
 #[cfg(test)]

@@ -11,6 +11,12 @@
 //! * [`imbalance`] — *imbalanced execution*: give every group of concurrent
 //!   same-type phases its mean duration (work is interchangeable within one
 //!   iteration, never across iterations) and re-simulate.
+//!
+//! Every candidate is a patch over the trace's own durations, evaluated
+//! against one shared [`ReplayPlan`]: [`detect_issues`] builds the plan and
+//! replays the baseline once, however many candidates follow. The
+//! per-candidate entry points build a plan of their own and are otherwise
+//! the same code.
 
 pub mod bottleneck_impact;
 pub mod imbalance;
@@ -20,7 +26,11 @@ pub use bottleneck_impact::{
 };
 pub use imbalance::{detect_imbalance_issues, imbalance_groups, GroupDetail, OutlierReport};
 
-use crate::model::execution::PhaseTypeId;
+use crate::attribution::PerformanceProfile;
+use crate::bottleneck::BottleneckReport;
+use crate::model::execution::{ExecutionModel, PhaseTypeId};
+use crate::replay::{original_durations, ReplayConfig, ReplayPlan};
+use crate::trace::execution::{ExecutionTrace, InstanceId};
 use crate::trace::timeslice::Nanos;
 
 /// Thresholds and knobs for issue detection.
@@ -102,4 +112,79 @@ impl PerformanceIssue {
             affected_instances: affected,
         }
     }
+}
+
+/// The what-if engine: the replay plan of one (model, trace, config), its
+/// baseline makespan, and the duration vector candidates patch.
+pub(crate) struct WhatIf<'a> {
+    pub(crate) model: &'a ExecutionModel,
+    pub(crate) trace: &'a ExecutionTrace,
+    plan: ReplayPlan,
+    base_makespan: Nanos,
+    /// The trace's own durations, except while a candidate is evaluated.
+    durations: Vec<Nanos>,
+}
+
+impl<'a> WhatIf<'a> {
+    /// Builds the plan and replays the original durations.
+    pub(crate) fn new(
+        model: &'a ExecutionModel,
+        trace: &'a ExecutionTrace,
+        replay_cfg: &ReplayConfig,
+    ) -> Self {
+        let mut plan = ReplayPlan::new(model, trace, replay_cfg);
+        let durations = original_durations(trace);
+        let base_makespan = plan.makespan(&durations);
+        WhatIf {
+            model,
+            trace,
+            plan,
+            base_makespan,
+            durations,
+        }
+    }
+
+    /// Replays with the instances in `patch` given their new durations and
+    /// everything else as traced.
+    pub(crate) fn evaluate(
+        &mut self,
+        kind: IssueKind,
+        patch: &[(InstanceId, Nanos)],
+        affected: usize,
+    ) -> PerformanceIssue {
+        for &(id, duration) in patch {
+            self.durations[id.0 as usize] = duration;
+        }
+        let optimistic = self.plan.makespan(&self.durations);
+        for &(id, _) in patch {
+            self.durations[id.0 as usize] = self.trace.instance(id).duration();
+        }
+        PerformanceIssue::from_makespans(kind, self.base_makespan, optimistic, affected)
+    }
+}
+
+/// Drops candidates below the reporting threshold and orders the rest most
+/// impactful first (ties keep candidate order).
+fn rank(mut issues: Vec<PerformanceIssue>, cfg: &IssueConfig) -> Vec<PerformanceIssue> {
+    issues.retain(|i| i.reduction >= cfg.min_reduction);
+    issues.sort_by(|a, b| b.reduction.total_cmp(&a.reduction));
+    issues
+}
+
+/// The full sweep of §III-F over one shared replay plan: one what-if per
+/// consumable and per blocking resource kind in the bottleneck report, one
+/// per leaf phase type that shows concurrency; returns the issues above the
+/// reporting threshold, most impactful first.
+pub fn detect_issues(
+    model: &ExecutionModel,
+    trace: &ExecutionTrace,
+    profile: &PerformanceProfile,
+    bottlenecks: &BottleneckReport,
+    replay_cfg: &ReplayConfig,
+    cfg: &IssueConfig,
+) -> Vec<PerformanceIssue> {
+    let mut engine = WhatIf::new(model, trace, replay_cfg);
+    let mut issues = engine.bottleneck_candidates(profile, bottlenecks, cfg);
+    issues.extend(engine.imbalance_candidates());
+    rank(issues, cfg)
 }

@@ -109,5 +109,5 @@ pub use supervise::{
 };
 pub use issues::{IssueConfig, IssueKind, PerformanceIssue};
 pub use model::{AttributionRule, ExecutionModel, ExecutionModelBuilder, Repeat, RuleSet};
-pub use replay::{replay, replay_original, ReplayConfig, ReplayResult};
+pub use replay::{replay, replay_original, ReplayConfig, ReplayPlan, ReplayResult};
 pub use trace::{ExecutionTrace, ResourceTrace, TimesliceGrid};

@@ -11,9 +11,7 @@
 use crate::attribution::{build_profile, PerformanceProfile, ProfileConfig};
 use crate::bottleneck::{BottleneckConfig, BottleneckReport};
 use crate::error::Grade10Error;
-use crate::issues::{
-    detect_bottleneck_issues, detect_imbalance_issues, IssueConfig, IssueKind, PerformanceIssue,
-};
+use crate::issues::{detect_issues, IssueConfig, IssueKind, PerformanceIssue};
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs::{self, MetaTrace, Stage};
 use crate::parse::RawEvent;
@@ -144,9 +142,12 @@ pub fn characterize(
 /// ingest and attribution stages are content-hash cached: the
 /// validated/repaired streams and the built profile are persisted keyed by
 /// their inputs, and a re-run with matching inputs reuses them instead of
-/// recomputing. Bottleneck, replay, and issue detection always re-run —
-/// they are cheap relative to attribution and depend on every upstream
-/// artifact. Cached and uncached runs produce byte-identical results.
+/// recomputing. Bottleneck, replay, and issue detection always re-run:
+/// they depend on every upstream artifact, so their key would be the
+/// union of all the others. (They are not free: on the benchmark's
+/// `analyze` input issue detection costs about what attribution does, a
+/// millisecond or two; see `BENCH_pipeline.json`.) Cached and uncached
+/// runs produce byte-identical results.
 pub fn characterize_events(
     model: &ExecutionModel,
     rules: &RuleSet,
@@ -301,7 +302,7 @@ fn characterize_with_cache(
     let _span = obs::span(Stage::Bottleneck);
     let bottlenecks = BottleneckReport::build(trace, &profile, &cfg.bottleneck);
     let base = replay_original(model, trace, &cfg.replay);
-    let mut issues = detect_bottleneck_issues(
+    let issues = detect_issues(
         model,
         trace,
         &profile,
@@ -309,8 +310,6 @@ fn characterize_with_cache(
         &cfg.replay,
         &cfg.issues,
     );
-    issues.extend(detect_imbalance_issues(model, trace, &cfg.replay, &cfg.issues));
-    issues.sort_by(|a, b| b.reduction.total_cmp(&a.reduction));
     Characterization {
         profile,
         bottlenecks,

@@ -16,7 +16,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use crate::model::execution::{ExecutionModel, Repeat};
+use crate::model::execution::{ExecutionModel, PhaseTypeId, Repeat};
 use crate::trace::execution::{ExecutionTrace, InstanceId};
 use crate::trace::timeslice::Nanos;
 
@@ -47,227 +47,318 @@ pub struct ReplayResult {
     pub end: Vec<Nanos>,
 }
 
+/// `ReplayPlan::slot_of` value of a container (only leaves run).
+const CONTAINER: u32 = u32::MAX;
+/// `ReplayPlan::slot_of` value of a leaf no concurrency limit applies to.
+const UNLIMITED: u32 = u32::MAX - 1;
+
+/// Everything about a replay that does not depend on the durations: the
+/// precedence DAG and the concurrency slots of one (model, trace,
+/// [`ReplayConfig`]). Build it once, then [`run`](Self::run) it against any
+/// number of duration vectors — one per what-if candidate.
+///
+/// Instance `i` owns node `2i` (its start) and node `2i + 1` (its end).
+pub struct ReplayPlan {
+    /// CSR successor lists: node `v` precedes `succ[succ_off[v]..succ_off[v + 1]]`.
+    succ_off: Vec<usize>,
+    succ: Vec<u32>,
+    /// Unmet predecessors per node before anything has fired. A leaf's end
+    /// is reached only through its duration, so it carries one in-degree no
+    /// edge ever releases.
+    indeg: Vec<u32>,
+    /// Per instance: its (machine, type) slot group, `UNLIMITED`, or
+    /// `CONTAINER`.
+    slot_of: Vec<u32>,
+    /// Per slot group: the most same-type leaves the machine ran at once in
+    /// the original trace.
+    slot_cap: Vec<u32>,
+    /// Original start per instance; waiting leaves get slots in this order.
+    orig_start: Vec<Nanos>,
+    scratch: Scratch,
+}
+
+/// Per-run state, kept between runs for its allocations only: every field
+/// is reset at the top of [`ReplayPlan::makespan`].
+#[derive(Default)]
+struct Scratch {
+    indeg: Vec<u32>,
+    /// Latest predecessor completion seen per node; once fired, its time.
+    fire_time: Vec<Nanos>,
+    /// `(time, node)`: the node becomes fireable at that time. The order is
+    /// total, so ties between simultaneous events break by node number.
+    events: BinaryHeap<Reverse<(Nanos, u32)>>,
+    free: Vec<u32>,
+    /// Waiting leaves per slot group as `(original start, instance)`.
+    waiting: Vec<BinaryHeap<Reverse<(Nanos, u32)>>>,
+}
+
+impl ReplayPlan {
+    /// Builds the precedence DAG (containment, sequential sibling chains,
+    /// model edges) and derives the concurrency slots.
+    pub fn new(model: &ExecutionModel, trace: &ExecutionTrace, cfg: &ReplayConfig) -> Self {
+        let n = trace.instances().len();
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let start_of = |id: InstanceId| 2 * id.0;
+        let end_of = |id: InstanceId| 2 * id.0 + 1;
+
+        for inst in trace.instances() {
+            if let Some(p) = inst.parent {
+                edges.push((start_of(p), start_of(inst.id)));
+                edges.push((end_of(inst.id), end_of(p)));
+            }
+        }
+        // Per container: its children grouped by type, each group in key
+        // order (ties in trace order).
+        let mut sorted: Vec<InstanceId> = Vec::new();
+        let mut groups: Vec<(PhaseTypeId, std::ops::Range<usize>)> = Vec::new();
+        for inst in trace.instances() {
+            let children = trace.children_of(inst.id);
+            if children.is_empty() {
+                continue;
+            }
+            sorted.clear();
+            sorted.extend_from_slice(children);
+            sorted.sort_by_key(|&c| {
+                let c = trace.instance(c);
+                (c.type_id, c.key)
+            });
+            groups.clear();
+            for (i, &c) in sorted.iter().enumerate() {
+                let ty = trace.instance(c).type_id;
+                match groups.last_mut() {
+                    Some((last, range)) if *last == ty => range.end = i + 1,
+                    _ => groups.push((ty, i..i + 1)),
+                }
+            }
+            let group = |ty: PhaseTypeId| {
+                groups
+                    .iter()
+                    .find(|(t, _)| *t == ty)
+                    .map(|(_, range)| &sorted[range.clone()])
+            };
+            for (ty, range) in &groups {
+                if model.repeat(*ty) == Repeat::Sequential {
+                    for w in sorted[range.clone()].windows(2) {
+                        edges.push((end_of(w[0]), start_of(w[1])));
+                    }
+                }
+            }
+            for &(from_ty, to_ty) in model.edges(inst.type_id) {
+                if let (Some(fs), Some(ts)) = (group(from_ty), group(to_ty)) {
+                    for &f in fs {
+                        for &t in ts {
+                            edges.push((end_of(f), start_of(t)));
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut indeg = vec![0u32; 2 * n];
+        let mut succ_off = vec![0usize; 2 * n + 1];
+        for &(a, b) in &edges {
+            succ_off[a as usize + 1] += 1;
+            indeg[b as usize] += 1;
+        }
+        for v in 0..2 * n {
+            succ_off[v + 1] += succ_off[v];
+        }
+        let mut cursor = succ_off.clone();
+        let mut succ = vec![0u32; edges.len()];
+        for &(a, b) in &edges {
+            succ[cursor[a as usize]] = b;
+            cursor[a as usize] += 1;
+        }
+
+        let mut slot_of = vec![CONTAINER; n];
+        let slot_cap = if cfg.enforce_concurrency {
+            derive_slots(trace, &mut slot_of)
+        } else {
+            Vec::new()
+        };
+        for inst in trace.leaves() {
+            let i = inst.id.0 as usize;
+            indeg[2 * i + 1] += 1;
+            if !cfg.enforce_concurrency {
+                slot_of[i] = UNLIMITED;
+            }
+        }
+
+        ReplayPlan {
+            succ_off,
+            succ,
+            indeg,
+            slot_of,
+            scratch: Scratch {
+                waiting: slot_cap.iter().map(|_| BinaryHeap::new()).collect(),
+                ..Scratch::default()
+            },
+            slot_cap,
+            orig_start: trace.instances().iter().map(|i| i.start).collect(),
+        }
+    }
+
+    /// Replays with `durations[i]` as the duration of leaf instance `i`
+    /// (containers derive their extent from their leaves; their entries are
+    /// ignored).
+    ///
+    /// # Panics
+    /// Panics unless `durations` has one entry per instance of the trace
+    /// the plan was built from.
+    pub fn run(&mut self, durations: &[Nanos]) -> ReplayResult {
+        let makespan = self.makespan(durations);
+        let fire_time = &self.scratch.fire_time;
+        ReplayResult {
+            makespan,
+            start: fire_time.iter().step_by(2).copied().collect(),
+            end: fire_time.iter().skip(1).step_by(2).copied().collect(),
+        }
+    }
+
+    /// The makespan of [`run`](Self::run), without materializing the
+    /// per-instance schedule (it stays in `scratch.fire_time`).
+    ///
+    /// # Panics
+    /// As [`run`](Self::run).
+    pub fn makespan(&mut self, durations: &[Nanos]) -> Nanos {
+        assert_eq!(
+            durations.len(),
+            self.slot_of.len(),
+            "one duration per trace instance"
+        );
+        let Scratch {
+            indeg,
+            fire_time,
+            events,
+            free,
+            waiting,
+        } = &mut self.scratch;
+        indeg.clone_from(&self.indeg);
+        fire_time.clear();
+        fire_time.resize(self.indeg.len(), 0);
+        events.clear();
+        free.clone_from(&self.slot_cap);
+        waiting.iter_mut().for_each(BinaryHeap::clear);
+
+        for (node, &d) in indeg.iter().enumerate() {
+            if d == 0 {
+                events.push(Reverse((0, node as u32)));
+            }
+        }
+
+        let mut makespan = 0;
+        let mut fired = 0usize;
+        while let Some(Reverse((t, node))) = events.pop() {
+            fired += 1;
+            fire_time[node as usize] = t;
+            makespan = makespan.max(t);
+
+            let i = (node / 2) as usize;
+            let is_start = node % 2 == 0;
+            match self.slot_of[i] {
+                CONTAINER => {}
+                // The leaf's end follows its start by its duration...
+                UNLIMITED => {
+                    if is_start {
+                        events.push(Reverse((t + durations[i], node + 1)));
+                    }
+                }
+                // ...once a slot of its group is free: a starting leaf
+                // queues for one, a finishing leaf hands its own back.
+                slot => {
+                    let slot = slot as usize;
+                    if is_start {
+                        waiting[slot].push(Reverse((self.orig_start[i], i as u32)));
+                    } else {
+                        free[slot] += 1;
+                    }
+                    while free[slot] > 0 {
+                        let Some(Reverse((_, next))) = waiting[slot].pop() else {
+                            break;
+                        };
+                        free[slot] -= 1;
+                        events.push(Reverse((t + durations[next as usize], 2 * next + 1)));
+                    }
+                }
+            }
+            let node = node as usize;
+            for &s in &self.succ[self.succ_off[node]..self.succ_off[node + 1]] {
+                let s = s as usize;
+                indeg[s] -= 1;
+                fire_time[s] = fire_time[s].max(t);
+                if indeg[s] == 0 {
+                    events.push(Reverse((fire_time[s], s as u32)));
+                }
+            }
+        }
+        debug_assert_eq!(
+            fired,
+            fire_time.len(),
+            "replay left nodes unfired (cyclic precedence?)"
+        );
+        makespan
+    }
+}
+
+/// Assigns every leaf its (machine, type) slot group in `slot_of` and
+/// returns each group's capacity: the most same-type leaves the machine ran
+/// simultaneously in the original trace.
+fn derive_slots(trace: &ExecutionTrace, slot_of: &mut [u32]) -> Vec<u32> {
+    let mut index: HashMap<(Option<u16>, PhaseTypeId), u32> = HashMap::new();
+    let mut events: Vec<Vec<(Nanos, i32)>> = Vec::new();
+    for inst in trace.leaves() {
+        let slot = *index
+            .entry((inst.machine, inst.type_id))
+            .or_insert_with(|| {
+                events.push(Vec::new());
+                events.len() as u32 - 1
+            });
+        slot_of[inst.id.0 as usize] = slot;
+        events[slot as usize].push((inst.start, 1));
+        events[slot as usize].push((inst.end, -1));
+    }
+    events
+        .into_iter()
+        .map(|mut evs| {
+            // Ends sort before starts at the same instant.
+            evs.sort_unstable();
+            let (mut cur, mut max) = (0i32, 1i32);
+            for (_, d) in evs {
+                cur += d;
+                max = max.max(cur);
+            }
+            max as u32
+        })
+        .collect()
+}
+
+/// The trace's own durations, one per instance: the vector a what-if
+/// patches before handing it to [`ReplayPlan::run`].
+pub fn original_durations(trace: &ExecutionTrace) -> Vec<Nanos> {
+    trace.instances().iter().map(|i| i.duration()).collect()
+}
+
 /// Replays the trace with per-leaf durations given by `duration_of`
-/// (containers derive their extent from their leaves).
+/// (containers derive their extent from their leaves). To replay one trace
+/// under several duration sets, build a [`ReplayPlan`] once instead.
 pub fn replay(
     model: &ExecutionModel,
     trace: &ExecutionTrace,
     duration_of: &dyn Fn(InstanceId) -> Nanos,
     cfg: &ReplayConfig,
 ) -> ReplayResult {
-    let n = trace.instances().len();
-    // Node 2i = instance start, 2i+1 = instance end.
-    let num_nodes = 2 * n;
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
-    let mut indeg = vec![0u32; num_nodes];
-    let add_edge = |succ: &mut Vec<Vec<usize>>, indeg: &mut Vec<u32>, a: usize, b: usize| {
-        succ[a].push(b);
-        indeg[b] += 1;
-    };
-
-    // Parent-child containment edges.
-    for inst in trace.instances() {
-        let i = inst.id.0 as usize;
-        if let Some(p) = inst.parent {
-            let pi = p.0 as usize;
-            add_edge(&mut succ, &mut indeg, 2 * pi, 2 * i);
-            add_edge(&mut succ, &mut indeg, 2 * i + 1, 2 * pi + 1);
-        }
-    }
-    // Model precedence edges + sequential sibling chains, per container.
-    for inst in trace.instances() {
-        let children = trace.children_of(inst.id);
-        if children.is_empty() {
-            continue;
-        }
-        // Group children by type.
-        let mut by_type: HashMap<_, Vec<InstanceId>> = HashMap::new();
-        for &c in children {
-            by_type
-                .entry(trace.instance(c).type_id)
-                .or_default()
-                .push(c);
-        }
-        for (&ty, insts) in by_type.iter_mut() {
-            if model.repeat(ty) == Repeat::Sequential && insts.len() > 1 {
-                insts.sort_by_key(|&c| trace.instance(c).key);
-                for w in insts.windows(2) {
-                    add_edge(
-                        &mut succ,
-                        &mut indeg,
-                        2 * w[0].0 as usize + 1,
-                        2 * w[1].0 as usize,
-                    );
-                }
-            }
-        }
-        for &(from_ty, to_ty) in model.edges(trace.instance(inst.id).type_id) {
-            if let (Some(fs), Some(ts)) = (by_type.get(&from_ty), by_type.get(&to_ty)) {
-                for &f in fs {
-                    for &t in ts {
-                        add_edge(
-                            &mut succ,
-                            &mut indeg,
-                            2 * f.0 as usize + 1,
-                            2 * t.0 as usize,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // A leaf's end is reached only via its duration (pushed explicitly when
-    // the leaf starts or is granted a slot); give it an artificial
-    // indegree so the init loop below does not fire it at t = 0.
-    for inst in trace.instances() {
-        if trace.is_leaf(inst.id) {
-            indeg[2 * inst.id.0 as usize + 1] += 1;
-        }
-    }
-
-    // Concurrency slots per (machine, type), from the original trace.
-    let slots = if cfg.enforce_concurrency {
-        derive_slots(trace)
-    } else {
-        HashMap::new()
-    };
-    let mut free: HashMap<SlotKey, usize> = slots.clone();
-
-    // Event-driven propagation.
-    let mut fire_time = vec![0u64; num_nodes];
-    let mut fired = vec![false; num_nodes];
-    // (time, node) events: node becomes fireable at time (all preds done).
-    let mut heap: BinaryHeap<Reverse<(Nanos, usize)>> = BinaryHeap::new();
-    // Pending leaf tasks per slot group, ordered by original start.
-    let mut pending: PendingQueues = HashMap::new();
-
-    for node in 0..num_nodes {
-        if indeg[node] == 0 {
-            heap.push(Reverse((0, node)));
-        }
-    }
-
-    let mut makespan = 0u64;
-    while let Some(Reverse((t, node))) = heap.pop() {
-        if fired[node] {
-            continue;
-        }
-        fired[node] = true;
-        fire_time[node] = t;
-        makespan = makespan.max(t);
-
-        let i = node / 2;
-        let inst = trace.instance(InstanceId(i as u32));
-        let is_start = node % 2 == 0;
-        let is_leaf = trace.is_leaf(inst.id);
-
-        if is_start && is_leaf {
-            // The leaf's end is gated by a slot (if constrained).
-            let dur = duration_of(inst.id);
-            let key = (inst.machine, inst.type_id);
-            if cfg.enforce_concurrency && slots.contains_key(&key) {
-                pending
-                    .entry(key)
-                    .or_default()
-                    .push(Reverse((inst.start, inst.id.0, dur)));
-                try_start(&mut pending, &mut free, &mut heap, key, t);
+    let durations: Vec<Nanos> = trace
+        .instances()
+        .iter()
+        .map(|i| {
+            if trace.is_leaf(i.id) {
+                duration_of(i.id)
             } else {
-                heap.push(Reverse((t + dur, node + 1)));
+                0
             }
-        }
-        if !is_start && is_leaf {
-            // Leaf finished: release its slot and start a waiting task.
-            let key = (inst.machine, inst.type_id);
-            if cfg.enforce_concurrency && slots.contains_key(&key) {
-                let Some(f) = free.get_mut(&key) else {
-                    unreachable!("free has an entry for every slots key");
-                };
-                *f += 1;
-                try_start(&mut pending, &mut free, &mut heap, key, t);
-            }
-        }
-        // Propagate to successors.
-        for &s in &succ[node] {
-            indeg[s] -= 1;
-            fire_time[s] = fire_time[s].max(t);
-            if indeg[s] == 0 {
-                heap.push(Reverse((fire_time[s], s)));
-            }
-        }
-    }
-
-    debug_assert!(
-        fired.iter().all(|&f| f),
-        "replay left nodes unfired (cyclic precedence?)"
-    );
-
-    let mut start = vec![0u64; n];
-    let mut end = vec![0u64; n];
-    for i in 0..n {
-        start[i] = fire_time[2 * i];
-        end[i] = fire_time[2 * i + 1];
-    }
-    ReplayResult {
-        makespan,
-        start,
-        end,
-    }
-}
-
-type SlotKey = (Option<u16>, crate::model::execution::PhaseTypeId);
-
-/// Waiting tasks per slot group: `(original start, instance id, duration)`
-/// min-heaped so the earliest original start runs first.
-type PendingQueues = HashMap<SlotKey, BinaryHeap<Reverse<(Nanos, u32, Nanos)>>>;
-
-fn try_start(
-    pending: &mut PendingQueues,
-    free: &mut HashMap<SlotKey, usize>,
-    heap: &mut BinaryHeap<Reverse<(Nanos, usize)>>,
-    key: SlotKey,
-    now: Nanos,
-) {
-    let q = match pending.get_mut(&key) {
-        Some(q) => q,
-        None => return,
-    };
-    let Some(f) = free.get_mut(&key) else {
-        unreachable!("free has an entry for every pending key");
-    };
-    while *f > 0 {
-        match q.pop() {
-            Some(Reverse((_prio, id, dur))) => {
-                *f -= 1;
-                // End node of instance `id` fires after `dur`.
-                heap.push(Reverse((now + dur, 2 * id as usize + 1)));
-            }
-            None => break,
-        }
-    }
-}
-
-/// Max simultaneous same-type leaves per machine in the original trace.
-fn derive_slots(trace: &ExecutionTrace) -> HashMap<SlotKey, usize> {
-    let mut events: HashMap<SlotKey, Vec<(Nanos, i32)>> = HashMap::new();
-    for inst in trace.leaves() {
-        let key = (inst.machine, inst.type_id);
-        let e = events.entry(key).or_default();
-        e.push((inst.start, 1));
-        e.push((inst.end, -1));
-    }
-    let mut out = HashMap::new();
-    for (key, mut evs) in events {
-        // Ends sort before starts at the same instant.
-        evs.sort_by_key(|&(t, d)| (t, d));
-        let (mut cur, mut max) = (0i32, 0i32);
-        for (_, d) in evs {
-            cur += d;
-            max = max.max(cur);
-        }
-        out.insert(key, max.max(1) as usize);
-    }
-    out
+        })
+        .collect();
+    ReplayPlan::new(model, trace, cfg).run(&durations)
 }
 
 /// Convenience: replay with the original durations.
@@ -276,7 +367,7 @@ pub fn replay_original(
     trace: &ExecutionTrace,
     cfg: &ReplayConfig,
 ) -> ReplayResult {
-    replay(model, trace, &|id| trace.instance(id).duration(), cfg)
+    ReplayPlan::new(model, trace, cfg).run(&original_durations(trace))
 }
 
 #[cfg(test)]
@@ -499,5 +590,81 @@ mod tests {
         let trace = tb.build().unwrap();
         let r = replay_original(&m, &trace, &ReplayConfig::default());
         assert_eq!(r.makespan, 50 * MILLIS);
+    }
+
+    /// Three steps of five tasks on two machines, one thread each, so
+    /// tasks queue for their machine's slot.
+    fn contended_trace(m: &ExecutionModel) -> ExecutionTrace {
+        let mut tb = TraceBuilder::new(m);
+        tb.add_phase(&[("job", 0)], 0, 310 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0), ("load", 0)], 0, 10 * MILLIS, Some(0), Some(0))
+            .unwrap();
+        tb.add_phase(&[("job", 0), ("execute", 0)], 10 * MILLIS, 310 * MILLIS, None, None)
+            .unwrap();
+        for s in 0..3u64 {
+            let t0 = 10 + 100 * s;
+            tb.add_phase(
+                &[("job", 0), ("execute", 0), ("step", s as u32)],
+                t0 * MILLIS,
+                (t0 + 100) * MILLIS,
+                None,
+                None,
+            )
+            .unwrap();
+            for k in 0..5u64 {
+                // Machine k % 2 runs its tasks back to back.
+                let start = t0 + 30 * (k / 2);
+                tb.add_phase(
+                    &[("job", 0), ("execute", 0), ("step", s as u32), ("task", k as u32)],
+                    start * MILLIS,
+                    (start + 20 + k) * MILLIS,
+                    Some((k % 2) as u16),
+                    Some(0),
+                )
+                .unwrap();
+            }
+        }
+        tb.build().unwrap()
+    }
+
+    #[test]
+    fn one_plan_over_many_duration_vectors_equals_fresh_plans() {
+        let m = model();
+        let trace = contended_trace(&m);
+        let n = trace.instances().len() as u64;
+        for enforce_concurrency in [true, false] {
+            let cfg = ReplayConfig { enforce_concurrency };
+            let mut shared = ReplayPlan::new(&m, &trace, &cfg);
+            let mut makespans = Vec::new();
+            // Long, short, zero and original durations in turn: whatever a
+            // run leaves in the scratch buffers must not reach the next.
+            for round in 0..8u64 {
+                let durations: Vec<Nanos> = original_durations(&trace)
+                    .iter()
+                    .zip(0..n)
+                    .map(|(&d, i)| match round % 4 {
+                        0 => d * (1 + (i * 7 + round) % 5),
+                        1 => d / (1 + (i + round) % 3),
+                        2 => 0,
+                        _ => d,
+                    })
+                    .collect();
+                let reused = shared.run(&durations);
+                let fresh = ReplayPlan::new(&m, &trace, &cfg).run(&durations);
+                assert_eq!(reused.makespan, fresh.makespan, "round {round}");
+                assert_eq!(reused.start, fresh.start, "round {round}");
+                assert_eq!(reused.end, fresh.end, "round {round}");
+                assert_eq!(shared.makespan(&durations), fresh.makespan);
+                let wrapped = replay(&m, &trace, &|id| durations[id.0 as usize], &cfg);
+                assert_eq!(wrapped.end, fresh.end, "round {round}");
+                makespans.push(fresh.makespan);
+            }
+            // The rounds really differ, and the slots really bind: a step
+            // is machine 0's three tasks back to back (20 + 22 + 24 ms), or
+            // its longest task alone.
+            assert_eq!(makespans[2], 0);
+            let step = if enforce_concurrency { 66 } else { 24 };
+            assert_eq!(makespans[3], (10 + 3 * step) * MILLIS);
+        }
     }
 }

@@ -61,7 +61,7 @@ use crate::attribution::{build_profile, PerformanceProfile, ProfileConfig};
 use crate::config::Parallelism;
 use crate::bottleneck::BottleneckReport;
 use crate::error::Grade10Error;
-use crate::issues::{detect_bottleneck_issues, detect_imbalance_issues, PerformanceIssue};
+use crate::issues::{detect_issues, PerformanceIssue};
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs;
 use crate::parse::{build_execution_trace, RawEvent};
@@ -1378,11 +1378,14 @@ pub fn characterize_events_supervised(
         let rcfg = rcfg.clone();
         let icfg = icfg.clone();
         Box::new(move || {
-            let mut issues =
-                detect_bottleneck_issues(&model, &trace, &profile, &bottlenecks, &rcfg, &icfg);
-            issues.extend(detect_imbalance_issues(&model, &trace, &rcfg, &icfg));
-            issues.sort_by(|a, b| b.reduction.total_cmp(&a.reduction));
-            Ok(issues)
+            Ok(detect_issues(
+                &model,
+                &trace,
+                &profile,
+                &bottlenecks,
+                &rcfg,
+                &icfg,
+            ))
         })
     });
     let (issues, issues_status) = finish_stage::<Vec<PerformanceIssue>>(

@@ -5,7 +5,11 @@
 use grade10::core::attribution::UpsampleMode;
 use grade10::core::bottleneck::{BottleneckConfig, BottleneckReport};
 use grade10::core::issues::imbalance::{imbalance_groups, imbalance_issue};
+use grade10::core::issues::{
+    detect_bottleneck_issues, detect_imbalance_issues, detect_issues, IssueConfig,
+};
 use grade10::core::replay::ReplayConfig;
+use grade10::core::PerformanceIssue;
 use grade10::engines::gas::{GasConfig, SyncBugConfig};
 use grade10::engines::workload::EnginePhases;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
@@ -188,5 +192,33 @@ fn work_profile_drives_phase_durations() {
     assert!(
         (first / last) < 2.0 && (last / first) < 2.0,
         "CDLP gather work should be stable: {gather_total_per_iter:?}"
+    );
+}
+
+/// `detect_issues` shares one replay plan between all candidates; the two
+/// per-class sweeps each build their own. Same issues, same order.
+#[test]
+fn one_plan_sweep_equals_the_two_per_class_sweeps() {
+    let run = run(Some(SyncBugConfig::default()));
+    let profile = run.build_profile(&run.rules_tuned, 8, SLICE, UpsampleMode::DemandGuided);
+    let report = BottleneckReport::build(&run.trace, &profile, &BottleneckConfig::default());
+    let (rcfg, icfg) = (ReplayConfig::default(), IssueConfig::default());
+    let mut split =
+        detect_bottleneck_issues(&run.model, &run.trace, &profile, &report, &rcfg, &icfg);
+    split.extend(detect_imbalance_issues(&run.model, &run.trace, &rcfg, &icfg));
+    split.sort_by(|a, b| b.reduction.total_cmp(&a.reduction));
+    let merged = detect_issues(&run.model, &run.trace, &profile, &report, &rcfg, &icfg);
+    let key = |i: &PerformanceIssue| {
+        (
+            i.kind.clone(),
+            i.base_makespan,
+            i.optimistic_makespan,
+            i.affected_instances,
+        )
+    };
+    assert!(merged.len() >= 3, "{merged:?}");
+    assert_eq!(
+        merged.iter().map(key).collect::<Vec<_>>(),
+        split.iter().map(key).collect::<Vec<_>>()
     );
 }

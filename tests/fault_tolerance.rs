@@ -8,9 +8,13 @@
 //! budget guard, monitoring quarantine) and are exercised end to end in
 //! `tests/supervision.rs`.
 
+use std::sync::mpsc;
+use std::time::Duration;
+
 use grade10::cluster::{FaultClass, FaultPlan};
+use grade10::core::critical_path::critical_path;
 use grade10::core::pipeline::{characterize_events, CharacterizationConfig};
-use grade10::core::trace::{repair_events, IngestConfig, IngestReport, MILLIS};
+use grade10::core::trace::{ingest, repair_events, IngestConfig, IngestReport, MILLIS};
 use grade10::engines::bridge::{to_raw_events, to_raw_series};
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
@@ -203,6 +207,47 @@ fn repair_emits_a_deterministic_stream() {
         assert_eq!(
             repaired[0], repaired[1],
             "repair of a {class:?}-damaged stream must be order-deterministic"
+        );
+    }
+}
+
+/// `critical_path` is the last thing `analyze` prints, and it must finish
+/// on whatever lenient repair hands it. Reordered records leave repaired
+/// traces with several zero-duration leaves ending at one instant, each a
+/// predecessor candidate of the others; the backward walk used to bounce
+/// between them without end (four of these ten seeds: minutes, gigabytes).
+#[test]
+fn critical_path_terminates_on_lenient_repaired_reorder_damage() {
+    let run = run_workload(&WorkloadSpec {
+        dataset: Dataset::Rmat { scale: 8, seed: 3 },
+        algorithm: Algorithm::PageRank { iterations: 8 },
+        engine: EngineKind::Giraph(PregelConfig {
+            machines: 8,
+            threads: 4,
+            ..Default::default()
+        }),
+    });
+    for seed in 1..=10u64 {
+        let plan = FaultPlan::all(seed);
+        let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
+        let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+        let input = ingest(&run.model, &events, &monitoring, &IngestConfig::lenient())
+            .unwrap_or_else(|e| panic!("seed {seed}: lenient ingest failed: {e}"));
+        let leaves = input.trace.leaves().count();
+        let model = run.model.clone();
+        let (done, walked) = mpsc::channel();
+        // Never joined: a walk that does not return must fail this test,
+        // not hang it.
+        std::thread::spawn(move || {
+            let _ = done.send(critical_path(&model, &input.trace, &Default::default()));
+        });
+        let cp = walked
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("seed {seed}: critical_path still walking after 20 s"));
+        assert!(
+            cp.hops.len() <= leaves,
+            "seed {seed}: {} hops over {leaves} leaves",
+            cp.hops.len()
         );
     }
 }

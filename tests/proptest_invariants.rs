@@ -22,7 +22,7 @@ use grade10::core::critical_path::critical_path;
 use grade10::core::model::{AttributionRule, ExecutionModelBuilder, Repeat, RuleSet};
 use grade10::core::parse::RawEvent;
 use grade10::core::pipeline::{characterize_events, CharacterizationConfig};
-use grade10::core::replay::{replay, ReplayConfig};
+use grade10::core::replay::{original_durations, ReplayConfig, ReplayPlan};
 use grade10::core::report::{render_gantt, GanttConfig};
 use grade10::core::trace::repair::validate_event_stream;
 use grade10::core::trace::{
@@ -257,20 +257,25 @@ fn replay_critical_path_is_monotone_in_durations() {
         let cfg = ReplayConfig {
             enforce_concurrency: false,
         };
-        let base = replay(&model, &trace, &|id| trace.instance(id).duration(), &cfg);
-        let shrunk = replay(
-            &model,
-            &trace,
-            &|id| {
-                let inst = trace.instance(id);
-                if trace.is_leaf(id) {
+        // One plan, both duration vectors: the law must hold on the path
+        // issue detection takes, with the shrunk run reusing the base
+        // run's buffers.
+        let mut plan = ReplayPlan::new(&model, &trace, &cfg);
+        let original = original_durations(&trace);
+        let base = plan.run(&original);
+        let shrunk_durations: Vec<u64> = trace
+            .instances()
+            .iter()
+            .map(|inst| {
+                if trace.is_leaf(inst.id) {
                     (inst.duration() as f64 * shrink[inst.thread.unwrap_or(0) as usize % 4]) as u64
                 } else {
                     inst.duration()
                 }
-            },
-            &cfg,
-        );
+            })
+            .collect();
+        let shrunk = plan.run(&shrunk_durations);
+        assert_eq!(plan.makespan(&original), base.makespan, "case {case}");
         assert!(shrunk.makespan <= base.makespan, "case {case}");
         // Critical path equals the sum of each step's longest task.
         let expect = durs[0].max(durs[1]) + durs[2].max(durs[3]);
