@@ -253,42 +253,6 @@ impl PerformanceProfile {
         }
     }
 
-    /// Reassembles a profile from its public parts, rebuilding the
-    /// `(instance, resource) → usage` index from the order of `usages`.
-    /// This is the stage-cache codec's constructor: a decoded profile must
-    /// be indistinguishable from the one that was encoded, including
-    /// lookup behavior.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        grid: TimesliceGrid,
-        resources: Vec<ResourceInstance>,
-        consumption: MetricGrid,
-        demand_exact: MetricGrid,
-        demand_variable: MetricGrid,
-        unattributed: MetricGrid,
-        overflow: Vec<f64>,
-        estimated: BoolGrid,
-        usages: Vec<InstanceUsage>,
-    ) -> PerformanceProfile {
-        let index = usages
-            .iter()
-            .enumerate()
-            .map(|(i, u)| ((u.instance, u.resource), i))
-            .collect();
-        PerformanceProfile {
-            grid,
-            resources,
-            consumption,
-            demand_exact,
-            demand_variable,
-            unattributed,
-            overflow,
-            estimated,
-            usages,
-            index,
-        }
-    }
-
     /// Merges per-machine profiles built over the *same grid* (see
     /// [`ProfileConfig::grid_end`]) into one profile by concatenating the
     /// resource axis; instance IDs refer to the shared execution trace, so

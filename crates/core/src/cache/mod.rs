@@ -1,35 +1,29 @@
-//! Stage-level content-hash cache for incremental recharacterization.
+//! Stage cache: one record per campaign mix, holding the mix's collected
+//! streams.
 //!
-//! Campaigns and repeated CLI runs re-characterize near-identical inputs
-//! constantly: editing one fault seed leaves every other machine's event
-//! substream byte-identical, yet the pipeline used to re-execute every
-//! stage for every machine. This module persists the outputs of the two
-//! expensive per-unit stages — per-machine ingestion and per-machine
-//! attribution — keyed by a *content hash of everything that can change
-//! the unit's output*:
-//!
-//! * the unit's own input substream (events and/or monitoring series),
-//! * the execution model and rule matrix (hashed via their canonical JSON),
-//! * the grid configuration (timeslice, grid end, upsampling mode),
-//! * the ingestion mode and retry budget, and
-//! * [`CODE_VERSION`](crate::campaign::CODE_VERSION) plus a per-record
-//!   schema version, so a build whose attribution semantics drifted can
-//!   never resurrect a stale artifact.
-//!
-//! A re-run therefore reuses cached results for every unit whose inputs
-//! hash the same and re-executes only the affected units before the
-//! supervisor re-merges in unit-key order — the same delta discipline the
-//! campaign layer applies at mix granularity, pushed down a level.
+//! A mix's wall time is the simulation that produces its streams — graph
+//! generation, partitioning, the algorithm and the cluster simulation are
+//! ≈ 85–90 % of a mix — and the characterization pipeline behind it is a
+//! few milliseconds. So the one boundary worth persisting is the pipeline's
+//! *input*: the collected (post-fault-injection, post-bridge)
+//! `Vec<RawEvent>` + `Vec<RawSeries>` that `run_mix` hands to
+//! [`crate::pipeline::characterize_events`]. A hit skips the simulation;
+//! the pipeline always recomputes (see `docs/robustness.md` for the
+//! measurements behind that cut).
 //!
 //! # Record format and identity
 //!
 //! Records ride on the same section-table container as the binary trace
-//! format ([`crate::trace::binary`]): an eight-byte magic (`G10CACHE`), a
-//! format version, a checksummed section table, and per-section FNV-1a
-//! checksums, so every truncation or bit flip is detected on read. File
-//! names carry only a 64-bit FNV-1a of the key, which can collide; the
-//! full canonical key string is therefore stored inside the record
-//! ([`SECTION_KEY`]) and compared byte-for-byte on every lookup — a
+//! format ([`crate::trace::binary`]) — an eight-byte magic (`G10CACHE`), a
+//! format version, a checksummed section table, per-section FNV-1a
+//! checksums — and encode events and series through the very encoders the
+//! trace container uses, so every truncation or bit flip is detected on
+//! read and the two formats cannot drift apart. The key is the mix
+//! identity the campaign result store already computes
+//! ([`MixSpec::content_string`](crate::campaign::MixSpec::content_string):
+//! every spec field plus the code version). File names carry only a 64-bit
+//! FNV-1a of the key, which can collide; the full key is therefore stored
+//! inside the record and compared byte-for-byte on every lookup — a
 //! collision or a tampered record is a miss (and is quarantined), never a
 //! silently wrong answer.
 //!
@@ -39,19 +33,20 @@
 //! overwrites the winner with identical bytes.
 //!
 //! All counters on a [`StageCache`] are monotonic and thread-safe; the
-//! CLI surfaces them after each run and the CI cache-effectiveness smoke
-//! leg asserts on them.
-
-pub mod codec;
+//! CLI surfaces them after each run and the CI cache smoke leg asserts on
+//! them.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::campaign::{atomic_write, quarantine};
 use crate::error::Grade10Error;
-use crate::hash::{fnv1a, fnv1a_extend};
-use crate::parse::{RawEvent, RawEventKind};
-use crate::trace::binary::{build_container, parse_container, ContainerSpec, Section};
+use crate::hash::fnv1a;
+use crate::parse::RawEvent;
+use crate::trace::binary::{
+    build_container, decode_events, decode_paths, decode_series, decode_strings, parse_container,
+    ContainerSpec, PoolEncoder,
+};
 use crate::trace::repair::RawSeries;
 
 /// Magic prefix of a stage-cache record file.
@@ -59,27 +54,25 @@ pub const CACHE_MAGIC: [u8; 8] = *b"G10CACHE";
 
 /// Stage-cache record format version. Bump on any layout change; readers
 /// accept exactly their own version and treat everything else as a miss.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+/// Version 1 was the per-stage `ingest-*` / `profile-*` / `attribute-*`
+/// records; their file names differ, so they are never opened.
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
-/// Section id: the full canonical key string, verified byte-for-byte on
-/// every hit (the file name carries only a 64-bit hash of it).
-pub(crate) const SECTION_KEY: u32 = 1;
-/// Section id: the fixed-layout record body (status, incidents, report or
-/// profile), see [`codec`].
-pub(crate) const SECTION_META: u32 = 2;
-/// Section id: deduplicated string pool (same layout as the binary trace).
-pub(crate) const SECTION_STRINGS: u32 = 3;
-/// Section id: deduplicated path pool (same layout as the binary trace).
-pub(crate) const SECTION_PATHS: u32 = 4;
-/// Section id: repaired per-unit event stream (binary-trace `EVENTS`
+/// Section id: the full key string, verified byte-for-byte on every hit
+/// (the file name carries only a 64-bit hash of it).
+const SECTION_KEY: u32 = 1;
+/// Section id: deduplicated string pool (binary-trace `STRINGS` layout).
+const SECTION_STRINGS: u32 = 2;
+/// Section id: deduplicated path pool (binary-trace `PATHS` layout).
+const SECTION_PATHS: u32 = 3;
+/// Section id: the collected event stream (binary-trace `EVENTS` layout).
+const SECTION_EVENTS: u32 = 4;
+/// Section id: the collected monitoring series (binary-trace `RESOURCES`
 /// layout).
-pub(crate) const SECTION_EVENTS: u32 = 5;
-/// Section id: repaired per-unit monitoring series (binary-trace
-/// `RESOURCES` layout).
-pub(crate) const SECTION_SERIES: u32 = 6;
+const SECTION_SERIES: u32 = 5;
 
 /// The stage-cache dialect of the section-table container.
-pub(crate) const CACHE_CONTAINER: ContainerSpec = ContainerSpec {
+const CACHE_CONTAINER: ContainerSpec = ContainerSpec {
     magic: &CACHE_MAGIC,
     version: CACHE_FORMAT_VERSION,
     label: "stage-cache record",
@@ -91,7 +84,7 @@ pub struct StageCacheStats {
     /// Lookups that returned a verified, decodable record.
     pub hits: u64,
     /// Lookups that found nothing usable (absent, corrupt, colliding, or
-    /// written by a different schema).
+    /// written by a different format version).
     pub misses: u64,
     /// Records written.
     pub stores: u64,
@@ -109,8 +102,8 @@ impl StageCacheStats {
     }
 }
 
-/// A directory of content-addressed stage records. Cheap to clone behind
-/// an `Arc`; safe to share across pool workers and campaign peers.
+/// A directory of streams records. Cheap to clone behind an `Arc`; safe to
+/// share across pool workers and campaign peers.
 #[derive(Debug)]
 pub struct StageCache {
     dir: PathBuf,
@@ -138,49 +131,25 @@ impl StageCache {
         &self.dir
     }
 
-    fn path_for(&self, stage: &str, key: &str) -> PathBuf {
+    fn path_for(&self, key: &str) -> PathBuf {
         self.dir
-            .join(format!("{stage}-{:016x}.g10c", fnv1a(key.as_bytes())))
+            .join(format!("streams-{:016x}.g10c", fnv1a(key.as_bytes())))
     }
 
-    /// Looks up one record. `decode` receives the verified sections (key
-    /// already matched byte-for-byte); any decode failure — like any
-    /// container damage or key mismatch — counts as a miss, and damaged or
-    /// colliding files are quarantined aside so they cannot shadow a
-    /// future store.
-    pub(crate) fn lookup<T>(
-        &self,
-        stage: &str,
-        key: &str,
-        decode: impl FnOnce(&[Section<'_>]) -> Result<T, Grade10Error>,
-    ) -> Option<T> {
-        let path = self.path_for(stage, key);
+    /// Looks up the collected streams stored under `key`. Container damage,
+    /// a key mismatch (file-name collision) or a decode failure counts as a
+    /// miss, and the offending file is quarantined aside so it cannot
+    /// shadow a future store.
+    pub fn lookup_streams(&self, key: &str) -> Option<(Vec<RawEvent>, Vec<RawSeries>)> {
+        let path = self.path_for(key);
         let Ok(bytes) = std::fs::read(&path) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let decoded = parse_container(&bytes, &CACHE_CONTAINER).and_then(|sections| {
-            let stored_key = sections
-                .iter()
-                .find(|s| s.id == SECTION_KEY)
-                .map(|s| s.payload)
-                .ok_or_else(|| {
-                    Grade10Error::Serialization("stage-cache record: missing key section".into())
-                })?;
-            if stored_key != key.as_bytes() {
-                // A 64-bit file-name collision, or a record for a
-                // different schema generation: identity mismatch is a
-                // miss, never a silently wrong artifact.
-                return Err(Grade10Error::Serialization(
-                    "stage-cache record: key mismatch (hash collision)".into(),
-                ));
-            }
-            decode(&sections)
-        });
-        match decoded {
-            Ok(v) => {
+        match decode_record(&bytes, key) {
+            Ok(streams) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
+                Some(streams)
             }
             Err(_) => {
                 quarantine(&path);
@@ -190,14 +159,30 @@ impl StageCache {
         }
     }
 
-    /// Persists one record: the key section plus the caller's payload
-    /// sections, atomically. Failures are swallowed — a cache that cannot
-    /// write degrades to a cache that never hits, it must never fail the
-    /// computation whose result it was storing.
-    pub(crate) fn store(&self, stage: &str, key: &str, mut sections: Vec<(u32, Vec<u8>)>) {
-        sections.insert(0, (SECTION_KEY, key.as_bytes().to_vec()));
-        let bytes = build_container(&CACHE_MAGIC, CACHE_FORMAT_VERSION, &sections);
-        if atomic_write(&self.path_for(stage, key), &bytes).is_ok() {
+    /// Persists the collected streams of one mix under `key`, atomically.
+    /// Failures are swallowed — a cache that cannot write degrades to a
+    /// cache that never hits, it must never fail the computation whose
+    /// input it was storing.
+    pub fn store_streams(&self, key: &str, events: &[RawEvent], series: &[RawSeries]) {
+        let mut enc = PoolEncoder::default();
+        let events_payload = enc.encode_events(events);
+        let series_payload = enc.encode_series(
+            series
+                .iter()
+                .map(|s| (&s.instance, s.measurements.as_slice())),
+        );
+        let bytes = build_container(
+            &CACHE_MAGIC,
+            CACHE_FORMAT_VERSION,
+            &[
+                (SECTION_KEY, key.as_bytes().to_vec()),
+                (SECTION_STRINGS, enc.strings_payload()),
+                (SECTION_PATHS, enc.paths_payload()),
+                (SECTION_EVENTS, events_payload),
+                (SECTION_SERIES, series_payload),
+            ],
+        );
+        if atomic_write(&self.path_for(key), &bytes).is_ok() {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -212,172 +197,28 @@ impl StageCache {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Input hashing
-// ---------------------------------------------------------------------------
-
-fn hash_str(h: u64, s: &str) -> u64 {
-    let h = fnv1a_extend(h, &(s.len() as u64).to_le_bytes());
-    fnv1a_extend(h, s.as_bytes())
-}
-
-/// Content hash of a raw event stream: every field of every event, with
-/// strings length-prefixed so adjacent fields cannot alias.
-pub(crate) fn hash_events(events: &[RawEvent]) -> u64 {
-    let mut h = fnv1a(&(events.len() as u64).to_le_bytes());
-    for ev in events {
-        h = fnv1a_extend(h, &ev.time.to_le_bytes());
-        h = fnv1a_extend(h, &ev.machine.to_le_bytes());
-        h = fnv1a_extend(h, &ev.thread.to_le_bytes());
-        match &ev.kind {
-            RawEventKind::PhaseStart { path } | RawEventKind::PhaseEnd { path } => {
-                let tag: u8 = if matches!(ev.kind, RawEventKind::PhaseStart { .. }) {
-                    0
-                } else {
-                    1
-                };
-                h = fnv1a_extend(h, &[tag]);
-                h = fnv1a_extend(h, &(path.len() as u64).to_le_bytes());
-                for (name, key) in path {
-                    h = hash_str(h, name);
-                    h = fnv1a_extend(h, &key.to_le_bytes());
-                }
-            }
-            RawEventKind::BlockStart { resource } => {
-                h = fnv1a_extend(h, &[2u8]);
-                h = hash_str(h, resource);
-            }
-            RawEventKind::BlockEnd { resource } => {
-                h = fnv1a_extend(h, &[3u8]);
-                h = hash_str(h, resource);
-            }
-        }
-    }
-    h
-}
-
-/// Content hash of monitoring series: instance identity (kind, machine,
-/// exact capacity bits) and every measurement window.
-pub(crate) fn hash_series(series: &[RawSeries]) -> u64 {
-    let mut h = fnv1a(&(series.len() as u64).to_le_bytes());
-    for s in series {
-        h = hash_str(h, &s.instance.kind);
-        match s.instance.machine {
-            Some(m) => {
-                h = fnv1a_extend(h, &[1u8]);
-                h = fnv1a_extend(h, &m.to_le_bytes());
-            }
-            None => h = fnv1a_extend(h, &[0u8]),
-        }
-        h = fnv1a_extend(h, &s.instance.capacity.to_bits().to_le_bytes());
-        h = fnv1a_extend(h, &(s.measurements.len() as u64).to_le_bytes());
-        for m in &s.measurements {
-            h = fnv1a_extend(h, &m.start.to_le_bytes());
-            h = fnv1a_extend(h, &m.end.to_le_bytes());
-            h = fnv1a_extend(h, &m.avg.to_bits().to_le_bytes());
-        }
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::trace::resource::{Measurement, ResourceInstance};
-
-    fn tdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "g10-cache-{name}-{}",
-            std::process::id()
+/// Verifies the container and the stored key, then decodes the streams.
+fn decode_record(bytes: &[u8], key: &str) -> Result<(Vec<RawEvent>, Vec<RawSeries>), Grade10Error> {
+    let sections = parse_container(bytes, &CACHE_CONTAINER)?;
+    let section = |id: u32, what: &str| {
+        sections
+            .iter()
+            .find(|s| s.id == id)
+            .map(|s| s.payload)
+            .ok_or_else(|| {
+                Grade10Error::Serialization(format!("stage-cache record: missing {what} section"))
+            })
+    };
+    if section(SECTION_KEY, "key")? != key.as_bytes() {
+        // A 64-bit file-name collision: identity mismatch is a miss, never
+        // a silently wrong artifact.
+        return Err(Grade10Error::Serialization(
+            "stage-cache record: key mismatch (hash collision)".into(),
         ));
-        let _ = std::fs::remove_dir_all(&d);
-        d
     }
-
-    fn series(kind: &str, machine: Option<u16>, avg: f64) -> RawSeries {
-        RawSeries {
-            instance: ResourceInstance {
-                kind: kind.to_string(),
-                machine,
-                capacity: 4.0,
-            },
-            measurements: vec![Measurement {
-                start: 0,
-                end: 100,
-                avg,
-            }],
-        }
-    }
-
-    #[test]
-    fn lookup_roundtrips_and_counts() {
-        let cache = StageCache::open(&tdir("rt")).unwrap();
-        assert!(cache
-            .lookup("ingest", "k1", |_| Ok::<(), Grade10Error>(()))
-            .is_none());
-        cache.store("ingest", "k1", vec![(SECTION_META, vec![7u8])]);
-        let got = cache.lookup("ingest", "k1", |sections| {
-            Ok::<Vec<u8>, Grade10Error>(
-                sections
-                    .iter()
-                    .find(|s| s.id == SECTION_META)
-                    .map(|s| s.payload.to_vec())
-                    .unwrap_or_default(),
-            )
-        });
-        assert_eq!(got, Some(vec![7u8]));
-        let st = cache.stats();
-        assert_eq!((st.hits, st.misses, st.stores), (1, 1, 1));
-    }
-
-    #[test]
-    fn key_mismatch_is_a_quarantined_miss() {
-        let cache = StageCache::open(&tdir("collide")).unwrap();
-        cache.store("attr", "real-key", vec![(SECTION_META, vec![1u8])]);
-        // Simulate a 64-bit file-name collision: another key whose record
-        // lands on the same path.
-        let path = cache.path_for("attr", "real-key");
-        let forged = cache.path_for("attr", "other-key");
-        std::fs::rename(&path, &forged).unwrap();
-        assert!(cache
-            .lookup("attr", "other-key", |_| Ok::<(), Grade10Error>(()))
-            .is_none());
-        assert!(!forged.exists(), "colliding record must be quarantined");
-    }
-
-    #[test]
-    fn corrupt_records_are_quarantined_misses() {
-        let cache = StageCache::open(&tdir("corrupt")).unwrap();
-        cache.store("ingest", "k", vec![(SECTION_META, vec![1, 2, 3])]);
-        let path = cache.path_for("ingest", "k");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(cache
-            .lookup("ingest", "k", |_| Ok::<(), Grade10Error>(()))
-            .is_none());
-        assert!(!path.exists());
-        // The miss does not poison the slot: a re-store works again.
-        cache.store("ingest", "k", vec![(SECTION_META, vec![1, 2, 3])]);
-        assert!(cache
-            .lookup("ingest", "k", |_| Ok::<(), Grade10Error>(()))
-            .is_some());
-    }
-
-    #[test]
-    fn input_hashes_are_field_sensitive() {
-        let base = vec![series("cpu", Some(0), 1.0), series("net", None, 2.0)];
-        let h0 = hash_series(&base);
-        let mut kind = base.clone();
-        kind[0].instance.kind = "gpu".to_string();
-        let mut avg = base.clone();
-        avg[1].measurements[0].avg = 2.5;
-        let mut machine = base.clone();
-        machine[0].instance.machine = Some(1);
-        assert_ne!(h0, hash_series(&kind));
-        assert_ne!(h0, hash_series(&avg));
-        assert_ne!(h0, hash_series(&machine));
-        assert_eq!(h0, hash_series(&base.clone()));
-    }
+    let strings = decode_strings(section(SECTION_STRINGS, "strings")?)?;
+    let paths = decode_paths(section(SECTION_PATHS, "paths")?, &strings)?;
+    let events = decode_events(section(SECTION_EVENTS, "events")?, &strings, &paths)?;
+    let series = decode_series(section(SECTION_SERIES, "series")?, &strings)?;
+    Ok((events, series))
 }

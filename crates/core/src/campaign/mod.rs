@@ -33,6 +33,11 @@ mod scheduler;
 mod spec;
 mod store;
 
+// Defined in [`crate::config`] (every layer that keys a durable artifact
+// reads it); re-exported because callers reach it as
+// `campaign::CODE_VERSION`.
+pub use crate::config::CODE_VERSION;
+
 // Re-exported from the shared hash module for backwards compatibility;
 // the implementation lives in [`crate::hash`] so other subsystems (the
 // binary trace format's section checksums) share one FNV-1a.
@@ -45,6 +50,6 @@ pub use scheduler::{
     campaign_status, ladder_mode, load_manifest, run_campaign, CampaignOptions, CampaignRun,
     CampaignStatus, MixAttempt, MixMode,
 };
-pub use spec::{CampaignSpec, MixSpec, CODE_VERSION};
+pub use spec::{CampaignSpec, MixSpec};
 pub(crate) use store::quarantine;
 pub use store::{atomic_write, MixOutcome, Store};

@@ -11,20 +11,9 @@
 
 use serde::{Deserialize, DeError, Serialize, Value};
 
+use crate::config::CODE_VERSION;
 use crate::error::Grade10Error;
-
 use crate::hash::fnv1a;
-
-/// Code-version tag mixed into every content hash. Bump when the
-/// characterization pipeline changes in a way that invalidates stored
-/// mix outcomes; every mix then re-runs on the next `--resume`.
-///
-/// `g10c-2`: retroactive bump for the PR 8 retirement of the legacy
-/// attribution backend (whose outputs `g10c-1` stores may still embed),
-/// plus the introduction of the stage cache, whose record keys also embed
-/// this tag. `tests/columnar_equivalence.rs` ties the tag to the committed
-/// golden hashes: changing attribution output without bumping fails CI.
-pub const CODE_VERSION: &str = "g10c-2";
 
 /// One point in the campaign matrix: a workload × dataset × engine ×
 /// partitioning × seed × fault-plan combination.
@@ -54,9 +43,10 @@ impl MixSpec {
         )
     }
 
-    /// Canonical content string hashed into [`content_hash`]. Every field
-    /// is keyed so axis values cannot collide across field boundaries.
-    fn content_string(&self, code_version: &str) -> String {
+    /// Canonical content string hashed into [`content_hash`](Self::content_hash)
+    /// and stored in full as the key of the mix's stage-cache record. Every
+    /// field is keyed so axis values cannot collide across field boundaries.
+    pub fn content_string(&self, code_version: &str) -> String {
         format!(
             "v={code_version};alg={};ds={};eng={};m={};seed={};fault={}",
             self.algorithm, self.dataset, self.engine, self.machines, self.seed, self.fault

@@ -20,6 +20,20 @@
 //!
 //! The resolved width is clamped to the number of work units — spawning
 //! idle workers buys nothing — and to at least 1.
+//!
+//! [`CODE_VERSION`] lives here too: every layer that keys a durable
+//! artifact reads it, so it belongs to none of them.
+
+/// Code-version tag mixed into every content hash (campaign result store,
+/// stage-cache keys). Bump when the characterization pipeline changes in a
+/// way that invalidates stored mix outcomes; every mix then re-runs on the
+/// next `--resume`.
+///
+/// `g10c-2`: retroactive bump for the PR 8 retirement of the legacy
+/// attribution backend (whose outputs `g10c-1` stores may still embed).
+/// `tests/columnar_equivalence.rs` ties the tag to the committed golden
+/// hashes: changing attribution output without bumping fails CI.
+pub const CODE_VERSION: &str = "g10c-2";
 
 /// Threading policy for a parallelizable pipeline stage. The result is
 /// bit-identical whichever variant is chosen: parallel paths partition

@@ -17,10 +17,7 @@ use crate::obs::{self, MetaTrace, Stage};
 use crate::parse::RawEvent;
 use crate::replay::{replay_original, ReplayConfig};
 use crate::report::table::pct;
-use crate::trace::repair::{
-    ingest, ingest_with_streams, rebuild_ingested, IngestConfig, IngestReport, IngestedInput,
-    RawSeries,
-};
+use crate::trace::repair::{ingest, IngestConfig, IngestReport, IngestedInput, RawSeries};
 use crate::trace::{ExecutionTrace, ResourceTrace};
 
 /// Configuration for the full pipeline.
@@ -39,9 +36,7 @@ pub struct CharacterizationConfig {
     pub ingest: IngestConfig,
     /// Supervision knobs (deadlines, retries, budget), honored by
     /// [`crate::supervise::characterize_events_supervised`]. The
-    /// unsupervised entry points ignore this field except for
-    /// [`SuperviseConfig::cache`](crate::supervise::SuperviseConfig::cache),
-    /// which [`characterize_events`] consults for stage-level reuse.
+    /// unsupervised entry points ignore this field.
     pub supervise: crate::supervise::SuperviseConfig,
 }
 
@@ -137,17 +132,6 @@ pub fn characterize(
 /// In strict mode any corruption is rejected with a classified
 /// [`Grade10Error`]; in lenient mode the streams are repaired first and the
 /// repairs are tallied in [`Characterization::ingest`].
-///
-/// When `cfg.supervise.cache` holds a [`crate::cache::StageCache`], the
-/// ingest and attribution stages are content-hash cached: the
-/// validated/repaired streams and the built profile are persisted keyed by
-/// their inputs, and a re-run with matching inputs reuses them instead of
-/// recomputing. Bottleneck, replay, and issue detection always re-run:
-/// they depend on every upstream artifact, so their key would be the
-/// union of all the others. (They are not free: on the benchmark's
-/// `analyze` input issue detection costs about what attribution does, a
-/// millisecond or two; see `BENCH_pipeline.json`.) Cached and uncached
-/// runs produce byte-identical results.
 pub fn characterize_events(
     model: &ExecutionModel,
     rules: &RuleSet,
@@ -155,89 +139,8 @@ pub fn characterize_events(
     monitoring: &[RawSeries],
     cfg: &CharacterizationConfig,
 ) -> Result<Characterization, Grade10Error> {
-    let Some(cache) = cfg.supervise.cache.as_deref() else {
-        let input = ingest(model, events, monitoring, &cfg.ingest)?;
-        return Ok(characterize_with_report(
-            model,
-            rules,
-            &input.trace,
-            &input.resources,
-            cfg,
-            input.report,
-        ));
-    };
-
-    let ev_hash = crate::cache::hash_events(events);
-    let mon_hash = crate::cache::hash_series(monitoring);
-    // The ingest record stores pre-trace-build streams, so the key does not
-    // pin the model: rebuilding validates against the *current* model and
-    // fails exactly as a cold run would on a mismatch.
-    let ingest_key = format!(
-        "ingest r1;code={};unit=pipeline;mode={:?};ev={:016x};mon={:016x}",
-        crate::campaign::CODE_VERSION,
-        cfg.ingest.mode,
-        ev_hash,
-        mon_hash,
-    );
-    let input = match cache.lookup("ingest", &ingest_key, crate::cache::codec::decode_ingest_unit)
-    {
-        Some(rec) => rebuild_ingested(
-            model,
-            cfg.ingest.mode,
-            &rec.events,
-            rec.series,
-            rec.report,
-        )?,
-        None => {
-            let (input, ev, mon) = ingest_with_streams(model, events, monitoring, &cfg.ingest)?;
-            cache.store(
-                "ingest",
-                &ingest_key,
-                crate::cache::codec::encode_ingest_unit(
-                    crate::supervise::UnitStatus::Full,
-                    &[],
-                    &ev,
-                    &mon,
-                    &input.report,
-                ),
-            );
-            input
-        }
-    };
-
-    // The profile is a pure function of (model, rules, ingested traces,
-    // profile config); the raw-input hashes stand in for the ingested
-    // traces because ingest is deterministic. Skipped (never a cache
-    // error) if the model or rules fail to serialize.
-    let profile_cache = (|| {
-        let mh = crate::hash::fnv1a(serde_json::to_string(model).ok()?.as_bytes());
-        let rh = crate::hash::fnv1a(serde_json::to_string(rules).ok()?.as_bytes());
-        Some((
-            cache,
-            format!(
-                "profile r1;code={};model={:016x};rules={:016x};mode={:?};ev={:016x};mon={:016x};slice={};upsample={:?};est={};end={:?}",
-                crate::campaign::CODE_VERSION,
-                mh,
-                rh,
-                cfg.ingest.mode,
-                ev_hash,
-                mon_hash,
-                cfg.profile.slice,
-                cfg.profile.upsample,
-                cfg.profile.estimate_missing,
-                cfg.profile.grid_end,
-            ),
-        ))
-    })();
-    Ok(characterize_with_cache(
-        model,
-        rules,
-        &input.trace,
-        &input.resources,
-        cfg,
-        input.report,
-        profile_cache,
-    ))
+    let input = ingest(model, events, monitoring, &cfg.ingest)?;
+    Ok(characterize_ingested(model, rules, &input, cfg))
 }
 
 /// Runs the pipeline on the output of a separate [`ingest`] call — for
@@ -265,38 +168,9 @@ fn characterize_with_report(
     trace: &ExecutionTrace,
     resources: &ResourceTrace,
     cfg: &CharacterizationConfig,
-    report: IngestReport,
-) -> Characterization {
-    characterize_with_cache(model, rules, trace, resources, cfg, report, None)
-}
-
-fn characterize_with_cache(
-    model: &ExecutionModel,
-    rules: &RuleSet,
-    trace: &ExecutionTrace,
-    resources: &ResourceTrace,
-    cfg: &CharacterizationConfig,
     mut report: IngestReport,
-    profile_cache: Option<(&crate::cache::StageCache, String)>,
 ) -> Characterization {
-    let profile = match profile_cache {
-        Some((c, key)) => match c
-            .lookup("profile", &key, crate::cache::codec::decode_attribute_unit)
-            .and_then(|rec| rec.profile)
-        {
-            Some(p) => p,
-            None => {
-                let p = build_profile(model, rules, trace, resources, &cfg.profile);
-                c.store(
-                    "profile",
-                    &key,
-                    crate::cache::codec::encode_attribute_unit(Some(&p), false, &[]),
-                );
-                p
-            }
-        },
-        None => build_profile(model, rules, trace, resources, &cfg.profile),
-    };
+    let profile = build_profile(model, rules, trace, resources, &cfg.profile);
     report.slices_estimated = profile.estimated_slices();
     report.slices_total = profile.total_slices();
     let _span = obs::span(Stage::Bottleneck);

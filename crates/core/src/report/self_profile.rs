@@ -100,11 +100,9 @@ pub fn self_profile_table(meta: &MetaCharacterization) -> Table {
     table
 }
 
-/// One-line stage-cache summary printed under the self-profile table and
-/// after cached campaign runs: the counters that tell whether incremental
-/// recharacterization actually engaged. Kept as a separate line (not a
-/// table row) because the table is strictly per-pipeline-stage and the
-/// cache spans stages.
+/// One-line stage-cache summary printed after cached campaign runs: how
+/// many mixes reused their streams record, how many simulated, how many
+/// records were written.
 pub fn stage_cache_line(stats: &crate::cache::StageCacheStats) -> String {
     format!(
         "stage cache: {} hits, {} misses, {} stored ({:.1}% hit rate)",

@@ -61,6 +61,7 @@ use crate::attribution::{build_profile, PerformanceProfile, ProfileConfig};
 use crate::config::Parallelism;
 use crate::bottleneck::BottleneckReport;
 use crate::error::Grade10Error;
+use crate::hash::{fnv1a, fnv1a_extend};
 use crate::issues::{detect_issues, PerformanceIssue};
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs;
@@ -119,15 +120,12 @@ pub struct SuperviseConfig {
     /// campaign re-launches an entire failed mix before recording it as
     /// an [`Incident`].
     pub retry: RetryPolicy,
-    /// Stage-output cache for incremental recharacterization (see
-    /// [`crate::cache`]). When set, per-machine ingest and attribution
-    /// units look up their content-hashed inputs before executing and
-    /// persist their outputs after; a re-run with unchanged inputs
-    /// replays cached unit results (including their incident records)
-    /// and re-merges, byte-identical to a cold run. Ignored — never
-    /// consulted, never written — while a [`deadline`](Self::deadline)
-    /// or [`chaos`](Self::chaos) points are set, since injected faults
-    /// and wall-clock abandonment make unit outputs non-reproducible.
+    /// Unused: nothing in `core` reads this field any more. The stage
+    /// cache holds one streams record per campaign mix and is consulted
+    /// by the CLI's `run_mix` before the pipeline is entered (see
+    /// [`crate::cache`]); neither pipeline caches its stages. The field
+    /// is kept only because the frozen benchmark sources still assign it,
+    /// and goes when a `benchmark` PR drops that assignment.
     pub cache: Option<Arc<crate::cache::StageCache>>,
 }
 
@@ -196,10 +194,7 @@ impl RetryPolicy {
         let nominal = shifted.min(self.cap);
         let jitter = self.jitter.clamp(0.0, 1.0);
         // Map an FNV hash of (salt, attempt) onto [1 - jitter, 1 + jitter].
-        let h = crate::campaign::fnv1a_extend(
-            crate::campaign::fnv1a(&salt.to_le_bytes()),
-            &attempt.to_le_bytes(),
-        );
+        let h = fnv1a_extend(fnv1a(&salt.to_le_bytes()), &attempt.to_le_bytes());
         let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 1.0 - jitter + 2.0 * jitter * frac;
         nominal.mul_f64(factor).min(self.cap)
@@ -970,23 +965,6 @@ pub fn characterize_events_supervised(
 ) -> Result<PartialCharacterization, Grade10Error> {
     let sup = &cfg.supervise;
     let base_mode = cfg.ingest.mode;
-    // The stage cache only participates in deterministic runs: deadlines
-    // and chaos points make unit outputs depend on wall-clock and injected
-    // faults, which a content hash of the inputs cannot capture. Model and
-    // rule identity ride in every attribution key as hashes of their
-    // canonical JSON; if either fails to serialize, caching is disabled
-    // for this call rather than risking a false hit.
-    let cache: Option<&Arc<crate::cache::StageCache>> = sup
-        .cache
-        .as_ref()
-        .filter(|_| sup.deadline.is_none() && sup.chaos.is_empty());
-    let model_rules_hash: Option<(u64, u64)> = cache.and_then(|_| {
-        Some((
-            crate::hash::fnv1a(serde_json::to_string(model).ok()?.as_bytes()),
-            crate::hash::fnv1a(serde_json::to_string(rules).ok()?.as_bytes()),
-        ))
-    });
-    let cache = cache.filter(|_| model_rules_hash.is_some());
     let mut incidents: Vec<Incident> = Vec::new();
     let mut report = IngestReport {
         events_total: events.len(),
@@ -1037,42 +1015,7 @@ pub fn characterize_events_supervised(
             .collect();
         let width = pool_width(sup, units.len());
         let outs = pool_map(width, units, |_idx, (key, ev, mon)| {
-            let Some(c) = cache else {
-                return ingest_machine_unit(sup, base_mode, bound, key, ev, mon);
-            };
-            let k = format!(
-                "ingest r1;code={};unit={};mode={:?};bound={:?};retries={};ev={:016x};mon={:016x}",
-                crate::campaign::CODE_VERSION,
-                unit_label(key),
-                base_mode,
-                bound,
-                sup.max_retries,
-                crate::cache::hash_events(&ev),
-                crate::cache::hash_series(&mon),
-            );
-            if let Some(rec) = c.lookup("ingest", &k, crate::cache::codec::decode_ingest_unit) {
-                return IngestUnitDone {
-                    key,
-                    status: rec.status,
-                    incidents: rec.incidents,
-                    events: rec.events,
-                    series: rec.series,
-                    report: rec.report,
-                };
-            }
-            let done = ingest_machine_unit(sup, base_mode, bound, key, ev, mon);
-            c.store(
-                "ingest",
-                &k,
-                crate::cache::codec::encode_ingest_unit(
-                    done.status,
-                    &done.incidents,
-                    &done.events,
-                    &done.series,
-                    &done.report,
-                ),
-            );
-            done
+            ingest_machine_unit(sup, base_mode, bound, key, ev, mon)
         });
         for done in outs {
             incidents.extend(done.incidents);
@@ -1098,11 +1041,6 @@ pub fn characterize_events_supervised(
     // internal order intact while interleaving machines by time.
     merged_events.sort_by_key(|e| e.time);
     let merged = Arc::new(merged_events);
-    // Attribution keys hash the *merged* repaired stream, not just the
-    // unit's own substream: every unit builds its profile against the
-    // shared execution trace, so another machine's events shifting a
-    // cross-machine phase boundary must invalidate every unit.
-    let merged_hash = cache.map(|_| crate::cache::hash_events(&merged));
     let model_arc = Arc::new(model.clone());
     let any_degraded = machine_status.values().any(|&s| s != UnitStatus::Full);
     let (trace, assemble_rep) = {
@@ -1220,55 +1158,8 @@ pub fn characterize_events_supervised(
         // Same pool discipline as ingestion: workers build per-machine
         // profiles concurrently, the merge below runs in unit-key order.
         let width = pool_width(sup, surviving.len());
-        let attr_prefix: Option<String> = cache.map(|_| {
-            let (mh, rh) = model_rules_hash.unwrap_or_default();
-            format!(
-                "attribute r1;code={};model={:016x};rules={:016x};trace={:016x};mode={:?};degr={};slice={};end={};upsample={:?};est={};retries={}",
-                crate::campaign::CODE_VERSION,
-                mh,
-                rh,
-                merged_hash.unwrap_or_default(),
-                base_mode,
-                any_degraded,
-                pcfg.slice,
-                grid_end,
-                pcfg.upsample,
-                pcfg.estimate_missing,
-                sup.max_retries,
-            )
-        });
         let outs = pool_map(width, surviving, |_idx, (key, series)| {
-            let (Some(c), Some(prefix)) = (cache, attr_prefix.as_ref()) else {
-                return attribute_machine_unit(
-                    sup, &model_arc, &rules_arc, &trace_arc, &pcfg, key, series,
-                );
-            };
-            let k = format!(
-                "{prefix};unit={};series={:016x}",
-                unit_label(key),
-                crate::cache::hash_series(&series),
-            );
-            if let Some(rec) = c.lookup("attribute", &k, crate::cache::codec::decode_attribute_unit)
-            {
-                return AttributeUnitDone {
-                    key,
-                    profile: rec.profile,
-                    degraded: rec.degraded,
-                    incidents: rec.incidents,
-                };
-            }
-            let done =
-                attribute_machine_unit(sup, &model_arc, &rules_arc, &trace_arc, &pcfg, key, series);
-            c.store(
-                "attribute",
-                &k,
-                crate::cache::codec::encode_attribute_unit(
-                    done.profile.as_ref(),
-                    done.degraded,
-                    &done.incidents,
-                ),
-            );
-            done
+            attribute_machine_unit(sup, &model_arc, &rules_arc, &trace_arc, &pcfg, key, series)
         });
         for done in outs {
             incidents.extend(done.incidents);

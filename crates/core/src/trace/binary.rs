@@ -61,7 +61,7 @@ const SECTION_RESOURCES: u32 = 4;
 const HEADER_LEN: usize = 24;
 const SECTION_ENTRY_LEN: usize = 32;
 const EVENT_RECORD_LEN: usize = 20;
-pub(crate) const MACHINE_NONE: u32 = u32::MAX;
+const MACHINE_NONE: u32 = u32::MAX;
 
 /// A decoded binary trace: the event stream plus optional monitoring data.
 #[derive(Debug, Clone)]
@@ -94,7 +94,7 @@ pub(crate) struct ContainerSpec {
 }
 
 /// The binary trace dialect of the section-table container.
-pub(crate) const TRACE_CONTAINER: ContainerSpec = ContainerSpec {
+const TRACE_CONTAINER: ContainerSpec = ContainerSpec {
     magic: &MAGIC,
     version: FORMAT_VERSION,
     label: "binary trace",
@@ -122,17 +122,17 @@ impl Interner {
     }
 }
 
-pub(crate) fn push_u32(buf: &mut Vec<u8>, v: u32) {
+fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn push_u64(buf: &mut Vec<u8>, v: u64) {
+fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Shared encoder for the deduplicated string/path pools and the record
-/// payloads that reference them. [`encode_trace`] and the stage-cache
-/// codecs (`crate::cache::codec`) write the same record layouts through
+/// payloads that reference them. [`encode_trace`] and the stage cache's
+/// streams record (`crate::cache`) write the same record layouts through
 /// this one type, so the offline container and the cache records cannot
 /// drift apart.
 #[derive(Default)]
@@ -317,18 +317,18 @@ pub fn write_trace_file(
 /// Bounds-checked little-endian reader over a byte slice. Every accessor
 /// returns a classified error instead of panicking, which is what makes
 /// the no-panic-on-corrupt-input guarantee auditable.
-pub(crate) struct Cursor<'a> {
+struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     what: &'static str,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8], what: &'static str) -> Self {
+    fn new(bytes: &'a [u8], what: &'static str) -> Self {
         Cursor { bytes, pos: 0, what }
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], Grade10Error> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], Grade10Error> {
         let end = self
             .pos
             .checked_add(n)
@@ -347,28 +347,24 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, Grade10Error> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, Grade10Error> {
+    fn u16(&mut self) -> Result<u16, Grade10Error> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, Grade10Error> {
+    fn u32(&mut self) -> Result<u32, Grade10Error> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, Grade10Error> {
+    fn u64(&mut self) -> Result<u64, Grade10Error> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    pub(crate) fn finish(self) -> Result<(), Grade10Error> {
+    fn finish(self) -> Result<(), Grade10Error> {
         if self.pos != self.bytes.len() {
             return Err(corrupt(format!(
                 "{} section has {} trailing bytes",
@@ -570,8 +566,8 @@ pub(crate) fn decode_events(
 
 /// Decodes a `RESOURCES`-layout payload into raw series, with no trace
 /// validation — the caller decides whether (and how strictly) to rebuild
-/// a [`ResourceTrace`]. The stage cache round-trips repaired series
-/// through this layout verbatim.
+/// a [`ResourceTrace`]. The stage cache round-trips a mix's collected
+/// (possibly damaged) series through this layout verbatim.
 pub(crate) fn decode_series(
     payload: &[u8],
     strings: &[String],
@@ -654,112 +650,19 @@ pub fn decode_trace(bytes: &[u8]) -> Result<BinaryTrace, Grade10Error> {
 }
 
 // ---------------------------------------------------------------------------
-// Memory-mapped file access
+// File access
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            length: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, length: usize) -> i32;
-    }
+/// Reads a trace file into memory: a plain [`std::fs::read`] with the
+/// error classified, nothing is mapped. The name is kept for external
+/// callers that open trace files through it and index the result as bytes.
+pub fn map_trace_file(path: &Path) -> Result<Vec<u8>, Grade10Error> {
+    Ok(std::fs::read(path)?)
 }
 
-/// The raw bytes of an opened trace file: a read-only memory map on Unix,
-/// an owned buffer elsewhere (or when mapping fails). Either way it derefs
-/// to `&[u8]`, so the decoder is agnostic to where the bytes live.
-pub enum TraceBytes {
-    /// A read-only `mmap` of the file; unmapped on drop.
-    #[cfg(unix)]
-    Mapped {
-        /// Start of the mapping.
-        ptr: *const u8,
-        /// Length of the mapping in bytes.
-        len: usize,
-    },
-    /// The file contents read into memory.
-    Owned(Vec<u8>),
-}
-
-// The mapping is read-only and never aliased mutably.
-#[cfg(unix)]
-unsafe impl Send for TraceBytes {}
-#[cfg(unix)]
-unsafe impl Sync for TraceBytes {}
-
-impl std::ops::Deref for TraceBytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            TraceBytes::Mapped { ptr, len } => unsafe {
-                std::slice::from_raw_parts(*ptr, *len)
-            },
-            TraceBytes::Owned(v) => v,
-        }
-    }
-}
-
-impl Drop for TraceBytes {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let TraceBytes::Mapped { ptr, len } = self {
-            // Failure here would mean the mapping was already gone; there
-            // is nothing useful to do about it during drop.
-            unsafe {
-                sys::munmap(*ptr as *mut std::ffi::c_void, *len);
-            }
-        }
-    }
-}
-
-/// Opens a trace file as bytes: zero-copy `mmap` on Unix, falling back to
-/// an ordinary read when the file is empty or the mapping fails.
-pub fn map_trace_file(path: &Path) -> Result<TraceBytes, Grade10Error> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::io::AsRawFd;
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        if len > 0 {
-            let ptr = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ,
-                    sys::MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize != -1 {
-                return Ok(TraceBytes::Mapped {
-                    ptr: ptr as *const u8,
-                    len,
-                });
-            }
-        }
-    }
-    Ok(TraceBytes::Owned(std::fs::read(path)?))
-}
-
-/// Opens, validates, and decodes a binary trace file (memory-mapped where
-/// the platform supports it).
+/// Reads, validates, and decodes a binary trace file.
 pub fn read_trace_file(path: &Path) -> Result<BinaryTrace, Grade10Error> {
-    let bytes = map_trace_file(path)?;
-    decode_trace(&bytes)
+    decode_trace(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -842,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_via_mmap() {
+    fn file_round_trip() {
         let dir = std::env::temp_dir().join("grade10-binary-unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unit.g10t");

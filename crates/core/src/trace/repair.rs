@@ -250,81 +250,6 @@ pub fn ingest(
     })
 }
 
-/// [`ingest`] variant that additionally returns the validated (strict) or
-/// repaired (lenient) raw streams, in the exact shape the traces were
-/// built from. The stage cache persists these streams as the serialized
-/// ingest-stage boundary; replaying them through [`rebuild_ingested`]
-/// reproduces the original [`IngestedInput`] exactly. Runs every check and
-/// repair in the same order as [`ingest`], so error classification and
-/// report counters are identical.
-pub(crate) fn ingest_with_streams(
-    model: &ExecutionModel,
-    events: &[RawEvent],
-    monitoring: &[RawSeries],
-    cfg: &IngestConfig,
-) -> Result<(IngestedInput, Vec<RawEvent>, Vec<RawSeries>), Grade10Error> {
-    let _span = crate::obs::span(crate::obs::Stage::Ingest);
-    let mut report = IngestReport::default();
-    report.events_total += events.len();
-    let repaired = match cfg.mode {
-        IngestMode::Strict => {
-            validate_event_stream(events)?;
-            events.to_vec()
-        }
-        IngestMode::Lenient => repair_events(events, &mut report),
-    };
-    let trace = build_execution_trace(model, &repaired)?;
-    let (resources, series) = ingest_monitoring_streams(monitoring, cfg, &mut report)?;
-    Ok((
-        IngestedInput {
-            trace,
-            resources,
-            report,
-        },
-        repaired,
-        series,
-    ))
-}
-
-/// Rebuilds an [`IngestedInput`] from cached post-repair streams — the
-/// inverse of [`ingest_with_streams`]. The event build still validates
-/// against the *current* model (the cache key does not pin the model, and
-/// a model mismatch must fail here exactly as it would on a cold run);
-/// monitoring is re-added under the original mode's discipline, so a
-/// lenient run's unchecked adds are replayed unchecked.
-pub(crate) fn rebuild_ingested(
-    model: &ExecutionModel,
-    mode: IngestMode,
-    events: &[RawEvent],
-    series: Vec<RawSeries>,
-    report: IngestReport,
-) -> Result<IngestedInput, Grade10Error> {
-    let _span = crate::obs::span(crate::obs::Stage::Ingest);
-    let trace = build_execution_trace(model, events)?;
-    let mut rt = ResourceTrace::new();
-    for s in series {
-        match mode {
-            IngestMode::Strict => {
-                let idx = rt.try_add_resource(s.instance)?;
-                for m in s.measurements {
-                    rt.try_add_measurement(idx, m)?;
-                }
-            }
-            IngestMode::Lenient => {
-                let idx = rt.add_resource(s.instance);
-                for m in s.measurements {
-                    rt.add_measurement(idx, m);
-                }
-            }
-        }
-    }
-    Ok(IngestedInput {
-        trace,
-        resources: rt,
-        report,
-    })
-}
-
 /// Builds an execution trace from a raw event stream under the given mode.
 ///
 /// Strict mode enforces the full stream contract — monotone arrival order,
@@ -667,19 +592,8 @@ pub fn ingest_monitoring(
     cfg: &IngestConfig,
     report: &mut IngestReport,
 ) -> Result<ResourceTrace, Grade10Error> {
-    Ok(ingest_monitoring_streams(series, cfg, report)?.0)
-}
-
-/// [`ingest_monitoring`] core that also returns the surviving post-repair
-/// series, for the stage cache to persist as a serialized stage boundary.
-pub(crate) fn ingest_monitoring_streams(
-    series: &[RawSeries],
-    cfg: &IngestConfig,
-    report: &mut IngestReport,
-) -> Result<(ResourceTrace, Vec<RawSeries>), Grade10Error> {
     report.monitoring_windows_total += series.iter().map(|s| s.measurements.len()).sum::<usize>();
     let mut rt = ResourceTrace::new();
-    let mut kept: Vec<RawSeries> = Vec::with_capacity(series.len());
     match cfg.mode {
         IngestMode::Strict => {
             for s in series {
@@ -687,7 +601,6 @@ pub(crate) fn ingest_monitoring_streams(
                 for &m in &s.measurements {
                     rt.try_add_measurement(idx, m)?;
                 }
-                kept.push(s.clone());
             }
         }
         IngestMode::Lenient => {
@@ -704,14 +617,10 @@ pub(crate) fn ingest_monitoring_streams(
                 for &m in &repaired {
                     rt.add_measurement(idx, m);
                 }
-                kept.push(RawSeries {
-                    instance: s.instance.clone(),
-                    measurements: repaired,
-                });
             }
         }
     }
-    Ok((rt, kept))
+    Ok(rt)
 }
 
 /// How many typical window durations a window (or a gap between windows)

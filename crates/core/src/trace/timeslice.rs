@@ -159,23 +159,6 @@ impl MetricGrid {
         MetricGrid { data, num_slices }
     }
 
-    /// Rebuilds a grid from its flat row-major buffer — the inverse of
-    /// [`as_flat`](Self::as_flat), used by the stage-cache codec to
-    /// round-trip profiles bit-exactly. `data.len()` must be a multiple of
-    /// `num_slices` (or both empty).
-    pub(crate) fn from_flat(data: Vec<f64>, num_slices: usize) -> Self {
-        assert!(
-            num_slices > 0 || data.is_empty(),
-            "non-empty MetricGrid needs a slice count"
-        );
-        assert_eq!(
-            data.len() % num_slices.max(1),
-            0,
-            "flat MetricGrid buffer must be a whole number of rows"
-        );
-        MetricGrid { data, num_slices }
-    }
-
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.data.len().checked_div(self.num_slices).unwrap_or(0)
@@ -277,21 +260,6 @@ impl BoolGrid {
         }
     }
 
-    /// Rebuilds a flag grid from its flat row-major buffer (stage-cache
-    /// codec inverse of [`as_flat`](Self::as_flat)).
-    pub(crate) fn from_flat(data: Vec<bool>, num_slices: usize) -> Self {
-        assert!(
-            num_slices > 0 || data.is_empty(),
-            "non-empty BoolGrid needs a slice count"
-        );
-        assert_eq!(
-            data.len() % num_slices.max(1),
-            0,
-            "flat BoolGrid buffer must be a whole number of rows"
-        );
-        BoolGrid { data, num_slices }
-    }
-
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.data.len().checked_div(self.num_slices).unwrap_or(0)
@@ -320,11 +288,6 @@ impl BoolGrid {
     /// Number of `true` cells.
     pub fn count_set(&self) -> usize {
         self.data.iter().filter(|&&b| b).count()
-    }
-
-    /// The whole contiguous backing buffer, row-major.
-    pub(crate) fn as_flat(&self) -> &[bool] {
-        &self.data
     }
 
     /// Appends the rows of `other` (row-axis concatenation).

@@ -41,4 +41,6 @@ pub mod models;
 pub mod pregel;
 pub mod workload;
 
-pub use workload::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
+pub use workload::{
+    run_workload, Algorithm, Dataset, EngineKind, ExpertInput, WorkloadRun, WorkloadSpec,
+};

@@ -159,6 +159,46 @@ impl EngineKind {
             EngineKind::PowerGraph(_) => "powergraph",
         }
     }
+
+    /// The engine's expert input, built from its configuration alone — no
+    /// graph, no simulation. [`run_workload`] attaches it to every run; a
+    /// caller that already holds the run's collected streams gets the same
+    /// model and rules from here without simulating again.
+    pub fn expert_input(&self) -> ExpertInput {
+        match self {
+            EngineKind::Giraph(cfg) => {
+                let (model, phases) = pregel_model();
+                ExpertInput {
+                    model,
+                    phases: EnginePhases::Pregel(phases),
+                    rules_tuned: pregel_rules_tuned(&phases, cfg.cores),
+                    rules_untuned: pregel_rules_untuned(),
+                }
+            }
+            EngineKind::PowerGraph(cfg) => {
+                let (model, phases) = gas_model();
+                ExpertInput {
+                    model,
+                    phases: EnginePhases::Gas(phases),
+                    rules_tuned: gas_rules_tuned(&phases, cfg.cores),
+                    rules_untuned: gas_rules_untuned(),
+                }
+            }
+        }
+    }
+}
+
+/// What an expert supplies per engine: the execution model, the handles of
+/// its phase types, and the tuned and untuned attribution rules.
+pub struct ExpertInput {
+    /// The engine's execution model.
+    pub model: ExecutionModel,
+    /// Phase-type handles into `model`.
+    pub phases: EnginePhases,
+    /// Tuned attribution rules.
+    pub rules_tuned: RuleSet,
+    /// The paper's untuned default rules.
+    pub rules_untuned: RuleSet,
 }
 
 /// One cell of the evaluation matrix.
@@ -252,47 +292,38 @@ impl WorkloadRun {
 /// Runs one workload end to end.
 pub fn run_workload(spec: &WorkloadSpec) -> WorkloadRun {
     let graph = spec.dataset.generate();
-    match &spec.engine {
+    let (work, sim, injected_bugs) = match &spec.engine {
         EngineKind::Giraph(cfg) => {
             let part = EdgeCutPartition::hash(&graph, cfg.num_parts());
             let work = spec.algorithm.run(&graph, &part);
             let sim = run_pregel(&work, graph.num_vertices(), graph.num_edges(), cfg);
-            let (model, phases) = pregel_model();
-            let rules_tuned = pregel_rules_tuned(&phases, cfg.cores);
-            let trace = build_execution_trace(&model, &to_raw_events(&sim.logs))
-                .unwrap_or_else(|e| panic!("simulator-emitted logs always parse: {e}"));
-            WorkloadRun {
-                spec: spec.clone(),
-                model,
-                phases: EnginePhases::Pregel(phases),
-                rules_tuned,
-                rules_untuned: pregel_rules_untuned(),
-                sim,
-                injected_bugs: Vec::new(),
-                trace,
-                work,
-            }
+            (work, sim, Vec::new())
         }
         EngineKind::PowerGraph(cfg) => {
             let part = VertexCutPartition::greedy(&graph, cfg.num_parts());
             let work = spec.algorithm.run(&graph, &part);
             let run = run_gas(&work, graph.num_edges(), cfg);
-            let (model, phases) = gas_model();
-            let rules_tuned = gas_rules_tuned(&phases, cfg.cores);
-            let trace = build_execution_trace(&model, &to_raw_events(&run.sim.logs))
-                .unwrap_or_else(|e| panic!("simulator-emitted logs always parse: {e}"));
-            WorkloadRun {
-                spec: spec.clone(),
-                model,
-                phases: EnginePhases::Gas(phases),
-                rules_tuned,
-                rules_untuned: gas_rules_untuned(),
-                sim: run.sim,
-                injected_bugs: run.injected_bugs,
-                trace,
-                work,
-            }
+            (work, run.sim, run.injected_bugs)
         }
+    };
+    let ExpertInput {
+        model,
+        phases,
+        rules_tuned,
+        rules_untuned,
+    } = spec.engine.expert_input();
+    let trace = build_execution_trace(&model, &to_raw_events(&sim.logs))
+        .unwrap_or_else(|e| panic!("simulator-emitted logs always parse: {e}"));
+    WorkloadRun {
+        spec: spec.clone(),
+        model,
+        phases,
+        rules_tuned,
+        rules_untuned,
+        sim,
+        injected_bugs,
+        trace,
+        work,
     }
 }
 

@@ -65,13 +65,15 @@
 //!     (finished/claimed/stale/failed/poisoned/pending), safe while
 //!     workers are live.
 //!
-//!     Below the mix level, per-machine ingest and attribution results
-//!     are content-hash cached in a stage cache (`DIR/stage-cache` by
-//!     default; `--cache DIR` relocates it, `--no-cache` disables it), so
-//!     re-running after editing one spec axis recomputes only the
-//!     affected units. A summary line on stderr reports hits, misses,
-//!     stores, and the hit rate; cached runs are byte-identical to cold
-//!     ones.
+//!     Each mix's collected streams (the simulation's output after fault
+//!     injection) are kept in a stage cache (`DIR/stage-cache` by default;
+//!     `--cache DIR` relocates it so campaigns can share one, `--no-cache`
+//!     disables it), keyed by the mix's spec entry and the code version. A
+//!     mix whose record exists skips its simulation — the bulk of a mix —
+//!     and a mix that walks the ladder simulates once, not once per rung.
+//!     The pipeline itself always recomputes. A summary line on stderr
+//!     reports hits, misses, stores, and the hit rate; cached runs are
+//!     byte-identical to cold ones.
 //!
 //! grade10 export-model --engine giraph|powergraph [-o FILE]
 //!     Write the built-in expert input (execution model, resource model,
@@ -212,11 +214,11 @@ directory can add workers with --join DIR (ownership is leased through
 the journal, so SIGKILLed workers are reclaimed by their peers).
 --status DIR prints read-only progress while workers are live.
 
-Campaigns are incremental below the mix level too: per-machine ingest
-and attribution results are content-hash cached in a stage cache
-(default DIR/stage-cache; relocate with --cache DIR, disable with
---no-cache), so editing one axis of a spec recomputes only the affected
-units on the next run. Cached and uncached runs are byte-identical.
+Each mix's collected streams are kept in a stage cache (default
+DIR/stage-cache; relocate with --cache DIR to share one between
+campaigns, disable with --no-cache), so a mix whose record exists skips
+its simulation and a mix that retries down the ladder simulates once.
+Cached and uncached runs are byte-identical.
 
 exit codes:
   0  clean characterization / campaign
@@ -509,28 +511,31 @@ fn campaign(flags: &HashMap<String, String>) -> Result<RunStatus, String> {
             ""
         }
     );
-    // The stage cache makes re-runs incremental below the mix level:
-    // per-machine ingest and attribution units are reused by content
-    // hash. It lives beside the store by default so a campaign directory
-    // is self-contained; --cache points several campaigns at one shared
-    // cache, --no-cache opts out entirely.
-    let cache: Option<std::sync::Arc<grade10::core::cache::StageCache>> =
-        if flags.contains_key("--no-cache") {
-            None
-        } else {
-            let cache_dir = flags
-                .get("--cache")
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| std::path::Path::new(&dir).join("stage-cache"));
-            Some(std::sync::Arc::new(
-                grade10::core::cache::StageCache::open(&cache_dir).map_err(|e| e.to_string())?,
-            ))
-        };
+    // The stage cache keeps each mix's collected streams, so a mix whose
+    // record exists skips its simulation (the bulk of a mix) and goes
+    // straight to the pipeline. It lives beside the store by default so a
+    // campaign directory is self-contained; --cache points several
+    // campaigns at one shared cache, --no-cache opts out entirely.
+    let cache = if flags.contains_key("--no-cache") {
+        None
+    } else {
+        let cache_dir = flags
+            .get("--cache")
+            .map(std::path::PathBuf::from)
+            .unwrap_or_else(|| std::path::Path::new(&dir).join("stage-cache"));
+        Some(grade10::core::cache::StageCache::open(&cache_dir).map_err(|e| e.to_string())?)
+    };
     // Peer worker processes join over the shared journal; they poll for
     // the leader's journal, so spawning before run_campaign is safe.
     let children = spawn_peer_workers(&dir, workers, flags)?;
     let run = grade10::core::campaign::run_campaign(&spec, &opts, |mix, attempt| {
-        run_mix(mix, attempt, inner_threads, cache.as_ref())
+        run_mix(
+            mix,
+            &spec.code_version,
+            attempt,
+            inner_threads,
+            cache.as_ref(),
+        )
     })
     .map_err(|e| e.to_string())?;
     let mut peers_partial = false;
@@ -653,15 +658,22 @@ fn validate_mix(mix: &MixSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Characterizes one campaign mix at one degradation-ladder rung: simulate
-/// the workload, apply the mix's fault plan to the collected streams, then
-/// ingest strictly, leniently, or under full supervision per the rung. The
-/// scheduler owns retries and fills the outcome's identity fields.
+/// Characterizes one campaign mix at one degradation-ladder rung: obtain the
+/// mix's collected streams, then ingest them strictly, leniently, or under
+/// full supervision per the rung. The scheduler owns retries and fills the
+/// outcome's identity fields.
+///
+/// The streams come from the stage cache when it holds the mix's record —
+/// keyed by the identity the result store hashes, `content_string` under
+/// the campaign's code version — and from a simulation otherwise, which
+/// then stores them. This is the only place the cache is consulted: a
+/// ladder that fails strict and retries lenient simulates once.
 fn run_mix(
     mix: &MixSpec,
+    code_version: &str,
     attempt: MixAttempt,
     inner_threads: Option<usize>,
-    cache: Option<&std::sync::Arc<grade10::core::cache::StageCache>>,
+    cache: Option<&grade10::core::cache::StageCache>,
 ) -> Result<MixOutcome, grade10::core::Grade10Error> {
     use grade10::core::Grade10Error;
     let bad = Grade10Error::Serialization;
@@ -684,23 +696,18 @@ fn run_mix(
         algorithm,
         engine,
     };
-    let run = run_workload(&spec);
-    let (events, monitoring) = if mix.fault == "none" {
-        (
-            grade10::engines::bridge::to_raw_events(&run.sim.logs),
-            grade10::engines::bridge::to_raw_series(&run.sim.series, 8),
-        )
-    } else {
-        // The fault seed is the mix seed: the damage is part of the mix's
-        // identity, deterministic across retries and resumes.
-        let plan = parse_fault_classes(&mix.fault, mix.seed).map_err(bad)?;
-        let logs = plan.inject_logs(&run.sim.logs);
-        let series = plan.inject_series(&run.sim.series);
-        (
-            grade10::engines::bridge::to_raw_events(&logs),
-            grade10::engines::bridge::to_raw_series(&series, 8),
-        )
+    let key = mix.content_string(code_version);
+    let (events, monitoring) = match cache.and_then(|c| c.lookup_streams(&key)) {
+        Some(streams) => streams,
+        None => {
+            let streams = collect_streams(mix, &spec)?;
+            if let Some(c) = cache {
+                c.store_streams(&key, &streams.0, &streams.1);
+            }
+            streams
+        }
     };
+    let expert = spec.engine.expert_input();
     let mut cfg = CharacterizationConfig {
         profile: grade10::core::attribution::ProfileConfig {
             slice: 10 * MILLIS,
@@ -718,15 +725,11 @@ fn run_mix(
         ..Default::default()
     };
     cfg.supervise.threads = inner_threads;
-    cfg.supervise.cache = cache.cloned();
     let (characterization, incidents, degraded) = match attempt.mode {
         MixMode::Strict | MixMode::Lenient => {
-            // characterize_events consults the stage cache (and without
-            // one runs exactly the ingest + characterize path this branch
-            // used before).
             let c = grade10::core::pipeline::characterize_events(
-                &run.model,
-                &run.rules_tuned,
+                &expert.model,
+                &expert.rules_tuned,
                 &events,
                 &monitoring,
                 &cfg,
@@ -735,8 +738,8 @@ fn run_mix(
         }
         MixMode::Partial => {
             let p = characterize_events_supervised(
-                &run.model,
-                &run.rules_tuned,
+                &expert.model,
+                &expert.rules_tuned,
                 &events,
                 &monitoring,
                 &cfg,
@@ -749,12 +752,37 @@ fn run_mix(
         mix: mix.clone(),
         hash: 0,
         makespan_ns: characterization.base_makespan,
-        classes: characterization.issue_classes(&run.model),
+        classes: characterization.issue_classes(&expert.model),
         incidents,
         degraded,
         attempts: 0,
         mode: String::new(),
     })
+}
+
+/// Simulates one mix's workload and returns what its collectors shipped:
+/// the bridged event stream and monitoring series, with the mix's fault
+/// plan applied to the simulator's logs first.
+fn collect_streams(
+    mix: &MixSpec,
+    spec: &WorkloadSpec,
+) -> Result<(Vec<grade10::core::parse::RawEvent>, Vec<RawSeries>), grade10::core::Grade10Error> {
+    use grade10::core::Grade10Error;
+    use grade10::engines::bridge::{to_raw_events, to_raw_series};
+    let run = run_workload(spec);
+    if mix.fault == "none" {
+        return Ok((
+            to_raw_events(&run.sim.logs),
+            to_raw_series(&run.sim.series, 8),
+        ));
+    }
+    // The fault seed is the mix seed: the damage is part of the mix's
+    // identity, deterministic across retries and resumes.
+    let plan = parse_fault_classes(&mix.fault, mix.seed).map_err(Grade10Error::Serialization)?;
+    Ok((
+        to_raw_events(&plan.inject_logs(&run.sim.logs)),
+        to_raw_series(&plan.inject_series(&run.sim.series), 8),
+    ))
 }
 
 /// Runs the supervised pipeline over raw collected streams, prints the

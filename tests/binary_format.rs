@@ -121,9 +121,10 @@ fn round_trip_random_traces() {
     }
 }
 
-/// Contract 1 through the file layer: write → mmap → decode is also the
+/// Contract 1 through the file layer: write → read → decode is also the
 /// identity. One seeded case suffices here; the in-memory sweep above
-/// covers the combinatorics and the file layer adds only I/O.
+/// covers the combinatorics and the file layer adds only I/O. (The test's
+/// name dates from when the reader mapped the file; it is a plain read.)
 #[test]
 fn round_trip_via_mmap_file() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xB17_F11E);
@@ -133,7 +134,7 @@ fn round_trip_via_mmap_file() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip.g10t");
     write_trace_file(&path, &events, Some(&rt)).unwrap();
-    let back = read_trace_file(&path).expect("mmap read decodes");
+    let back = read_trace_file(&path).expect("file read decodes");
     assert_eq!(back.events, events);
     let brt = back.resources.expect("resources section present");
     assert_eq!(brt.instances(), rt.instances());

@@ -227,7 +227,7 @@ fn code_version_is_tied_to_the_attribution_goldens() {
         tie, "g10c-2 fnv1a=b93bcf2b12bfb1e8",
         "attribution goldens and CODE_VERSION moved out of lockstep. If the \
          goldens were intentionally re-blessed, bump CODE_VERSION in \
-         crates/core/src/campaign/spec.rs (stored outcomes and stage-cache \
+         crates/core/src/config.rs (stored outcomes and stage-cache \
          records from the old build are stale) and update this pinned pair."
     );
 }
