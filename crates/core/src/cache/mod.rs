@@ -28,7 +28,7 @@
 //! silently wrong answer.
 //!
 //! Writes reuse the atomic pid+seq-qualified temp-file discipline of the
-//! campaign store ([`crate::campaign::store`]): concurrent workers sharing
+//! campaign store ([`crate::campaign::Store`]): concurrent workers sharing
 //! a cache directory can race on the same record and the loser simply
 //! overwrites the winner with identical bytes.
 //!

@@ -6,16 +6,16 @@
 //! matrix, and every mix runs under the same protections Grade10 gives
 //! individual characterizations — plus durability across process death:
 //!
-//! - **Result store** ([`store`]): every finished mix is persisted under
+//! - **Result store** ([`Store`]): every finished mix is persisted under
 //!   a content hash of its spec entry and the code version, written
 //!   atomically. Re-launching skips finished work; editing one axis
 //!   value re-runs exactly the affected mixes; bumping
 //!   [`CODE_VERSION`] re-runs everything.
-//! - **Write-ahead journal** ([`journal`]): append-only, self-checking
+//! - **Write-ahead journal** ([`Journal`]): append-only, self-checking
 //!   records with fsync'd completion markers. A SIGKILL'd campaign is
 //!   resumable with `--resume`; torn or corrupt records are quarantined,
 //!   never trusted and never fatal.
-//! - **Retry ladder** ([`scheduler`]): failed mixes retry with bounded
+//! - **Retry ladder** ([`run_campaign`]): failed mixes retry with bounded
 //!   exponential backoff and deterministic jitter, escalating strict →
 //!   lenient → partial; a mix that exhausts the ladder becomes a
 //!   campaign-level [`Incident`](crate::supervise::Incident) instead of

@@ -127,8 +127,9 @@ pub struct CampaignOptions {
     /// Consecutive claimants a mix may kill (claims abandoned without a
     /// terminal record) before it is quarantined as poisoned.
     pub poison_threshold: u32,
-    /// How long an idle worker sleeps between journal polls while every
-    /// remaining mix is leased to someone else.
+    /// The longest an idle worker sleeps between journal polls while every
+    /// remaining mix is leased to someone else; the sleeps start at 1 ms
+    /// and grow with the time spent waiting.
     pub poll_ms: u64,
     /// Per-mix retry/backoff policy (normally copied from
     /// [`SuperviseConfig::retry`](crate::supervise::SuperviseConfig)).
@@ -364,9 +365,7 @@ where
         local: Mutex::new(BTreeMap::new()),
     };
     let width = opts.width.max(1).min(items.len());
-    let results = pool_map(width, (0..width).collect(), |_, slot| {
-        worker_loop(&shared, slot, &runner)
-    });
+    let results = pool_map(width, width, |slot| worker_loop(&shared, slot, &runner));
     for r in results {
         r?;
     }
@@ -459,6 +458,12 @@ where
     F: Fn(&MixSpec, MixAttempt) -> Result<MixOutcome, Grade10Error> + Sync,
 {
     let me = format!("{}.{slot}", shared.opts.worker);
+    // How long this claimant has been waiting on peers' leases. The nap
+    // between polls is a quarter of it, up to `poll_ms`: a peer's last mix
+    // is seen finished within a quarter of the time it took, where a flat
+    // `poll_ms` made a short campaign's wall time hinge on which worker
+    // drew the last mix.
+    let mut idle = Duration::ZERO;
     loop {
         if shared.interrupted.load(Ordering::SeqCst) {
             return Ok(());
@@ -466,12 +471,17 @@ where
         let pick = claim_next(shared, &me)?;
         match pick {
             Pick::AllTerminal => return Ok(()),
-            Pick::Progress => {}
             Pick::Wait => {
-                std::thread::sleep(Duration::from_millis(shared.opts.poll_ms.max(1)));
+                let poll = Duration::from_millis(shared.opts.poll_ms.max(1));
+                let nap = (idle / 4).clamp(Duration::from_millis(1), poll);
+                std::thread::sleep(nap);
+                idle += nap;
+                continue;
             }
+            Pick::Progress => {}
             Pick::Run(idx) => run_claimed_mix(shared, &me, idx, runner)?,
         }
+        idle = Duration::ZERO;
     }
 }
 
@@ -880,6 +890,29 @@ mod tests {
         // A heartbeat that polled its flag every 25 ms held each mix for
         // that long: 1.6 s over 64 mixes whose runner returns at once.
         assert!(elapsed < Duration::from_millis(800), "{elapsed:?}");
+        let _ = std::fs::remove_dir_all(&o.dir);
+    }
+
+    #[test]
+    fn an_idle_claimant_sees_the_last_mix_finish_well_within_a_poll() {
+        let mut o = opts("idle");
+        o.width = 2;
+        o.poll_ms = 5_000;
+        let _ = std::fs::remove_dir_all(&o.dir);
+        // Two mixes, two claimants: one returns at once and then waits on
+        // the other's lease.
+        let slow_then_fast = |mix: &MixSpec, a: MixAttempt| {
+            if mix.algorithm == "pr" {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            fake_runner(mix, a)
+        };
+        let started = Instant::now();
+        let run = run_campaign(&spec(), &o, slow_then_fast).expect("run");
+        let elapsed = started.elapsed();
+        assert_eq!(run.executed, 2);
+        // A flat `poll_ms` nap held the campaign for 5 s.
+        assert!(elapsed < Duration::from_millis(2_500), "{elapsed:?}");
         let _ = std::fs::remove_dir_all(&o.dir);
     }
 

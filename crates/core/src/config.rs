@@ -1,14 +1,17 @@
-//! Shared execution-policy configuration.
+//! Shared threading configuration.
 //!
-//! Two layers of the pipeline fan work out over threads: the upsampling
-//! stage of [`crate::attribution::build_profile`] (one worker per batch of
-//! resource rows) and the supervision layer of
-//! [`crate::supervise::characterize_events_supervised`] (one worker per
-//! per-machine unit). Both must answer the same two questions — *should*
-//! this run parallel, and over *how many* threads — and both must answer
-//! them identically for `GRADE10_THREADS` to mean one thing. This module
-//! holds the shared vocabulary: the [`Parallelism`] policy enum and the
-//! [`resolve_threads`] width resolution.
+//! Two places fan work out over threads: the upsampling stage of
+//! [`crate::attribution::build_profile`] (one worker per batch of resource
+//! rows) and the lifecycle's executor in [`crate::pipeline`] when it runs
+//! under the supervised policy
+//! ([`crate::supervise::characterize_events_supervised`]: one worker per
+//! per-machine unit; the inline policy has one unit and no pool). Both
+//! must answer the same two questions — *should* this run parallel, and
+//! over *how many* threads — and both must answer them identically for
+//! `GRADE10_THREADS` to mean one thing. This module holds the shared
+//! vocabulary: the [`Parallelism`] enum and the [`resolve_threads`] width
+//! resolution. (Which *executor* policy a characterization runs under is
+//! not configuration at all: the entry point picks it.)
 //!
 //! Width precedence, strongest first:
 //!

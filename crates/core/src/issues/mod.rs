@@ -13,10 +13,11 @@
 //!   iteration, never across iterations) and re-simulate.
 //!
 //! Every candidate is a patch over the trace's own durations, evaluated
-//! against one shared [`ReplayPlan`]: [`detect_issues`] builds the plan and
-//! replays the baseline once, however many candidates follow. The
-//! per-candidate entry points build a plan of their own and are otherwise
-//! the same code.
+//! against one shared [`ReplayPlan`](crate::replay::ReplayPlan):
+//! [`detect_issues`] takes the [`Baseline`] the pipeline's replay stage
+//! built, so the plan is built and the baseline replayed once, however many
+//! candidates follow. The per-candidate entry points build a plan of their
+//! own and are otherwise the same code.
 
 pub mod bottleneck_impact;
 pub mod imbalance;
@@ -29,7 +30,7 @@ pub use imbalance::{detect_imbalance_issues, imbalance_groups, GroupDetail, Outl
 use crate::attribution::PerformanceProfile;
 use crate::bottleneck::BottleneckReport;
 use crate::model::execution::{ExecutionModel, PhaseTypeId};
-use crate::replay::{original_durations, ReplayConfig, ReplayPlan};
+use crate::replay::{Baseline, ReplayConfig};
 use crate::trace::execution::{ExecutionTrace, InstanceId};
 use crate::trace::timeslice::Nanos;
 
@@ -114,15 +115,14 @@ impl PerformanceIssue {
     }
 }
 
-/// The what-if engine: the replay plan of one (model, trace, config), its
-/// baseline makespan, and the duration vector candidates patch.
+/// The what-if engine: a trace's [`Baseline`] replay, whose duration vector
+/// candidates patch.
 pub(crate) struct WhatIf<'a> {
     pub(crate) model: &'a ExecutionModel,
     pub(crate) trace: &'a ExecutionTrace,
-    plan: ReplayPlan,
-    base_makespan: Nanos,
-    /// The trace's own durations, except while a candidate is evaluated.
-    durations: Vec<Nanos>,
+    /// `durations` are the trace's own, except while a candidate is
+    /// evaluated.
+    base: Baseline,
 }
 
 impl<'a> WhatIf<'a> {
@@ -132,15 +132,10 @@ impl<'a> WhatIf<'a> {
         trace: &'a ExecutionTrace,
         replay_cfg: &ReplayConfig,
     ) -> Self {
-        let mut plan = ReplayPlan::new(model, trace, replay_cfg);
-        let durations = original_durations(trace);
-        let base_makespan = plan.makespan(&durations);
         WhatIf {
             model,
             trace,
-            plan,
-            base_makespan,
-            durations,
+            base: Baseline::new(model, trace, replay_cfg),
         }
     }
 
@@ -152,14 +147,15 @@ impl<'a> WhatIf<'a> {
         patch: &[(InstanceId, Nanos)],
         affected: usize,
     ) -> PerformanceIssue {
+        let base = &mut self.base;
         for &(id, duration) in patch {
-            self.durations[id.0 as usize] = duration;
+            base.durations[id.0 as usize] = duration;
         }
-        let optimistic = self.plan.makespan(&self.durations);
+        let optimistic = base.plan.makespan(&base.durations);
         for &(id, _) in patch {
-            self.durations[id.0 as usize] = self.trace.instance(id).duration();
+            base.durations[id.0 as usize] = self.trace.instance(id).duration();
         }
-        PerformanceIssue::from_makespans(kind, self.base_makespan, optimistic, affected)
+        PerformanceIssue::from_makespans(kind, base.makespan, optimistic, affected)
     }
 }
 
@@ -171,19 +167,20 @@ fn rank(mut issues: Vec<PerformanceIssue>, cfg: &IssueConfig) -> Vec<Performance
     issues
 }
 
-/// The full sweep of §III-F over one shared replay plan: one what-if per
-/// consumable and per blocking resource kind in the bottleneck report, one
-/// per leaf phase type that shows concurrency; returns the issues above the
-/// reporting threshold, most impactful first.
+/// The full sweep of §III-F over one shared replay plan — `base`, which the
+/// pipeline's replay stage built: one what-if per consumable and per
+/// blocking resource kind in the bottleneck report, one per leaf phase type
+/// that shows concurrency; returns the issues above the reporting
+/// threshold, most impactful first.
 pub fn detect_issues(
     model: &ExecutionModel,
     trace: &ExecutionTrace,
     profile: &PerformanceProfile,
     bottlenecks: &BottleneckReport,
-    replay_cfg: &ReplayConfig,
+    base: Baseline,
     cfg: &IssueConfig,
 ) -> Vec<PerformanceIssue> {
-    let mut engine = WhatIf::new(model, trace, replay_cfg);
+    let mut engine = WhatIf { model, trace, base };
     let mut issues = engine.bottleneck_candidates(profile, bottlenecks, cfg);
     issues.extend(engine.imbalance_candidates());
     rank(issues, cfg)

@@ -98,8 +98,9 @@ pub use campaign::{
 pub use config::Parallelism;
 pub use error::Grade10Error;
 pub use pipeline::{
-    characterize, characterize_events, characterize_meta, characterize_self, Characterization,
-    CharacterizationConfig, MetaCharacterization, SelfCharacterization,
+    characterize, characterize_events, characterize_events_under, characterize_meta,
+    characterize_self, Characterization, CharacterizationConfig, MetaCharacterization,
+    SelfCharacterization,
 };
 pub use bottleneck::{BottleneckConfig, BottleneckReport};
 pub use supervise::{

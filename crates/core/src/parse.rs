@@ -67,7 +67,16 @@ pub fn build_execution_trace(
     model: &ExecutionModel,
     events: &[RawEvent],
 ) -> Result<ExecutionTrace, Grade10Error> {
-    let mut events: Vec<&RawEvent> = events.iter().collect();
+    build_trace_from(model, events.iter().collect())
+}
+
+/// [`build_execution_trace`] over borrowed records, for callers whose
+/// stream is already a list of references (several machines' substreams
+/// merged without copying a record).
+pub(crate) fn build_trace_from(
+    model: &ExecutionModel,
+    mut events: Vec<&RawEvent>,
+) -> Result<ExecutionTrace, Grade10Error> {
     events.sort_by_key(|e| e.time);
 
     struct OpenPhase {
@@ -142,10 +151,12 @@ pub fn build_execution_trace(
             }
         }
     }
-    if let Some((path, _)) = open.iter().next() {
+    // Name the smallest key, not the first in hash order: the same damaged
+    // stream must yield the same message on every run.
+    if let Some(path) = open.keys().min() {
         return Err(Grade10Error::MalformedLog(format!("phase {path:?} never ended")));
     }
-    if let Some(((_, _, res), _)) = open_blocks.iter().next() {
+    if let Some((_, _, res)) = open_blocks.keys().min() {
         return Err(Grade10Error::MalformedLog(format!("block on '{res}' never ended")));
     }
 
@@ -301,6 +312,46 @@ mod tests {
             RawEventKind::PhaseStart { path: path(&[("job", 0)]) },
         )];
         assert!(build_execution_trace(&m, &events).is_err());
+    }
+
+    /// Several unclosed phases and blocks: the error names the smallest
+    /// key, so the message is the same on every call (it used to follow
+    /// `HashMap` iteration order, which differs per map instance).
+    #[test]
+    fn never_ended_error_names_the_same_phase_every_time() {
+        let m = model();
+        let mut events = vec![ev(0, 0, 0, RawEventKind::PhaseStart { path: path(&[("job", 0)]) })];
+        for s in 0..12u32 {
+            events.push(ev(
+                1 + s as Nanos,
+                0,
+                0,
+                RawEventKind::PhaseStart {
+                    path: path(&[("job", 0), ("step", s)]),
+                },
+            ));
+        }
+        let message = |events: &[RawEvent]| match build_execution_trace(&m, events) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("unclosed phases must be rejected"),
+        };
+        let first = message(&events);
+        assert!(first.contains("[(\"job\", 0)] never ended"), "{first}");
+        for _ in 0..32 {
+            assert_eq!(message(&events), first);
+        }
+
+        // Same for blocks left open once every phase is closed.
+        let mut events = vec![ev(0, 0, 0, RawEventKind::PhaseStart { path: path(&[("job", 0)]) })];
+        for r in ["net", "gc", "msgq", "barrier", "disk", "lock"] {
+            events.push(ev(1, 0, 0, RawEventKind::BlockStart { resource: r.into() }));
+        }
+        events.push(ev(9, 0, 0, RawEventKind::PhaseEnd { path: path(&[("job", 0)]) }));
+        let first = message(&events);
+        assert!(first.contains("block on 'barrier' never ended"), "{first}");
+        for _ in 0..32 {
+            assert_eq!(message(&events), first);
+        }
     }
 
     #[test]

@@ -1,12 +1,30 @@
-//! One-call characterization: the whole Grade10 lifecycle (Fig. 1 of the
-//! paper) behind a single function.
+//! The characterization lifecycle (Fig. 1 of the paper), written once.
 //!
-//! [`characterize`] runs resource attribution, bottleneck identification,
-//! and performance-issue detection in order and returns a
-//! [`Characterization`] bundling the artifacts plus a human-readable
-//! summary. Use the individual modules directly when you need intermediate
-//! control (custom thresholds per stage, partial pipelines, or repeated
-//! what-ifs over one profile).
+//! `STAGES` declares the lifecycle as an ordered table — ingest (§III-C),
+//! attribute (§III-D), bottleneck (§III-E), replay and issues (§III-F) —
+//! and one executor (`Run::walk`) walks it under one of two policies:
+//!
+//! * *inline* — one unit spanning the whole input, run on the calling
+//!   thread, first error returned. [`characterize`],
+//!   [`characterize_ingested`] and [`characterize_events`] are front doors
+//!   of this policy (the first two enter the table after ingest, with
+//!   traces the caller built).
+//! * *supervised* — one unit per machine on a worker pool, each under the
+//!   retry ladder, panic capture, deadline and chaos points of
+//!   [`crate::supervise`]; failures become incidents and fallbacks, and
+//!   the grid is costed against a budget before it is allocated.
+//!   [`crate::supervise::characterize_events_supervised`] is its front
+//!   door.
+//!
+//! The policy is picked by the entry point ([`characterize_events_under`]
+//! takes it as an argument), never by configuration. Stage
+//! names exist only in the table: coverage rows, incident stage names,
+//! chaos unit labels and obs spans all read it. Use the individual modules
+//! directly when you need intermediate control (custom thresholds per
+//! stage, partial pipelines, or repeated what-ifs over one profile).
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::attribution::{build_profile, PerformanceProfile, ProfileConfig};
 use crate::bottleneck::{BottleneckConfig, BottleneckReport};
@@ -14,10 +32,19 @@ use crate::error::Grade10Error;
 use crate::issues::{detect_issues, IssueConfig, IssueKind, PerformanceIssue};
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs::{self, MetaTrace, Stage};
-use crate::parse::RawEvent;
-use crate::replay::{replay_original, ReplayConfig};
+use crate::parse::{build_execution_trace, build_trace_from, RawEvent};
+use crate::replay::{Baseline, ReplayConfig};
 use crate::report::table::pct;
-use crate::trace::repair::{ingest, IngestConfig, IngestReport, IngestedInput, RawSeries};
+use crate::supervise::{
+    pool_map, run_unit, Attempt, Coverage, Incident, IncidentKind, IncidentOutcome,
+    MachineCoverage, PartialCharacterization, StageCoverage, StageStatus, SuperviseConfig, UnitRun,
+    UnitStatus,
+};
+use crate::trace::repair::{
+    clean_events, ingest_series, plausibility_bound, repair_events_opts, validate_event_stream,
+    IngestConfig, IngestMode, IngestReport, IngestedInput, RawSeries,
+};
+use crate::trace::timeslice::Nanos;
 use crate::trace::{ExecutionTrace, ResourceTrace};
 
 /// Configuration for the full pipeline.
@@ -34,10 +61,10 @@ pub struct CharacterizationConfig {
     /// Ingestion strictness used by [`characterize_events`] (ignored by
     /// [`characterize`], which takes already-built traces).
     pub ingest: IngestConfig,
-    /// Supervision knobs (deadlines, retries, budget), honored by
-    /// [`crate::supervise::characterize_events_supervised`]. The
-    /// unsupervised entry points ignore this field.
-    pub supervise: crate::supervise::SuperviseConfig,
+    /// Knobs of the supervised policy (deadlines, retries, budget), read
+    /// by [`crate::supervise::characterize_events_supervised`]. The inline
+    /// entry points ignore this field.
+    pub supervise: SuperviseConfig,
 }
 
 /// Everything one characterization run produces.
@@ -123,7 +150,7 @@ pub fn characterize(
     resources: &ResourceTrace,
     cfg: &CharacterizationConfig,
 ) -> Characterization {
-    characterize_with_report(model, rules, trace, resources, cfg, IngestReport::default())
+    characterize_built(model, rules, trace, resources, IngestReport::default(), cfg)
 }
 
 /// Runs the full Grade10 pipeline from raw collected data: an event stream
@@ -139,58 +166,710 @@ pub fn characterize_events(
     monitoring: &[RawSeries],
     cfg: &CharacterizationConfig,
 ) -> Result<Characterization, Grade10Error> {
-    let input = ingest(model, events, monitoring, &cfg.ingest)?;
-    Ok(characterize_ingested(model, rules, &input, cfg))
+    characterize_events_under(false, model, rules, events, monitoring, cfg)
+        .map(|run| run.characterization)
 }
 
-/// Runs the pipeline on the output of a separate [`ingest`] call — for
-/// callers that need to keep the ingested traces (e.g. to render them)
-/// while still carrying the repair report into the result.
+/// Runs the pipeline on the output of a separate
+/// [`ingest`](crate::trace::repair::ingest) call — for callers that keep
+/// the ingested traces while still carrying the repair report into the
+/// result.
 pub fn characterize_ingested(
     model: &ExecutionModel,
     rules: &RuleSet,
     input: &IngestedInput,
     cfg: &CharacterizationConfig,
 ) -> Characterization {
-    characterize_with_report(
-        model,
-        rules,
-        &input.trace,
-        &input.resources,
-        cfg,
-        input.report.clone(),
-    )
+    let report = input.report.clone();
+    characterize_built(model, rules, &input.trace, &input.resources, report, cfg)
 }
 
-fn characterize_with_report(
+/// [`characterize_events`] under either executor policy, returning the
+/// merged trace (callers need it for rendering) with the characterization.
+///
+/// * Inline (`supervised: false`): one unit spanning the whole input, run
+///   on the calling thread; the first error is returned. No panic capture,
+///   retries, deadline, chaos points or grid budget. The incident log is
+///   empty, every stage is covered in full, and [`Coverage::machines`] is
+///   empty: nothing was split by machine.
+/// * Supervised: one unit per machine on the worker pool, each attempt
+///   under the retry ladder, panic capture, deadline and chaos points of
+///   [`SuperviseConfig`]; failures become incidents and fallbacks.
+///
+/// The policy is the entry point's choice; no configuration field or flag
+/// of the library selects it.
+pub fn characterize_events_under(
+    supervised: bool,
+    model: &ExecutionModel,
+    rules: &RuleSet,
+    events: &[RawEvent],
+    monitoring: &[RawSeries],
+    cfg: &CharacterizationConfig,
+) -> Result<PartialCharacterization, Grade10Error> {
+    use Held::{Own, Ref};
+    if supervised && cfg.supervise.deadline.is_some() {
+        // A detached attempt outlives this call when it overruns its
+        // deadline, so with one set the run reads an owned copy of its
+        // inputs, shared with every attempt.
+        let (model, rules, cfg) = (model.clone(), rules.clone(), cfg.clone());
+        let expert = (Own(Arc::new(model)), Own(Arc::new(rules)), Own(Arc::new(cfg)));
+        let mut run = Run::new(expert, Own(events.into()), Own(monitoring.into()), supervised);
+        run.detach = Some(Run::clone);
+        run.characterize()
+    } else {
+        let expert = (Ref(model), Ref(rules), Ref(cfg));
+        Run::new(expert, Ref(events), Ref(monitoring), supervised).characterize()
+    }
+}
+
+/// The table from its second row on, over traces the caller built.
+fn characterize_built(
     model: &ExecutionModel,
     rules: &RuleSet,
     trace: &ExecutionTrace,
     resources: &ResourceTrace,
+    report: IngestReport,
     cfg: &CharacterizationConfig,
-    mut report: IngestReport,
 ) -> Characterization {
-    let profile = build_profile(model, rules, trace, resources, &cfg.profile);
-    report.slices_estimated = profile.estimated_slices();
-    report.slices_total = profile.total_slices();
-    let _span = obs::span(Stage::Bottleneck);
-    let bottlenecks = BottleneckReport::build(trace, &profile, &cfg.bottleneck);
-    let base = replay_original(model, trace, &cfg.replay);
-    let issues = detect_issues(
-        model,
-        trace,
-        &profile,
-        &bottlenecks,
-        &cfg.replay,
-        &cfg.issues,
-    );
-    Characterization {
-        profile,
-        bottlenecks,
-        base_makespan: base.makespan,
-        issues,
-        ingest: report,
+    use Held::Ref;
+    let mut run = Run::new((Ref(model), Ref(rules), Ref(cfg)), Ref(&[]), Ref(&[]), false);
+    run.report = report;
+    run.trace = Ref(trace);
+    run.resources[0] = Ref(resources);
+    // Every error a stage after ingest can return comes from a supervised
+    // ladder, and this run is inline.
+    #[allow(clippy::expect_used)]
+    run.walk(&STAGES[1..])
+        .expect("no stage after ingest can fail under the inline policy");
+    run.finish().0
+}
+
+// ---------------------------------------------------------------------------
+// The lifecycle: one stage table, one executor, two policies.
+// ---------------------------------------------------------------------------
+
+/// One row of the lifecycle.
+struct StageDef {
+    /// The stage's only name: coverage rows, incident stage names and unit
+    /// labels (`name`, `name/unit` or `name/step`, which chaos points
+    /// match) read it.
+    name: &'static str,
+    /// The span the executor opens around the stage. `None`: the stage
+    /// records its own spans (`build_profile`: demand, upsample, attribute).
+    obs: Option<Stage>,
+    /// Whether the body runs once per unit ([`Run::units`]: a unit that
+    /// fails for good is dropped) or once for the run ([`Run::whole`]).
+    fan_out: bool,
+    /// Whole stages: what the incident calls the fallback the stage
+    /// degrades to when its body fails for good. (Fanned-out stages drop
+    /// the failed unit instead.)
+    degraded: &'static str,
+    /// Hands the executor the stage's body (and, for a whole stage, the
+    /// fallback value) and folds what comes back into the run. Returns
+    /// whether the stage had nothing of its own to show (coverage
+    /// `skipped`).
+    run: fn(&mut Run<'_>, &StageDef) -> Result<bool, Grade10Error>,
+}
+
+/// The lifecycle of Fig. 1, in order. The last three rows share
+/// `obs::Stage::Bottleneck` because the self-profile goldens pin one
+/// `bottleneck` row; giving replay and issues stages of their own (ROADMAP
+/// item 1) is one edit here plus a re-bless.
+#[rustfmt::skip]
+const STAGES: [StageDef; 5] = [
+    StageDef {
+        name: "ingest", obs: Some(Stage::Ingest), fan_out: true,
+        degraded: "", run: ingest,
+    },
+    StageDef {
+        name: "attribute", obs: None, fan_out: true,
+        degraded: "", run: attribute,
+    },
+    StageDef {
+        name: "bottleneck", obs: Some(Stage::Bottleneck), fan_out: false,
+        degraded: "empty bottleneck report", run: bottleneck,
+    },
+    StageDef {
+        name: "replay", obs: Some(Stage::Bottleneck), fan_out: false,
+        degraded: "replay skipped; measured makespan reported", run: replay,
+    },
+    StageDef {
+        name: "issues", obs: Some(Stage::Bottleneck), fan_out: false,
+        degraded: "issue detection skipped", run: issues,
+    },
+];
+
+/// A stage's work for one unit (or for the run: whole stages ignore the
+/// unit) at ladder rung `rung`.
+type Body<T> = fn(&Run<'_>, usize, u32) -> Result<T, Grade10Error>;
+
+/// Borrowed from the caller or shared with detached attempts.
+enum Held<'a, T: ?Sized> {
+    Ref(&'a T),
+    Own(Arc<T>),
+}
+
+impl<T: ?Sized> Clone for Held<'_, T> {
+    fn clone(&self) -> Self {
+        match self {
+            Held::Ref(r) => Held::Ref(r),
+            Held::Own(a) => Held::Own(Arc::clone(a)),
+        }
     }
+}
+
+impl<T: ?Sized> std::ops::Deref for Held<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        match self {
+            Held::Ref(r) => r,
+            Held::Own(a) => a,
+        }
+    }
+}
+
+/// Takes the payload out of a product's `Arc`. Abandoned deadline workers
+/// may still hold clones of it, so this falls back to cloning the payload.
+fn unshare<T: Clone>(shared: Arc<T>) -> T {
+    Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone())
+}
+
+/// The expert input and configuration of a run.
+type Expert<'a> = (
+    Held<'a, ExecutionModel>,
+    Held<'a, RuleSet>,
+    Held<'a, CharacterizationConfig>,
+);
+
+/// One unit of a fanned-out stage: one machine's share of the input or,
+/// under the inline policy, all of it.
+struct Unit {
+    /// `None`: the whole input. `Some(m)`: the records of machine `m`,
+    /// `Some(None)` being the series no machine owns.
+    key: Option<Option<u16>>,
+    /// The machine's events, by index (unused by the whole-input unit).
+    events: Vec<usize>,
+}
+
+impl Unit {
+    fn name(&self) -> String {
+        let status = UnitStatus::Full;
+        let machine = |machine| MachineCoverage { machine, status }.label();
+        self.key.map_or("input".to_string(), machine)
+    }
+
+    /// Under the inline policy one unit spans the input; under the
+    /// supervised policy events always carry a machine, monitoring series
+    /// may be cluster-level, and units come in key order, cluster first.
+    fn split(events: &[RawEvent], monitoring: &[RawSeries], per_machine: bool) -> Vec<Unit> {
+        if !per_machine {
+            return vec![Unit { key: None, events: Vec::new() }];
+        }
+        let series = monitoring.iter().map(|s| (s.instance.machine, Vec::new()));
+        let mut by: BTreeMap<Option<u16>, Vec<usize>> = series.collect();
+        for (i, e) in events.iter().enumerate() {
+            by.entry(Some(e.machine)).or_default().push(i);
+        }
+        by.into_iter().map(|(machine, events)| Unit { key: Some(machine), events }).collect()
+    }
+}
+
+/// What the ingest stage made of one unit's events.
+enum UnitEvents {
+    /// Not ingested yet, or dropped for good.
+    Absent,
+    /// They passed strict validation and stand as they arrived.
+    Verbatim,
+    Repaired(Vec<RawEvent>),
+}
+
+/// One walk of the table: the inputs, what the stages so far produced, and
+/// the ledgers the executor keeps. Stage bodies read it; cloning it copies
+/// references and counts, never bulk data, which is what makes a detached
+/// attempt's snapshot cheap.
+#[derive(Clone)]
+struct Run<'a> {
+    model: Held<'a, ExecutionModel>,
+    rules: Held<'a, RuleSet>,
+    cfg: Held<'a, CharacterizationConfig>,
+    events: Held<'a, [RawEvent]>,
+    monitoring: Held<'a, [RawSeries]>,
+    /// The policy: supervised (knobs in `cfg.supervise`) or inline.
+    supervised: bool,
+    /// With a deadline: how a detached attempt gets a snapshot of the run
+    /// that owns what it reads.
+    detach: Option<fn(&Run<'a>) -> Run<'static>>,
+    units: Arc<Vec<Unit>>,
+    /// The monitoring plausibility bound: a cross-series statistic, so it
+    /// is computed once over every series and handed to every unit.
+    bound: Option<Nanos>,
+    /// Per unit, what ingest made of its events and of its monitoring
+    /// (empty until then, and for good when the unit is dropped).
+    ingested: Vec<Arc<UnitEvents>>,
+    resources: Vec<Held<'a, ResourceTrace>>,
+    /// Each stage's product starts out as the stage's last-resort fallback:
+    /// the empty trace, profile and report.
+    trace: Held<'a, ExecutionTrace>,
+    /// The profile settings every attribute unit builds with.
+    grid: ProfileConfig,
+    profile: Arc<PerformanceProfile>,
+    bottlenecks: Arc<BottleneckReport>,
+    /// The replay stage's plan, until issue detection takes it.
+    baseline: Arc<Mutex<Option<Baseline>>>,
+    base_makespan: Nanos,
+    issues: Vec<PerformanceIssue>,
+    report: IngestReport,
+    incidents: Vec<Incident>,
+}
+
+fn degraded_to(degradation: &str) -> IncidentOutcome {
+    let degradation = degradation.to_string();
+    IncidentOutcome::Recovered { degradation }
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        (model, rules, cfg): Expert<'a>,
+        events: Held<'a, [RawEvent]>,
+        monitoring: Held<'a, [RawSeries]>,
+        supervised: bool,
+    ) -> Self {
+        let units = Unit::split(&events, &monitoring, supervised);
+        // Only lenient rungs read the bound, and the inline policy has no
+        // rung but the configured mode.
+        let lenient = supervised || cfg.ingest.mode == IngestMode::Lenient;
+        // One shared placeholder per ledger: a unit's entry is replaced, not
+        // written through, when the unit is ingested.
+        let absent = Arc::new(UnitEvents::Absent);
+        Run {
+            supervised,
+            detach: None,
+            bound: lenient.then(|| plausibility_bound(&monitoring)).flatten(),
+            ingested: vec![absent; units.len()],
+            resources: vec![Held::Own(Arc::default()); units.len()],
+            units: Arc::new(units),
+            trace: Held::Own(Arc::default()),
+            grid: cfg.profile.clone(),
+            profile: Arc::new(PerformanceProfile::empty(cfg.profile.slice)),
+            bottlenecks: Arc::default(),
+            baseline: Arc::default(),
+            base_makespan: 0,
+            issues: Vec::new(),
+            report: IngestReport {
+                events_total: events.len(),
+                monitoring_windows_total: monitoring.iter().map(|s| s.measurements.len()).sum(),
+                ..IngestReport::default()
+            },
+            incidents: Vec::new(),
+            model,
+            rules,
+            cfg,
+            events,
+            monitoring,
+        }
+    }
+
+    /// The executor: per row, open the row's span, run the stage, and
+    /// derive its coverage from what happened.
+    fn walk(&mut self, stages: &[StageDef]) -> Result<Vec<StageCoverage>, Grade10Error> {
+        let covered = stages.iter().map(|stage| {
+            let _span = stage.obs.map(obs::span);
+            let mark = self.incidents.len();
+            let status = if (stage.run)(self, stage)? {
+                StageStatus::Skipped
+            } else if self.incidents.len() > mark {
+                StageStatus::Degraded
+            } else {
+                StageStatus::Full
+            };
+            Ok(StageCoverage { stage: stage.name, status })
+        });
+        covered.collect()
+    }
+
+    /// Runs `body` for one unit as the policy says: inline, a direct call;
+    /// supervised, the retry ladder around attempts that borrow the run or,
+    /// with a deadline, own a snapshot of it.
+    fn attempt<T: Send + 'static>(&self, label: &str, body: Body<T>, unit: usize) -> UnitRun<T> {
+        if !self.supervised {
+            let result = body(self, unit, 0);
+            return UnitRun { result, attempts: 1, first_error: None };
+        }
+        let sup = &self.cfg.supervise;
+        run_unit(sup, label, |rung| match (sup.deadline, self.detach) {
+            (Some(deadline), Some(detach)) => {
+                let run = detach(self);
+                Attempt::Detached(deadline, Box::new(move || body(&run, unit, rung)))
+            }
+            _ => Attempt::Here(Box::new(move || body(self, unit, rung))),
+        })
+    }
+
+    fn note(
+        &mut self,
+        stage: &StageDef,
+        unit: &str,
+        (kind, detail): (IncidentKind, String),
+        attempts: u32,
+        outcome: IncidentOutcome,
+    ) {
+        let (stage, unit) = (stage.name, unit.to_string());
+        self.incidents.push(Incident { stage, unit, kind, detail, attempts, outcome });
+    }
+
+    /// Notes the recovery of a unit that needed a retry (it ran as
+    /// `retry_as`) and hands back its value, or the error of one that failed
+    /// for good.
+    fn recovered<T>(
+        &mut self,
+        stage: &StageDef,
+        unit: &str,
+        run: UnitRun<T>,
+        retry_as: &str,
+    ) -> Result<T, Grade10Error> {
+        if let (Ok(_), Some(e)) = (&run.result, &run.first_error) {
+            let what = (IncidentKind::of(e), e.detail().to_string());
+            self.note(stage, unit, what, run.attempts, degraded_to(retry_as));
+        }
+        run.result
+    }
+
+    /// Notes that a unit failed for good and what became of it — unless the
+    /// policy is inline, under which its error is the run's.
+    fn failed(
+        &mut self,
+        stage: &StageDef,
+        unit: &str,
+        (e, attempts): (Grade10Error, u32),
+        outcome: IncidentOutcome,
+    ) -> Result<(), Grade10Error> {
+        if !self.supervised {
+            return Err(e);
+        }
+        self.note(stage, unit, (IncidentKind::of(&e), e.detail().to_string()), attempts, outcome);
+        Ok(())
+    }
+
+    /// Fans `body` out over `units`, on the pool, as `name/unit`, and
+    /// settles the runs in unit order: a unit that failed for good is
+    /// dropped. Returns the survivors with the attempts each took.
+    fn units<T: Send + 'static>(
+        &mut self,
+        stage: &StageDef,
+        units: Vec<usize>,
+        body: Body<T>,
+        retry_as: &str,
+    ) -> Result<Vec<(usize, T, u32)>, Grade10Error> {
+        debug_assert!(stage.fan_out);
+        // Units are coarse (a full ingest repair or profile build each), so
+        // under `Parallelism::Auto` any multi-unit batch is worth fanning out.
+        let (sup, n) = (&self.cfg.supervise, units.len());
+        let pool = if self.supervised { sup.parallelism.width(sup.threads, n, n > 1) } else { 1 };
+        let this = &*self;
+        let runs = pool_map(pool, n, |i| {
+            let name = this.units[units[i]].name();
+            let run = this.attempt(&format!("{}/{name}", stage.name), body, units[i]);
+            (units[i], name, run)
+        });
+        let mut kept = Vec::with_capacity(runs.len());
+        for (u, name, run) in runs {
+            let attempts = run.attempts;
+            match self.recovered(stage, &name, run, retry_as) {
+                Ok(value) => kept.push((u, value, attempts)),
+                Err(e) => self.failed(stage, &name, (e, attempts), IncidentOutcome::Dropped)?,
+            }
+        }
+        Ok(kept)
+    }
+
+    /// Runs a whole-stage `body` as `name`. When it fails for good the
+    /// stage degrades to `substitute`, noted as the row's `degraded`, and
+    /// its coverage reads skipped (the flag returned).
+    fn whole<T: Send + 'static>(
+        &mut self,
+        stage: &StageDef,
+        body: Body<T>,
+        substitute: T,
+    ) -> Result<(T, bool), Grade10Error> {
+        debug_assert!(!stage.fan_out);
+        let run = self.attempt(stage.name, body, 0);
+        let attempts = run.attempts;
+        match self.recovered(stage, stage.name, run, "retried") {
+            Ok(value) => Ok((value, false)),
+            Err(e) => {
+                self.failed(stage, stage.name, (e, attempts), degraded_to(stage.degraded))?;
+                Ok((substitute, true))
+            }
+        }
+    }
+
+    fn characterize(mut self) -> Result<PartialCharacterization, Grade10Error> {
+        let stages = self.walk(&STAGES)?;
+        let (characterization, trace, incidents, machines) = self.finish();
+        // A run over raw streams assembled its trace; only a caller-built
+        // one is borrowed.
+        let trace = match trace {
+            Held::Ref(trace) => trace.clone(),
+            Held::Own(trace) => unshare(trace),
+        };
+        let coverage = Coverage { machines, stages };
+        Ok(PartialCharacterization { characterization, trace, incidents, coverage })
+    }
+
+    /// The run's results: characterization, trace, incidents, per-machine
+    /// coverage.
+    fn finish(
+        self,
+    ) -> (Characterization, Held<'a, ExecutionTrace>, Vec<Incident>, Vec<MachineCoverage>) {
+        let characterization = Characterization {
+            profile: unshare(self.profile),
+            bottlenecks: unshare(self.bottlenecks),
+            base_makespan: self.base_makespan,
+            issues: self.issues,
+            ingest: self.report,
+        };
+        // Every incident that names a per-machine unit degraded or dropped
+        // it, so the machine ledger is a reading of the incident log.
+        let status_of = |unit: &Unit| {
+            let name = unit.name();
+            let named = self.incidents.iter().filter(|i| i.unit == name);
+            let worst = named.map(|i| match i.outcome {
+                IncidentOutcome::Dropped => UnitStatus::Dropped,
+                IncidentOutcome::Recovered { .. } => UnitStatus::Degraded,
+            });
+            worst.max().unwrap_or(UnitStatus::Full)
+        };
+        let covered = |unit: &Unit| {
+            let (machine, status) = (unit.key?, status_of(unit));
+            Some(MachineCoverage { machine, status })
+        };
+        let machines = self.units.iter().filter_map(covered).collect();
+        (characterization, self.trace, self.incidents, machines)
+    }
+}
+
+/// The ingest stage: validate-or-repair per unit, then `ingest/assemble`
+/// builds the merged execution trace from the surviving units' events.
+/// Assembling is the one step nothing can route around — no trace, no
+/// characterization — so its failure is the run's.
+fn ingest(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
+    let retry_as = match run.cfg.ingest.mode {
+        IngestMode::Strict => "lenient ingestion",
+        IngestMode::Lenient => "retried",
+    };
+    let all = (0..run.units.len()).collect();
+    let ingested = run.units(stage, all, ingest_unit, retry_as)?;
+    for (u, (events, resources, report), attempts) in ingested {
+        let name = run.units[u].name();
+        // Incidents are the supervised policy's ledger; under the inline
+        // policy the repair report alone carries the count.
+        let quarantined = report.monitoring_quarantined;
+        if run.supervised && quarantined > 0 {
+            let detail = format!("{quarantined} implausible monitoring windows quarantined");
+            let outcome = degraded_to("quarantined windows excluded");
+            run.note(stage, &name, (IncidentKind::Quarantine, detail), attempts, outcome);
+        }
+        let of = &run.units[u];
+        let lost_log = of.key.flatten().is_some() && of.events.is_empty();
+        // A machine with monitoring but no log events lost its log stream:
+        // characterized from monitoring only.
+        if lost_log && !resources.instances().is_empty() {
+            let detail = "no log events from this machine".to_string();
+            let outcome = degraded_to("monitoring-only coverage");
+            run.note(stage, &name, (IncidentKind::MissingData, detail), attempts, outcome);
+        }
+        run.report.absorb_repairs(&report);
+        run.ingested[u] = Arc::new(events);
+        run.resources[u] = Held::Own(Arc::new(resources));
+    }
+    let assembled = run.attempt(&format!("{}/assemble", stage.name), assemble_trace, 0);
+    let (trace, repairs) = run.recovered(stage, "assemble", assembled, "lenient merge repair")?;
+    run.report.absorb_repairs(&repairs);
+    run.trace = Held::Own(Arc::new(trace));
+    // The units' events are in the trace now; nothing reads them again.
+    run.ingested.clear();
+    Ok(false)
+}
+
+/// Validates (strict) or repairs (lenient) one unit's share of both
+/// streams. The ladder's rungs are the configured mode, then lenient. Only
+/// a unit that spans the whole event stream synthesizes lost ancestors
+/// itself; see [`repair_events_opts`].
+fn ingest_unit(
+    run: &Run<'_>,
+    u: usize,
+    rung: u32,
+) -> Result<(UnitEvents, ResourceTrace, IngestReport), Grade10Error> {
+    let unit = &run.units[u];
+    let mode = match rung {
+        0 => run.cfg.ingest.mode,
+        _ => IngestMode::Lenient,
+    };
+    let sole = run.units.len() == 1;
+    let mut report = IngestReport::default();
+    let repaired = match unit.key {
+        None => clean_events(&run.events, mode, sole, &mut report)?,
+        Some(_) => {
+            let events: Vec<&RawEvent> = unit.events.iter().map(|&i| &run.events[i]).collect();
+            clean_events(&events, mode, sole, &mut report)?
+        }
+    };
+    let mine = |s: &&RawSeries| unit.key.is_none_or(|machine| s.instance.machine == machine);
+    let series = run.monitoring.iter().filter(mine);
+    let resources = ingest_series(series, mode, run.bound, &mut report)?;
+    let events = repaired.map_or(UnitEvents::Verbatim, UnitEvents::Repaired);
+    Ok((events, resources, report))
+}
+
+/// The body of `ingest/assemble`. A sole unit's events are final as the
+/// unit left them. Several units' events are merged and then, on rung 0 of
+/// a strict run in which no unit degraded, validated as one stream;
+/// otherwise one lenient repair over the merged stream also synthesizes
+/// cross-machine ancestors exactly once.
+fn assemble_trace(
+    run: &Run<'_>,
+    _: usize,
+    rung: u32,
+) -> Result<(ExecutionTrace, IngestReport), Grade10Error> {
+    let mut merged: Vec<&RawEvent> = Vec::new();
+    for (unit, ingested) in run.units.iter().zip(&run.ingested) {
+        match (&**ingested, unit.key) {
+            (UnitEvents::Absent, _) => {}
+            (UnitEvents::Repaired(events), _) => merged.extend(events),
+            (UnitEvents::Verbatim, None) => merged.extend(&*run.events),
+            (UnitEvents::Verbatim, Some(_)) => {
+                merged.extend(unit.events.iter().map(|&i| &run.events[i]))
+            }
+        }
+    }
+    let sole = run.units.len() == 1;
+    if !sole {
+        // Stable sort by time only: each unit's substream is already in
+        // valid arrival order (the parser is order-insensitive among ties
+        // with distinct keys, but zero-duration block pairs and doubled
+        // barrier pairs NEED their original start-before-end order, which
+        // any kind-based tie-break would destroy). Stability keeps every
+        // machine's internal order intact while interleaving by time.
+        merged.sort_by_key(|e| e.time);
+    }
+    // Every incident so far degraded or dropped an ingest unit.
+    let strict = run.cfg.ingest.mode == IngestMode::Strict && run.incidents.is_empty();
+    let mut report = IngestReport::default();
+    let trace = if rung == 0 && (sole || strict) {
+        if !sole {
+            validate_event_stream(&merged)?;
+        }
+        build_trace_from(&run.model, merged)?
+    } else {
+        let repaired = repair_events_opts(&merged, true, &mut report);
+        build_execution_trace(&run.model, &repaired)?
+    };
+    Ok((trace, report))
+}
+
+/// The attribute stage: `build_profile` per unit that carries monitoring,
+/// merged along the resource axis. When nothing survives attribution (or
+/// the budget guard rejects the grid outright), `attribute/fallback` builds
+/// a resource-less profile over the trace so downstream stages still see
+/// the right grid extent.
+fn attribute(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
+    let monitored = |&u: &usize| !run.resources[u].instances().is_empty();
+    let mut live: Vec<usize> = (0..run.units.len()).filter(monitored).collect();
+    if run.supervised && !fit_grid(run, stage, &live) {
+        live.clear();
+    }
+    let body: Body<_> = |run, u, _| {
+        let (trace, resources) = (&run.trace, &run.resources[u]);
+        Ok(build_profile(&run.model, &run.rules, trace, resources, &run.grid))
+    };
+    let built = run.units(stage, live, body, "retried")?;
+    let parts: Vec<_> = built.into_iter().map(|(_, part, _)| part).collect();
+    let skipped = parts.is_empty();
+    let profile = PerformanceProfile::merge(parts).unwrap_or_else(|| {
+        let none: Body<_> = |run, _, _| {
+            let none = ResourceTrace::new();
+            Ok(build_profile(&run.model, &run.rules, &run.trace, &none, &run.grid))
+        };
+        let built = run.attempt(&format!("{}/fallback", stage.name), none, 0).result;
+        built.unwrap_or_else(|_| PerformanceProfile::empty(run.grid.slice))
+    });
+    run.report.slices_estimated = profile.estimated_slices();
+    run.report.slices_total = profile.total_slices();
+    run.profile = Arc::new(profile);
+    Ok(skipped)
+}
+
+/// Timeslice multiplier applied per budget rung.
+const COARSEN_FACTOR: Nanos = 10;
+
+/// The budget guard of the supervised policy. Fixes one global
+/// `(end, slice)` for the `live` units, so per-machine profiles merge row
+/// for row, and costs that grid before any unit allocates it: over
+/// [`SuperviseConfig::max_grid_cells`] the timeslice is coarsened, at most
+/// `max_retries` (at least one) rungs — here, globally, not per unit.
+/// Returns whether the grid fits.
+fn fit_grid(run: &mut Run<'_>, stage: &StageDef, live: &[usize]) -> bool {
+    let sup = &run.cfg.supervise;
+    let (cap, max_rungs) = (sup.max_grid_cells, sup.max_retries.max(1));
+    let resources: usize = live.iter().map(|&u| run.resources[u].instances().len()).sum();
+    let monitoring_end = live.iter().map(|&u| run.resources[u].end()).max().unwrap_or(0);
+    let original = run.grid.slice.max(1);
+    let grid_end = run.trace.makespan_end().max(monitoring_end).max(original);
+    let cells = |slice: Nanos| grid_end.div_ceil(slice) as u128 * resources as u128;
+    let (mut slice, mut rungs) = (original, 0u32);
+    while cells(slice) > cap as u128 && rungs < max_rungs {
+        slice = slice.saturating_mul(COARSEN_FACTOR);
+        rungs += 1;
+    }
+    let fits = cells(slice) <= cap as u128;
+    if !fits {
+        let needs = cells(slice);
+        let detail = format!("grid needs {needs} cells (cap {cap}) even at slice {slice} ns");
+        run.note(stage, "grid", (IncidentKind::Budget, detail), rungs, IncidentOutcome::Dropped);
+    } else if rungs > 0 {
+        let needs = cells(original);
+        let detail = format!("grid at slice {original} ns needs {needs} cells (cap {cap})");
+        let outcome = degraded_to(&format!("timeslice coarsened to {slice} ns"));
+        run.note(stage, "grid", (IncidentKind::Budget, detail), rungs, outcome);
+    }
+    run.grid.slice = slice;
+    run.grid.grid_end = Some(grid_end);
+    fits
+}
+
+fn bottleneck(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
+    let body: Body<_> =
+        |run, _, _| Ok(BottleneckReport::build(&run.trace, &run.profile, &run.cfg.bottleneck));
+    let (report, skipped) = run.whole(stage, body, BottleneckReport::default())?;
+    run.bottlenecks = Arc::new(report);
+    Ok(skipped)
+}
+
+fn replay(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
+    let body: Body<_> =
+        |run, _, _| Ok(Some(Baseline::new(&run.model, &run.trace, &run.cfg.replay)));
+    let (base, skipped) = run.whole(stage, body, None)?;
+    let measured = run.trace.makespan_end();
+    run.base_makespan = base.as_ref().map_or(measured, |base| base.makespan);
+    run.baseline = Arc::new(Mutex::new(base));
+    Ok(skipped)
+}
+
+/// §III-F over the replay stage's plan. When that stage fell back — or an
+/// earlier attempt of this one already took the plan — issue detection
+/// builds its own.
+fn issues(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
+    let body: Body<_> = |run, _, _| {
+        let (model, trace, cfg) = (&run.model, &*run.trace, &run.cfg);
+        // The slot is only ever replaced whole, so a poisoned lock still
+        // guards a valid value.
+        let base = run.baseline.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let base = base.unwrap_or_else(|| Baseline::new(model, trace, &cfg.replay));
+        Ok(detect_issues(model, trace, &run.profile, &run.bottlenecks, base, &cfg.issues))
+    };
+    let (issues, skipped) = run.whole(stage, body, Vec::new())?;
+    run.issues = issues;
+    Ok(skipped)
 }
 
 /// A characterization of Grade10's own pipeline, produced by feeding a
@@ -251,16 +930,15 @@ pub fn characterize_meta(raw: &MetaTrace) -> Result<MetaCharacterization, Grade1
         },
         ..CharacterizationConfig::default()
     };
-    let input = ingest(&model, &events, &series, &cfg.ingest)?;
-    let result = characterize_ingested(&model, &rules, &input, &cfg);
+    let run = characterize_events_under(false, &model, &rules, &events, &series, &cfg)?;
     Ok(MetaCharacterization {
         model,
         rules,
         raw: raw.clone(),
         events,
         series,
-        trace: input.trace,
-        result,
+        trace: run.trace,
+        result: run.characterization,
     })
 }
 

@@ -338,6 +338,27 @@ pub fn original_durations(trace: &ExecutionTrace) -> Vec<Nanos> {
     trace.instances().iter().map(|i| i.duration()).collect()
 }
 
+/// The replay of a trace as it ran: the plan, the trace's own durations
+/// and the makespan of replaying them. The pipeline's replay stage builds
+/// one and hands it to issue detection, whose what-ifs patch `durations`
+/// and re-run `plan`.
+pub struct Baseline {
+    pub(crate) plan: ReplayPlan,
+    pub(crate) durations: Vec<Nanos>,
+    /// Baseline makespan of the replayed trace, ns.
+    pub makespan: Nanos,
+}
+
+impl Baseline {
+    /// Builds the plan and replays the original durations once.
+    pub fn new(model: &ExecutionModel, trace: &ExecutionTrace, cfg: &ReplayConfig) -> Self {
+        let mut plan = ReplayPlan::new(model, trace, cfg);
+        let durations = original_durations(trace);
+        let makespan = plan.makespan(&durations);
+        Baseline { plan, durations, makespan }
+    }
+}
+
 /// Replays the trace with per-leaf durations given by `duration_of`
 /// (containers derive their extent from their leaves). To replay one trace
 /// under several duration sets, build a [`ReplayPlan`] once instead.

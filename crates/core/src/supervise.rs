@@ -1,18 +1,21 @@
-//! Supervised pipeline execution: panic isolation, deadlines, budget
+//! The supervised executor policy: panic isolation, deadlines, budget
 //! guards, and partial characterizations.
 //!
-//! The ordinary pipeline entry points ([`crate::pipeline::characterize`]
-//! and friends) are all-or-nothing: one panic in attribution, one
-//! clock-bombed record that inflates the timeslice grid, or one quadratic
-//! blowup in replay kills the entire characterization with nothing to
-//! show. Real distributed runs produce exactly such inputs, and the
-//! fault-tolerant systems Grade10 profiles treat partial progress under
-//! component failure as a first-class outcome — so the characterization
-//! framework should too.
+//! The characterization lifecycle is written once, as the stage table in
+//! [`crate::pipeline`], and one executor walks it under one of two
+//! policies. Under the *inline* policy
+//! ([`crate::pipeline::characterize_events`] and friends) a run is
+//! all-or-nothing: one panic in attribution, one clock-bombed record that
+//! inflates the timeslice grid, or one quadratic blowup in replay kills the
+//! entire characterization with nothing to show. Real distributed runs
+//! produce exactly such inputs, and the fault-tolerant systems Grade10
+//! profiles treat partial progress under component failure as a
+//! first-class outcome — so the characterization framework should too.
 //!
-//! [`characterize_events_supervised`] wraps each pipeline stage — and,
-//! within ingestion and attribution, each per-machine unit of work — in an
-//! isolated worker with:
+//! This module holds the other policy's mechanics and vocabulary.
+//! [`characterize_events_supervised`] walks the same table with each stage
+//! — and, within ingestion and attribution, each per-machine unit of work
+//! — run as an isolated unit with:
 //!
 //! * **panic capture** (`catch_unwind`): a panicking unit becomes a
 //!   [`Grade10Error::StagePanicked`], not a process abort;
@@ -37,53 +40,46 @@
 //! ([`SuperviseConfig::parallelism`] / [`SuperviseConfig::threads`], width
 //! resolved by [`crate::config::resolve_threads`] — explicit width, then
 //! `GRADE10_THREADS`, then the machine size). Workers claim units from a
-//! shared queue, and the supervisor merges their results — profiles,
+//! shared queue, and the executor folds their results — profiles,
 //! repaired streams, incidents, per-machine status — in stable unit-key
 //! order, so the output is byte-identical whatever the pool width,
-//! including width 1 (which runs the unit inline on the supervisor
-//! thread). With [`SuperviseConfig::deadline`] set, each attempt runs on
-//! its own detached thread and is abandoned if it overruns — the thread
-//! finishes (or leaks until process exit) in the background, which is the
-//! price of not blocking the pipeline on an unbounded computation; because
-//! attempts time out *concurrently* on the pool, one stalled unit delays
-//! the run by one deadline, not one deadline per stalled unit. Pool
-//! workers register with [`crate::obs`] so self-characterization
-//! attributes their CPU; failed attempts are stamped into the self-profile
-//! as [`obs::Stage::Incident`] spans.
+//! including width 1 (which runs the unit inline on the executor's
+//! thread). Without a deadline every attempt borrows the run's inputs.
+//! With [`SuperviseConfig::deadline`] set, the inputs are copied once on
+//! entry and each attempt runs on its own detached thread, abandoned if it
+//! overruns — the thread finishes (or leaks until process exit) in the
+//! background, which is the price of not blocking the pipeline on an
+//! unbounded computation; because attempts time out *concurrently* on the
+//! pool, one stalled unit delays the run by one deadline, not one deadline
+//! per stalled unit. Pool workers register with [`crate::obs`] so
+//! self-characterization attributes their CPU; failed attempts are stamped
+//! into the self-profile as [`obs::Stage::Incident`] spans.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use crate::attribution::{build_profile, PerformanceProfile, ProfileConfig};
 use crate::config::Parallelism;
-use crate::bottleneck::BottleneckReport;
 use crate::error::Grade10Error;
 use crate::hash::{fnv1a, fnv1a_extend};
-use crate::issues::{detect_issues, PerformanceIssue};
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs;
-use crate::parse::{build_execution_trace, RawEvent};
-use crate::pipeline::{Characterization, CharacterizationConfig};
-use crate::replay::replay_original;
-use crate::trace::repair::{
-    plausibility_bound, repair_events_opts, repair_series, validate_event_stream, IngestMode,
-    IngestReport, RawSeries,
-};
-use crate::trace::resource::ResourceTrace;
-use crate::trace::timeslice::Nanos;
+use crate::parse::RawEvent;
+use crate::pipeline::{characterize_events_under, Characterization, CharacterizationConfig};
+use crate::trace::repair::RawSeries;
 use crate::trace::ExecutionTrace;
 
-/// Knobs of the supervision layer, carried in
-/// [`CharacterizationConfig::supervise`].
+/// Knobs of the supervised policy, carried in
+/// [`CharacterizationConfig::supervise`]. The inline policy reads none of
+/// them.
 #[derive(Clone, Debug)]
 pub struct SuperviseConfig {
     /// Wall-clock deadline per unit attempt. `None` (the default) runs
-    /// every unit inline on the supervisor thread — fully deterministic,
-    /// panics still captured. `Some(d)` runs units on worker threads and
-    /// abandons any attempt that has not finished within `d`.
+    /// every attempt on the thread that claimed the unit, borrowing the
+    /// run's inputs — fully deterministic, panics still captured.
+    /// `Some(d)` copies the inputs once on entry, runs each attempt on a
+    /// detached thread and abandons any that has not finished within `d`.
     pub deadline: Option<Duration>,
     /// Retries per unit after the first failed attempt (default 2). Each
     /// retry runs one rung further down the degradation ladder where the
@@ -92,14 +88,12 @@ pub struct SuperviseConfig {
     pub max_retries: u32,
     /// Maximum `(resource × timeslice)` cells a grid may request. Grids
     /// over the cap are rejected *before* allocating and the timeslice is
-    /// coarsened by [`coarsen_factor`](Self::coarsen_factor) (bounded by
+    /// coarsened ×10 per rung (bounded by
     /// [`max_retries`](Self::max_retries) rungs); a grid still over the
     /// cap after coarsening drops the attribution stage. The default
     /// (4 M cells ≈ a few hundred MB across the profile arrays) is sized
     /// so a single clock-bombed timestamp cannot OOM the process.
     pub max_grid_cells: usize,
-    /// Timeslice multiplier applied per budget rung (default 10).
-    pub coarsen_factor: u32,
     /// Test-only fault injection: chaos points matched by unit label. Leave
     /// empty in production.
     pub chaos: Vec<ChaosPoint>,
@@ -135,7 +129,6 @@ impl Default for SuperviseConfig {
             deadline: None,
             max_retries: 2,
             max_grid_cells: 4_000_000,
-            coarsen_factor: 10,
             chaos: Vec::new(),
             parallelism: Parallelism::Auto,
             threads: None,
@@ -461,14 +454,14 @@ impl PartialCharacterization {
 }
 
 // ---------------------------------------------------------------------------
-// The unit runner.
+// Policy mechanics: one attempt, the retry ladder, the pool.
 // ---------------------------------------------------------------------------
 
 /// Outcome of one supervised unit after its whole retry ladder.
-struct UnitRun<T> {
-    result: Result<T, Grade10Error>,
-    attempts: u32,
-    first_error: Option<Grade10Error>,
+pub(crate) struct UnitRun<T> {
+    pub(crate) result: Result<T, Grade10Error>,
+    pub(crate) attempts: u32,
+    pub(crate) first_error: Option<Grade10Error>,
 }
 
 pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -481,64 +474,69 @@ pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one attempt of a unit: inline with panic capture when no deadline
-/// is configured, on a detached worker thread with a receive timeout when
-/// one is. A timed-out worker is abandoned (it finishes in the background);
-/// see the module docs for why.
+/// One attempt's work, in the form the configured deadline lets it run.
+pub(crate) enum Attempt<'f, T> {
+    /// No deadline: runs on the calling thread and may borrow the run's
+    /// state.
+    Here(Box<dyn FnOnce() -> Result<T, Grade10Error> + 'f>),
+    /// Runs on a detached thread that is abandoned when the deadline
+    /// passes, so it owns everything it reads.
+    Detached(
+        Duration,
+        Box<dyn FnOnce() -> Result<T, Grade10Error> + Send + 'static>,
+    ),
+}
+
+/// Runs one attempt of a unit with panic capture, after firing the chaos
+/// points that name it. A timed-out [`Attempt::Detached`] worker is
+/// abandoned (it finishes in the background); see the module docs for why.
 fn attempt_once<T: Send + 'static>(
     sup: &SuperviseConfig,
     unit: &str,
-    f: Box<dyn FnOnce() -> Result<T, Grade10Error> + Send + 'static>,
+    attempt: Attempt<'_, T>,
 ) -> Result<T, Grade10Error> {
-    let chaos: Vec<ChaosPoint> = sup
+    let chaos: Vec<ChaosMode> = sup
         .chaos
         .iter()
         .filter(|c| c.unit == unit)
-        .cloned()
+        .map(|c| c.mode.clone())
         .collect();
     let label = unit.to_string();
-    let body = move || -> Result<T, Grade10Error> {
-        for c in &chaos {
-            match c.mode {
+    let inject = move || {
+        for mode in &chaos {
+            match mode {
                 ChaosMode::Panic => panic!("chaos: injected panic in {label}"),
-                ChaosMode::Stall(d) => std::thread::sleep(d),
+                ChaosMode::Stall(d) => std::thread::sleep(*d),
             }
         }
-        f()
     };
-    match sup.deadline {
-        None => match catch_unwind(AssertUnwindSafe(body)) {
-            Ok(r) => r,
-            Err(p) => Err(Grade10Error::StagePanicked(format!(
-                "{unit}: {}",
-                panic_message(p.as_ref())
-            ))),
-        },
-        Some(deadline) => {
+    let panicked = |p: Box<dyn std::any::Any + Send>| {
+        Grade10Error::StagePanicked(format!("{unit}: {}", panic_message(p.as_ref())))
+    };
+    match attempt {
+        Attempt::Here(f) => catch_unwind(AssertUnwindSafe(|| {
+            inject();
+            f()
+        }))
+        .unwrap_or_else(|p| Err(panicked(p))),
+        Attempt::Detached(deadline, f) => {
             let (tx, rx) = mpsc::channel();
             let spawned = std::thread::Builder::new()
                 .name(format!("grade10-{unit}"))
                 .spawn(move || {
                     // The receiver may be gone (deadline elapsed): ignore.
-                    let _ = tx.send(catch_unwind(AssertUnwindSafe(body)));
+                    let _ = tx.send(catch_unwind(AssertUnwindSafe(|| {
+                        inject();
+                        f()
+                    })));
                 });
-            let handle = match spawned {
-                Ok(h) => h,
-                Err(e) => {
-                    return Err(Grade10Error::StagePanicked(format!(
-                        "{unit}: failed to spawn worker: {e}"
-                    )))
-                }
-            };
+            let handle = spawned.map_err(|e| {
+                Grade10Error::StagePanicked(format!("{unit}: failed to spawn worker: {e}"))
+            })?;
             match rx.recv_timeout(deadline) {
-                Ok(Ok(r)) => {
+                Ok(done) => {
                     let _ = handle.join();
-                    r
-                }
-                Ok(Err(p)) => {
-                    let msg = panic_message(p.as_ref());
-                    let _ = handle.join();
-                    Err(Grade10Error::StagePanicked(format!("{unit}: {msg}")))
+                    done.unwrap_or_else(|p| Err(panicked(p)))
                 }
                 Err(_) => Err(Grade10Error::Deadline(format!(
                     "{unit}: no result within {} ms; worker abandoned",
@@ -549,89 +547,60 @@ fn attempt_once<T: Send + 'static>(
     }
 }
 
-/// Runs a unit through its retry ladder. `attempt_for(k)` builds the
-/// closure for attempt `k` (the caller encodes per-rung degradation by
-/// inspecting `k`). Stops early on a fatal (non-recoverable) error. Each
-/// failed attempt is stamped into the self-profile as an
-/// [`obs::Stage::Incident`] span.
-fn run_unit<T, F>(sup: &SuperviseConfig, unit: &str, mut attempt_for: F) -> UnitRun<T>
+/// Runs a unit through its retry ladder. `rung(k)` builds attempt `k` (the
+/// caller encodes per-rung degradation by inspecting `k`). Stops
+/// early on a fatal (non-recoverable) error. Each failed attempt is stamped
+/// into the self-profile as an [`obs::Stage::Incident`] span.
+pub(crate) fn run_unit<'f, T, F>(sup: &SuperviseConfig, unit: &str, mut rung: F) -> UnitRun<T>
 where
     T: Send + 'static,
-    F: FnMut(u32) -> Box<dyn FnOnce() -> Result<T, Grade10Error> + Send + 'static>,
+    F: FnMut(u32) -> Attempt<'f, T>,
 {
     let mut first_error: Option<Grade10Error> = None;
     let mut k = 0u32;
-    loop {
+    let result = loop {
         let t0 = obs::session_now();
-        match attempt_once(sup, unit, attempt_for(k)) {
-            Ok(v) => {
-                return UnitRun {
-                    result: Ok(v),
-                    attempts: k + 1,
-                    first_error,
-                }
-            }
+        match attempt_once(sup, unit, rung(k)) {
+            Ok(v) => break Ok(v),
             Err(e) => {
                 if let (Some(a), Some(b)) = (t0, obs::session_now()) {
                     obs::record_span(obs::Stage::Incident, a, b);
                 }
-                if first_error.is_none() {
-                    first_error = Some(e.clone());
+                first_error.get_or_insert_with(|| e.clone());
+                if !e.is_recoverable() || k >= sup.max_retries {
+                    break Err(e);
                 }
                 k += 1;
-                if !e.is_recoverable() || k > sup.max_retries {
-                    return UnitRun {
-                        result: Err(e),
-                        attempts: k,
-                        first_error,
-                    };
-                }
             }
         }
-    }
+    };
+    UnitRun { result, attempts: k + 1, first_error }
 }
 
-/// Worker-pool width for `units` per-machine units under `sup`'s policy.
-/// Units are coarse (a full ingest repair or profile build each), so under
-/// [`Parallelism::Auto`] any multi-unit batch is worth fanning out.
-fn pool_width(sup: &SuperviseConfig, units: usize) -> usize {
-    sup.parallelism.width(sup.threads, units, units > 1)
-}
-
-/// Runs `run` over every item on a bounded pool of `width` scoped workers
-/// and returns the results **in item order** — the pool only changes *when*
+/// Runs `run(0..n)` on a bounded pool of `width` scoped workers and
+/// returns the results **in index order** — the pool only changes *when*
 /// units execute, never how their outputs interleave, which is what keeps
 /// supervised output byte-identical across widths.
 ///
-/// Workers claim items from a shared cursor (no up-front chunking: one
+/// Workers claim indices from a shared cursor (no up-front chunking: one
 /// slow unit — a deadline sleeper, a retry ladder — must not leave its
 /// chunk-mates queued behind it while other workers sit idle) and register
 /// with [`crate::obs`] so self-characterization attributes their CPU.
 /// `width <= 1` degenerates to an inline loop on the caller's thread.
-pub(crate) fn pool_map<I, T, F>(width: usize, items: Vec<I>, run: F) -> Vec<T>
+pub(crate) fn pool_map<T, F>(width: usize, n: usize, run: F) -> Vec<T>
 where
-    I: Send,
     T: Send,
-    F: Fn(usize, I) -> T + Sync,
+    F: Fn(usize) -> T + Sync,
 {
-    if width <= 1 || items.len() <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| run(i, item))
-            .collect();
+    if width <= 1 || n <= 1 {
+        return (0..n).map(run).collect();
     }
-    let n = items.len();
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let cursor = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
     let obs_session = obs::worker_handle();
     std::thread::scope(|scope| {
         for _ in 0..width.min(n) {
-            let slots = &slots;
-            let cursor = &cursor;
-            let done = &done;
-            let run = &run;
+            let (cursor, done, run) = (&cursor, &done, &run);
             let obs_session = obs_session.clone();
             scope.spawn(move || {
                 let _worker = obs_session.as_ref().map(|h| h.enter());
@@ -640,16 +609,11 @@ where
                     if idx >= n {
                         break;
                     }
+                    let out = run(idx);
                     // Units never unwind past `run` (failures are caught
-                    // and returned as values), so a poisoned slot can only
-                    // mean another worker died mid-claim; taking the inner
-                    // value anyway keeps this unit alive regardless.
-                    let item = slots[idx]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take();
-                    let Some(item) = item else { continue };
-                    let out = run(idx, item);
+                    // and returned as values), so a poisoned ledger can
+                    // only mean another worker died mid-push; pushing
+                    // anyway keeps this unit's result regardless.
                     done.lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .push((idx, out));
@@ -663,297 +627,13 @@ where
     done.into_iter().map(|(_, t)| t).collect()
 }
 
-// ---------------------------------------------------------------------------
-// The supervised pipeline.
-// ---------------------------------------------------------------------------
-
-/// Output of one per-machine ingest unit: the repaired substreams plus the
-/// unit's repair counters.
-struct IngestUnitOut {
-    events: Vec<RawEvent>,
-    series: Vec<RawSeries>,
-    report: IngestReport,
-}
-
-/// Validates (strict) or repairs (lenient) one machine's substreams.
-/// Lenient event repair runs *without* ancestor synthesis: container
-/// phases shared across machines are reconstructed once, by the global
-/// merge pass, not once per machine.
-fn ingest_unit(
-    events: &[RawEvent],
-    series: &[RawSeries],
-    mode: IngestMode,
-    bound: Option<Nanos>,
-) -> Result<IngestUnitOut, Grade10Error> {
-    let mut report = IngestReport::default();
-    let out_events = match mode {
-        IngestMode::Strict => {
-            validate_event_stream(events)?;
-            events.to_vec()
-        }
-        IngestMode::Lenient => repair_events_opts(events, false, &mut report),
-    };
-    let out_series = match mode {
-        IngestMode::Strict => {
-            // Validate against the monitoring contract via a scratch trace.
-            let mut rt = ResourceTrace::new();
-            for s in series {
-                let idx = rt.try_add_resource(s.instance.clone())?;
-                for &m in &s.measurements {
-                    rt.try_add_measurement(idx, m)?;
-                }
-            }
-            series.to_vec()
-        }
-        IngestMode::Lenient => series
-            .iter()
-            .filter_map(|s| {
-                if !(s.instance.capacity.is_finite() && s.instance.capacity > 0.0) {
-                    report.monitoring_invalid += s.measurements.len();
-                    return None;
-                }
-                Some(RawSeries {
-                    instance: s.instance.clone(),
-                    measurements: repair_series(&s.measurements, bound, &mut report),
-                })
-            })
-            .collect(),
-    };
-    Ok(IngestUnitOut {
-        events: out_events,
-        series: out_series,
-        report,
-    })
-}
-
-/// Adds `from`'s damage counters into `into` (totals and slice counters
-/// are managed by the supervisor, not summed).
-fn absorb_report(into: &mut IngestReport, from: &IngestReport) {
-    into.out_of_order_fixed += from.out_of_order_fixed;
-    into.duplicates_dropped += from.duplicates_dropped;
-    into.duplicate_starts_dropped += from.duplicate_starts_dropped;
-    into.missing_ends_synthesized += from.missing_ends_synthesized;
-    into.unmatched_ends_dropped += from.unmatched_ends_dropped;
-    into.negative_durations_clamped += from.negative_durations_clamped;
-    into.ancestors_synthesized += from.ancestors_synthesized;
-    into.monitoring_invalid += from.monitoring_invalid;
-    into.monitoring_negatives_clamped += from.monitoring_negatives_clamped;
-    into.monitoring_out_of_order += from.monitoring_out_of_order;
-    into.monitoring_quarantined += from.monitoring_quarantined;
-    into.monitoring_gaps_interpolated += from.monitoring_gaps_interpolated;
-}
-
-fn unit_label(machine: Option<u16>) -> String {
-    match machine {
-        Some(m) => format!("machine {m}"),
-        None => "cluster".to_string(),
-    }
-}
-
-/// Everything one per-machine ingest unit produces. Computed on a pool
-/// worker; the supervisor merges these in unit-key order, which reproduces
-/// the sequential loop's exact incident sequence, event interleaving, and
-/// status map at any pool width.
-struct IngestUnitDone {
-    key: Option<u16>,
-    status: UnitStatus,
-    incidents: Vec<Incident>,
-    events: Vec<RawEvent>,
-    series: Vec<RawSeries>,
-    report: IngestReport,
-}
-
-/// One machine's supervised ingest: the retry ladder (configured mode,
-/// then lenient) plus the unit-local incident records.
-fn ingest_machine_unit(
-    sup: &SuperviseConfig,
-    base_mode: IngestMode,
-    bound: Option<Nanos>,
-    key: Option<u16>,
-    ev: Vec<RawEvent>,
-    mon: Vec<RawSeries>,
-) -> IngestUnitDone {
-    let label = format!("ingest/{}", unit_label(key));
-    let ev = Arc::new(ev);
-    let mon = Arc::new(mon);
-    let run = run_unit(sup, &label, |k| {
-        let mode = if k == 0 { base_mode } else { IngestMode::Lenient };
-        let ev = Arc::clone(&ev);
-        let mon = Arc::clone(&mon);
-        Box::new(move || ingest_unit(&ev, &mon, mode, bound))
-    });
-    let mut incidents = Vec::new();
-    let mut status = UnitStatus::Full;
-    match run.result {
-        Ok(out) => {
-            if let Some(e) = run.first_error {
-                status = UnitStatus::Degraded;
-                let degradation = if base_mode == IngestMode::Strict {
-                    "lenient ingestion".to_string()
-                } else {
-                    "retried".to_string()
-                };
-                incidents.push(Incident {
-                    stage: "ingest",
-                    unit: unit_label(key),
-                    kind: IncidentKind::of(&e),
-                    detail: e.detail().to_string(),
-                    attempts: run.attempts,
-                    outcome: IncidentOutcome::Recovered { degradation },
-                });
-            }
-            if out.report.monitoring_quarantined > 0 {
-                status = status.max(UnitStatus::Degraded);
-                incidents.push(Incident {
-                    stage: "ingest",
-                    unit: unit_label(key),
-                    kind: IncidentKind::Quarantine,
-                    detail: format!(
-                        "{} implausible monitoring windows quarantined",
-                        out.report.monitoring_quarantined
-                    ),
-                    attempts: run.attempts,
-                    outcome: IncidentOutcome::Recovered {
-                        degradation: "quarantined windows excluded".to_string(),
-                    },
-                });
-            }
-            // A machine with monitoring but no log events lost its
-            // log stream: characterized from monitoring only.
-            if key.is_some() && ev.is_empty() && !out.series.is_empty() {
-                status = status.max(UnitStatus::Degraded);
-                incidents.push(Incident {
-                    stage: "ingest",
-                    unit: unit_label(key),
-                    kind: IncidentKind::MissingData,
-                    detail: "no log events from this machine".to_string(),
-                    attempts: run.attempts,
-                    outcome: IncidentOutcome::Recovered {
-                        degradation: "monitoring-only coverage".to_string(),
-                    },
-                });
-            }
-            IngestUnitDone {
-                key,
-                status,
-                incidents,
-                events: out.events,
-                series: out.series,
-                report: out.report,
-            }
-        }
-        Err(e) => {
-            incidents.push(Incident {
-                stage: "ingest",
-                unit: unit_label(key),
-                kind: IncidentKind::of(&e),
-                detail: e.detail().to_string(),
-                attempts: run.attempts,
-                outcome: IncidentOutcome::Dropped,
-            });
-            IngestUnitDone {
-                key,
-                status: UnitStatus::Dropped,
-                incidents,
-                events: Vec::new(),
-                series: Vec::new(),
-                report: IngestReport::default(),
-            }
-        }
-    }
-}
-
-/// Result of one per-machine attribution unit: the profile (`None` when
-/// the unit was dropped), unit-local incidents, and whether a recovered
-/// retry degraded the machine. Merged by the supervisor in unit-key order.
-struct AttributeUnitDone {
-    key: Option<u16>,
-    profile: Option<PerformanceProfile>,
-    degraded: bool,
-    incidents: Vec<Incident>,
-}
-
-/// One machine's supervised attribution: rebuild its resource trace and
-/// run `build_profile` over the shared grid, under the retry ladder.
-fn attribute_machine_unit(
-    sup: &SuperviseConfig,
-    model: &Arc<ExecutionModel>,
-    rules: &Arc<RuleSet>,
-    trace: &Arc<ExecutionTrace>,
-    pcfg: &ProfileConfig,
-    key: Option<u16>,
-    series: Vec<RawSeries>,
-) -> AttributeUnitDone {
-    let label = format!("attribute/{}", unit_label(key));
-    let series = Arc::new(series);
-    let run = run_unit(sup, &label, |_k| {
-        let model = Arc::clone(model);
-        let rules = Arc::clone(rules);
-        let trace = Arc::clone(trace);
-        let series = Arc::clone(&series);
-        let pcfg = pcfg.clone();
-        Box::new(move || {
-            let mut rt = ResourceTrace::new();
-            for s in series.iter() {
-                let idx = rt.try_add_resource(s.instance.clone())?;
-                for &m in &s.measurements {
-                    rt.try_add_measurement(idx, m)?;
-                }
-            }
-            Ok(build_profile(&model, &rules, &trace, &rt, &pcfg))
-        })
-    });
-    let mut incidents = Vec::new();
-    match run.result {
-        Ok(p) => {
-            let mut degraded = false;
-            if let Some(e) = run.first_error {
-                degraded = true;
-                incidents.push(Incident {
-                    stage: "attribute",
-                    unit: unit_label(key),
-                    kind: IncidentKind::of(&e),
-                    detail: e.detail().to_string(),
-                    attempts: run.attempts,
-                    outcome: IncidentOutcome::Recovered {
-                        degradation: "retried".to_string(),
-                    },
-                });
-            }
-            AttributeUnitDone {
-                key,
-                profile: Some(p),
-                degraded,
-                incidents,
-            }
-        }
-        Err(e) => {
-            incidents.push(Incident {
-                stage: "attribute",
-                unit: unit_label(key),
-                kind: IncidentKind::of(&e),
-                detail: e.detail().to_string(),
-                attempts: run.attempts,
-                outcome: IncidentOutcome::Dropped,
-            });
-            AttributeUnitDone {
-                key,
-                profile: None,
-                degraded: false,
-                incidents,
-            }
-        }
-    }
-}
-
-/// Runs the full Grade10 pipeline from raw collected data under
-/// supervision: per-machine ingestion and attribution units, panic
+/// Runs the full Grade10 pipeline from raw collected data under the
+/// supervised policy: per-machine ingestion and attribution units, panic
 /// capture, deadlines, grid budget guard, and a bounded degradation
 /// ladder. Returns a [`PartialCharacterization`] whenever *any* analysis
-/// was possible; an `Err` means the run was unsalvageable — a fatal
-/// modeling problem ([`Grade10Error::is_recoverable`] `== false`) or a
-/// failure of the one stage nothing can route around (assembling the
-/// merged execution trace).
+/// was possible; an `Err` means the run was unsalvageable — a failure of
+/// the one step nothing can route around (assembling the merged execution
+/// trace).
 ///
 /// See the module docs for the degradation ladder and determinism notes.
 pub fn characterize_events_supervised(
@@ -963,421 +643,7 @@ pub fn characterize_events_supervised(
     monitoring: &[RawSeries],
     cfg: &CharacterizationConfig,
 ) -> Result<PartialCharacterization, Grade10Error> {
-    let sup = &cfg.supervise;
-    let base_mode = cfg.ingest.mode;
-    let mut incidents: Vec<Incident> = Vec::new();
-    let mut report = IngestReport {
-        events_total: events.len(),
-        monitoring_windows_total: monitoring.iter().map(|s| s.measurements.len()).sum(),
-        ..IngestReport::default()
-    };
-
-    // -- Partition the input into per-machine units. Events always carry a
-    // machine; monitoring series may be cluster-level (machine: None).
-    let mut ev_by: BTreeMap<Option<u16>, Vec<RawEvent>> = BTreeMap::new();
-    for e in events {
-        ev_by.entry(Some(e.machine)).or_default().push(e.clone());
-    }
-    let mut mon_by: BTreeMap<Option<u16>, Vec<RawSeries>> = BTreeMap::new();
-    for s in monitoring {
-        mon_by
-            .entry(s.instance.machine)
-            .or_default()
-            .push(s.clone());
-    }
-    let mut unit_keys: Vec<Option<u16>> = ev_by.keys().chain(mon_by.keys()).copied().collect();
-    unit_keys.sort_unstable();
-    unit_keys.dedup();
-
-    // The monitoring plausibility bound is a cross-series statistic: it
-    // must see every series, not one machine's, to catch a series whose
-    // windows are all equally bombed. Computed once, passed to every unit.
-    let bound = plausibility_bound(monitoring);
-
-    // -- Per-machine ingest units. Ladder: configured mode, then lenient.
-    // Units execute on the worker pool; everything order-sensitive — the
-    // incident sequence, event interleaving, the status map — is merged
-    // below in unit-key order, so output is identical at any pool width.
-    let mut machine_status: BTreeMap<Option<u16>, UnitStatus> = BTreeMap::new();
-    let mut merged_events: Vec<RawEvent> = Vec::new();
-    let mut surviving: Vec<(Option<u16>, Vec<RawSeries>)> = Vec::new();
-    {
-        let _span = obs::span(obs::Stage::Ingest);
-        let units: Vec<(Option<u16>, Vec<RawEvent>, Vec<RawSeries>)> = unit_keys
-            .iter()
-            .map(|&key| {
-                (
-                    key,
-                    ev_by.remove(&key).unwrap_or_default(),
-                    mon_by.remove(&key).unwrap_or_default(),
-                )
-            })
-            .collect();
-        let width = pool_width(sup, units.len());
-        let outs = pool_map(width, units, |_idx, (key, ev, mon)| {
-            ingest_machine_unit(sup, base_mode, bound, key, ev, mon)
-        });
-        for done in outs {
-            incidents.extend(done.incidents);
-            absorb_report(&mut report, &done.report);
-            merged_events.extend(done.events);
-            if !done.series.is_empty() {
-                surviving.push((done.key, done.series));
-            }
-            machine_status.insert(done.key, done.status);
-        }
-    }
-
-    // -- Assemble the merged execution trace. This is the one stage the
-    // pipeline cannot route around: no trace, no characterization. Ladder:
-    // strict validation of the merged stream (when configured strict and
-    // no unit degraded), then one global lenient repair — which also
-    // synthesizes cross-machine ancestors exactly once.
-    // Stable sort by time only: each per-machine substream is already in
-    // valid arrival order (the parser is order-insensitive among ties with
-    // distinct keys, but zero-duration block pairs and doubled barrier
-    // pairs NEED their original start-before-end order, which any kind-
-    // based tie-break would destroy). Stability keeps every machine's
-    // internal order intact while interleaving machines by time.
-    merged_events.sort_by_key(|e| e.time);
-    let merged = Arc::new(merged_events);
-    let model_arc = Arc::new(model.clone());
-    let any_degraded = machine_status.values().any(|&s| s != UnitStatus::Full);
-    let (trace, assemble_rep) = {
-        let _span = obs::span(obs::Stage::Ingest);
-        let run = run_unit(sup, "ingest/assemble", |k| {
-            let strict = base_mode == IngestMode::Strict && !any_degraded && k == 0;
-            let ev = Arc::clone(&merged);
-            let model = Arc::clone(&model_arc);
-            Box::new(move || {
-                let mut rep = IngestReport::default();
-                let repaired = if strict {
-                    validate_event_stream(&ev)?;
-                    (*ev).clone()
-                } else {
-                    repair_events_opts(&ev, true, &mut rep)
-                };
-                let trace = build_execution_trace(&model, &repaired)?;
-                Ok((trace, rep))
-            })
-        });
-        match run.result {
-            Ok(out) => {
-                if let Some(e) = run.first_error {
-                    incidents.push(Incident {
-                        stage: "ingest",
-                        unit: "assemble".to_string(),
-                        kind: IncidentKind::of(&e),
-                        detail: e.detail().to_string(),
-                        attempts: run.attempts,
-                        outcome: IncidentOutcome::Recovered {
-                            degradation: "lenient merge repair".to_string(),
-                        },
-                    });
-                }
-                out
-            }
-            Err(e) => return Err(e),
-        }
-    };
-    absorb_report(&mut report, &assemble_rep);
-    let ingest_status = if incidents.is_empty() {
-        StageStatus::Full
-    } else {
-        StageStatus::Degraded
-    };
-
-    // -- Budget guard: cost the grid before any unit allocates it. One
-    // global (end, slice) is chosen so per-machine profiles merge row for
-    // row; coarsening therefore happens here, globally, not per unit.
-    let num_resources: usize = surviving.iter().map(|(_, s)| s.len()).sum();
-    let monitoring_end = surviving
-        .iter()
-        .flat_map(|(_, series)| series.iter())
-        .flat_map(|s| s.measurements.iter())
-        .map(|m| m.end)
-        .max()
-        .unwrap_or(0);
-    let mut slice = cfg.profile.slice.max(1);
-    let grid_end = trace.makespan_end().max(monitoring_end).max(slice);
-    let cells = |slice: Nanos| (grid_end.div_ceil(slice) as u128) * num_resources as u128;
-    let mut budget_ok = true;
-    if cells(slice) > sup.max_grid_cells as u128 {
-        let factor = Nanos::from(sup.coarsen_factor.max(2));
-        let mut rungs = 0u32;
-        let original = slice;
-        while cells(slice) > sup.max_grid_cells as u128 && rungs < sup.max_retries.max(1) {
-            slice = slice.saturating_mul(factor);
-            rungs += 1;
-        }
-        if cells(slice) > sup.max_grid_cells as u128 {
-            budget_ok = false;
-            incidents.push(Incident {
-                stage: "attribute",
-                unit: "grid".to_string(),
-                kind: IncidentKind::Budget,
-                detail: format!(
-                    "grid needs {} cells (cap {}) even at slice {} ns",
-                    cells(slice),
-                    sup.max_grid_cells,
-                    slice
-                ),
-                attempts: rungs,
-                outcome: IncidentOutcome::Dropped,
-            });
-        } else {
-            incidents.push(Incident {
-                stage: "attribute",
-                unit: "grid".to_string(),
-                kind: IncidentKind::Budget,
-                detail: format!(
-                    "grid at slice {} ns needs {} cells (cap {})",
-                    original,
-                    cells(original),
-                    sup.max_grid_cells
-                ),
-                attempts: rungs,
-                outcome: IncidentOutcome::Recovered {
-                    degradation: format!("timeslice coarsened to {} ns", slice),
-                },
-            });
-        }
-    }
-
-    // -- Per-machine attribution units over the shared grid, on the pool.
-    let rules_arc = Arc::new(rules.clone());
-    let trace_arc = Arc::new(trace);
-    let pcfg = ProfileConfig {
-        slice,
-        grid_end: Some(grid_end),
-        ..cfg.profile.clone()
-    };
-    let mut parts: Vec<PerformanceProfile> = Vec::new();
-    let mut attribute_dropped = 0usize;
-    if budget_ok {
-        // Same pool discipline as ingestion: workers build per-machine
-        // profiles concurrently, the merge below runs in unit-key order.
-        let width = pool_width(sup, surviving.len());
-        let outs = pool_map(width, surviving, |_idx, (key, series)| {
-            attribute_machine_unit(sup, &model_arc, &rules_arc, &trace_arc, &pcfg, key, series)
-        });
-        for done in outs {
-            incidents.extend(done.incidents);
-            match done.profile {
-                Some(p) => {
-                    if done.degraded {
-                        let status = machine_status.entry(done.key).or_insert(UnitStatus::Full);
-                        *status = (*status).max(UnitStatus::Degraded);
-                    }
-                    parts.push(p);
-                }
-                None => {
-                    attribute_dropped += 1;
-                    machine_status.insert(done.key, UnitStatus::Dropped);
-                }
-            }
-        }
-    }
-    let had_parts = !parts.is_empty();
-    let profile = match PerformanceProfile::merge(parts) {
-        Some(p) => p,
-        None => {
-            // Nothing survived attribution (or the budget rejected the
-            // grid outright): build a resource-less profile over the trace
-            // so downstream stages still see the right grid extent.
-            let model = Arc::clone(&model_arc);
-            let rules = Arc::clone(&rules_arc);
-            let trace = Arc::clone(&trace_arc);
-            let pcfg = pcfg.clone();
-            let run = run_unit(sup, "attribute/fallback", move |_k| {
-                let model = Arc::clone(&model);
-                let rules = Arc::clone(&rules);
-                let trace = Arc::clone(&trace);
-                let pcfg = pcfg.clone();
-                Box::new(move || {
-                    Ok(build_profile(
-                        &model,
-                        &rules,
-                        &trace,
-                        &ResourceTrace::new(),
-                        &pcfg,
-                    ))
-                })
-            });
-            run.result
-                .unwrap_or_else(|_| PerformanceProfile::empty(slice))
-        }
-    };
-    let attribute_status = if !budget_ok || !had_parts {
-        StageStatus::Skipped
-    } else if attribute_dropped > 0
-        || incidents
-            .iter()
-            .any(|i| i.stage == "attribute")
-    {
-        StageStatus::Degraded
-    } else {
-        StageStatus::Full
-    };
-    report.slices_estimated = profile.estimated_slices();
-    report.slices_total = profile.total_slices();
-
-    // -- Bottleneck, replay, and issue detection, each with a degraded
-    // fallback: empty bottleneck report, measured makespan, no issues.
-    let _bspan = obs::span(obs::Stage::Bottleneck);
-    let profile_arc = Arc::new(profile);
-    let bcfg = cfg.bottleneck.clone();
-    let run = run_unit(sup, "bottleneck", |_k| {
-        let trace = Arc::clone(&trace_arc);
-        let profile = Arc::clone(&profile_arc);
-        let bcfg = bcfg.clone();
-        Box::new(move || Ok(BottleneckReport::build(&trace, &profile, &bcfg)))
-    });
-    let (bottlenecks, bottleneck_status) = finish_stage(
-        run,
-        "bottleneck",
-        "bottleneck",
-        BottleneckReport::default(),
-        "empty bottleneck report",
-        &mut incidents,
-    );
-    let bottlenecks_arc = Arc::new(bottlenecks);
-
-    let rcfg = cfg.replay.clone();
-    let run = run_unit(sup, "replay", |_k| {
-        let model = Arc::clone(&model_arc);
-        let trace = Arc::clone(&trace_arc);
-        let rcfg = rcfg.clone();
-        Box::new(move || Ok(replay_original(&model, &trace, &rcfg).makespan))
-    });
-    let (base_makespan, replay_status) = finish_stage(
-        run,
-        "replay",
-        "replay",
-        trace_arc.makespan_end(),
-        "replay skipped; measured makespan reported",
-        &mut incidents,
-    );
-
-    let icfg = cfg.issues.clone();
-    let rcfg = cfg.replay.clone();
-    let run = run_unit(sup, "issues", |_k| {
-        let model = Arc::clone(&model_arc);
-        let trace = Arc::clone(&trace_arc);
-        let profile = Arc::clone(&profile_arc);
-        let bottlenecks = Arc::clone(&bottlenecks_arc);
-        let rcfg = rcfg.clone();
-        let icfg = icfg.clone();
-        Box::new(move || {
-            Ok(detect_issues(
-                &model,
-                &trace,
-                &profile,
-                &bottlenecks,
-                &rcfg,
-                &icfg,
-            ))
-        })
-    });
-    let (issues, issues_status) = finish_stage::<Vec<PerformanceIssue>>(
-        run,
-        "issues",
-        "issues",
-        Vec::new(),
-        "issue detection skipped",
-        &mut incidents,
-    );
-    drop(_bspan);
-
-    // -- Coverage assembly. Abandoned deadline workers may still hold Arc
-    // clones, so fall back to cloning the payloads out.
-    let profile = Arc::try_unwrap(profile_arc).unwrap_or_else(|a| (*a).clone());
-    let bottlenecks = Arc::try_unwrap(bottlenecks_arc).unwrap_or_else(|a| (*a).clone());
-    let trace = Arc::try_unwrap(trace_arc).unwrap_or_else(|a| (*a).clone());
-    let coverage = Coverage {
-        machines: machine_status
-            .into_iter()
-            .map(|(machine, status)| MachineCoverage { machine, status })
-            .collect(),
-        stages: vec![
-            StageCoverage {
-                stage: "ingest",
-                status: ingest_status,
-            },
-            StageCoverage {
-                stage: "attribute",
-                status: attribute_status,
-            },
-            StageCoverage {
-                stage: "bottleneck",
-                status: bottleneck_status,
-            },
-            StageCoverage {
-                stage: "replay",
-                status: replay_status,
-            },
-            StageCoverage {
-                stage: "issues",
-                status: issues_status,
-            },
-        ],
-    };
-    Ok(PartialCharacterization {
-        characterization: Characterization {
-            profile,
-            bottlenecks,
-            base_makespan,
-            issues,
-            ingest: report,
-        },
-        trace,
-        incidents,
-        coverage,
-    })
-}
-
-/// Converts a whole-stage unit run into (value, stage status), pushing an
-/// incident and substituting `fallback` when the unit failed.
-fn finish_stage<T>(
-    run: UnitRun<T>,
-    stage: &'static str,
-    unit: &str,
-    fallback: T,
-    fallback_desc: &str,
-    incidents: &mut Vec<Incident>,
-) -> (T, StageStatus) {
-    match run.result {
-        Ok(v) => {
-            if let Some(e) = run.first_error {
-                incidents.push(Incident {
-                    stage,
-                    unit: unit.to_string(),
-                    kind: IncidentKind::of(&e),
-                    detail: e.detail().to_string(),
-                    attempts: run.attempts,
-                    outcome: IncidentOutcome::Recovered {
-                        degradation: "retried".to_string(),
-                    },
-                });
-                (v, StageStatus::Degraded)
-            } else {
-                (v, StageStatus::Full)
-            }
-        }
-        Err(e) => {
-            incidents.push(Incident {
-                stage,
-                unit: unit.to_string(),
-                kind: IncidentKind::of(&e),
-                detail: e.detail().to_string(),
-                attempts: run.attempts,
-                outcome: IncidentOutcome::Recovered {
-                    degradation: fallback_desc.to_string(),
-                },
-            });
-            (fallback, StageStatus::Skipped)
-        }
-    }
+    characterize_events_under(true, model, rules, events, monitoring, cfg)
 }
 
 #[cfg(test)]
@@ -1387,7 +653,7 @@ mod tests {
     use crate::parse::{RawEventKind, RawPath};
     use crate::trace::repair::IngestConfig;
     use crate::trace::resource::{Measurement, ResourceInstance};
-    use crate::trace::MILLIS;
+    use crate::trace::{Nanos, MILLIS};
 
     fn path(segs: &[(&str, u32)]) -> RawPath {
         segs.iter().map(|(n, k)| (n.to_string(), *k)).collect()
@@ -1490,14 +756,31 @@ mod tests {
             .stages
             .iter()
             .all(|s| s.status == StageStatus::Full));
+        assert_eq!(p.coverage.summary(), "2/2 machines, 5/5 stages");
+        // The same comparison `tests/proptest_invariants.rs` makes a law
+        // over random clean streams: grids, issues, makespan and ingest
+        // report equal the inline policy's, usage rows equal as a set.
         let plain = crate::pipeline::characterize_events(&model, &rules, &events, &series, &cfg)
             .expect("unsupervised");
-        assert_eq!(p.characterization.base_makespan, plain.base_makespan);
-        assert_eq!(
-            p.characterization.profile.resources.len(),
-            plain.profile.resources.len()
-        );
-        assert_eq!(p.coverage.summary(), "2/2 machines, 5/5 stages");
+        let dump = |c: &Characterization| {
+            let p = &c.profile;
+            let mut usages: Vec<String> = p.usages.iter().map(|u| format!("{u:?}")).collect();
+            usages.sort();
+            format!(
+                "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {} {:?} {usages:?}",
+                p.resources,
+                p.consumption,
+                p.demand_exact,
+                p.demand_variable,
+                p.unattributed,
+                p.overflow,
+                p.estimated,
+                c.issues,
+                c.base_makespan,
+                c.ingest,
+            )
+        };
+        assert_eq!(dump(&p.characterization), dump(&plain));
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::path::Path;
 use crate::error::Grade10Error;
 use crate::hash::fnv1a;
 use crate::parse::{RawEvent, RawEventKind, RawPath};
-use crate::trace::repair::RawSeries;
+use crate::trace::repair::{ingest_series, IngestMode, IngestReport, RawSeries};
 use crate::trace::resource::{Measurement, ResourceInstance, ResourceTrace};
 
 /// File magic: the first eight bytes of every binary trace.
@@ -615,14 +615,7 @@ pub(crate) fn decode_series(
 
 fn decode_resources(payload: &[u8], strings: &[String]) -> Result<ResourceTrace, Grade10Error> {
     let series = decode_series(payload, strings)?;
-    let mut rt = ResourceTrace::new();
-    for s in series {
-        let idx = rt.try_add_resource(s.instance)?;
-        for m in s.measurements {
-            rt.try_add_measurement(idx, m)?;
-        }
-    }
-    Ok(rt)
+    ingest_series(&series, IngestMode::Strict, None, &mut IngestReport::default())
 }
 
 /// Decodes a binary trace from in-memory bytes, verifying every checksum.

@@ -56,8 +56,9 @@ pub struct BlockingEvent {
     pub end: Nanos,
 }
 
-/// The full execution trace of one workload run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The full execution trace of one workload run. The default is the empty
+/// trace.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ExecutionTrace {
     instances: Vec<PhaseInstance>,
     blocking: Vec<BlockingEvent>,

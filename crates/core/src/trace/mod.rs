@@ -9,7 +9,7 @@ pub mod timeslice;
 pub use binary::{decode_trace, encode_trace, read_trace_file, write_trace_file, BinaryTrace};
 pub use execution::{BlockingEvent, ExecutionTrace, InstanceId, PhaseInstance, TraceBuilder};
 pub use repair::{
-    ingest, ingest_events, ingest_monitoring, repair_events, IngestConfig, IngestMode,
+    ingest, ingest_monitoring, repair_events, IngestConfig, IngestMode,
     IngestReport, IngestedInput, RawSeries,
 };
 pub use resource::{Measurement, ResourceIdx, ResourceInstance, ResourceTrace};

@@ -22,6 +22,7 @@
 //!   [`quality score`](IngestReport::quality_score) so downstream consumers
 //!   know how much to trust the characterization.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
@@ -109,6 +110,23 @@ pub struct IngestReport {
 }
 
 impl IngestReport {
+    /// Adds `from`'s repair counters into `self`. Totals and slice counters
+    /// stay: whoever merges reports of parts of one input sets those once.
+    pub(crate) fn absorb_repairs(&mut self, from: &IngestReport) {
+        self.out_of_order_fixed += from.out_of_order_fixed;
+        self.duplicates_dropped += from.duplicates_dropped;
+        self.duplicate_starts_dropped += from.duplicate_starts_dropped;
+        self.missing_ends_synthesized += from.missing_ends_synthesized;
+        self.unmatched_ends_dropped += from.unmatched_ends_dropped;
+        self.negative_durations_clamped += from.negative_durations_clamped;
+        self.ancestors_synthesized += from.ancestors_synthesized;
+        self.monitoring_invalid += from.monitoring_invalid;
+        self.monitoring_negatives_clamped += from.monitoring_negatives_clamped;
+        self.monitoring_out_of_order += from.monitoring_out_of_order;
+        self.monitoring_quarantined += from.monitoring_quarantined;
+        self.monitoring_gaps_interpolated += from.monitoring_gaps_interpolated;
+    }
+
     /// Number of log-event repairs of any kind.
     pub fn event_repairs(&self) -> usize {
         self.out_of_order_fixed
@@ -240,8 +258,14 @@ pub fn ingest(
     cfg: &IngestConfig,
 ) -> Result<IngestedInput, Grade10Error> {
     let _span = crate::obs::span(crate::obs::Stage::Ingest);
-    let mut report = IngestReport::default();
-    let trace = ingest_events(model, events, cfg, &mut report)?;
+    let mut report = IngestReport {
+        events_total: events.len(),
+        ..IngestReport::default()
+    };
+    let trace = match clean_events(events, cfg.mode, true, &mut report)? {
+        None => build_execution_trace(model, events),
+        Some(repaired) => build_execution_trace(model, &repaired),
+    }?;
     let resources = ingest_monitoring(monitoring, cfg, &mut report)?;
     Ok(IngestedInput {
         trace,
@@ -250,28 +274,22 @@ pub fn ingest(
     })
 }
 
-/// Builds an execution trace from a raw event stream under the given mode.
-///
-/// Strict mode enforces the full stream contract — monotone arrival order,
-/// no duplicate records, balanced starts and ends — and rejects violations
-/// with a classified [`Grade10Error`]. Lenient mode first runs
-/// [`repair_events`] and then builds from the repaired stream.
-pub fn ingest_events(
-    model: &ExecutionModel,
-    events: &[RawEvent],
-    cfg: &IngestConfig,
+/// One stream's validate-or-repair step, shared by [`ingest`] and the
+/// pipeline's ingest stage. Strict mode enforces the full stream contract —
+/// monotone arrival order, no duplicate records ([`validate_event_stream`];
+/// building the trace then checks that starts and ends balance) — and
+/// returns `None`: use the stream as it is. Lenient mode returns the stream
+/// [`repair_events`] makes of it.
+/// `synthesize_ancestors` is [`repair_events_opts`]'s switch.
+pub(crate) fn clean_events<E: Borrow<RawEvent>>(
+    events: &[E],
+    mode: IngestMode,
+    synthesize_ancestors: bool,
     report: &mut IngestReport,
-) -> Result<ExecutionTrace, Grade10Error> {
-    report.events_total += events.len();
-    match cfg.mode {
-        IngestMode::Strict => {
-            validate_event_stream(events)?;
-            build_execution_trace(model, events)
-        }
-        IngestMode::Lenient => {
-            let repaired = repair_events(events, report);
-            build_execution_trace(model, &repaired)
-        }
+) -> Result<Option<Vec<RawEvent>>, Grade10Error> {
+    match mode {
+        IngestMode::Strict => validate_event_stream(events).map(|()| None),
+        IngestMode::Lenient => Ok(Some(repair_events_opts(events, synthesize_ancestors, report))),
     }
 }
 
@@ -282,17 +300,17 @@ pub fn ingest_events(
 /// records are exempt from the duplicate check: a thread that blocks twice
 /// for zero duration at the same instant legitimately emits identical
 /// records.
-pub fn validate_event_stream(events: &[RawEvent]) -> Result<(), Grade10Error> {
+pub fn validate_event_stream<E: Borrow<RawEvent>>(events: &[E]) -> Result<(), Grade10Error> {
     for w in events.windows(2) {
-        if w[1].time < w[0].time {
+        let (earlier, later) = (w[0].borrow().time, w[1].borrow().time);
+        if later < earlier {
             return Err(Grade10Error::MalformedLog(format!(
-                "events out of order: {} after {}",
-                w[1].time, w[0].time
+                "events out of order: {later} after {earlier}"
             )));
         }
     }
     let mut seen: HashSet<&RawEvent> = HashSet::with_capacity(events.len());
-    for ev in events {
+    for ev in events.iter().map(Borrow::borrow) {
         let is_phase = matches!(
             ev.kind,
             RawEventKind::PhaseStart { .. } | RawEventKind::PhaseEnd { .. }
@@ -326,23 +344,24 @@ pub fn repair_events(events: &[RawEvent], report: &mut IngestReport) -> Vec<RawE
     repair_events_opts(events, true, report)
 }
 
-/// [`repair_events`] with ancestor synthesis switchable off. Supervised
-/// per-machine ingestion repairs each machine's substream separately and
-/// must not synthesize container phases per machine — a shared root would
-/// be reconstructed once per unit, duplicating its start in the merged
-/// stream. The supervisor repairs substreams with `synthesize_ancestors:
-/// false` and runs one global pass over the merged survivors instead.
-pub(crate) fn repair_events_opts(
-    events: &[RawEvent],
+/// [`repair_events`] with ancestor synthesis switchable off, over owned or
+/// borrowed records. When the ingest stage splits the input per machine it
+/// repairs each machine's substream separately and must not synthesize
+/// container phases per machine — a shared root would be reconstructed
+/// once per unit, duplicating its start in the merged stream. Those units
+/// repair with `synthesize_ancestors: false` and one pass over the merged
+/// survivors synthesizes instead.
+pub(crate) fn repair_events_opts<E: Borrow<RawEvent>>(
+    events: &[E],
     synthesize_ancestors: bool,
     report: &mut IngestReport,
 ) -> Vec<RawEvent> {
     // 1. Out-of-order count, then a stable sort by time.
     report.out_of_order_fixed += events
         .windows(2)
-        .filter(|w| w[1].time < w[0].time)
+        .filter(|w| w[1].borrow().time < w[0].borrow().time)
         .count();
-    let mut sorted: Vec<&RawEvent> = events.iter().collect();
+    let mut sorted: Vec<&RawEvent> = events.iter().map(Borrow::borrow).collect();
     sorted.sort_by_key(|e| e.time);
 
     // 2. Exact duplicates — phase records only, mirroring the strict
@@ -593,19 +612,31 @@ pub fn ingest_monitoring(
     report: &mut IngestReport,
 ) -> Result<ResourceTrace, Grade10Error> {
     report.monitoring_windows_total += series.iter().map(|s| s.measurements.len()).sum::<usize>();
+    let lenient = cfg.mode == IngestMode::Lenient;
+    let bound = lenient.then(|| plausibility_bound(series)).flatten();
+    ingest_series(series, cfg.mode, bound, report)
+}
+
+/// [`ingest_monitoring`] over any subset of the series, with the lenient
+/// plausibility bound supplied by the caller: the bound is a cross-series
+/// statistic, so a caller ingesting one machine's series at a time computes
+/// it once over all of them.
+pub(crate) fn ingest_series<'s>(
+    series: impl IntoIterator<Item = &'s RawSeries>,
+    mode: IngestMode,
+    bound: Option<Nanos>,
+    report: &mut IngestReport,
+) -> Result<ResourceTrace, Grade10Error> {
     let mut rt = ResourceTrace::new();
-    match cfg.mode {
-        IngestMode::Strict => {
-            for s in series {
+    for s in series {
+        match mode {
+            IngestMode::Strict => {
                 let idx = rt.try_add_resource(s.instance.clone())?;
                 for &m in &s.measurements {
                     rt.try_add_measurement(idx, m)?;
                 }
             }
-        }
-        IngestMode::Lenient => {
-            let bound = plausibility_bound(series);
-            for s in series {
+            IngestMode::Lenient => {
                 if !(s.instance.capacity.is_finite() && s.instance.capacity > 0.0) {
                     // A resource with no believable capacity cannot be
                     // attributed against; drop the whole series.
@@ -656,7 +687,7 @@ pub(crate) fn plausibility_bound(series: &[RawSeries]) -> Option<Nanos> {
 /// longer than it are quarantined, the series is cut at the first gap wider
 /// than it (everything after a bombed timestamp is untrustworthy), and gaps
 /// wider than it are never bridged by interpolation.
-pub(crate) fn repair_series(
+fn repair_series(
     measurements: &[Measurement],
     bound: Option<Nanos>,
     report: &mut IngestReport,

@@ -125,16 +125,15 @@ use grade10::core::campaign::{
 use grade10::core::critical_path::critical_path;
 use grade10::core::model::ModelBundle;
 use grade10::core::obs;
-use grade10::core::parse::{build_execution_trace, read_events_json};
+use grade10::core::parse::read_events_json;
 use grade10::core::pipeline::{
-    characterize, characterize_ingested, characterize_meta, CharacterizationConfig,
-    MetaCharacterization,
+    characterize_events_under, characterize_meta, CharacterizationConfig, MetaCharacterization,
 };
 use grade10::core::report::{coverage_table, incident_table, ingest_table, machine_table, render_gantt, render_html_report, self_profile_table, usage_table, GanttConfig, HtmlConfig};
-use grade10::core::supervise::{characterize_events_supervised, PartialCharacterization};
+use grade10::core::supervise::PartialCharacterization;
 use grade10::core::trace::{
-    ingest, read_trace_file, write_trace_file, ExecutionTrace, IngestConfig, IngestMode, RawSeries,
-    ResourceTrace, MILLIS,
+    ingest_monitoring, read_trace_file, write_trace_file, ExecutionTrace, IngestConfig,
+    IngestMode, RawSeries, ResourceTrace, MILLIS,
 };
 
 /// Count heap allocations per thread so `--self-profile` span records can
@@ -328,78 +327,28 @@ fn demo(flags: &HashMap<String, String>) -> Result<RunStatus, String> {
         run.trace.instances().len()
     );
 
+    // From here on only the simulator's output is needed: the pipeline
+    // reads what the collectors shipped, bridged once for the export and
+    // for itself, and the rest of the run is freed before it allocates.
+    let grade10::engines::WorkloadRun { model, rules_tuned, sim, .. } = run;
+    let (mut events, mut monitoring) = collected_streams(&sim, None);
     if let Some(dir) = flags.get("--export-logs") {
-        export_logs(&run, dir)?;
+        export_logs(&events, &sim.series, dir)?;
     }
-
-    if let Some(plan) = fault_plan {
-        // Degraded-collection path: corrupt the streams leaving the
-        // simulator, then re-enter through the ingestion layer like any
-        // external data would.
+    // Pristine or corrupted, the streams enter through the ingestion layer
+    // like any external data would.
+    if let Some(plan) = &fault_plan {
         let classes: Vec<&str> = plan.enabled().iter().map(|c| c.name()).collect();
         eprintln!(
             "injecting faults [{}] with seed {}",
             classes.join(", "),
             plan.seed
         );
-        let logs = plan.inject_logs(&run.sim.logs);
-        let series = plan.inject_series(&run.sim.series);
-        let events = grade10::engines::bridge::to_raw_events(&logs);
-        let monitoring = grade10::engines::bridge::to_raw_series(&series, 8);
-        let cfg = characterization_config(flags, 10)?;
-        if flags.contains_key("--partial") {
-            return supervised(
-                &run.model,
-                &run.rules_tuned,
-                &events,
-                &monitoring,
-                &cfg,
-                flags,
-                &spec.name(),
-            );
-        }
-        let profiler = SelfProfiler::from_flags(flags);
-        let input = ingest(&run.model, &events, &monitoring, &cfg.ingest)
-            .map_err(|e| ingest_error(&e))?;
-        let result = characterize_ingested(&run.model, &run.rules_tuned, &input, &cfg);
-        print_characterization(&run.model, &input.trace, &result, flags.contains_key("--gantt"));
-        profiler.finish(flags)?;
-        if let Some(path) = flags.get("--html") {
-            write_html(&run.model, &input.trace, &result, &spec.name(), path)?;
-        }
-        return Ok(RunStatus::Clean);
+        (events, monitoring) = collected_streams(&sim, Some(plan));
     }
-
-    if flags.contains_key("--partial") {
-        // Supervised run over the pristine streams: same entry point as the
-        // degraded path, so incidents/coverage always have the same shape.
-        let events = grade10::engines::bridge::to_raw_events(&run.sim.logs);
-        let monitoring = grade10::engines::bridge::to_raw_series(&run.sim.series, 8);
-        let cfg = characterization_config(flags, 10)?;
-        return supervised(
-            &run.model,
-            &run.rules_tuned,
-            &events,
-            &monitoring,
-            &cfg,
-            flags,
-            &spec.name(),
-        );
-    }
-
-    let resources = run.resource_trace(8);
-    let profiler = SelfProfiler::from_flags(flags);
-    // Shared flag handling even on the pristine path, so `--threads` reaches
-    // the upsampling fan-out and a bad value errors regardless of which
-    // branch a command takes.
+    drop(sim);
     let cfg = characterization_config(flags, 10)?;
-    let result = characterize(&run.model, &run.rules_tuned, &run.trace, &resources, &cfg);
-    print_characterization(&run.model, &run.trace, &result, flags.contains_key("--gantt"));
-    profiler.finish(flags)?;
-    if let Some(path) = flags.get("--html") {
-        write_html(&run.model, &run.trace, &result, &spec.name(), path)?;
-    }
-    Ok(RunStatus::Clean)
+    characterize_and_report(&model, &rules_tuned, &events, &monitoring, &cfg, flags, &spec.name())
 }
 
 /// Runs (or resumes) a screening campaign from a declarative spec file.
@@ -700,7 +649,13 @@ fn run_mix(
     let (events, monitoring) = match cache.and_then(|c| c.lookup_streams(&key)) {
         Some(streams) => streams,
         None => {
-            let streams = collect_streams(mix, &spec)?;
+            // The fault seed is the mix seed: the damage is part of the
+            // mix's identity, deterministic across retries and resumes.
+            let plan = match mix.fault.as_str() {
+                "none" => None,
+                fault => Some(parse_fault_classes(fault, mix.seed).map_err(bad)?),
+            };
+            let streams = collected_streams(&run_workload(&spec).sim, plan.as_ref());
             if let Some(c) = cache {
                 c.store_streams(&key, &streams.0, &streams.1);
             }
@@ -708,87 +663,51 @@ fn run_mix(
         }
     };
     let expert = spec.engine.expert_input();
-    let mut cfg = CharacterizationConfig {
-        profile: grade10::core::attribution::ProfileConfig {
-            slice: 10 * MILLIS,
-            estimate_missing: attempt.mode != MixMode::Strict,
-            threads: inner_threads,
-            ..Default::default()
-        },
-        ingest: IngestConfig {
-            mode: if attempt.mode == MixMode::Strict {
-                IngestMode::Strict
-            } else {
-                IngestMode::Lenient
-            },
-        },
-        ..Default::default()
-    };
-    cfg.supervise.threads = inner_threads;
-    let (characterization, incidents, degraded) = match attempt.mode {
-        MixMode::Strict | MixMode::Lenient => {
-            let c = grade10::core::pipeline::characterize_events(
-                &expert.model,
-                &expert.rules_tuned,
-                &events,
-                &monitoring,
-                &cfg,
-            )?;
-            (c, 0, false)
-        }
-        MixMode::Partial => {
-            let p = characterize_events_supervised(
-                &expert.model,
-                &expert.rules_tuned,
-                &events,
-                &monitoring,
-                &cfg,
-            )?;
-            let degraded = !p.is_complete();
-            (p.characterization, p.incidents.len() as u32, degraded)
-        }
-    };
+    let supervise = grade10::core::supervise::SuperviseConfig::default();
+    let cfg = pipeline_config(attempt.mode != MixMode::Strict, 10, inner_threads, supervise);
+    let p = characterize_events_under(
+        attempt.mode == MixMode::Partial,
+        &expert.model,
+        &expert.rules_tuned,
+        &events,
+        &monitoring,
+        &cfg,
+    )?;
     Ok(MixOutcome {
         mix: mix.clone(),
         hash: 0,
-        makespan_ns: characterization.base_makespan,
-        classes: characterization.issue_classes(&expert.model),
-        incidents,
-        degraded,
+        makespan_ns: p.characterization.base_makespan,
+        classes: p.characterization.issue_classes(&expert.model),
+        incidents: p.incidents.len() as u32,
+        degraded: !p.is_complete(),
         attempts: 0,
         mode: String::new(),
     })
 }
 
-/// Simulates one mix's workload and returns what its collectors shipped:
-/// the bridged event stream and monitoring series, with the mix's fault
-/// plan applied to the simulator's logs first.
-fn collect_streams(
-    mix: &MixSpec,
-    spec: &WorkloadSpec,
-) -> Result<(Vec<grade10::core::parse::RawEvent>, Vec<RawSeries>), grade10::core::Grade10Error> {
-    use grade10::core::Grade10Error;
+/// What a run's collectors shipped: the bridged event stream and
+/// monitoring series, with `plan`'s faults applied to the simulator's
+/// output first.
+fn collected_streams(
+    sim: &grade10::cluster::SimOutput,
+    plan: Option<&FaultPlan>,
+) -> (Vec<grade10::core::parse::RawEvent>, Vec<RawSeries>) {
     use grade10::engines::bridge::{to_raw_events, to_raw_series};
-    let run = run_workload(spec);
-    if mix.fault == "none" {
-        return Ok((
-            to_raw_events(&run.sim.logs),
-            to_raw_series(&run.sim.series, 8),
-        ));
+    match plan {
+        None => (to_raw_events(&sim.logs), to_raw_series(&sim.series, 8)),
+        Some(plan) => (
+            to_raw_events(&plan.inject_logs(&sim.logs)),
+            to_raw_series(&plan.inject_series(&sim.series), 8),
+        ),
     }
-    // The fault seed is the mix seed: the damage is part of the mix's
-    // identity, deterministic across retries and resumes.
-    let plan = parse_fault_classes(&mix.fault, mix.seed).map_err(Grade10Error::Serialization)?;
-    Ok((
-        to_raw_events(&plan.inject_logs(&run.sim.logs)),
-        to_raw_series(&plan.inject_series(&run.sim.series), 8),
-    ))
 }
 
-/// Runs the supervised pipeline over raw collected streams, prints the
-/// characterization plus the incidents and coverage tables, and maps the
-/// outcome to an exit status: `Partial` when any incident was recorded.
-fn supervised(
+/// The one call every command makes: runs the lifecycle over raw collected
+/// streams — supervised under `--partial`, inline otherwise — and prints the
+/// characterization, under `--partial` followed by the incidents and
+/// coverage tables. Maps the outcome to an exit status: `Partial` when any
+/// incident was recorded.
+fn characterize_and_report(
     model: &grade10::core::model::ExecutionModel,
     rules: &grade10::core::model::RuleSet,
     events: &[grade10::core::parse::RawEvent],
@@ -797,19 +716,43 @@ fn supervised(
     flags: &HashMap<String, String>,
     title: &str,
 ) -> Result<RunStatus, String> {
-    let profiler = SelfProfiler::from_flags(flags);
-    let p = characterize_events_supervised(model, rules, events, monitoring, cfg)
+    let partial = flags.contains_key("--partial");
+    // Under `--self-profile` the pipeline's own execution is recorded...
+    let recording = flags.contains_key("--self-profile").then(obs::start);
+    let p = characterize_events_under(partial, model, rules, events, monitoring, cfg)
         .map_err(|e| ingest_error(&e))?;
+    eprintln!(
+        "analyzed {title} ({} phase instances, {} events)",
+        p.trace.instances().len(),
+        events.len()
+    );
     print_characterization(
         model,
         &p.trace,
         &p.characterization,
         flags.contains_key("--gantt"),
     );
-    print_supervision(&p);
-    profiler.finish(flags)?;
+    if partial {
+        print_supervision(&p);
+    }
+    // ...and characterized once the normal report is out.
+    if let Some(recording) = recording {
+        let meta = characterize_meta(&recording.finish())
+            .map_err(|e| format!("self-characterization failed: {e}"))?;
+        print_self_profile(&meta);
+        if let Some(dir) = flags.get("--self-export") {
+            export_self_trace(&meta, dir)?;
+        }
+    }
     if let Some(path) = flags.get("--html") {
-        write_html(model, &p.trace, &p.characterization, title, path)?;
+        let config = HtmlConfig {
+            title: format!("Grade10: {title}"),
+            ..Default::default()
+        };
+        let html = render_html_report(model, &p.trace, &p.characterization, &config);
+        atomic_write(std::path::Path::new(path), html.as_bytes())
+            .map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
     Ok(if p.is_complete() {
         RunStatus::Clean
@@ -860,8 +803,20 @@ fn characterization_config(
                 .ok_or_else(|| format!("bad thread count '{s}'"))
         })
         .transpose()?;
+    Ok(pipeline_config(lenient, slice_ms, threads, supervise))
+}
+
+/// The pipeline config of a run: lenient ingestion comes with demand-based
+/// estimation of slices whose monitoring was lost, and `threads` pins both
+/// worker pools (the upsampling fan-out and the supervised units).
+fn pipeline_config(
+    lenient: bool,
+    slice_ms: u64,
+    threads: Option<usize>,
+    mut supervise: grade10::core::supervise::SuperviseConfig,
+) -> CharacterizationConfig {
     supervise.threads = threads;
-    Ok(CharacterizationConfig {
+    CharacterizationConfig {
         profile: grade10::core::attribution::ProfileConfig {
             slice: slice_ms * MILLIS,
             estimate_missing: lenient,
@@ -877,7 +832,7 @@ fn characterization_config(
         },
         supervise,
         ..Default::default()
-    })
+    }
 }
 
 /// Renders a strict-mode ingestion failure with a pointer to `--lenient`
@@ -939,29 +894,6 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
     }
 }
 
-/// Writes the characterization as a standalone HTML report.
-fn write_html(
-    model: &grade10::core::model::ExecutionModel,
-    trace: &ExecutionTrace,
-    result: &grade10::core::pipeline::Characterization,
-    title: &str,
-    path: &str,
-) -> Result<(), String> {
-    let html = render_html_report(
-        model,
-        trace,
-        result,
-        &HtmlConfig {
-            title: format!("Grade10: {title}"),
-            ..Default::default()
-        },
-    );
-    atomic_write(std::path::Path::new(path), html.as_bytes())
-        .map_err(|e| format!("write {path}: {e}"))?;
-    eprintln!("wrote {path}");
-    Ok(())
-}
-
 /// Runs a GraphX-flavored job on the Spark-like dataflow engine (§V).
 fn demo_spark(
     dataset: Dataset,
@@ -991,32 +923,32 @@ fn demo_spark(
     let (model, phases) = dataflow_model();
     let rules = dataflow_rules_tuned(&phases, cfg.cores);
     let events = grade10::engines::bridge::to_raw_events(&out.logs);
-    let trace = build_execution_trace(&model, &events)?;
-    let resources = grade10::engines::bridge::to_resource_trace(&out.series, 8);
-    let profiler = SelfProfiler::from_flags(flags);
-    let result = characterize(&model, &rules, &trace, &resources, &CharacterizationConfig::default());
-    print_characterization(&model, &trace, &result, flags.contains_key("--gantt"));
-    profiler.finish(flags)?;
-    Ok(RunStatus::Clean)
+    let monitoring = grade10::engines::bridge::to_raw_series(&out.series, 8);
+    let cfg = CharacterizationConfig::default();
+    let title = format!("{}-{}-spark", algorithm.name(), dataset.name());
+    characterize_and_report(&model, &rules, &events, &monitoring, &cfg, flags, &title)
 }
 
 /// Writes the run's logs and coarse monitoring in the offline-analysis
 /// formats: `events.jsonl` (raw log events) and `resources.json` (resource
 /// trace at the recommended 8x downsampling).
-fn export_logs(run: &grade10::engines::WorkloadRun, dir: &str) -> Result<(), String> {
+fn export_logs(
+    events: &[grade10::core::parse::RawEvent],
+    series: &[grade10::cluster::ResourceSeries],
+    dir: &str,
+) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
     // Both artifacts are rendered in memory and written atomically (temp
     // sibling + rename): a consumer polling the directory never sees a
     // truncated file, even if this process dies mid-export.
-    let events = grade10::engines::bridge::to_raw_events(&run.sim.logs);
     let events_path = format!("{dir}/events.jsonl");
     let mut buf = Vec::new();
-    grade10::core::parse::write_events_json(&events, &mut buf)
+    grade10::core::parse::write_events_json(events, &mut buf)
         .map_err(|e| format!("render {events_path}: {e}"))?;
     atomic_write(std::path::Path::new(&events_path), &buf)
         .map_err(|e| format!("write {events_path}: {e}"))?;
     let resources_path = format!("{dir}/resources.json");
-    let rt = run.resource_trace(8);
+    let rt = grade10::engines::bridge::to_resource_trace(series, 8);
     let json = serde_json::to_vec(&rt).map_err(|e| format!("render {resources_path}: {e}"))?;
     atomic_write(std::path::Path::new(&resources_path), &json)
         .map_err(|e| format!("write {resources_path}: {e}"))?;
@@ -1130,35 +1062,15 @@ fn analyze(flags: &HashMap<String, String>) -> Result<RunStatus, String> {
     // classified error, `--lenient` repairs it and reports the repairs.
     let monitoring = RawSeries::from_trace(&resources);
     let cfg = characterization_config(flags, slice_ms)?;
-    if flags.contains_key("--partial") {
-        return supervised(
-            &bundle.execution,
-            &bundle.rules,
-            &events,
-            &monitoring,
-            &cfg,
-            flags,
-            &bundle.framework,
-        );
-    }
-    let profiler = SelfProfiler::from_flags(flags);
-    let input = ingest(&bundle.execution, &events, &monitoring, &cfg.ingest)
-        .map_err(|e| ingest_error(&e))?;
-    let result = characterize_ingested(&bundle.execution, &bundle.rules, &input, &cfg);
-    eprintln!(
-        "analyzed {} ({} phase instances, {} events)",
-        bundle.framework,
-        input.trace.instances().len(),
-        events.len()
-    );
-    print_characterization(
+    characterize_and_report(
         &bundle.execution,
-        &input.trace,
-        &result,
-        flags.contains_key("--gantt"),
-    );
-    profiler.finish(flags)?;
-    Ok(RunStatus::Clean)
+        &bundle.rules,
+        &events,
+        &monitoring,
+        &cfg,
+        flags,
+        &bundle.framework,
+    )
 }
 
 /// Translates between the JSON-lines text formats and the binary trace
@@ -1219,38 +1131,6 @@ fn open(path: &str) -> Result<File, String> {
     File::open(path).map_err(|e| format!("open {path}: {e}"))
 }
 
-/// Records the pipeline's own execution when `--self-profile` is set.
-/// Create before the characterization runs, [`finish`](SelfProfiler::finish)
-/// after the normal report printed.
-struct SelfProfiler {
-    recording: Option<obs::Recording>,
-}
-
-impl SelfProfiler {
-    fn from_flags(flags: &HashMap<String, String>) -> Self {
-        SelfProfiler {
-            recording: flags.contains_key("--self-profile").then(obs::start),
-        }
-    }
-
-    /// Characterizes the recorded meta-trace, prints the self-profile
-    /// tables and optionally exports the meta-trace for offline analysis.
-    /// A no-op without `--self-profile`.
-    fn finish(self, flags: &HashMap<String, String>) -> Result<(), String> {
-        let Some(recording) = self.recording else {
-            return Ok(());
-        };
-        let raw = recording.finish();
-        let meta = characterize_meta(&raw)
-            .map_err(|e| format!("self-characterization failed: {e}"))?;
-        print_self_profile(&meta);
-        if let Some(dir) = flags.get("--self-export") {
-            export_self_trace(&meta, dir)?;
-        }
-        Ok(())
-    }
-}
-
 /// Prints Grade10's characterization of its own pipeline run.
 fn print_self_profile(meta: &MetaCharacterization) {
     println!("\nself-profile: the pipeline characterized by itself");
@@ -1292,13 +1172,8 @@ fn export_self_trace(meta: &MetaCharacterization, dir: &str) -> Result<(), Strin
         .map_err(|e| format!("render {events_path}: {e}"))?;
     atomic_write(std::path::Path::new(&events_path), &buf)
         .map_err(|e| format!("write {events_path}: {e}"))?;
-    let mut rt = ResourceTrace::new();
-    for s in &meta.series {
-        let idx = rt.add_resource(s.instance.clone());
-        for &m in &s.measurements {
-            rt.add_measurement(idx, m);
-        }
-    }
+    let rt = ingest_monitoring(&meta.series, &IngestConfig::default(), &mut Default::default())
+        .map_err(|e| format!("self-trace monitoring: {e}"))?;
     let resources_path = format!("{dir}/resources.json");
     let json = serde_json::to_vec(&rt).map_err(|e| format!("render {resources_path}: {e}"))?;
     atomic_write(std::path::Path::new(&resources_path), &json)

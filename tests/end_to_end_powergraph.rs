@@ -8,7 +8,7 @@ use grade10::core::issues::imbalance::{imbalance_groups, imbalance_issue};
 use grade10::core::issues::{
     detect_bottleneck_issues, detect_imbalance_issues, detect_issues, IssueConfig,
 };
-use grade10::core::replay::ReplayConfig;
+use grade10::core::replay::{Baseline, ReplayConfig};
 use grade10::core::PerformanceIssue;
 use grade10::engines::gas::{GasConfig, SyncBugConfig};
 use grade10::engines::workload::EnginePhases;
@@ -207,7 +207,14 @@ fn one_plan_sweep_equals_the_two_per_class_sweeps() {
         detect_bottleneck_issues(&run.model, &run.trace, &profile, &report, &rcfg, &icfg);
     split.extend(detect_imbalance_issues(&run.model, &run.trace, &rcfg, &icfg));
     split.sort_by(|a, b| b.reduction.total_cmp(&a.reduction));
-    let merged = detect_issues(&run.model, &run.trace, &profile, &report, &rcfg, &icfg);
+    let merged = detect_issues(
+        &run.model,
+        &run.trace,
+        &profile,
+        &report,
+        Baseline::new(&run.model, &run.trace, &rcfg),
+        &icfg,
+    );
     let key = |i: &PerformanceIssue| {
         (
             i.kind.clone(),

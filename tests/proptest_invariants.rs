@@ -17,11 +17,15 @@ use rand_chacha::ChaCha8Rng;
 use grade10::cluster::alloc::{fair_share_single, max_min_fair, Consumer};
 use grade10::cluster::{FaultClass, FaultPlan};
 use grade10::core::attribution::upsample::{upsample_measurement, waterfill};
-use grade10::core::attribution::{build_profile, ProfileConfig};
+use grade10::core::attribution::{build_profile, PerformanceProfile, ProfileConfig};
+use grade10::core::config::Parallelism;
 use grade10::core::critical_path::critical_path;
 use grade10::core::model::{AttributionRule, ExecutionModelBuilder, Repeat, RuleSet};
-use grade10::core::parse::RawEvent;
-use grade10::core::pipeline::{characterize_events, CharacterizationConfig};
+use grade10::core::parse::{RawEvent, RawEventKind};
+use grade10::core::pipeline::{
+    characterize_events, characterize_events_under, Characterization, CharacterizationConfig,
+};
+use grade10::core::supervise::{characterize_events_supervised, StageStatus};
 use grade10::core::replay::{original_durations, ReplayConfig, ReplayPlan};
 use grade10::core::report::{render_gantt, GanttConfig};
 use grade10::core::trace::repair::validate_event_stream;
@@ -458,33 +462,220 @@ fn random_scenario(
     (model, rules, trace, rt)
 }
 
+/// The §III-D laws, per resource row: upsampling conserves the measured
+/// total up to the reported overflow, consumption stays within capacity,
+/// and attribution plus the unattributed rest equals consumption in every
+/// slice. `measured[r]` is row `r`'s monitored total in unit-seconds.
+fn assert_attribution_laws(profile: &PerformanceProfile, measured: &[f64], what: &str) {
+    assert_eq!(profile.resources.len(), measured.len(), "{what}");
+    for (r, &measured) in measured.iter().enumerate() {
+        let upsampled: f64 =
+            profile.consumption[r].iter().sum::<f64>() * profile.grid.slice_secs();
+        // Conservation up to reported overflow.
+        assert!(
+            (measured - upsampled - profile.overflow[r]).abs() < 1e-6 + measured * 1e-9,
+            "{what} resource {r}: measured {measured}, upsampled {upsampled}, overflow {}",
+            profile.overflow[r]
+        );
+        // Capacity respected everywhere.
+        let capacity = profile.resources[r].capacity;
+        for &c in &profile.consumption[r] {
+            assert!(c <= capacity + 1e-9, "{what} resource {r}");
+            assert!(c >= -1e-12, "{what} resource {r}");
+        }
+        // Attribution + unattributed == consumption per slice.
+        for s in 0..profile.grid.num_slices() {
+            let attributed: f64 = profile
+                .usages
+                .iter()
+                .filter(|u| u.resource == ResourceIdx(r as u32))
+                .map(|u| u.usage_at(s))
+                .sum();
+            assert!(
+                (attributed + profile.unattributed[r][s] - profile.consumption[r][s]).abs() < 1e-6,
+                "{what} resource {r} slice {s}"
+            );
+            assert!(attributed >= -1e-9, "{what} resource {r} slice {s}");
+        }
+    }
+}
+
 #[test]
 fn attribution_pipeline_invariants_hold_for_random_inputs() {
     for case in 0..100u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5A17_A000 + case);
         let (model, rules, trace, rt) = random_scenario(&mut rng);
         let profile = build_profile(&model, &rules, &trace, &rt, &ProfileConfig::default());
-        let measured = rt.total_consumption(grade10::core::trace::ResourceIdx(0));
-        let upsampled: f64 =
-            profile.consumption[0].iter().sum::<f64>() * profile.grid.slice_secs();
-        // Conservation up to reported overflow.
-        assert!(
-            (measured - upsampled - profile.overflow[0]).abs() < 1e-6 + measured * 1e-9,
-            "case {case}"
-        );
-        // Capacity respected everywhere.
-        for &c in &profile.consumption[0] {
-            assert!(c <= 4.0 + 1e-9, "case {case}");
-            assert!(c >= -1e-12, "case {case}");
+        let measured = rt.total_consumption(ResourceIdx(0));
+        assert_attribution_laws(&profile, &[measured], &format!("case {case}"));
+    }
+}
+
+// ---------- core: the lifecycle's two executor policies ----------
+
+/// A random clean run as its collectors would ship it: `machines` machines,
+/// each running a few parallel `p` phases under one shared `job` root and
+/// monitored by one CPU series. The event stream satisfies the strict
+/// contract (time order; parents open first and close last).
+fn random_streams(
+    rng: &mut ChaCha8Rng,
+    machines: u16,
+) -> (ExecutionModel, RuleSet, Vec<RawEvent>, Vec<RawSeries>) {
+    let mut b = ExecutionModelBuilder::new("job");
+    let root = b.root();
+    let ty = b.child(root, "p", Repeat::Parallel);
+    let model = b.build();
+    let rule = match rng.gen_range(0..3u32) {
+        0 => AttributionRule::None,
+        1 => AttributionRule::Exact(rng.gen_range(1..=10u32) as f64 / 10.0),
+        _ => AttributionRule::Variable(rng.gen_range(1..6u32) as f64),
+    };
+    let rules = RuleSet::new().with_default(AttributionRule::None).rule(ty, "cpu", rule);
+
+    // (time, ends-after-starts, depth order, event)
+    let mut keyed: Vec<(u64, u8, i32, RawEvent)> = Vec::new();
+    let mut phase = |path: Vec<(String, u32)>, start: u64, end: u64, machine: u16, thread: u16| {
+        let depth = path.len() as i32;
+        let ev = |time, kind| RawEvent { time, machine, thread, kind };
+        keyed.push((start, 0, depth, ev(start, RawEventKind::PhaseStart { path: path.clone() })));
+        keyed.push((end, 1, -depth, ev(end, RawEventKind::PhaseEnd { path })));
+    };
+    let mut job_end = 1u64;
+    let mut key = 0u32;
+    for machine in 0..machines {
+        for thread in 0..rng.gen_range(1..4u16) {
+            let start = rng.gen_range(0..20u64) * 10 * MILLIS;
+            let end = start + rng.gen_range(1..20u64) * 10 * MILLIS;
+            job_end = job_end.max(end);
+            let path = vec![("job".to_string(), 0), ("p".to_string(), key)];
+            phase(path, start, end, machine, thread);
+            key += 1;
         }
-        // Attribution + unattributed == consumption per slice.
-        for s in 0..profile.grid.num_slices() {
-            let attributed: f64 = profile.usages.iter().map(|u| u.usage_at(s)).sum();
+    }
+    phase(vec![("job".to_string(), 0)], 0, job_end, 0, 0);
+    keyed.sort_by_key(|&(time, ends, depth, _)| (time, ends, depth));
+    let events = keyed.into_iter().map(|(.., ev)| ev).collect();
+
+    let monitoring = (0..machines)
+        .map(|machine| RawSeries {
+            instance: ResourceInstance {
+                kind: "cpu".into(),
+                machine: Some(machine),
+                capacity: 4.0,
+            },
+            measurements: vec_f64(rng, 0.0, 5.0, 1, 9)
+                .into_iter()
+                .enumerate()
+                .map(|(i, avg)| Measurement {
+                    start: i as u64 * 20 * MILLIS,
+                    end: (i as u64 + 1) * 20 * MILLIS,
+                    avg,
+                })
+                .collect(),
+        })
+        .collect();
+    (model, rules, events, monitoring)
+}
+
+/// Everything a characterization holds, with the usage rows — whose order
+/// is the one thing per-machine units change — sorted.
+fn dump_characterization(c: &Characterization) -> String {
+    let p = &c.profile;
+    let mut usages: Vec<String> = p.usages.iter().map(|u| format!("{u:?}")).collect();
+    usages.sort();
+    format!(
+        "slices={} resources={:?}\nconsumption={:?}\ndemand_exact={:?}\ndemand_variable={:?}\n\
+         unattributed={:?}\noverflow={:?}\nestimated={:?}\nissues={:?}\nmakespan={}\n\
+         ingest={:?}\nusages={usages:#?}",
+        p.grid.num_slices(),
+        p.resources,
+        p.consumption,
+        p.demand_exact,
+        p.demand_variable,
+        p.unattributed,
+        p.overflow,
+        p.estimated,
+        c.issues,
+        c.base_makespan,
+        c.ingest,
+    )
+}
+
+/// Policy invariance: on clean streams — strict and lenient, 1/2/4
+/// machines — the supervised policy at pool widths 1 and 2 returns the same
+/// grids, issues, makespan and ingest report as the inline policy and the
+/// same usage rows as a set, with nothing in its ledgers; and the §III-D
+/// laws hold on what it returns.
+#[test]
+fn supervised_policy_matches_inline_policy_on_clean_streams() {
+    for case in 0..60u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5A17_A800 + case);
+        let machines = [1u16, 2, 4][(case % 3) as usize];
+        let (model, rules, events, monitoring) = random_streams(&mut rng, machines);
+        let mut cfg = CharacterizationConfig::default();
+        if case % 2 == 1 {
+            cfg.ingest = IngestConfig::lenient();
+        }
+        let what = format!("case {case} ({machines} machines, {:?})", cfg.ingest.mode);
+        let inline = characterize_events(&model, &rules, &events, &monitoring, &cfg)
+            .unwrap_or_else(|e| panic!("{what}: inline: {e}"));
+        let measured: Vec<f64> = monitoring
+            .iter()
+            .map(|s| s.measurements.iter().map(|m| m.avg * (m.end - m.start) as f64 / 1e9).sum())
+            .collect();
+        assert_attribution_laws(&inline.profile, &measured, &what);
+        for width in [1usize, 2] {
+            // Force the pool on, so width 2 genuinely runs units concurrently.
+            cfg.supervise.parallelism = Parallelism::Always;
+            cfg.supervise.threads = Some(width);
+            let p = characterize_events_supervised(&model, &rules, &events, &monitoring, &cfg)
+                .unwrap_or_else(|e| panic!("{what}: supervised width {width}: {e}"));
+            assert!(p.is_complete(), "{what} width {width}: {:?}", p.incidents);
             assert!(
-                (attributed + profile.unattributed[0][s] - profile.consumption[0][s]).abs() < 1e-6,
-                "case {case}"
+                p.coverage.stages.iter().all(|s| s.status == StageStatus::Full),
+                "{what} width {width}: {:?}",
+                p.coverage
             );
-            assert!(attributed >= -1e-9, "case {case}");
+            assert_eq!(p.coverage.machines.len(), machines as usize, "{what} width {width}");
+            assert_eq!(
+                dump_characterization(&p.characterization),
+                dump_characterization(&inline),
+                "{what} width {width}"
+            );
+            assert_attribution_laws(&p.characterization.profile, &measured, &what);
+        }
+    }
+}
+
+/// Incidents and coverage are the supervised policy's ledgers: the inline
+/// policy repairs damaged input leniently like the supervised one does, but
+/// records no incident (quarantined monitoring windows included) and splits
+/// nothing by machine.
+#[test]
+fn inline_policy_keeps_no_incident_log_on_damaged_input() {
+    let run = fault_run();
+    let mut cfg = CharacterizationConfig {
+        ingest: IngestConfig::lenient(),
+        ..CharacterizationConfig::default()
+    };
+    cfg.profile.estimate_missing = true;
+    for seed in 1..=4u64 {
+        let mut plan = FaultPlan::all(seed);
+        plan.enable(FaultClass::TimestampBomb);
+        let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
+        let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+        let inline =
+            characterize_events_under(false, &run.model, &run.rules_tuned, &events, &monitoring, &cfg)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert!(!inline.characterization.ingest.is_clean(), "seed {seed}: nothing was damaged");
+        assert!(inline.is_complete(), "seed {seed}: {:?}", inline.incidents);
+        assert!(inline.coverage.machines.is_empty(), "seed {seed}");
+        assert!(inline.coverage.stages.iter().all(|s| s.status == StageStatus::Full));
+        let supervised =
+            characterize_events_supervised(&run.model, &run.rules_tuned, &events, &monitoring, &cfg)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        if inline.characterization.ingest.monitoring_quarantined > 0 {
+            assert!(!supervised.is_complete(), "seed {seed}: quarantine must be an incident");
         }
     }
 }
