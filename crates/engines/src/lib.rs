@@ -42,5 +42,6 @@ pub mod pregel;
 pub mod workload;
 
 pub use workload::{
-    run_workload, Algorithm, Dataset, EngineKind, ExpertInput, WorkloadRun, WorkloadSpec,
+    run_workload, simulate_workload, Algorithm, Dataset, EngineKind, ExpertInput, SimulatedRun,
+    WorkloadRun, WorkloadSpec,
 };

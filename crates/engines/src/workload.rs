@@ -5,7 +5,9 @@
 //! names one cell of that matrix; [`run_workload`] generates the graph,
 //! runs the real algorithm to obtain its work profile, executes the profile
 //! on the corresponding simulated engine, and parses the logs into Grade10
-//! inputs, returning everything an experiment needs.
+//! inputs, returning everything an experiment needs. [`simulate_workload`]
+//! stops before the parsing, for callers that hand the logs on as
+//! collected streams.
 
 use grade10_cluster::{ResourceSeries, SimOutput};
 use grade10_core::attribution::{build_profile, PerformanceProfile, ProfileConfig, UpsampleMode};
@@ -29,14 +31,12 @@ use crate::pregel::{run_pregel, PregelConfig};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dataset {
     /// Graph500-like R-MAT graph: `2^scale` vertices.
-    /// Graph500-like R-MAT graph: `2^scale` vertices.
     Rmat {
         /// log2 of the vertex count.
         scale: u32,
         /// Generator seed.
         seed: u64,
     },
-    /// Datagen-like social network.
     /// Datagen-like social network.
     Social {
         /// Vertex count.
@@ -289,23 +289,54 @@ impl WorkloadRun {
     }
 }
 
-/// Runs one workload end to end.
-pub fn run_workload(spec: &WorkloadSpec) -> WorkloadRun {
+/// What the simulated system produced for one workload, before Grade10
+/// parses any of it.
+pub struct SimulatedRun {
+    /// Raw simulator output (logs, ground-truth utilization, stats).
+    pub sim: SimOutput,
+    /// Sync-bug injections (PowerGraph with the bug enabled only).
+    pub injected_bugs: Vec<InjectedBug>,
+    /// The algorithm's work profile (for workload-level statistics).
+    pub work: WorkProfile,
+}
+
+/// Generates the graph, partitions it, runs the algorithm and simulates
+/// the engine: all of [`run_workload`] except parsing the logs into an
+/// execution trace, which a caller that ships the logs on as collected
+/// streams does not need.
+pub fn simulate_workload(spec: &WorkloadSpec) -> SimulatedRun {
     let graph = spec.dataset.generate();
-    let (work, sim, injected_bugs) = match &spec.engine {
+    match &spec.engine {
         EngineKind::Giraph(cfg) => {
             let part = EdgeCutPartition::hash(&graph, cfg.num_parts());
             let work = spec.algorithm.run(&graph, &part);
             let sim = run_pregel(&work, graph.num_vertices(), graph.num_edges(), cfg);
-            (work, sim, Vec::new())
+            SimulatedRun {
+                sim,
+                injected_bugs: Vec::new(),
+                work,
+            }
         }
         EngineKind::PowerGraph(cfg) => {
             let part = VertexCutPartition::greedy(&graph, cfg.num_parts());
             let work = spec.algorithm.run(&graph, &part);
             let run = run_gas(&work, graph.num_edges(), cfg);
-            (work, run.sim, run.injected_bugs)
+            SimulatedRun {
+                sim: run.sim,
+                injected_bugs: run.injected_bugs,
+                work,
+            }
         }
-    };
+    }
+}
+
+/// Runs one workload end to end.
+pub fn run_workload(spec: &WorkloadSpec) -> WorkloadRun {
+    let SimulatedRun {
+        sim,
+        injected_bugs,
+        work,
+    } = simulate_workload(spec);
     let ExpertInput {
         model,
         phases,

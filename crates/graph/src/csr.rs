@@ -28,31 +28,66 @@ impl CsrGraph {
     /// `num_vertices` must be at least `max vertex id + 1`; passing a larger
     /// value creates isolated vertices, which is valid.
     pub fn from_edges(num_vertices: usize, edges: &[Edge]) -> Self {
-        let mut degrees = vec![0u64; num_vertices];
-        for &(src, dst) in edges {
+        Self::from_buckets(num_vertices, edges, Transforms::default())
+    }
+
+    /// Counting sort of `edges` into per-source buckets: count each kept
+    /// edge's source (and, under `symmetric`, its target), scatter the
+    /// targets into their buckets, then sort (and under `dedup`, dedup and
+    /// compact) each bucket. Equal to sorting and deduplicating the whole
+    /// transformed edge list first, without materializing or sorting it.
+    fn from_buckets(num_vertices: usize, edges: &[Edge], transforms: Transforms) -> Self {
+        let kept = || {
+            edges
+                .iter()
+                .copied()
+                .filter(move |&(s, t)| !(transforms.drop_self_loops && s == t))
+        };
+        let mut offsets = vec![0u64; num_vertices + 1];
+        for (src, dst) in kept() {
             assert!(
                 (src as usize) < num_vertices && (dst as usize) < num_vertices,
                 "edge ({src}, {dst}) out of range for {num_vertices} vertices"
             );
-            degrees[src as usize] += 1;
+            offsets[src as usize + 1] += 1;
+            if transforms.symmetric {
+                offsets[dst as usize + 1] += 1;
+            }
         }
-        let mut offsets = vec![0u64; num_vertices + 1];
         for v in 0..num_vertices {
-            offsets[v + 1] = offsets[v] + degrees[v];
+            offsets[v + 1] += offsets[v];
         }
-        let mut targets = vec![0 as VertexId; edges.len()];
+        let mut targets = vec![0 as VertexId; offsets[num_vertices] as usize];
         let mut cursor = offsets.clone();
-        for &(src, dst) in edges {
-            let slot = cursor[src as usize];
-            targets[slot as usize] = dst;
+        let mut place = |src: VertexId, dst: VertexId| {
+            targets[cursor[src as usize] as usize] = dst;
             cursor[src as usize] += 1;
+        };
+        for (src, dst) in kept() {
+            place(src, dst);
+            if transforms.symmetric {
+                place(dst, src);
+            }
         }
         // Sorted adjacency makes neighbor scans cache-friendly and output
-        // deterministic regardless of the input edge order.
+        // deterministic regardless of the input edge order. Buckets only
+        // shrink, so each one compacts leftwards over freed slots.
+        let mut end = 0usize;
         for v in 0..num_vertices {
             let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
             targets[lo..hi].sort_unstable();
+            let start = end;
+            for i in lo..hi {
+                let t = targets[i];
+                if !(transforms.dedup && end > start && targets[end - 1] == t) {
+                    targets[end] = t;
+                    end += 1;
+                }
+            }
+            offsets[v] = start as u64;
         }
+        offsets[num_vertices] = end as u64;
+        targets.truncate(end);
         CsrGraph {
             offsets,
             targets,
@@ -178,6 +213,12 @@ impl CsrGraph {
 pub struct GraphBuilder {
     edges: Vec<Edge>,
     num_vertices: usize,
+    transforms: Transforms,
+}
+
+/// The transforms a build applies to the staged edge list.
+#[derive(Default, Clone, Copy, Debug)]
+struct Transforms {
     dedup: bool,
     symmetric: bool,
     drop_self_loops: bool,
@@ -194,19 +235,19 @@ impl GraphBuilder {
 
     /// Removes duplicate edges when building.
     pub fn dedup(mut self) -> Self {
-        self.dedup = true;
+        self.transforms.dedup = true;
         self
     }
 
     /// Adds the reverse of every edge when building (undirected semantics).
     pub fn symmetric(mut self) -> Self {
-        self.symmetric = true;
+        self.transforms.symmetric = true;
         self
     }
 
     /// Removes self-loops when building.
     pub fn drop_self_loops(mut self) -> Self {
-        self.drop_self_loops = true;
+        self.transforms.drop_self_loops = true;
         self
     }
 
@@ -226,19 +267,8 @@ impl GraphBuilder {
     }
 
     /// Freezes into a CSR graph, applying the configured transforms.
-    pub fn build(mut self) -> CsrGraph {
-        if self.drop_self_loops {
-            self.edges.retain(|&(s, t)| s != t);
-        }
-        if self.symmetric {
-            let rev: Vec<Edge> = self.edges.iter().map(|&(s, t)| (t, s)).collect();
-            self.edges.extend(rev);
-        }
-        if self.dedup {
-            self.edges.sort_unstable();
-            self.edges.dedup();
-        }
-        CsrGraph::from_edges(self.num_vertices, &self.edges)
+    pub fn build(self) -> CsrGraph {
+        CsrGraph::from_buckets(self.num_vertices, &self.edges, self.transforms)
     }
 
     /// Freezes into a CSR graph with its transpose.
@@ -338,5 +368,97 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         CsrGraph::from_edges(2, &[(0, 5)]);
+    }
+
+    /// The body `GraphBuilder::build` replaced: transform the whole edge
+    /// list, sort and dedup it globally, then group it by source (which is
+    /// what `from_edges` made of it). Kept as the oracle the bucketed build
+    /// must match; returns the CSR offsets and targets.
+    fn build_by_global_sort(
+        num_vertices: usize,
+        mut edges: Vec<Edge>,
+        transforms: Transforms,
+    ) -> (Vec<u64>, Vec<VertexId>) {
+        if transforms.drop_self_loops {
+            edges.retain(|&(s, t)| s != t);
+        }
+        if transforms.symmetric {
+            let rev: Vec<Edge> = edges.iter().map(|&(s, t)| (t, s)).collect();
+            edges.extend(rev);
+        }
+        if transforms.dedup {
+            edges.sort_unstable();
+            edges.dedup();
+        }
+        for &(s, t) in &edges {
+            assert!(
+                (s as usize) < num_vertices && (t as usize) < num_vertices,
+                "edge ({s}, {t}) out of range for {num_vertices} vertices"
+            );
+        }
+        edges.sort_unstable();
+        let mut offsets = vec![0u64; num_vertices + 1];
+        for &(s, _) in &edges {
+            offsets[s as usize + 1] += 1;
+        }
+        for v in 0..num_vertices {
+            offsets[v + 1] += offsets[v];
+        }
+        (offsets, edges.into_iter().map(|(_, t)| t).collect())
+    }
+
+    fn transforms_of(mask: u8) -> Transforms {
+        Transforms {
+            dedup: mask & 1 != 0,
+            symmetric: mask & 2 != 0,
+            drop_self_loops: mask & 4 != 0,
+        }
+    }
+
+    fn builder_of(num_vertices: usize, edges: &[Edge], transforms: Transforms) -> GraphBuilder {
+        let mut b = GraphBuilder::new(num_vertices);
+        b.transforms = transforms;
+        b.extend(edges.iter().copied());
+        b
+    }
+
+    #[test]
+    fn bucketed_build_matches_global_sort_oracle() {
+        use rand::{Rng, SeedableRng};
+        for case in 0..60u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xB0C4_0000 + case);
+            let n = rng.gen_range(1..40usize);
+            // Few vertices and many samples: duplicates and self-loops abound.
+            let vertex = |rng: &mut rand_chacha::ChaCha8Rng| rng.gen_range(0..n) as VertexId;
+            let edges: Vec<Edge> = (0..rng.gen_range(0..200usize))
+                .map(|_| (vertex(&mut rng), vertex(&mut rng)))
+                .collect();
+            for mask in 0..8u8 {
+                let g = builder_of(n, &edges, transforms_of(mask)).build();
+                let (offsets, targets) = build_by_global_sort(n, edges.clone(), transforms_of(mask));
+                assert_eq!(g.offsets, offsets, "case {case}, mask {mask:03b}");
+                assert_eq!(g.targets, targets, "case {case}, mask {mask:03b}");
+            }
+        }
+    }
+
+    #[test]
+    fn bucketed_build_panics_on_out_of_range_edges_like_the_oracle() {
+        for mask in 0..8u8 {
+            let edges = [(0, 1), (1, 7), (2, 2)];
+            let new = std::panic::catch_unwind(|| builder_of(3, &edges, transforms_of(mask)).build());
+            let old = std::panic::catch_unwind(|| {
+                build_by_global_sort(3, edges.to_vec(), transforms_of(mask))
+            });
+            assert!(new.is_err() && old.is_err(), "mask {mask:03b}");
+            // An out-of-range self-loop is dropped before it is checked.
+            let edges = [(0, 1), (9, 9)];
+            let new = std::panic::catch_unwind(|| builder_of(3, &edges, transforms_of(mask)).build());
+            let old = std::panic::catch_unwind(|| {
+                build_by_global_sort(3, edges.to_vec(), transforms_of(mask))
+            });
+            assert_eq!(new.is_err(), old.is_err(), "mask {mask:03b}");
+            assert_eq!(new.is_err(), mask & 4 == 0, "mask {mask:03b}");
+        }
     }
 }
