@@ -25,6 +25,37 @@ machines = [2]
 seeds = [46, 47]
 "#;
 
+/// A 16-mix spec over four input graphs: 2 datasets × 2 seeds, each run by
+/// 2 algorithms on 2 engines.
+const GRAPHS_SPEC: &str = r#"
+name = "graph-reuse"
+algorithms = ["pr", "bfs"]
+datasets = ["rmat:6", "social:500"]
+engines = ["giraph", "powergraph"]
+machines = [2]
+seeds = [46, 47]
+"#;
+
+/// Diffs `actual` against the checked-in golden, or re-blesses it when
+/// `UPDATE_GOLDENS=1` is set.
+fn check_golden(name: &str, actual: &[u8]) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(name);
+    if std::env::var("UPDATE_GOLDENS").ok().as_deref() == Some("1") {
+        std::fs::write(&path, actual).expect("bless golden");
+        return;
+    }
+    let expected = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1"));
+    assert!(
+        expected == actual,
+        "campaign report drifted from golden {name}\n--- expected ---\n{}\n--- actual ---\n{}",
+        String::from_utf8_lossy(&expected),
+        String::from_utf8_lossy(actual)
+    );
+}
+
 fn write_spec(dir: &Path) -> PathBuf {
     std::fs::create_dir_all(dir).expect("spec dir");
     let path = dir.join("spec.toml");
@@ -448,6 +479,57 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
         "spec missing a required axis is fatal: {}",
         String::from_utf8_lossy(&bad.stderr)
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The reports of a campaign whose mixes share input graphs are pinned,
+/// and every way of running it — one or two claimant threads, two worker
+/// processes, no stage cache — reproduces them byte for byte. A graph
+/// reused under the wrong identity (say, the dataset without its seed)
+/// changes a makespan and fails here.
+#[test]
+fn campaign_over_shared_graphs_matches_its_golden_at_any_width() {
+    let root = tmp("graphs");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("root");
+    let spec = root.join("spec.toml");
+    std::fs::write(&spec, GRAPHS_SPEC).expect("write spec");
+    let variants: [(&str, &[&str]); 4] = [
+        ("t1", &["--threads", "1"]),
+        ("t2", &["--threads", "2"]),
+        ("w2", &["--threads", "1", "--workers", "2"]),
+        ("nocache", &["--threads", "1", "--no-cache"]),
+    ];
+    let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
+    for (name, args) in variants {
+        let dir = root.join(name);
+        let out = grade10()
+            .args(["campaign", "--spec"])
+            .arg(&spec)
+            .arg("--dir")
+            .arg(&dir)
+            .args(args)
+            .output()
+            .expect("run grade10 campaign");
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let txt = std::fs::read(dir.join("report.txt")).expect("report.txt");
+        let json = std::fs::read(dir.join("report.json")).expect("report.json");
+        match &reference {
+            None => {
+                check_golden("campaign_graph_reuse_report.txt", &txt);
+                check_golden("campaign_graph_reuse_report.json", &json);
+                reference = Some((txt, json));
+            }
+            Some((want_txt, want_json)) => {
+                assert!(&txt == want_txt, "{name}: report.txt differs from --threads 1");
+                assert!(&json == want_json, "{name}: report.json differs from --threads 1");
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

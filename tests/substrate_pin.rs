@@ -7,6 +7,8 @@
 //! FNV-1a and compares it with a committed golden, so an optimization of
 //! the substrate must reproduce it byte for byte:
 //!
+//! * R-MAT's raw sample stream (`generate_edges`, before any dedup or
+//!   sorting, in draw order), which the CSR pin cannot see reordered;
 //! * the CSR adjacency (`neighbors` and `in_neighbors` of every vertex) of
 //!   R-MAT and social graphs;
 //! * `VertexCutPartition::greedy`'s owner of every edge at 1, 3, 32 and 64
@@ -27,6 +29,7 @@ use grade10::engines::bridge::to_raw_events;
 use grade10::engines::gas::GasConfig;
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
+use grade10::graph::generators::rmat::RmatConfig;
 use grade10::graph::partition::VertexCutPartition;
 use grade10::graph::CsrGraph;
 
@@ -87,6 +90,44 @@ fn adjacency_hash<'a>(g: &'a CsrGraph, adj: impl Fn(u32) -> &'a [u32]) -> u64 {
         }
     }
     h
+}
+
+#[test]
+fn rmat_sample_stream_is_pinned() {
+    let mut configs: Vec<RmatConfig> = [10, 12]
+        .into_iter()
+        .flat_map(|scale| [46, 47].map(|seed| RmatConfig::graph500(scale, seed)))
+        .collect();
+    // Off the Graph500 point, with b != c so a swapped src/dst bit shows.
+    configs.push(RmatConfig {
+        scale: 11,
+        edge_factor: 8,
+        a: 0.45,
+        b: 0.25,
+        c: 0.15,
+        seed: 5,
+        clean: false,
+    });
+    let mut out = String::new();
+    for cfg in &configs {
+        let edges = cfg.generate_edges();
+        let stream = edges.iter().fold(fnv1a(&[]), |h, &(s, t)| {
+            fnv1a_extend(fnv1a_extend(h, &s.to_le_bytes()), &t.to_le_bytes())
+        });
+        writeln!(
+            out,
+            "rmat:{} ef={} a={} b={} c={} seed={} samples={} stream={stream:016x}",
+            cfg.scale,
+            cfg.edge_factor,
+            cfg.a,
+            cfg.b,
+            cfg.c,
+            cfg.seed,
+            edges.len(),
+        )
+        .unwrap();
+    }
+    check_golden("substrate_rmat_samples.txt", &out);
 }
 
 #[test]
