@@ -19,10 +19,16 @@
 //! terminal marker; claim races resolve by file order (first claim over
 //! an unexpired lease wins), a dead worker's lease expires and any peer
 //! reclaims the mix, and a mix that keeps killing its claimants is
-//! quarantined as poisoned instead of crash-looping the fleet. The final
-//! report is assembled from journal + store alone, in matrix order, so it
-//! is byte-identical regardless of worker count, kill schedule, or resume
-//! order.
+//! quarantined as poisoned instead of crash-looping the fleet.
+//!
+//! Claimants take mixes in *claim order*: the matrix stably sorted by
+//! dataset and seed, the two axes that decide a mix's input graph. Mixes
+//! on one graph thus run back to back, and a runner that keeps its last
+//! graph generates each one once per claimant rather than once per mix.
+//! Claim order only decides who runs what when. The final report is
+//! assembled from journal + store alone, in matrix order, so it is
+//! byte-identical regardless of claim order, worker count, kill schedule,
+//! or resume order.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -237,7 +243,10 @@ struct ObservedLease {
 /// Everything the claimant threads share.
 struct Shared<'a> {
     opts: &'a CampaignOptions,
+    /// The mix matrix with content hashes, in matrix order.
     items: &'a [(MixSpec, u64)],
+    /// Indices into `items` in the order claimants take them.
+    claim_order: Vec<usize>,
     store: &'a Store,
     journal_path: &'a Path,
     state: Mutex<JState>,
@@ -352,6 +361,7 @@ where
     let shared = Shared {
         opts,
         items: &items,
+        claim_order: claim_order(&items),
         store: &store,
         journal_path: &journal_path,
         state: Mutex::new(JState {
@@ -413,6 +423,14 @@ where
     Ok(run)
 }
 
+/// The matrix indices stably sorted by `(dataset, seed)`, so mixes that run
+/// on the same input graph are claimed consecutively.
+fn claim_order(items: &[(MixSpec, u64)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| (&items[i].0.dataset, items[i].0.seed));
+    order
+}
+
 fn failed_incident(mix: &MixSpec, f: &FailedMix) -> Incident {
     Incident {
         stage: "campaign",
@@ -450,9 +468,10 @@ enum Pick {
     Run(usize),
 }
 
-/// One claimant thread: repeatedly pick the first available mix in matrix
-/// order, lease it through the journal, and run it under the retry
-/// ladder. Exits when the matrix is drained or the launch is interrupted.
+/// One claimant thread: repeatedly pick the first available mix in claim
+/// order (grouped by input graph; see the module docs), lease it through
+/// the journal, and run it under the retry ladder. Exits when the matrix
+/// is drained or the launch is interrupted.
 fn worker_loop<F>(shared: &Shared<'_>, slot: usize, runner: &F) -> Result<(), Grade10Error>
 where
     F: Fn(&MixSpec, MixAttempt) -> Result<MixOutcome, Grade10Error> + Sync,
@@ -504,7 +523,8 @@ fn claim_next(shared: &Shared<'_>, me: &str) -> Result<Pick, Grade10Error> {
     let tol = Duration::from_millis(shared.opts.lease_ms.div_ceil(3).max(1));
     let mut all_terminal = true;
     let mut candidate: Option<(usize, u32)> = None;
-    for (i, (_, hash)) in shared.items.iter().enumerate() {
+    for &i in &shared.claim_order {
+        let hash = &shared.items[i].1;
         if replay.terminal(*hash) {
             observed.remove(hash);
             continue;
@@ -913,6 +933,36 @@ mod tests {
         assert_eq!(run.executed, 2);
         // A flat `poll_ms` nap held the campaign for 5 s.
         assert!(elapsed < Duration::from_millis(2_500), "{elapsed:?}");
+        let _ = std::fs::remove_dir_all(&o.dir);
+    }
+
+    #[test]
+    fn mixes_run_grouped_by_input_graph_and_report_in_matrix_order() {
+        let o = opts("grouped");
+        let _ = std::fs::remove_dir_all(&o.dir);
+        let mut sp = spec();
+        sp.datasets = vec!["social:500".into(), "rmat:6".into()];
+        sp.engines = vec!["giraph".into(), "powergraph".into()];
+        sp.seeds = vec![47, 46];
+        let calls = Mutex::new(Vec::new());
+        let run = run_campaign(&sp, &o, |mix, a| {
+            lock(&calls).push(mix.id());
+            fake_runner(mix, a)
+        })
+        .expect("run");
+        // Four graphs in ascending (dataset, seed), four mixes each, and
+        // within a graph matrix order.
+        let graphs = [("rmat:6", 46), ("rmat:6", 47), ("social:500", 46), ("social:500", 47)];
+        let cells = [("pr", "giraph"), ("pr", "powergraph"), ("bfs", "giraph"), ("bfs", "powergraph")];
+        let mut grouped = Vec::new();
+        for (ds, seed) in graphs {
+            for (alg, eng) in cells {
+                grouped.push(format!("{alg}-{ds}-{eng}-m2-s{seed}-none"));
+            }
+        }
+        assert_eq!(calls.into_inner().unwrap(), grouped, "claimed by (dataset, seed)");
+        let reported: Vec<MixSpec> = run.outcomes.iter().map(|o| o.mix.clone()).collect();
+        assert_eq!(reported, sp.expand(), "outcomes stay in matrix order");
         let _ = std::fs::remove_dir_all(&o.dir);
     }
 

@@ -6,8 +6,9 @@
 //! runs the real algorithm to obtain its work profile, executes the profile
 //! on the corresponding simulated engine, and parses the logs into Grade10
 //! inputs, returning everything an experiment needs. [`simulate_workload`]
-//! stops before the parsing, for callers that hand the logs on as
-//! collected streams.
+//! starts from a graph the caller generated and stops before the parsing,
+//! for callers that run several workloads on one graph and hand the logs
+//! on as collected streams.
 
 use grade10_cluster::{ResourceSeries, SimOutput};
 use grade10_core::attribution::{build_profile, PerformanceProfile, ProfileConfig, UpsampleMode};
@@ -55,7 +56,8 @@ impl Dataset {
         }
     }
 
-    /// Generates the graph (with transpose).
+    /// Generates the graph. Both families are undirected, so the graph is
+    /// its own transpose and `in_neighbors` works on it as built.
     pub fn generate(&self) -> CsrGraph {
         match *self {
             Dataset::Rmat { scale, seed } => {
@@ -300,16 +302,16 @@ pub struct SimulatedRun {
     pub work: WorkProfile,
 }
 
-/// Generates the graph, partitions it, runs the algorithm and simulates
-/// the engine: all of [`run_workload`] except parsing the logs into an
-/// execution trace, which a caller that ships the logs on as collected
-/// streams does not need.
-pub fn simulate_workload(spec: &WorkloadSpec) -> SimulatedRun {
-    let graph = spec.dataset.generate();
+/// Partitions `graph`, runs the algorithm and simulates the engine: all of
+/// [`run_workload`] except generating the graph and parsing the logs into
+/// an execution trace. `graph` must be `spec.dataset.generate()`; a caller
+/// that runs several workloads on one dataset generates it once, and one
+/// that ships the logs on as collected streams needs no trace.
+pub fn simulate_workload(spec: &WorkloadSpec, graph: &CsrGraph) -> SimulatedRun {
     match &spec.engine {
         EngineKind::Giraph(cfg) => {
-            let part = EdgeCutPartition::hash(&graph, cfg.num_parts());
-            let work = spec.algorithm.run(&graph, &part);
+            let part = EdgeCutPartition::hash(graph, cfg.num_parts());
+            let work = spec.algorithm.run(graph, &part);
             let sim = run_pregel(&work, graph.num_vertices(), graph.num_edges(), cfg);
             SimulatedRun {
                 sim,
@@ -318,8 +320,8 @@ pub fn simulate_workload(spec: &WorkloadSpec) -> SimulatedRun {
             }
         }
         EngineKind::PowerGraph(cfg) => {
-            let part = VertexCutPartition::greedy(&graph, cfg.num_parts());
-            let work = spec.algorithm.run(&graph, &part);
+            let part = VertexCutPartition::greedy(graph, cfg.num_parts());
+            let work = spec.algorithm.run(graph, &part);
             let run = run_gas(&work, graph.num_edges(), cfg);
             SimulatedRun {
                 sim: run.sim,
@@ -336,7 +338,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadRun {
         sim,
         injected_bugs,
         work,
-    } = simulate_workload(spec);
+    } = simulate_workload(spec, &spec.dataset.generate());
     let ExpertInput {
         model,
         phases,

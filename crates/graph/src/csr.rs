@@ -10,15 +10,30 @@ use crate::{Edge, VertexId};
 /// A directed graph in CSR form. Vertices are dense integers `0..n`.
 ///
 /// The graph may optionally carry its transpose (in-edges), which algorithms
-/// that pull along incoming edges (PageRank, CDLP gather) require. Build it
-/// once with [`CsrGraph::with_transpose`] and share it.
+/// that read incoming edges (CDLP's gather) require. Build it once with
+/// [`CsrGraph::with_transpose`] and share it. A graph built symmetric by
+/// [`GraphBuilder::build_with_transpose`] is its own transpose and stores
+/// no second copy.
 #[derive(Clone, Debug)]
 pub struct CsrGraph {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,
-    /// Transposed adjacency (in-edges), present if requested.
-    in_offsets: Option<Vec<u64>>,
-    in_sources: Option<Vec<VertexId>>,
+    transpose: Transpose,
+}
+
+/// Where a graph's in-edges come from.
+#[derive(Clone, Debug)]
+enum Transpose {
+    /// Not built: `in_neighbors` and `in_degree` panic.
+    None,
+    /// The graph is symmetric, so each vertex's sorted in-sources are its
+    /// sorted out-targets.
+    SameAsOut,
+    /// Built from the out-edges; sources sorted ascending per vertex.
+    Built {
+        offsets: Vec<u64>,
+        sources: Vec<VertexId>,
+    },
 }
 
 impl CsrGraph {
@@ -91,8 +106,7 @@ impl CsrGraph {
         CsrGraph {
             offsets,
             targets,
-            in_offsets: None,
-            in_sources: None,
+            transpose: Transpose::None,
         }
     }
 
@@ -105,7 +119,7 @@ impl CsrGraph {
 
     /// Computes and stores the in-edge adjacency. Idempotent.
     pub fn build_transpose(&mut self) {
-        if self.in_offsets.is_some() {
+        if self.has_transpose() {
             return;
         }
         let n = self.num_vertices();
@@ -126,8 +140,21 @@ impl CsrGraph {
                 cursor[dst as usize] += 1;
             }
         }
-        self.in_offsets = Some(in_offsets);
-        self.in_sources = Some(in_sources);
+        self.transpose = Transpose::Built {
+            offsets: in_offsets,
+            sources: in_sources,
+        };
+    }
+
+    /// The in-edge adjacency as `(offsets, sources)`. Panics, naming
+    /// `caller`, unless the transpose was built.
+    #[inline]
+    fn in_adjacency(&self, caller: &str) -> (&[u64], &[VertexId]) {
+        match &self.transpose {
+            Transpose::None => panic!("{caller} requires build_transpose()"),
+            Transpose::SameAsOut => (&self.offsets, &self.targets),
+            Transpose::Built { offsets, sources } => (offsets, sources),
+        }
     }
 
     /// Number of vertices.
@@ -151,9 +178,7 @@ impl CsrGraph {
     /// In-degree of `v`. Panics unless the transpose was built.
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> u64 {
-        let Some(off) = self.in_offsets.as_ref() else {
-            panic!("in_degree requires build_transpose()");
-        };
+        let (off, _) = self.in_adjacency("in_degree");
         off[v as usize + 1] - off[v as usize]
     }
 
@@ -167,19 +192,14 @@ impl CsrGraph {
     /// In-neighbors of `v`. Panics unless the transpose was built.
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let Some(off) = self.in_offsets.as_ref() else {
-            panic!("in_neighbors requires build_transpose()");
-        };
-        let Some(src) = self.in_sources.as_ref() else {
-            unreachable!("in_sources is set whenever in_offsets is");
-        };
+        let (off, src) = self.in_adjacency("in_neighbors");
         let (lo, hi) = (off[v as usize], off[v as usize + 1]);
         &src[lo as usize..hi as usize]
     }
 
-    /// Whether the transpose has been built.
+    /// Whether the transpose is available (built, or the graph is its own).
     pub fn has_transpose(&self) -> bool {
-        self.in_offsets.is_some()
+        !matches!(self.transpose, Transpose::None)
     }
 
     /// Iterator over all vertices.
@@ -271,10 +291,18 @@ impl GraphBuilder {
         CsrGraph::from_buckets(self.num_vertices, &self.edges, self.transforms)
     }
 
-    /// Freezes into a CSR graph with its transpose.
+    /// Freezes into a CSR graph with its transpose. A `symmetric()` build is
+    /// its own transpose: every kept input edge lands in both directions,
+    /// and self-loop removal and dedup treat both alike, so `(u, v)` occurs
+    /// as often as `(v, u)` and no copy is built.
     pub fn build_with_transpose(self) -> CsrGraph {
+        let symmetric = self.transforms.symmetric;
         let mut g = self.build();
-        g.build_transpose();
+        if symmetric {
+            g.transpose = Transpose::SameAsOut;
+        } else {
+            g.build_transpose();
+        }
         g
     }
 }
@@ -440,6 +468,49 @@ mod tests {
                 assert_eq!(g.targets, targets, "case {case}, mask {mask:03b}");
             }
         }
+    }
+
+    #[test]
+    fn symmetric_graph_is_its_own_transpose() {
+        use rand::{Rng, SeedableRng};
+        for case in 0..60u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x7A45_0000 + case);
+            let n = rng.gen_range(1..40usize);
+            let vertex = |rng: &mut rand_chacha::ChaCha8Rng| rng.gen_range(0..n) as VertexId;
+            let edges: Vec<Edge> = (0..rng.gen_range(0..200usize))
+                .map(|_| (vertex(&mut rng), vertex(&mut rng)))
+                .collect();
+            for mask in 0..8u8 {
+                let mut g = builder_of(n, &edges, transforms_of(mask)).build_with_transpose();
+                let mut explicit = builder_of(n, &edges, transforms_of(mask)).build();
+                explicit.build_transpose();
+                let symmetric = mask & 2 != 0;
+                assert_eq!(
+                    matches!(g.transpose, Transpose::SameAsOut),
+                    symmetric,
+                    "case {case}, mask {mask:03b}"
+                );
+                assert!(matches!(explicit.transpose, Transpose::Built { .. }));
+                g.build_transpose();
+                assert!(g.has_transpose(), "case {case}, mask {mask:03b}");
+                assert_eq!(
+                    matches!(g.transpose, Transpose::SameAsOut),
+                    symmetric,
+                    "build_transpose is idempotent"
+                );
+                for v in g.vertices() {
+                    let at = format!("case {case}, mask {mask:03b}, v {v}");
+                    assert_eq!(g.in_neighbors(v), explicit.in_neighbors(v), "{at}");
+                    assert_eq!(g.in_degree(v), explicit.in_degree(v), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "in_neighbors requires build_transpose()")]
+    fn in_neighbors_without_transpose_panics() {
+        CsrGraph::from_edges(2, &[(0, 1)]).in_neighbors(1);
     }
 
     #[test]

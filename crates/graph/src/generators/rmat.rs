@@ -59,6 +59,14 @@ impl RmatConfig {
     }
 
     /// Generates the raw edge list (with duplicates, without symmetrization).
+    ///
+    /// Each level draws one `r` in [0, 1) and picks a quadrant by comparing
+    /// it against the cumulative thresholds `a ≤ a+b ≤ a+b+c`: the source
+    /// bit is set in the bottom half (`r ≥ a+b`), the destination bit in the
+    /// right-hand quadrants (`a ≤ r < a+b` or `r ≥ a+b+c`). Both bits come
+    /// from comparisons rather than branches: the quadrant is random, so
+    /// branches on it mispredict often, and the loop then runs at the speed
+    /// of the RNG.
     pub fn generate_edges(&self) -> Vec<Edge> {
         let d = 1.0 - self.a - self.b - self.c;
         assert!(
@@ -66,31 +74,31 @@ impl RmatConfig {
             "R-MAT probabilities exceed 1: a+b+c = {}",
             self.a + self.b + self.c
         );
+        assert!(
+            self.b >= 0.0 && self.c >= 0.0,
+            "R-MAT probabilities must be non-negative: b = {}, c = {}",
+            self.b,
+            self.c
+        );
+        // Summed left to right, so each threshold rounds exactly as the
+        // `r < a + b` and `r < a + b + c` comparisons always did.
+        let (a, ab, abc) = (self.a, self.a + self.b, self.a + self.b + self.c);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut edges = Vec::with_capacity(self.num_edge_samples());
         for _ in 0..self.num_edge_samples() {
             let (mut src, mut dst) = (0u64, 0u64);
             for _ in 0..self.scale {
-                src <<= 1;
-                dst <<= 1;
                 let r: f64 = rng.gen();
-                if r < self.a {
-                    // top-left: neither bit set
-                } else if r < self.a + self.b {
-                    dst |= 1;
-                } else if r < self.a + self.b + self.c {
-                    src |= 1;
-                } else {
-                    src |= 1;
-                    dst |= 1;
-                }
+                src = (src << 1) | u64::from(r >= ab);
+                dst = (dst << 1) | u64::from(((r >= a) & (r < ab)) | (r >= abc));
             }
             edges.push((src as VertexId, dst as VertexId));
         }
         edges
     }
 
-    /// Generates the graph (with transpose built).
+    /// Generates the graph. A cleaned graph is symmetric and so carries its
+    /// transpose for free; an uncleaned one has it built.
     pub fn generate(&self) -> CsrGraph {
         let edges = self.generate_edges();
         let mut b = GraphBuilder::new(self.num_vertices());
@@ -151,6 +159,81 @@ mod tests {
             top_sum * 10 >= total,
             "top 1% holds only {top_sum}/{total} edges"
         );
+    }
+
+    /// The descent `generate_edges` replaced: one branch per quadrant, in
+    /// the same draw order. Kept as the oracle the branchless one must match.
+    fn generate_edges_by_branches(cfg: &RmatConfig) -> Vec<Edge> {
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let mut edges = Vec::with_capacity(cfg.num_edge_samples());
+        for _ in 0..cfg.num_edge_samples() {
+            let (mut src, mut dst) = (0u64, 0u64);
+            for _ in 0..cfg.scale {
+                src <<= 1;
+                dst <<= 1;
+                let r: f64 = rng.gen();
+                if r < cfg.a {
+                    // top-left: neither bit set
+                } else if r < cfg.a + cfg.b {
+                    dst |= 1;
+                } else if r < cfg.a + cfg.b + cfg.c {
+                    src |= 1;
+                } else {
+                    src |= 1;
+                    dst |= 1;
+                }
+            }
+            edges.push((src as VertexId, dst as VertexId));
+        }
+        edges
+    }
+
+    #[test]
+    fn branchless_descent_matches_the_branchy_oracle() {
+        let mut params = vec![
+            (0.57, 0.19, 0.19),
+            // c = 0: the bottom-left quadrant is empty.
+            (0.5, 0.3, 0.0),
+            // a + b + c = 1: the bottom-right quadrant is empty.
+            (0.4, 0.35, 0.25),
+            (0.25, 0.25, 0.25),
+            (1.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0A7C);
+        for _ in 0..40 {
+            // Random valid splits of [0, 1) into a, b, c and d >= 0.
+            let mut cuts = [rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()];
+            cuts.sort_by(f64::total_cmp);
+            params.push((cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1]));
+        }
+        for (i, &(a, b, c)) in params.iter().enumerate() {
+            let cfg = RmatConfig {
+                scale: 7,
+                edge_factor: 4,
+                a,
+                b,
+                c,
+                seed: i as u64,
+                clean: false,
+            };
+            assert_eq!(
+                cfg.generate_edges(),
+                generate_edges_by_branches(&cfg),
+                "a={a} b={b} c={c}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_quadrant_probability_is_rejected() {
+        let cfg = RmatConfig {
+            b: -0.1,
+            c: 0.3,
+            ..RmatConfig::graph500(4, 1)
+        };
+        cfg.generate_edges();
     }
 
     #[test]

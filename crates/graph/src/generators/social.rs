@@ -82,7 +82,8 @@ impl SocialConfig {
         starts
     }
 
-    /// Generates the graph (undirected, deduplicated, with transpose).
+    /// Generates the graph (undirected and deduplicated, so it is its own
+    /// transpose).
     pub fn generate(&self) -> CsrGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let starts = self.community_starts(&mut rng);

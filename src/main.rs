@@ -73,7 +73,11 @@
 //!     and a mix that walks the ladder simulates once, not once per rung.
 //!     The pipeline itself always recomputes. A summary line on stderr
 //!     reports hits, misses, stores, and the hit rate; cached runs are
-//!     byte-identical to cold ones.
+//!     byte-identical to cold ones. Mixes that share an input graph (the
+//!     same dataset and seed) are claimed back to back, and each claimant
+//!     thread keeps the last graph it generated, so a graph is generated
+//!     once per run of such mixes; a `substrate:` line on stderr reports
+//!     graphs generated against mixes simulated.
 //!
 //! grade10 export-model --engine giraph|powergraph [-o FILE]
 //!     Write the built-in expert input (execution model, resource model,
@@ -113,10 +117,12 @@
 //! with incidents or partial mixes (the report covers the survivors);
 //! `1` — fatal (unreadable spec, broken campaign directory).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use grade10::cluster::{FaultClass, FaultPlan, SimDuration};
 use grade10::core::campaign::{
@@ -149,6 +155,7 @@ use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{
     simulate_workload, Algorithm, Dataset, EngineKind, ExpertInput, WorkloadSpec,
 };
+use grade10::graph::CsrGraph;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -305,7 +312,7 @@ fn demo(flags: &HashMap<String, String>) -> Result<RunStatus, String> {
     // --inject fails fast.
     let fault_plan = parse_fault_plan(flags)?;
     eprintln!("running {} ...", spec.name());
-    let run = simulate_workload(&spec);
+    let run = simulate_workload(&spec, &spec.dataset.generate());
     if flags.contains_key("--work-profile") {
         println!("workload iteration profile (whole cluster):");
         let mut t = grade10::core::report::Table::new(&[
@@ -518,6 +525,11 @@ fn campaign(flags: &HashMap<String, String>) -> Result<RunStatus, String> {
         "campaign {}: {} executed, {} cached, {} failed, {} journal records quarantined",
         spec.name, run.executed, run.cached, run.failed, run.quarantined_journal
     );
+    eprintln!(
+        "substrate: {} graphs generated for {} simulated mixes",
+        GRAPHS_GENERATED.load(Ordering::Relaxed),
+        MIXES_SIMULATED.load(Ordering::Relaxed)
+    );
     if let Some(c) = &cache {
         eprintln!("{}", grade10::core::report::stage_cache_line(&c.stats()));
     }
@@ -626,7 +638,8 @@ fn validate_mix(mix: &MixSpec) -> Result<(), String> {
 /// keyed by the identity the result store hashes, `content_string` under
 /// the campaign's code version — and from a simulation otherwise, which
 /// then stores them. This is the only place the cache is consulted: a
-/// ladder that fails strict and retries lenient simulates once.
+/// ladder that fails strict and retries lenient simulates once. The
+/// simulation runs on the thread's last graph when it fits ([`with_graph`]).
 fn run_mix(
     mix: &MixSpec,
     code_version: &str,
@@ -665,7 +678,9 @@ fn run_mix(
                 "none" => None,
                 fault => Some(parse_fault_classes(fault, mix.seed).map_err(bad)?),
             };
-            let streams = collected_streams(&simulate_workload(&spec).sim, plan.as_ref());
+            let run = with_graph(spec.dataset, |graph| simulate_workload(&spec, graph));
+            MIXES_SIMULATED.fetch_add(1, Ordering::Relaxed);
+            let streams = collected_streams(&run.sim, plan.as_ref());
             if let Some(c) = cache {
                 c.store_streams(&key, &streams.0, &streams.1);
             }
@@ -692,6 +707,37 @@ fn run_mix(
         degraded: !p.is_complete(),
         attempts: 0,
         mode: String::new(),
+    })
+}
+
+thread_local! {
+    /// The input graph this claimant thread generated last, with the
+    /// dataset it was generated from.
+    static LAST_GRAPH: RefCell<Option<(Dataset, CsrGraph)>> = const { RefCell::new(None) };
+}
+
+/// Graphs the campaign runner generated and mixes it simulated in this
+/// process, for the `substrate:` stderr line.
+static GRAPHS_GENERATED: AtomicUsize = AtomicUsize::new(0);
+static MIXES_SIMULATED: AtomicUsize = AtomicUsize::new(0);
+
+/// Calls `f` on `dataset`'s graph, generating it only when this thread's
+/// last graph came from another dataset. The scheduler claims mixes grouped
+/// by dataset and seed, so consecutive mixes on a thread usually share the
+/// graph. The old graph is dropped before the new one is generated, so a
+/// thread never holds more than one, and only while it simulates anyway.
+fn with_graph<R>(dataset: Dataset, f: impl FnOnce(&CsrGraph) -> R) -> R {
+    LAST_GRAPH.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        let graph = match slot.take() {
+            Some((d, graph)) if d == dataset => graph,
+            stale => {
+                drop(stale);
+                GRAPHS_GENERATED.fetch_add(1, Ordering::Relaxed);
+                dataset.generate()
+            }
+        };
+        f(&slot.insert((dataset, graph)).1)
     })
 }
 
