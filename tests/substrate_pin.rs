@@ -15,7 +15,8 @@
 //!   parts, including the benchmark's campaign shape (`rmat:12`, 32 parts);
 //! * the simulator's log stream, as the `G10TRACE` encoding of its bridged
 //!   events, and the bits of every ground-truth utilization sample, for
-//!   Giraph- and PowerGraph-like runs on both dataset families.
+//!   Giraph- and PowerGraph-like runs on both dataset families, at the
+//!   default configurations and off them, and for Spark-like dataflow runs.
 //!
 //! Bless with `UPDATE_GOLDENS=1 cargo test --test substrate_pin`.
 
@@ -25,12 +26,14 @@ use std::path::PathBuf;
 
 use grade10::core::hash::{fnv1a, fnv1a_extend};
 use grade10::core::trace::encode_trace;
+use grade10::cluster::SimOutput;
 use grade10::engines::bridge::to_raw_events;
+use grade10::engines::dataflow::{run_dataflow, DataflowConfig, JobSpec};
 use grade10::engines::gas::GasConfig;
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
 use grade10::graph::generators::rmat::RmatConfig;
-use grade10::graph::partition::VertexCutPartition;
+use grade10::graph::partition::{EdgeCutPartition, VertexCutPartition};
 use grade10::graph::CsrGraph;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -170,6 +173,29 @@ fn greedy_vertex_cut_is_pinned() {
     check_golden("substrate_greedy.txt", &out);
 }
 
+/// One line of a simulator pin: the run's end time, its record count, the
+/// `G10TRACE` encoding of its bridged events and the bits of every
+/// ground-truth utilization sample.
+fn sim_line(out: &mut String, name: &str, sim: &SimOutput) {
+    let events = encode_trace(&to_raw_events(&sim.logs), None);
+    let mut series = fnv1a(&[]);
+    for s in &sim.series {
+        series = fnv1a_extend(series, s.spec.label().as_bytes());
+        series = fnv1a_extend(series, &s.interval.as_nanos().to_le_bytes());
+        for x in &s.samples {
+            series = fnv1a_extend(series, &x.to_bits().to_le_bytes());
+        }
+    }
+    writeln!(
+        out,
+        "{name} end_ns={} records={} events={:016x} series={series:016x}",
+        sim.end_time.0,
+        sim.logs.len(),
+        fnv1a(&events),
+    )
+    .unwrap();
+}
+
 #[test]
 fn simulator_output_is_pinned() {
     let mut out = String::new();
@@ -193,25 +219,59 @@ fn simulator_output_is_pinned() {
                     engine,
                 })
                 .sim;
-                let events = encode_trace(&to_raw_events(&sim.logs), None);
-                let mut series = fnv1a(&[]);
-                for s in &sim.series {
-                    series = fnv1a_extend(series, s.spec.label().as_bytes());
-                    series = fnv1a_extend(series, &s.interval.as_nanos().to_le_bytes());
-                    for x in &s.samples {
-                        series = fnv1a_extend(series, &x.to_bits().to_le_bytes());
-                    }
-                }
-                writeln!(
-                    out,
-                    "{name} end_ns={} records={} events={:016x} series={series:016x}",
-                    sim.end_time.0,
-                    sim.logs.len(),
-                    fnv1a(&events),
-                )
-                .unwrap();
+                sim_line(&mut out, &name, &sim);
             }
         }
     }
     check_golden("substrate_sim.txt", &out);
+}
+
+/// The simulator under engine configurations off the defaults — two
+/// machines, one of them 1.6x slower, Giraph with combiners and no GC,
+/// PowerGraph without the sync bug — and the Spark-like dataflow engine as
+/// `grade10 demo --engine spark` drives it, with and without a JVM heap.
+#[test]
+fn simulator_variants_are_pinned() {
+    let mut out = String::new();
+    for dataset in [DATASETS[0], DATASETS[1]] {
+        for engine in [
+            EngineKind::Giraph(PregelConfig {
+                machines: 2,
+                machine_work_factor: vec![1.0, 1.6],
+                combiner_ratio: 0.3,
+                gc: None,
+                ..Default::default()
+            }),
+            EngineKind::PowerGraph(GasConfig {
+                machines: 2,
+                machine_work_factor: vec![1.0, 1.6],
+                sync_bug: None,
+                ..Default::default()
+            }),
+        ] {
+            let name = format!("{} machines=2 {}", engine.name(), label(&dataset));
+            let sim = run_workload(&WorkloadSpec {
+                dataset,
+                algorithm: Algorithm::PageRank { iterations: 4 },
+                engine,
+            })
+            .sim;
+            sim_line(&mut out, &name, &sim);
+        }
+        let jvm = DataflowConfig {
+            machines: 2,
+            gc: PregelConfig::default().gc,
+            alloc_per_work: 6.0e7,
+            ..Default::default()
+        };
+        for (variant, cfg) in [("default", DataflowConfig::default()), ("gc", jvm)] {
+            let graph = dataset.generate();
+            let part = EdgeCutPartition::hash(&graph, cfg.machines * cfg.executors * 2);
+            let work = Algorithm::PageRank { iterations: 4 }.run(&graph, &part);
+            let job = JobSpec::from_work_profile(&work, 1.0e-4, 200.0, cfg.machines);
+            let name = format!("spark {variant} {}", label(&dataset));
+            sim_line(&mut out, &name, &run_dataflow(&job, &cfg));
+        }
+    }
+    check_golden("substrate_sim_variants.txt", &out);
 }
