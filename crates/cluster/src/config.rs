@@ -24,20 +24,6 @@ pub struct GcConfig {
     pub live_fraction: f64,
 }
 
-impl GcConfig {
-    /// A JVM-flavored default: 4 GiB heap, collect at 80 % occupancy,
-    /// ~45 ms + 25 ms/GiB pauses, 30 % survivors.
-    pub fn jvm_default() -> Self {
-        GcConfig {
-            heap_bytes: 4.0 * 1024.0 * 1024.0 * 1024.0,
-            trigger_fraction: 0.8,
-            pause_per_byte: 25e-3 / (1024.0 * 1024.0 * 1024.0),
-            min_pause_secs: 0.045,
-            live_fraction: 0.3,
-        }
-    }
-}
-
 /// One machine: CPU cores, NIC bandwidth, optional managed heap, and an
 /// optional bounded outbound message queue (Giraph-style engines).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -68,18 +54,6 @@ impl MachineConfig {
             gc: None,
             out_queue_bytes: None,
         }
-    }
-
-    /// Adds a JVM-style GC.
-    pub fn with_gc(mut self, gc: GcConfig) -> Self {
-        self.gc = Some(gc);
-        self
-    }
-
-    /// Bounds the outbound message queue.
-    pub fn with_out_queue(mut self, bytes: f64) -> Self {
-        self.out_queue_bytes = Some(bytes);
-        self
     }
 }
 
@@ -180,14 +154,5 @@ mod tests {
             max_sim_time: SimDuration::from_secs(1),
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn builders_compose() {
-        let m = MachineConfig::commodity()
-            .with_gc(GcConfig::jvm_default())
-            .with_out_queue(1e8);
-        assert!(m.gc.is_some());
-        assert_eq!(m.out_queue_bytes, Some(1e8));
     }
 }

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ClusterConfig, MachineId};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Kinds of consumable resources the cluster exposes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -93,11 +93,6 @@ impl ResourceSeries {
     /// Total consumption (usage × time) over the series, in unit-seconds.
     pub fn total_consumption(&self) -> f64 {
         self.samples.iter().sum::<f64>() * self.interval.as_secs_f64()
-    }
-
-    /// Timestamp of the start of sample `i`.
-    pub fn sample_start(&self, i: usize) -> SimTime {
-        SimTime::ZERO + self.interval * i as u64
     }
 }
 

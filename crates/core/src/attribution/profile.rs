@@ -144,14 +144,6 @@ impl PerformanceProfile {
         self.index.get(&(instance, resource)).map(|&i| &self.usages[i])
     }
 
-    /// Total attributed consumption (unit-seconds) of one instance on one
-    /// resource.
-    pub fn total_usage(&self, instance: InstanceId, resource: ResourceIdx) -> f64 {
-        self.usage_of(instance, resource)
-            .map(|u| u.usage.iter().sum::<f64>() * self.grid.slice_secs())
-            .unwrap_or(0.0)
-    }
-
     /// Attributed usage of an instance *including all descendants* on one
     /// resource, per slice over the whole grid. This is how container
     /// phases (e.g. a worker's whole Compute phase) report usage: as the
@@ -753,18 +745,5 @@ mod tests {
         );
         assert_eq!(base.consumption, est.consumption);
         assert_eq!(est.estimated_slices(), 0);
-    }
-
-    #[test]
-    fn total_usage_in_unit_seconds() {
-        let (model, rules, trace, rt) = figure2();
-        let prof = build_profile(&model, &rules, &trace, &rt, &ProfileConfig::default());
-        let r3 = rt.find("R3", Some(0)).unwrap();
-        let p2 = inst(&trace, &model, "P2");
-        let t = prof.total_usage(p2, r3);
-        assert!(t > 0.0);
-        // Missing pairs report zero.
-        let p1 = inst(&trace, &model, "P1");
-        assert_eq!(prof.total_usage(p1, r3), 0.0);
     }
 }

@@ -66,28 +66,9 @@ impl ResourceModel {
         self.defs.iter().find(|d| d.name == name)
     }
 
-    /// Class of a kind, if known.
-    pub fn class_of(&self, name: &str) -> Option<ResourceClass> {
-        self.find(name).map(|d| d.class)
-    }
-
     /// All kinds.
     pub fn defs(&self) -> &[ResourceDef] {
         &self.defs
-    }
-
-    /// All consumable kinds.
-    pub fn consumables(&self) -> impl Iterator<Item = &ResourceDef> {
-        self.defs
-            .iter()
-            .filter(|d| d.class == ResourceClass::Consumable)
-    }
-
-    /// All blocking kinds.
-    pub fn blockings(&self) -> impl Iterator<Item = &ResourceDef> {
-        self.defs
-            .iter()
-            .filter(|d| d.class == ResourceClass::Blocking)
     }
 }
 
@@ -103,11 +84,9 @@ mod tests {
             .blocking("gc")
             .blocking("msgq");
         assert_eq!(m.defs().len(), 4);
-        assert_eq!(m.class_of("cpu"), Some(ResourceClass::Consumable));
-        assert_eq!(m.class_of("gc"), Some(ResourceClass::Blocking));
-        assert_eq!(m.class_of("disk"), None);
-        assert_eq!(m.consumables().count(), 2);
-        assert_eq!(m.blockings().count(), 2);
+        assert_eq!(m.find("cpu").map(|d| d.class), Some(ResourceClass::Consumable));
+        assert_eq!(m.find("gc").map(|d| d.class), Some(ResourceClass::Blocking));
+        assert!(m.find("disk").is_none());
     }
 
     #[test]

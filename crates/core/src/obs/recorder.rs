@@ -89,13 +89,6 @@ pub struct SpanRecord {
     pub alloc_bytes: u64,
 }
 
-impl SpanRecord {
-    /// Span duration in nanoseconds.
-    pub fn duration(&self) -> Nanos {
-        self.end - self.start
-    }
-}
-
 /// Everything one recording session captured: the raw self-trace that
 /// [`characterize_meta`](crate::pipeline::characterize_meta) feeds back
 /// through the pipeline.
@@ -108,15 +101,6 @@ pub struct MetaTrace {
 }
 
 impl MetaTrace {
-    /// Total recorded wall-clock time of one stage, in nanoseconds.
-    pub fn stage_wall(&self, stage: Stage) -> Nanos {
-        self.spans
-            .iter()
-            .filter(|s| s.stage == stage)
-            .map(SpanRecord::duration)
-            .sum()
-    }
-
     /// Number of distinct recorder threads that produced spans.
     pub fn num_threads(&self) -> usize {
         let mut threads: Vec<u16> = self.spans.iter().map(|s| s.thread).collect();
@@ -430,14 +414,14 @@ mod tests {
         threads.sort_unstable();
         assert_eq!(threads, vec![1, 2, 3]);
         // Each worker also recorded its nested upsample span on its thread.
-        assert_eq!(trace.stage_wall(Stage::Upsample), {
-            trace
-                .spans
-                .iter()
-                .filter(|s| s.stage == Stage::Upsample)
-                .map(SpanRecord::duration)
-                .sum()
-        });
+        let mut upsample: Vec<u16> = trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == Stage::Upsample)
+            .map(|s| s.thread)
+            .collect();
+        upsample.sort_unstable();
+        assert_eq!(upsample, vec![1, 2, 3]);
         // Thread 0 recorded no spans of its own here: only workers count.
         assert_eq!(trace.num_threads(), 3);
     }

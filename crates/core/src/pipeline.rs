@@ -110,11 +110,6 @@ impl Characterization {
             .collect()
     }
 
-    /// The single most impactful issue, if any cleared the threshold.
-    pub fn top_issue(&self) -> Option<&PerformanceIssue> {
-        self.issues.first()
-    }
-
     /// Stable class labels for the detected issues, deduplicated and
     /// sorted: `bottleneck:<kind>` for consumable bottlenecks,
     /// `blocking:<kind>` for blocking ones, `imbalance:<type path>` for
@@ -1112,6 +1107,5 @@ mod tests {
         let lines = c.summary(&model);
         assert_eq!(lines.len(), c.issues.len());
         assert!(lines.iter().any(|l| l.contains("gc")), "{lines:?}");
-        assert!(c.top_issue().is_some());
     }
 }

@@ -32,12 +32,6 @@ impl Table {
         self
     }
 
-    /// Convenience for string-literal rows.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -80,29 +74,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (naive quoting: cells containing commas or quotes are
-    /// double-quoted).
-    pub fn to_csv(&self) -> String {
-        let quote = |s: &str| {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let mut write_row = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| quote(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        write_row(&self.headers);
-        for row in &self.rows {
-            write_row(row);
-        }
-        out
-    }
 }
 
 /// Formats a fraction as a percentage with one decimal.
@@ -137,7 +108,8 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = Table::new(&["name", "value"]);
-        t.row_strs(&["cpu", "97.0%"]).row_strs(&["net", "3%"]);
+        t.row(&["cpu".into(), "97.0%".into()])
+            .row(&["net".into(), "3%".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -147,18 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_quotes_commas() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row_strs(&["x,y", "plain"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\",plain"));
-    }
-
-    #[test]
     #[should_panic(expected = "cells")]
     fn wrong_arity_rejected() {
         let mut t = Table::new(&["a", "b"]);
-        t.row_strs(&["only-one"]);
+        t.row(&["only-one".into()]);
     }
 
     #[test]

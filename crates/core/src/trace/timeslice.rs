@@ -208,11 +208,6 @@ impl MetricGrid {
         );
         self.data.extend_from_slice(&other.data);
     }
-
-    /// The whole contiguous backing buffer, row-major.
-    pub fn as_flat(&self) -> &[f64] {
-        &self.data
-    }
 }
 
 impl std::ops::Index<usize> for MetricGrid {
@@ -402,8 +397,6 @@ mod tests {
         assert_eq!(g.num_slices(), 4);
         assert_eq!(g.row(1), &[0.0, 0.0, 7.0, 0.0]);
         assert_eq!(g.rows().count(), 3);
-        assert_eq!(g.as_flat().len(), 12);
-        assert_eq!(g.as_flat()[6], 7.0);
     }
 
     #[test]

@@ -46,13 +46,6 @@ pub struct PartitionWork {
     pub sync_messages: u64,
 }
 
-impl PartitionWork {
-    /// Sum of both message classes.
-    pub fn msgs_total(&self) -> u64 {
-        self.msgs_local + self.msgs_remote
-    }
-}
-
 /// Work performed during one iteration, broken down by partition.
 #[derive(Clone, Debug, Default)]
 pub struct IterationWork {
@@ -246,7 +239,6 @@ mod tests {
         assert_eq!(it.per_part[0].edges_scanned, 2);
         assert_eq!(it.per_part[0].msgs_local, 1);
         assert_eq!(it.per_part[0].msgs_remote, 1);
-        assert_eq!(it.total().msgs_total(), 2);
     }
 
     #[test]

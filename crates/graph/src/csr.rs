@@ -281,11 +281,6 @@ impl GraphBuilder {
         self.edges.extend(edges);
     }
 
-    /// Number of edges currently staged (before dedup/symmetrization).
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Freezes into a CSR graph, applying the configured transforms.
     pub fn build(self) -> CsrGraph {
         CsrGraph::from_buckets(self.num_vertices, &self.edges, self.transforms)

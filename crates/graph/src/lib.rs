@@ -29,9 +29,7 @@
 pub mod algorithms;
 pub mod csr;
 pub mod generators;
-pub mod io;
 pub mod partition;
-pub mod properties;
 
 pub use csr::{CsrGraph, GraphBuilder};
 

@@ -87,14 +87,6 @@ impl EdgeCutPartition {
         loads
     }
 
-    /// Number of edges whose endpoints live on different partitions.
-    pub fn cut_edges(&self, graph: &CsrGraph) -> u64 {
-        graph
-            .edges()
-            .filter(|&(u, v)| self.owner(u) != self.owner(v))
-            .count() as u64
-    }
-
     /// Edge-load balance (max/mean).
     pub fn edge_balance(&self, graph: &CsrGraph) -> f64 {
         balance(&self.edge_loads(graph))
@@ -163,20 +155,6 @@ mod tests {
         let g = RmatConfig::graph500(10, 5).generate();
         let p = EdgeCutPartition::hash(&g, 8);
         assert!(p.edge_balance(&g) > 1.02);
-    }
-
-    #[test]
-    fn cut_edges_zero_for_single_part() {
-        let g = simple::cycle(10);
-        let p = EdgeCutPartition::hash(&g, 1);
-        assert_eq!(p.cut_edges(&g), 0);
-    }
-
-    #[test]
-    fn cut_edges_counts_cross_partition_edges() {
-        let g = simple::path(4);
-        let p = EdgeCutPartition::from_assignment(vec![0, 0, 1, 1], 2);
-        assert_eq!(p.cut_edges(&g), 1);
     }
 
     #[test]
