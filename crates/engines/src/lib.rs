@@ -37,6 +37,7 @@
 pub mod bridge;
 pub mod dataflow;
 pub mod gas;
+mod job;
 pub mod models;
 pub mod pregel;
 pub mod workload;
