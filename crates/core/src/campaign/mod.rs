@@ -48,7 +48,7 @@ pub use journal::{
 };
 pub use scheduler::{
     campaign_status, ladder_mode, load_manifest, run_campaign, CampaignOptions, CampaignRun,
-    CampaignStatus, MixAttempt, MixMode,
+    CampaignStatus, MixAttempt, MixMode, Poll,
 };
 pub use spec::{CampaignSpec, MixSpec};
 pub(crate) use store::quarantine;
