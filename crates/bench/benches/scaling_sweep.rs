@@ -90,9 +90,10 @@ fn main() {
 
 /// Supervised pool scaling: an 8-machine run whose per-machine attribution
 /// units each stall 60 ms (chaos injection standing in for the slow,
-/// latency-bound units real degraded collections produce — exactly what
-/// per-unit deadlines exist for). Sequential supervision pays the stalls
-/// end to end; the worker pool overlaps them, so wall-clock falls roughly
+/// latency-bound units real degraded collections produce). No deadline is
+/// set, so every stall runs in full on the worker that claimed its unit.
+/// Sequential supervision pays the stalls end to end; the worker pool
+/// overlaps them, so wall-clock falls roughly
 /// as `ceil(units / width) × stall` even on a single core. Acceptance:
 /// ≥ 1.5× at 4 threads.
 fn supervised_pool_sweep() {

@@ -9,6 +9,7 @@ use crate::attribution::upsample::{
 };
 use crate::model::execution::ExecutionModel;
 use crate::model::rules::{AttributionRule, RuleSet};
+use crate::supervise::checkpoint;
 use crate::trace::execution::{ExecutionTrace, InstanceId};
 use crate::trace::resource::{ResourceIdx, ResourceInstance, ResourceTrace};
 use crate::trace::timeslice::{BoolGrid, MetricGrid, Nanos, TimesliceGrid, MILLIS};
@@ -298,6 +299,7 @@ pub fn build_profile(
 
     let dm = estimate_demand(model, rules, trace, resources, &grid);
     drop(demand_span);
+    checkpoint();
     let upsample_span = crate::obs::span(crate::obs::Stage::Upsample);
 
     // Upsampling is independent per resource instance; fan the rows out
@@ -377,6 +379,7 @@ pub fn build_profile(
     } else {
         let mut scratch = UpsampleScratch::default();
         for (r, (row, over)) in consumption.rows_mut().zip(overflow.iter_mut()).enumerate() {
+            checkpoint();
             *over = upsample_row(r, row, &mut scratch);
         }
     }
@@ -421,6 +424,7 @@ pub fn build_profile(
     }
 
     drop(upsample_span);
+    checkpoint();
     let _attribute_span = crate::obs::span(crate::obs::Stage::Attribute);
     let att = attribute(&dm, &consumption);
 

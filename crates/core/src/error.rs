@@ -29,8 +29,8 @@ pub enum Grade10Error {
     InvalidMonitoring(String),
     /// A serialized artifact (model bundle, event file) failed to parse.
     Serialization(String),
-    /// A supervised pipeline unit exceeded its wall-clock deadline and was
-    /// abandoned.
+    /// A supervised pipeline unit exceeded its wall-clock deadline: it
+    /// stopped itself at a checkpoint, or its late result was discarded.
     Deadline(String),
     /// A requested timeslice grid exceeded the configured slice/allocation
     /// budget and was rejected before allocating.

@@ -23,8 +23,9 @@
 //! directly when you need intermediate control (custom thresholds per
 //! stage, partial pipelines, or repeated what-ifs over one profile).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::attribution::{build_profile, PerformanceProfile, ProfileConfig};
 use crate::bottleneck::{BottleneckConfig, BottleneckReport};
@@ -36,7 +37,7 @@ use crate::parse::{build_execution_trace, build_trace_from, RawEvent};
 use crate::replay::{Baseline, ReplayConfig};
 use crate::report::table::pct;
 use crate::supervise::{
-    pool_map, run_unit, Attempt, Coverage, Incident, IncidentKind, IncidentOutcome,
+    pool_map, run_unit, Coverage, Incident, IncidentKind, IncidentOutcome,
     MachineCoverage, PartialCharacterization, StageCoverage, StageStatus, SuperviseConfig, UnitRun,
     UnitStatus,
 };
@@ -201,20 +202,7 @@ pub fn characterize_events_under(
     monitoring: &[RawSeries],
     cfg: &CharacterizationConfig,
 ) -> Result<PartialCharacterization, Grade10Error> {
-    use Held::{Own, Ref};
-    if supervised && cfg.supervise.deadline.is_some() {
-        // A detached attempt outlives this call when it overruns its
-        // deadline, so with one set the run reads an owned copy of its
-        // inputs, shared with every attempt.
-        let (model, rules, cfg) = (model.clone(), rules.clone(), cfg.clone());
-        let expert = (Own(Arc::new(model)), Own(Arc::new(rules)), Own(Arc::new(cfg)));
-        let mut run = Run::new(expert, Own(events.into()), Own(monitoring.into()), supervised);
-        run.detach = Some(Run::clone);
-        run.characterize()
-    } else {
-        let expert = (Ref(model), Ref(rules), Ref(cfg));
-        Run::new(expert, Ref(events), Ref(monitoring), supervised).characterize()
-    }
+    Run::new(model, rules, cfg, events, monitoring, supervised).characterize()
 }
 
 /// The table from its second row on, over traces the caller built.
@@ -226,11 +214,10 @@ fn characterize_built(
     report: IngestReport,
     cfg: &CharacterizationConfig,
 ) -> Characterization {
-    use Held::Ref;
-    let mut run = Run::new((Ref(model), Ref(rules), Ref(cfg)), Ref(&[]), Ref(&[]), false);
+    let mut run = Run::new(model, rules, cfg, &[], &[], false);
     run.report = report;
-    run.trace = Ref(trace);
-    run.resources[0] = Ref(resources);
+    run.trace = Cow::Borrowed(trace);
+    run.resources[0] = Cow::Borrowed(resources);
     // Every error a stage after ingest can return comes from a supervised
     // ladder, and this run is inline.
     #[allow(clippy::expect_used)]
@@ -298,44 +285,6 @@ const STAGES: [StageDef; 5] = [
 /// unit) at ladder rung `rung`.
 type Body<T> = fn(&Run<'_>, usize, u32) -> Result<T, Grade10Error>;
 
-/// Borrowed from the caller or shared with detached attempts.
-enum Held<'a, T: ?Sized> {
-    Ref(&'a T),
-    Own(Arc<T>),
-}
-
-impl<T: ?Sized> Clone for Held<'_, T> {
-    fn clone(&self) -> Self {
-        match self {
-            Held::Ref(r) => Held::Ref(r),
-            Held::Own(a) => Held::Own(Arc::clone(a)),
-        }
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for Held<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        match self {
-            Held::Ref(r) => r,
-            Held::Own(a) => a,
-        }
-    }
-}
-
-/// Takes the payload out of a product's `Arc`. Abandoned deadline workers
-/// may still hold clones of it, so this falls back to cloning the payload.
-fn unshare<T: Clone>(shared: Arc<T>) -> T {
-    Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone())
-}
-
-/// The expert input and configuration of a run.
-type Expert<'a> = (
-    Held<'a, ExecutionModel>,
-    Held<'a, RuleSet>,
-    Held<'a, CharacterizationConfig>,
-);
-
 /// One unit of a fanned-out stage: one machine's share of the input or,
 /// under the inline policy, all of it.
 struct Unit {
@@ -379,38 +328,33 @@ enum UnitEvents {
 }
 
 /// One walk of the table: the inputs, what the stages so far produced, and
-/// the ledgers the executor keeps. Stage bodies read it; cloning it copies
-/// references and counts, never bulk data, which is what makes a detached
-/// attempt's snapshot cheap.
-#[derive(Clone)]
+/// the ledgers the executor keeps. Stage bodies read it.
 struct Run<'a> {
-    model: Held<'a, ExecutionModel>,
-    rules: Held<'a, RuleSet>,
-    cfg: Held<'a, CharacterizationConfig>,
-    events: Held<'a, [RawEvent]>,
-    monitoring: Held<'a, [RawSeries]>,
+    model: &'a ExecutionModel,
+    rules: &'a RuleSet,
+    cfg: &'a CharacterizationConfig,
+    events: &'a [RawEvent],
+    monitoring: &'a [RawSeries],
     /// The policy: supervised (knobs in `cfg.supervise`) or inline.
     supervised: bool,
-    /// With a deadline: how a detached attempt gets a snapshot of the run
-    /// that owns what it reads.
-    detach: Option<fn(&Run<'a>) -> Run<'static>>,
-    units: Arc<Vec<Unit>>,
+    units: Vec<Unit>,
     /// The monitoring plausibility bound: a cross-series statistic, so it
     /// is computed once over every series and handed to every unit.
     bound: Option<Nanos>,
     /// Per unit, what ingest made of its events and of its monitoring
     /// (empty until then, and for good when the unit is dropped).
-    ingested: Vec<Arc<UnitEvents>>,
-    resources: Vec<Held<'a, ResourceTrace>>,
+    ingested: Vec<UnitEvents>,
+    resources: Vec<Cow<'a, ResourceTrace>>,
     /// Each stage's product starts out as the stage's last-resort fallback:
-    /// the empty trace, profile and report.
-    trace: Held<'a, ExecutionTrace>,
+    /// the empty trace, profile and report. Only a run that enters the
+    /// table after ingest borrows its traces from the caller.
+    trace: Cow<'a, ExecutionTrace>,
     /// The profile settings every attribute unit builds with.
     grid: ProfileConfig,
-    profile: Arc<PerformanceProfile>,
-    bottlenecks: Arc<BottleneckReport>,
+    profile: PerformanceProfile,
+    bottlenecks: BottleneckReport,
     /// The replay stage's plan, until issue detection takes it.
-    baseline: Arc<Mutex<Option<Baseline>>>,
+    baseline: Mutex<Option<Baseline>>,
     base_makespan: Nanos,
     issues: Vec<PerformanceIssue>,
     report: IngestReport,
@@ -424,30 +368,28 @@ fn degraded_to(degradation: &str) -> IncidentOutcome {
 
 impl<'a> Run<'a> {
     fn new(
-        (model, rules, cfg): Expert<'a>,
-        events: Held<'a, [RawEvent]>,
-        monitoring: Held<'a, [RawSeries]>,
+        model: &'a ExecutionModel,
+        rules: &'a RuleSet,
+        cfg: &'a CharacterizationConfig,
+        events: &'a [RawEvent],
+        monitoring: &'a [RawSeries],
         supervised: bool,
     ) -> Self {
-        let units = Unit::split(&events, &monitoring, supervised);
+        let units = Unit::split(events, monitoring, supervised);
         // Only lenient rungs read the bound, and the inline policy has no
         // rung but the configured mode.
         let lenient = supervised || cfg.ingest.mode == IngestMode::Lenient;
-        // One shared placeholder per ledger: a unit's entry is replaced, not
-        // written through, when the unit is ingested.
-        let absent = Arc::new(UnitEvents::Absent);
         Run {
             supervised,
-            detach: None,
-            bound: lenient.then(|| plausibility_bound(&monitoring)).flatten(),
-            ingested: vec![absent; units.len()],
-            resources: vec![Held::Own(Arc::default()); units.len()],
-            units: Arc::new(units),
-            trace: Held::Own(Arc::default()),
+            bound: lenient.then(|| plausibility_bound(monitoring)).flatten(),
+            ingested: units.iter().map(|_| UnitEvents::Absent).collect(),
+            resources: vec![Cow::default(); units.len()],
+            units,
+            trace: Cow::default(),
             grid: cfg.profile.clone(),
-            profile: Arc::new(PerformanceProfile::empty(cfg.profile.slice)),
-            bottlenecks: Arc::default(),
-            baseline: Arc::default(),
+            profile: PerformanceProfile::empty(cfg.profile.slice),
+            bottlenecks: BottleneckReport::default(),
+            baseline: Mutex::default(),
             base_makespan: 0,
             issues: Vec::new(),
             report: IngestReport {
@@ -483,21 +425,13 @@ impl<'a> Run<'a> {
     }
 
     /// Runs `body` for one unit as the policy says: inline, a direct call;
-    /// supervised, the retry ladder around attempts that borrow the run or,
-    /// with a deadline, own a snapshot of it.
-    fn attempt<T: Send + 'static>(&self, label: &str, body: Body<T>, unit: usize) -> UnitRun<T> {
+    /// supervised, the retry ladder around attempts on this thread.
+    fn attempt<T>(&self, label: &str, body: Body<T>, unit: usize) -> UnitRun<T> {
         if !self.supervised {
             let result = body(self, unit, 0);
             return UnitRun { result, attempts: 1, first_error: None };
         }
-        let sup = &self.cfg.supervise;
-        run_unit(sup, label, |rung| match (sup.deadline, self.detach) {
-            (Some(deadline), Some(detach)) => {
-                let run = detach(self);
-                Attempt::Detached(deadline, Box::new(move || body(&run, unit, rung)))
-            }
-            _ => Attempt::Here(Box::new(move || body(self, unit, rung))),
-        })
+        run_unit(&self.cfg.supervise, label, |rung| body(self, unit, rung))
     }
 
     fn note(
@@ -548,7 +482,7 @@ impl<'a> Run<'a> {
     /// Fans `body` out over `units`, on the pool, as `name/unit`, and
     /// settles the runs in unit order: a unit that failed for good is
     /// dropped. Returns the survivors with the attempts each took.
-    fn units<T: Send + 'static>(
+    fn units<T: Send>(
         &mut self,
         stage: &StageDef,
         units: Vec<usize>,
@@ -580,7 +514,7 @@ impl<'a> Run<'a> {
     /// Runs a whole-stage `body` as `name`. When it fails for good the
     /// stage degrades to `substitute`, noted as the row's `degraded`, and
     /// its coverage reads skipped (the flag returned).
-    fn whole<T: Send + 'static>(
+    fn whole<T>(
         &mut self,
         stage: &StageDef,
         body: Body<T>,
@@ -601,12 +535,8 @@ impl<'a> Run<'a> {
     fn characterize(mut self) -> Result<PartialCharacterization, Grade10Error> {
         let stages = self.walk(&STAGES)?;
         let (characterization, trace, incidents, machines) = self.finish();
-        // A run over raw streams assembled its trace; only a caller-built
-        // one is borrowed.
-        let trace = match trace {
-            Held::Ref(trace) => trace.clone(),
-            Held::Own(trace) => unshare(trace),
-        };
+        // A run over raw streams assembled its trace: it owns it.
+        let trace = trace.into_owned();
         let coverage = Coverage { machines, stages };
         Ok(PartialCharacterization { characterization, trace, incidents, coverage })
     }
@@ -615,10 +545,10 @@ impl<'a> Run<'a> {
     /// coverage.
     fn finish(
         self,
-    ) -> (Characterization, Held<'a, ExecutionTrace>, Vec<Incident>, Vec<MachineCoverage>) {
+    ) -> (Characterization, Cow<'a, ExecutionTrace>, Vec<Incident>, Vec<MachineCoverage>) {
         let characterization = Characterization {
-            profile: unshare(self.profile),
-            bottlenecks: unshare(self.bottlenecks),
+            profile: self.profile,
+            bottlenecks: self.bottlenecks,
             base_makespan: self.base_makespan,
             issues: self.issues,
             ingest: self.report,
@@ -674,13 +604,13 @@ fn ingest(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
             run.note(stage, &name, (IncidentKind::MissingData, detail), attempts, outcome);
         }
         run.report.absorb_repairs(&report);
-        run.ingested[u] = Arc::new(events);
-        run.resources[u] = Held::Own(Arc::new(resources));
+        run.ingested[u] = events;
+        run.resources[u] = Cow::Owned(resources);
     }
     let assembled = run.attempt(&format!("{}/assemble", stage.name), assemble_trace, 0);
     let (trace, repairs) = run.recovered(stage, "assemble", assembled, "lenient merge repair")?;
     run.report.absorb_repairs(&repairs);
-    run.trace = Held::Own(Arc::new(trace));
+    run.trace = Cow::Owned(trace);
     // The units' events are in the trace now; nothing reads them again.
     run.ingested.clear();
     Ok(false)
@@ -703,7 +633,7 @@ fn ingest_unit(
     let sole = run.units.len() == 1;
     let mut report = IngestReport::default();
     let repaired = match unit.key {
-        None => clean_events(&run.events, mode, sole, &mut report)?,
+        None => clean_events(run.events, mode, sole, &mut report)?,
         Some(_) => {
             let events: Vec<&RawEvent> = unit.events.iter().map(|&i| &run.events[i]).collect();
             clean_events(&events, mode, sole, &mut report)?
@@ -728,10 +658,10 @@ fn assemble_trace(
 ) -> Result<(ExecutionTrace, IngestReport), Grade10Error> {
     let mut merged: Vec<&RawEvent> = Vec::new();
     for (unit, ingested) in run.units.iter().zip(&run.ingested) {
-        match (&**ingested, unit.key) {
+        match (ingested, unit.key) {
             (UnitEvents::Absent, _) => {}
             (UnitEvents::Repaired(events), _) => merged.extend(events),
-            (UnitEvents::Verbatim, None) => merged.extend(&*run.events),
+            (UnitEvents::Verbatim, None) => merged.extend(run.events),
             (UnitEvents::Verbatim, Some(_)) => {
                 merged.extend(unit.events.iter().map(|&i| &run.events[i]))
             }
@@ -754,10 +684,10 @@ fn assemble_trace(
         if !sole {
             validate_event_stream(&merged)?;
         }
-        build_trace_from(&run.model, merged)?
+        build_trace_from(run.model, merged)?
     } else {
         let repaired = repair_events_opts(&merged, true, &mut report);
-        build_execution_trace(&run.model, &repaired)?
+        build_execution_trace(run.model, &repaired)?
     };
     Ok((trace, report))
 }
@@ -775,7 +705,7 @@ fn attribute(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> 
     }
     let body: Body<_> = |run, u, _| {
         let (trace, resources) = (&run.trace, &run.resources[u]);
-        Ok(build_profile(&run.model, &run.rules, trace, resources, &run.grid))
+        Ok(build_profile(run.model, run.rules, trace, resources, &run.grid))
     };
     let built = run.units(stage, live, body, "retried")?;
     let parts: Vec<_> = built.into_iter().map(|(_, part, _)| part).collect();
@@ -783,14 +713,14 @@ fn attribute(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> 
     let profile = PerformanceProfile::merge(parts).unwrap_or_else(|| {
         let none: Body<_> = |run, _, _| {
             let none = ResourceTrace::new();
-            Ok(build_profile(&run.model, &run.rules, &run.trace, &none, &run.grid))
+            Ok(build_profile(run.model, run.rules, &run.trace, &none, &run.grid))
         };
         let built = run.attempt(&format!("{}/fallback", stage.name), none, 0).result;
         built.unwrap_or_else(|_| PerformanceProfile::empty(run.grid.slice))
     });
     run.report.slices_estimated = profile.estimated_slices();
     run.report.slices_total = profile.total_slices();
-    run.profile = Arc::new(profile);
+    run.profile = profile;
     Ok(skipped)
 }
 
@@ -836,17 +766,17 @@ fn bottleneck(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error>
     let body: Body<_> =
         |run, _, _| Ok(BottleneckReport::build(&run.trace, &run.profile, &run.cfg.bottleneck));
     let (report, skipped) = run.whole(stage, body, BottleneckReport::default())?;
-    run.bottlenecks = Arc::new(report);
+    run.bottlenecks = report;
     Ok(skipped)
 }
 
 fn replay(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
     let body: Body<_> =
-        |run, _, _| Ok(Some(Baseline::new(&run.model, &run.trace, &run.cfg.replay)));
+        |run, _, _| Ok(Some(Baseline::new(run.model, &run.trace, &run.cfg.replay)));
     let (base, skipped) = run.whole(stage, body, None)?;
     let measured = run.trace.makespan_end();
     run.base_makespan = base.as_ref().map_or(measured, |base| base.makespan);
-    run.baseline = Arc::new(Mutex::new(base));
+    run.baseline = Mutex::new(base);
     Ok(skipped)
 }
 
@@ -855,7 +785,7 @@ fn replay(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
 /// builds its own.
 fn issues(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
     let body: Body<_> = |run, _, _| {
-        let (model, trace, cfg) = (&run.model, &*run.trace, &run.cfg);
+        let (model, trace, cfg) = (run.model, &*run.trace, run.cfg);
         // The slot is only ever replaced whole, so a poisoned lock still
         // guards a valid value.
         let base = run.baseline.lock().unwrap_or_else(PoisonError::into_inner).take();

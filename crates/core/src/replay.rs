@@ -249,6 +249,9 @@ impl ReplayPlan {
         let mut makespan = 0;
         let mut fired = 0usize;
         while let Some(Reverse((t, node))) = events.pop() {
+            if fired.is_multiple_of(4096) {
+                crate::supervise::checkpoint();
+            }
             fired += 1;
             fire_time[node as usize] = t;
             makespan = makespan.max(t);

@@ -371,7 +371,10 @@ pub(crate) fn repair_events_opts<E: Borrow<RawEvent>>(
     // and counts genuinely duplicated block records as pairing damage.
     let mut seen: HashSet<&RawEvent> = HashSet::with_capacity(sorted.len());
     let mut unique: Vec<&RawEvent> = Vec::with_capacity(sorted.len());
-    for ev in sorted {
+    for (i, ev) in sorted.into_iter().enumerate() {
+        if i.is_multiple_of(4096) {
+            crate::supervise::checkpoint();
+        }
         let is_phase = matches!(
             ev.kind,
             RawEventKind::PhaseStart { .. } | RawEventKind::PhaseEnd { .. }

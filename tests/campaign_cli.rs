@@ -505,6 +505,63 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
         assert!(out.stdout.is_empty(), "{args:?} did no work");
     }
     assert!(!typo_dir.exists(), "the typo'd campaign never started");
+
+    // 1: a supervision knob without --partial. Each used to run with the
+    // knob silently ignored, since only the supervised policy reads it.
+    let knobs: [&[&str]; 4] = [
+        &["demo", "--dataset", "rmat:6", "--deadline-ms", "1"],
+        &["demo", "--dataset", "rmat:6", "--max-retries", "0"],
+        &["analyze", "--model", "m.json", "--trace", "t.g10t", "--deadline-ms", "1"],
+        &["analyze", "--model", "m.json", "--trace", "t.g10t", "--max-retries", "0"],
+    ];
+    for args in knobs {
+        let out = grade10().args(args).output().expect("run grade10");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} is fatal: {stderr}");
+        assert!(
+            stderr.contains("add --partial") && stderr.contains("usage:"),
+            "{args:?} names --partial and prints the usage: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} did no work");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The "retry with --lenient" hint follows only the errors lenient
+/// ingestion repairs, and only when ingestion was strict.
+#[test]
+fn lenient_hint_names_only_strict_input_damage() {
+    const HINT: &str = "retry with --lenient";
+    let root = tmp("hint");
+    let _ = std::fs::remove_dir_all(&root);
+    let run = |args: &[&str]| grade10().args(args).output().expect("run grade10");
+    let dir = root.to_str().expect("utf-8 path");
+    let exported = run(&["demo", "--dataset", "rmat:6", "--export-logs", dir]);
+    assert!(exported.status.success(), "{}", String::from_utf8_lossy(&exported.stderr));
+    let model = root.join("model.json");
+    let model = model.to_str().expect("utf-8 path");
+    assert!(run(&["export-model", "--engine", "giraph", "-o", model]).status.success());
+    // A shipper that re-sent the first record at the end: out of order.
+    let events = root.join("events.jsonl");
+    let text = std::fs::read_to_string(&events).expect("read events");
+    let first = text.lines().next().expect("a record");
+    std::fs::write(&events, format!("{text}{first}\n")).expect("damage events");
+    let (events, resources) = (events.to_str().unwrap(), root.join("resources.json"));
+    let analyze = ["analyze", "--model", model, "--events", events];
+    let resources = ["--resources", resources.to_str().expect("utf-8 path")];
+
+    let strict = run(&[&analyze[..], &resources[..]].concat());
+    let stderr = String::from_utf8_lossy(&strict.stderr);
+    assert_eq!(strict.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("malformed log") && stderr.contains(HINT), "{stderr}");
+
+    // A zero deadline fails every attempt, `ingest/assemble` included:
+    // fatal, but no repair would help.
+    let knobs = ["--lenient", "--partial", "--deadline-ms", "0", "--max-retries", "0"];
+    let late = run(&[&["demo", "--dataset", "rmat:6"][..], &knobs[..]].concat());
+    let stderr = String::from_utf8_lossy(&late.stderr);
+    assert_eq!(late.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("deadline exceeded") && !stderr.contains(HINT), "{stderr}");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -5,7 +5,7 @@
 //! with incidents and coverage, or a classified recoverable error.
 
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use grade10::cluster::{FaultClass, FaultPlan};
 use grade10::core::pipeline::CharacterizationConfig;
@@ -190,21 +190,24 @@ fn panic_in_one_unit_spares_other_units_results() {
     assert!(p.characterization.base_makespan > 0);
 }
 
-/// A deadline overrun in one whole-pipeline stage is abandoned and falls
-/// back, leaving every per-machine result intact.
+/// A deadline overrun in one whole-pipeline stage stops within a bounded
+/// slack of the deadline and falls back, leaving every per-machine result
+/// intact and no thread behind.
 #[test]
 fn deadline_overrun_in_one_stage_is_isolated() {
     let run = tiny_run();
     let events = to_raw_events(&run.sim.logs);
     let monitoring = to_raw_series(&run.sim.series, 8);
     let mut cfg = lenient_config();
-    cfg.supervise.deadline = Some(Duration::from_millis(2000));
+    let deadline = Duration::from_millis(2000);
+    cfg.supervise.deadline = Some(deadline);
     cfg.supervise.max_retries = 0;
     cfg.supervise.chaos.push(ChaosPoint {
         unit: "issues".to_string(),
         mode: ChaosMode::Stall(Duration::from_secs(30)),
     });
 
+    let t0 = Instant::now();
     let p = characterize_events_supervised(
         &run.model,
         &run.rules_tuned,
@@ -213,6 +216,22 @@ fn deadline_overrun_in_one_stage_is_isolated() {
         &cfg,
     )
     .expect("a stalled stage must not abort the pipeline");
+    let took = t0.elapsed();
+    assert!(
+        took < deadline + Duration::from_millis(500),
+        "the overrun was reported {took:?} after the call began"
+    );
+    // The stalled attempt stopped itself: no worker is left running it.
+    #[cfg(target_os = "linux")]
+    {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("list threads");
+        for task in tasks {
+            let comm = std::fs::read_to_string(task.expect("thread").path().join("comm"));
+            // A thread that exits while we list is gone: nothing to check.
+            let comm = comm.unwrap_or_default();
+            assert!(!comm.starts_with("grade10-"), "thread {comm:?} outlived the run");
+        }
+    }
 
     let inc = p
         .incidents
