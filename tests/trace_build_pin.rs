@@ -1,0 +1,383 @@
+//! Bit-level pin of §III-C's log → execution-trace step.
+//!
+//! Every command that characterizes anything builds its execution trace
+//! from a raw event stream first, so instance ids, parents, keys, times,
+//! pinning and blocking events must come out the same whatever the builder
+//! keys its bookkeeping on. Each line below is the FNV-1a hash of one
+//! complete built [`ExecutionTrace`] — every instance's id, type, parent,
+//! key, start, end, machine and thread, then every blocking event in order
+//! — for:
+//!
+//! * strict Giraph-, PowerGraph- and Spark-like streams;
+//! * the same streams after a `G10TRACE` encode/decode;
+//! * lenient-repaired `FaultPlan::all` streams at three seeds;
+//! * the supervised per-machine merge at pool width 2, strict on the clean
+//!   stream and lenient on the damaged one.
+//!
+//! The Giraph-like stream itself is committed as a `G10TRACE` golden too,
+//! for the unit tests of `critical_path` (which cannot run an engine).
+//!
+//! A second golden pins the exact text of every strict rejection, in the
+//! order the checks run, on one stream per rejection that also carries
+//! every later defect: the earlier check must win.
+//!
+//! Bless with `UPDATE_GOLDENS=1 cargo test --test trace_build_pin`.
+
+use std::fmt::Write as _;
+use std::fs;
+use std::path::PathBuf;
+
+use grade10::cluster::{FaultPlan, SimOutput};
+use grade10::core::config::Parallelism;
+use grade10::core::hash::{fnv1a, fnv1a_extend};
+use grade10::core::model::execution::{ExecutionModelBuilder, Repeat};
+use grade10::core::model::ExecutionModel;
+use grade10::core::parse::{build_execution_trace, RawEvent, RawEventKind};
+use grade10::core::pipeline::CharacterizationConfig;
+use grade10::core::supervise::characterize_events_supervised;
+use grade10::core::trace::{
+    decode_trace, encode_trace, ingest, repair_events, ExecutionTrace, IngestConfig,
+    IngestReport, MILLIS,
+};
+use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::engines::dataflow::{
+    dataflow_model, dataflow_rules_tuned, run_dataflow, DataflowConfig, JobSpec,
+};
+use grade10::engines::gas::GasConfig;
+use grade10::engines::pregel::PregelConfig;
+use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
+use grade10::graph::partition::EdgeCutPartition;
+
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(name)
+}
+
+/// Diffs `actual` against the checked-in golden, or re-blesses it when
+/// `UPDATE_GOLDENS=1` is set.
+fn check_golden(name: &str, actual: &str) {
+    let path = golden_path(name);
+    if std::env::var("UPDATE_GOLDENS").ok().as_deref() == Some("1") {
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1")
+    });
+    if expected != actual {
+        panic!(
+            "trace build drifted from golden {name}; every characterization \
+             moves with it. Re-bless with UPDATE_GOLDENS=1 only together with \
+             a CODE_VERSION bump\n--- expected ---\n{expected}\
+             \n--- actual ---\n{actual}"
+        );
+    }
+}
+
+/// [`check_golden`] for a binary stream.
+fn check_stream_golden(name: &str, actual: &[u8]) {
+    let path = golden_path(name);
+    if std::env::var("UPDATE_GOLDENS").ok().as_deref() == Some("1") {
+        fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = fs::read(&path).unwrap_or_else(|e| {
+        panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1")
+    });
+    assert!(expected == actual, "stream drifted from golden {name}");
+}
+
+/// FNV-1a over every field of a built trace, little-endian; `None` parents
+/// and pins hash as a distinct tag byte.
+fn trace_hash(trace: &ExecutionTrace) -> u64 {
+    let mut h = fnv1a(&(trace.instances().len() as u64).to_le_bytes());
+    let opt = |h: u64, v: Option<u32>| match v {
+        None => fnv1a_extend(h, &[0]),
+        Some(v) => fnv1a_extend(fnv1a_extend(h, &[1]), &v.to_le_bytes()),
+    };
+    for i in trace.instances() {
+        h = fnv1a_extend(h, &i.id.0.to_le_bytes());
+        h = fnv1a_extend(h, &i.type_id.0.to_le_bytes());
+        h = opt(h, i.parent.map(|p| p.0));
+        h = fnv1a_extend(h, &i.key.to_le_bytes());
+        h = fnv1a_extend(h, &i.start.to_le_bytes());
+        h = fnv1a_extend(h, &i.end.to_le_bytes());
+        h = opt(h, i.machine.map(u32::from));
+        h = opt(h, i.thread.map(u32::from));
+    }
+    h = fnv1a_extend(h, &(trace.blocking().len() as u64).to_le_bytes());
+    for b in trace.blocking() {
+        h = fnv1a_extend(h, &(b.resource.len() as u64).to_le_bytes());
+        h = fnv1a_extend(h, b.resource.as_bytes());
+        h = fnv1a_extend(h, &b.instance.0.to_le_bytes());
+        h = fnv1a_extend(h, &b.start.to_le_bytes());
+        h = fnv1a_extend(h, &b.end.to_le_bytes());
+    }
+    h
+}
+
+fn line(out: &mut String, name: &str, trace: &ExecutionTrace) {
+    writeln!(
+        out,
+        "{name} instances={} blocking={} fnv1a={:016x}",
+        trace.instances().len(),
+        trace.blocking().len(),
+        trace_hash(trace)
+    )
+    .unwrap();
+}
+
+/// One simulated run per engine family, with the model its events name.
+struct Fixture {
+    name: &'static str,
+    model: ExecutionModel,
+    run: SimOutput,
+    rules: grade10::core::model::RuleSet,
+}
+
+fn engine_run(engine: EngineKind) -> WorkloadRun {
+    run_workload(&WorkloadSpec {
+        dataset: Dataset::Rmat { scale: 8, seed: 46 },
+        algorithm: Algorithm::PageRank { iterations: 3 },
+        engine,
+    })
+}
+
+fn fixtures() -> Vec<Fixture> {
+    let giraph = engine_run(EngineKind::Giraph(PregelConfig {
+        machines: 3,
+        threads: 2,
+        ..Default::default()
+    }));
+    let powergraph = engine_run(EngineKind::PowerGraph(GasConfig {
+        machines: 3,
+        ..Default::default()
+    }));
+    let cfg = DataflowConfig {
+        machines: 2,
+        ..Default::default()
+    };
+    let graph = Dataset::Rmat { scale: 8, seed: 46 }.generate();
+    let part = EdgeCutPartition::hash(&graph, cfg.machines * cfg.executors * 2);
+    let work = Algorithm::PageRank { iterations: 3 }.run(&graph, &part);
+    let job = JobSpec::from_work_profile(&work, 1.0e-4, 200.0, cfg.machines);
+    let (spark_model, phases) = dataflow_model();
+    vec![
+        Fixture {
+            name: "giraph",
+            model: giraph.model,
+            run: giraph.sim,
+            rules: giraph.rules_tuned,
+        },
+        Fixture {
+            name: "powergraph",
+            model: powergraph.model,
+            run: powergraph.sim,
+            rules: powergraph.rules_tuned,
+        },
+        Fixture {
+            name: "spark",
+            model: spark_model,
+            run: run_dataflow(&job, &cfg),
+            rules: dataflow_rules_tuned(&phases, cfg.cores),
+        },
+    ]
+}
+
+#[test]
+fn built_traces_are_pinned() {
+    let mut out = String::new();
+    for f in fixtures() {
+        let events = to_raw_events(&f.run.logs);
+        let strict = ingest(&f.model, &events, &[], &IngestConfig::default())
+            .unwrap_or_else(|e| panic!("{}: clean stream rejected: {e}", f.name));
+        line(&mut out, &format!("{} strict", f.name), &strict.trace);
+        assert_eq!(
+            trace_hash(&build_execution_trace(&f.model, &events).unwrap()),
+            trace_hash(&strict.trace),
+        );
+
+        let encoded = encode_trace(&events, None);
+        if f.name == "giraph" {
+            // The unit tests of `critical_path` replay this stream.
+            check_stream_golden("trace_build_giraph.g10t", &encoded);
+        }
+        let decoded = decode_trace(&encoded).unwrap().events;
+        let trace = build_execution_trace(&f.model, &decoded).unwrap();
+        line(&mut out, &format!("{} g10trace", f.name), &trace);
+
+        for seed in [3, 11, 46] {
+            let damaged = to_raw_events(&FaultPlan::all(seed).inject_logs(&f.run.logs));
+            let repaired = repair_events(&damaged, &mut IngestReport::default());
+            let trace = build_execution_trace(&f.model, &repaired)
+                .unwrap_or_else(|e| panic!("{} seed {seed}: repaired stream rejected: {e}", f.name));
+            line(&mut out, &format!("{} lenient all seed={seed}", f.name), &trace);
+        }
+
+        let mut cfg = CharacterizationConfig::default();
+        cfg.profile.slice = 10 * MILLIS;
+        cfg.supervise.parallelism = Parallelism::Always;
+        cfg.supervise.threads = Some(2);
+        let monitoring = to_raw_series(&f.run.series, 8);
+        let p = characterize_events_supervised(&f.model, &f.rules, &events, &monitoring, &cfg)
+            .unwrap_or_else(|e| panic!("{}: supervised strict run failed: {e}", f.name));
+        line(&mut out, &format!("{} supervised strict w2", f.name), &p.trace);
+
+        cfg.ingest = IngestConfig::lenient();
+        cfg.profile.estimate_missing = true;
+        let plan = FaultPlan::all(46);
+        let damaged = to_raw_events(&plan.inject_logs(&f.run.logs));
+        let monitoring = to_raw_series(&plan.inject_series(&f.run.series), 8);
+        let p = characterize_events_supervised(&f.model, &f.rules, &damaged, &monitoring, &cfg)
+            .unwrap_or_else(|e| panic!("{}: supervised lenient run failed: {e}", f.name));
+        line(&mut out, &format!("{} supervised lenient all w2", f.name), &p.trace);
+    }
+    check_golden("trace_build_hashes.txt", &out);
+}
+
+// ---------------------------------------------------------------------------
+// Strict rejections.
+// ---------------------------------------------------------------------------
+
+/// `job -> step (sequential) -> task (parallel)`.
+fn tiny_model() -> ExecutionModel {
+    let mut b = ExecutionModelBuilder::new("job");
+    let r = b.root();
+    let step = b.child(r, "step", Repeat::Sequential);
+    let _ = b.child(step, "task", Repeat::Parallel);
+    b.build()
+}
+
+fn start(time: u64, thread: u16, path: &[(&str, u32)]) -> RawEvent {
+    let path = path.iter().map(|(n, k)| (n.to_string(), *k)).collect();
+    RawEvent {
+        time,
+        machine: 0,
+        thread,
+        kind: RawEventKind::PhaseStart { path },
+    }
+}
+
+fn end(time: u64, thread: u16, path: &[(&str, u32)]) -> RawEvent {
+    let RawEventKind::PhaseStart { path } = start(time, thread, path).kind else {
+        unreachable!()
+    };
+    RawEvent {
+        time,
+        machine: 0,
+        thread,
+        kind: RawEventKind::PhaseEnd { path },
+    }
+}
+
+fn block(time: u64, thread: u16, resource: &str, open: bool) -> RawEvent {
+    let resource = resource.to_string();
+    RawEvent {
+        time,
+        machine: 0,
+        thread,
+        kind: if open {
+            RawEventKind::BlockStart { resource }
+        } else {
+            RawEventKind::BlockEnd { resource }
+        },
+    }
+}
+
+/// A well-formed stream: one task that blocks on `gc` once.
+fn clean_stream() -> Vec<RawEvent> {
+    let (job, step, task) = (
+        [("job", 0)],
+        [("job", 0), ("step", 0)],
+        [("job", 0), ("step", 0), ("task", 0)],
+    );
+    vec![
+        start(10, 0, &job),
+        start(10, 0, &step),
+        start(10, 1, &task),
+        block(20, 1, "gc", true),
+        block(30, 1, "gc", false),
+        end(40, 1, &task),
+        end(50, 0, &step),
+        end(60, 0, &job),
+    ]
+}
+
+/// Every strict rejection, in the order the checks run, each as the records
+/// that add exactly that defect to [`clean_stream`]. The scan rejections
+/// (started twice, ended without starting, block ended without starting)
+/// fire on the first offending record in time, so their defects are placed
+/// in that order.
+fn defects() -> Vec<(&'static str, Vec<RawEvent>)> {
+    vec![
+        ("out of order", vec![]), // appended last, below
+        ("duplicate record", vec![start(10, 0, &[("job", 0), ("step", 0)])]),
+        (
+            "started twice",
+            vec![start(100, 0, &[("job", 0), ("step", 1)]), start(101, 0, &[("job", 0), ("step", 1)])],
+        ),
+        ("ended without starting", vec![end(110, 0, &[("job", 0), ("step", 2)])]),
+        ("block ended without starting", vec![block(120, 5, "net", false)]),
+        ("never ended", vec![start(130, 0, &[("job", 0), ("step", 3)])]),
+        ("block never ended", vec![block(140, 6, "disk", true)]),
+        (
+            "root mismatch",
+            vec![start(150, 7, &[("bogus", 0)]), end(160, 7, &[("bogus", 0)])],
+        ),
+        (
+            "unknown phase type",
+            vec![start(170, 7, &[("job", 0), ("nope", 0)]), end(180, 7, &[("job", 0), ("nope", 0)])],
+        ),
+        (
+            "missing parent",
+            vec![
+                start(190, 7, &[("job", 0), ("step", 9), ("task", 0)]),
+                end(200, 7, &[("job", 0), ("step", 9), ("task", 0)]),
+            ],
+        ),
+        (
+            "duplicate instance path",
+            vec![
+                start(210, 1, &[("job", 0), ("step", 0), ("task", 0)]),
+                end(220, 1, &[("job", 0), ("step", 0), ("task", 0)]),
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn strict_rejection_texts_are_pinned() {
+    let model = tiny_model();
+    let clean = ingest(&model, &clean_stream(), &[], &IngestConfig::default()).unwrap();
+    assert_eq!(clean.trace.instances().len(), 3);
+    let defects = defects();
+    // The clean stream plus the given defects, in time order except for
+    // the out-of-order record, which arrives right after the job ends.
+    let stream = |with: &[(&str, Vec<RawEvent>)], late: bool| {
+        let mut events = clean_stream();
+        events.extend(with.iter().flat_map(|(_, records)| records.iter().cloned()));
+        events.sort_by_key(|e| e.time);
+        if late {
+            let at = events.iter().position(|e| e.time > 60).unwrap_or(events.len());
+            events.insert(at, block(1, 0, "late", true));
+        }
+        events
+    };
+    let reject = |events: &[RawEvent], name: &str| {
+        match ingest(&model, events, &[], &IngestConfig::default()) {
+            Ok(_) => panic!("{name}: strict ingestion accepted the stream"),
+            Err(e) => e.to_string(),
+        }
+    };
+    let mut out = String::new();
+    for (i, (name, _)) in defects.iter().enumerate() {
+        let err = reject(&stream(&defects[i..], i == 0), name);
+        // The same text whether or not the later defects ride along.
+        let alone = reject(&stream(&defects[i..=i], i == 0), name);
+        assert_eq!(alone, err, "{name}");
+        writeln!(out, "{name}: {err}").unwrap();
+    }
+    check_golden("trace_build_errors.txt", &out);
+}
