@@ -82,20 +82,26 @@ pub fn critical_path_of(
     trace: &ExecutionTrace,
     result: &ReplayResult,
 ) -> CriticalPath {
-    let leaves: Vec<InstanceId> = trace.leaves().map(|i| i.id).collect();
+    let end = |id: InstanceId| result.end[id.0 as usize];
+    // Leaves by (replayed end, id), so the leaves ending at one instant are
+    // one run, in id order.
+    let mut by_end: Vec<InstanceId> = trace.leaves().map(|i| i.id).collect();
+    by_end.sort_unstable_by_key(|&id| (end(id), id));
+    let ending_at = |t: Nanos| {
+        let from = by_end.partition_point(|&id| end(id) < t);
+        let to = by_end.partition_point(|&id| end(id) <= t);
+        &by_end[from..to]
+    };
     let makespan = result.makespan;
 
     // Terminal hop: a leaf ending at the makespan.
-    let mut current = leaves
-        .iter()
-        .copied()
-        .find(|&id| result.end[id.0 as usize] == makespan);
+    let mut current = ending_at(makespan).first().copied();
     let mut hops: Vec<CriticalHop> = Vec::new();
     let mut visited = vec![false; trace.instances().len()];
 
     while let Some(id) = current {
         visited[id.0 as usize] = true;
-        let (s, e) = (result.start[id.0 as usize], result.end[id.0 as usize]);
+        let (s, e) = (result.start[id.0 as usize], end(id));
         hops.push(CriticalHop {
             instance: id,
             start: s,
@@ -108,18 +114,13 @@ pub fn critical_path_of(
         // no: at) this hop's start and is plausibly ordered before it:
         // any leaf with end == start of the current hop. If several
         // qualify, prefer one on the same machine (slot or local
-        // dependency), then any.
-        let inst = trace.instance(id);
-        let mut cands: Vec<InstanceId> = leaves
-            .iter()
-            .copied()
-            .filter(|&c| !visited[c.0 as usize] && result.end[c.0 as usize] == s)
-            .collect();
-        cands.sort_by_key(|&c| {
-            let ci = trace.instance(c);
-            (ci.machine != inst.machine, c.0)
-        });
-        current = cands.first().copied();
+        // dependency), then any; the lowest id within each.
+        let machine = trace.instance(id).machine;
+        let mut cands = ending_at(s).iter().copied().filter(|&c| !visited[c.0 as usize]);
+        current = cands
+            .clone()
+            .find(|&c| trace.instance(c).machine == machine)
+            .or_else(|| cands.next());
     }
     hops.reverse();
 
@@ -135,12 +136,70 @@ pub fn critical_path_of(
     }
 }
 
+/// The walk `critical_path_of` replaced, which rescanned every leaf and
+/// sorted a candidate list per hop; kept verbatim as the oracle of
+/// `indexed_walk_matches_the_scan_on_the_pinned_giraph_trace`.
+#[cfg(test)]
+fn critical_hops_by_scan(trace: &ExecutionTrace, result: &ReplayResult) -> Vec<CriticalHop> {
+    let leaves: Vec<InstanceId> = trace.leaves().map(|i| i.id).collect();
+    let makespan = result.makespan;
+    let mut current = leaves
+        .iter()
+        .copied()
+        .find(|&id| result.end[id.0 as usize] == makespan);
+    let mut hops: Vec<CriticalHop> = Vec::new();
+    let mut visited = vec![false; trace.instances().len()];
+    while let Some(id) = current {
+        visited[id.0 as usize] = true;
+        let (s, e) = (result.start[id.0 as usize], result.end[id.0 as usize]);
+        hops.push(CriticalHop {
+            instance: id,
+            start: s,
+            end: e,
+        });
+        if s == 0 {
+            break;
+        }
+        let inst = trace.instance(id);
+        let mut cands: Vec<InstanceId> = leaves
+            .iter()
+            .copied()
+            .filter(|&c| !visited[c.0 as usize] && result.end[c.0 as usize] == s)
+            .collect();
+        cands.sort_by_key(|&c| {
+            let ci = trace.instance(c);
+            (ci.machine != inst.machine, c.0)
+        });
+        current = cands.first().copied();
+    }
+    hops.reverse();
+    hops
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::execution::{ExecutionModelBuilder, Repeat};
+    use crate::model::persist::ModelBundle;
+    use crate::parse::build_execution_trace;
+    use crate::trace::binary::decode_trace;
     use crate::trace::execution::TraceBuilder;
     use crate::trace::timeslice::MILLIS;
+
+    /// The Giraph-like stream `tests/trace_build_pin.rs` pins, under the
+    /// model `grade10 export-model --engine giraph` writes.
+    #[test]
+    fn indexed_walk_matches_the_scan_on_the_pinned_giraph_trace() {
+        let bundle = include_bytes!("../../../tests/goldens/export_model_giraph.json");
+        let model = ModelBundle::load(&bundle[..]).unwrap().execution;
+        let stream = include_bytes!("../../../tests/goldens/trace_build_giraph.g10t");
+        let events = decode_trace(stream).unwrap().events;
+        let trace = build_execution_trace(&model, &events).unwrap();
+        let result = replay_original(&model, &trace, &ReplayConfig::default());
+        let cp = critical_path_of(&model, &trace, &result);
+        assert!(cp.hops.len() > 10, "{} hops", cp.hops.len());
+        assert_eq!(cp.hops, critical_hops_by_scan(&trace, &result));
+    }
 
     /// job -> step(seq) -> task(par): two steps, two tasks each.
     fn setup(durs: [[u64; 2]; 2]) -> (ExecutionModel, ExecutionTrace) {

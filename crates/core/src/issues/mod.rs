@@ -59,18 +59,15 @@ impl Default for IssueConfig {
 #[derive(Clone, Debug, PartialEq)]
 pub enum IssueKind {
     /// Removing all bottlenecks on a consumable resource kind.
-    /// Removing all bottlenecks on a consumable resource kind.
     ConsumableBottleneck {
         /// The consumable resource kind whose bottlenecks are removed.
         resource_kind: String,
     },
     /// Removing all blocking on a blocking resource kind.
-    /// Removing all blocking on a blocking resource kind.
     BlockingBottleneck {
         /// The blocking resource kind whose events are removed.
         resource_kind: String,
     },
-    /// Perfectly balancing concurrent same-type phases of one type.
     /// Perfectly balancing concurrent same-type phases of one type.
     Imbalance {
         /// The phase type whose concurrent groups are evened out.

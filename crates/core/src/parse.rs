@@ -5,6 +5,12 @@
 //! Engine adapters (in `grade10-engines`) translate framework logs into this
 //! stream; the stream can also be serialized as JSON lines for offline
 //! analysis, decoupling the monitored run from the characterization run.
+//!
+//! The trace build interns every distinct phase path into a dense
+//! `PathId` as it scans the stream, and keys all of its bookkeeping on
+//! those ids. Ids live only inside one build. Instance order is unchanged
+//! from a build keyed on the paths themselves: instances are added by
+//! `(depth, start, rank)`, and sorting by rank is sorting by path.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -12,8 +18,10 @@ use std::io::{BufRead, Write};
 use serde::{Deserialize, Serialize};
 
 use crate::error::Grade10Error;
-use crate::model::execution::ExecutionModel;
-use crate::trace::execution::{ExecutionTrace, TraceBuilder};
+use crate::model::execution::{ExecutionModel, PhaseTypeId};
+use crate::trace::execution::{
+    duplicate_path, missing_parent, ExecutionTrace, InstanceId, TraceBuilder,
+};
 use crate::trace::timeslice::Nanos;
 
 /// A phase path as it appears in logs: `(type name, instance key)` segments
@@ -70,13 +78,259 @@ pub fn build_execution_trace(
     build_trace_from(model, events.iter().collect())
 }
 
+/// Dense id of one distinct phase path of a stream. Ids live only inside
+/// one trace build: they are handed out in first-seen order and mean
+/// nothing outside the [`PathTable`] that issued them.
+type PathId = u32;
+
+/// The distinct phase paths of one stream. A path is looked up by its
+/// borrowed slice and never cloned. Every proper prefix of an interned
+/// path is interned too, so each entry knows its parent's id.
+#[derive(Default)]
+struct PathTable<'e> {
+    ids: HashMap<Segments<'e>, PathId>,
+    /// Per id: the path and the id of its parent (its prefix one segment
+    /// shorter; `None` at depth 0 and 1).
+    entries: Vec<(Segments<'e>, Option<PathId>)>,
+}
+
+/// A borrowed phase path, or a prefix of one.
+type Segments<'e> = &'e [(String, u32)];
+
+impl<'e> PathTable<'e> {
+    /// The id of `path`, issuing one (and one for each new prefix) if it
+    /// is new.
+    fn intern(&mut self, path: Segments<'e>) -> PathId {
+        if let Some(&id) = self.ids.get(path) {
+            return id;
+        }
+        let parent = match path.len() {
+            0 | 1 => None,
+            n => Some(self.intern(&path[..n - 1])),
+        };
+        let id = self.entries.len() as PathId;
+        self.ids.insert(path, id);
+        self.entries.push((path, parent));
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn path(&self, id: PathId) -> Segments<'e> {
+        self.entries[id as usize].0
+    }
+
+    fn parent(&self, id: PathId) -> Option<PathId> {
+        self.entries[id as usize].1
+    }
+
+    /// Each id's rank among the distinct paths of its depth in
+    /// lexicographic order, so that between two paths of one depth
+    /// comparing ranks compares the paths. Ranked depth by depth: two paths
+    /// of one depth compare as their parents do, then as their last
+    /// segments do.
+    fn ranks(&self) -> Vec<u32> {
+        let mut order: Vec<PathId> = (0..self.len() as PathId).collect();
+        order.sort_unstable_by_key(|&id| self.path(id).len());
+        let mut rank = vec![0; order.len()];
+        for level in order.chunk_by_mut(|&a, &b| self.path(a).len() == self.path(b).len()) {
+            level.sort_unstable_by(|&a, &b| {
+                let parent_rank = |id| self.parent(id).map(|p| rank[p as usize]);
+                let last = |id| self.path(id).last();
+                (parent_rank(a), last(a)).cmp(&(parent_rank(b), last(b)))
+            });
+            for (r, &id) in level.iter().enumerate() {
+                rank[id as usize] = r as u32;
+            }
+        }
+        rank
+    }
+}
+
 /// [`build_execution_trace`] over borrowed records, for callers whose
 /// stream is already a list of references (several machines' substreams
 /// merged without copying a record).
+///
+/// Phase paths are interned as the stream is scanned, so open phases and
+/// thread stacks are keyed by dense ids; open blocks are keyed by the
+/// borrowed resource name.
+/// Instances are added shallowest first, then by start time, then by path
+/// rank: the order the paths themselves would sort in, so instance ids do
+/// not depend on the interning.
 pub(crate) fn build_trace_from(
     model: &ExecutionModel,
     mut events: Vec<&RawEvent>,
 ) -> Result<ExecutionTrace, Grade10Error> {
+    events.sort_by_key(|e| e.time);
+
+    struct OpenPhase {
+        start: Nanos,
+        machine: u16,
+        thread: u16,
+    }
+    let mut paths = PathTable::default();
+    // Per path id: the phase open on that path, if any.
+    let mut open: Vec<Option<OpenPhase>> = Vec::new();
+    // Completed phases: (path, start, end, machine, thread).
+    let mut completed: Vec<(PathId, Nanos, Nanos, u16, u16)> = Vec::new();
+    // Innermost-phase stacks per (machine, thread).
+    let mut stacks: HashMap<(u16, u16), Vec<PathId>> = HashMap::new();
+    // Open blocks per (machine, thread, resource): (start, blocked path).
+    let mut open_blocks: HashMap<(u16, u16, &str), (Nanos, Option<PathId>)> = HashMap::new();
+    // Completed blocking events: (path, resource, start, end).
+    let mut blocks: Vec<(PathId, &str, Nanos, Nanos)> = Vec::new();
+
+    for ev in events {
+        match &ev.kind {
+            RawEventKind::PhaseStart { path } => {
+                let id = paths.intern(path);
+                open.resize_with(paths.len(), || None);
+                let slot = &mut open[id as usize];
+                if slot.is_some() {
+                    return Err(Grade10Error::MalformedLog(format!(
+                        "phase {path:?} started twice"
+                    )));
+                }
+                *slot = Some(OpenPhase {
+                    start: ev.time,
+                    machine: ev.machine,
+                    thread: ev.thread,
+                });
+                stacks.entry((ev.machine, ev.thread)).or_default().push(id);
+            }
+            RawEventKind::PhaseEnd { path } => {
+                let id = paths.intern(path);
+                let op = open.get_mut(id as usize).and_then(Option::take).ok_or_else(|| {
+                    Grade10Error::MalformedLog(format!("phase {path:?} ended without starting"))
+                })?;
+                completed.push((id, op.start, ev.time, op.machine, op.thread));
+                if let Some(stack) = stacks.get_mut(&(op.machine, op.thread)) {
+                    if let Some(pos) = stack.iter().rposition(|&p| p == id) {
+                        stack.remove(pos);
+                    }
+                }
+            }
+            RawEventKind::BlockStart { resource } => {
+                let blocked = stacks
+                    .get(&(ev.machine, ev.thread))
+                    .and_then(|s| s.last())
+                    .copied();
+                open_blocks.insert((ev.machine, ev.thread, resource), (ev.time, blocked));
+            }
+            RawEventKind::BlockEnd { resource } => {
+                let key = (ev.machine, ev.thread, resource.as_str());
+                let (start, blocked) = open_blocks.remove(&key).ok_or_else(|| {
+                    Grade10Error::MalformedLog(format!(
+                        "block on '{resource}' ended without starting"
+                    ))
+                })?;
+                if let Some(id) = blocked {
+                    blocks.push((id, resource, start, ev.time));
+                }
+                // Blocks outside any phase are dropped: there is no phase
+                // execution they could have delayed.
+            }
+        }
+    }
+    // Name the smallest key, not the first in id or hash order: the same
+    // damaged stream must yield the same message on every run.
+    let never_ended = open.iter().enumerate().filter(|(_, o)| o.is_some());
+    if let Some(path) = never_ended.map(|(id, _)| paths.path(id as PathId)).min() {
+        return Err(Grade10Error::MalformedLog(format!("phase {path:?} never ended")));
+    }
+    if let Some((_, _, res)) = open_blocks.keys().min() {
+        return Err(Grade10Error::MalformedLog(format!("block on '{res}' never ended")));
+    }
+
+    // Add parents before children: shallower paths first, then by start
+    // time, then by path for deterministic instance ids.
+    let rank = paths.ranks();
+    completed.sort_by_key(|&(id, start, ..)| (paths.path(id).len(), start, rank[id as usize]));
+    let mut tb = TraceBuilder::new(model);
+    // Per path id: its phase type once resolved, and its instance once added.
+    let mut types: Vec<Option<PhaseTypeId>> = vec![None; paths.len()];
+    let mut instances: Vec<Option<InstanceId>> = vec![None; paths.len()];
+    for &(id, start, end, machine, thread) in &completed {
+        let type_id = path_type(&tb, &paths, &mut types, id)?;
+        let path = paths.path(id);
+        let parent = match paths.parent(id) {
+            None => None,
+            Some(p) => Some(instances[p as usize].ok_or_else(|| missing_parent(path))?),
+        };
+        let key = path.last().map_or(0, |&(_, k)| k);
+        let segment = (parent, type_id, key);
+        let instance = tb
+            .add_resolved(segment, start, end, Some(machine), Some(thread))
+            .ok_or_else(|| duplicate_path(path))?;
+        instances[id as usize] = Some(instance);
+    }
+    for &(id, resource, start, end) in &blocks {
+        let instance = instances[id as usize].ok_or_else(|| {
+            let path = paths.path(id);
+            Grade10Error::MalformedLog(format!("blocked phase {path:?} not found"))
+        })?;
+        tb.add_blocking(instance, resource, start, end);
+    }
+    tb.build()
+}
+
+/// The phase type path `id` names, resolved from its parent's type and
+/// remembered in `types`. An error names the first segment from the root
+/// that does not resolve, as walking the names from the root would.
+fn path_type(
+    tb: &TraceBuilder<'_>,
+    paths: &PathTable<'_>,
+    types: &mut [Option<PhaseTypeId>],
+    id: PathId,
+) -> Result<PhaseTypeId, Grade10Error> {
+    if let Some(type_id) = types[id as usize] {
+        return Ok(type_id);
+    }
+    let Some((name, _)) = paths.path(id).last() else {
+        return Err(Grade10Error::ModelMismatch("empty phase path".into()));
+    };
+    let parent = match paths.parent(id) {
+        None => None,
+        Some(p) => Some(path_type(tb, paths, types, p)?),
+    };
+    let type_id = tb.segment_type(parent, name)?;
+    types[id as usize] = Some(type_id);
+    Ok(type_id)
+}
+
+/// Writes events as JSON lines.
+pub fn write_events_json<W: Write>(events: &[RawEvent], mut w: W) -> std::io::Result<()> {
+    for ev in events {
+        serde_json::to_writer(&mut w, ev)?;
+        writeln!(w)?;
+    }
+    Ok(())
+}
+
+/// Reads events from JSON lines.
+pub fn read_events_json<R: BufRead>(r: R) -> std::io::Result<Vec<RawEvent>> {
+    let mut out = Vec::new();
+    for line in r.lines() {
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        out.push(serde_json::from_str(&line).map_err(std::io::Error::other)?);
+    }
+    Ok(out)
+}
+
+/// The string-keyed trace build the interned one replaced, kept verbatim as
+/// the oracle of `interned_build_matches_the_string_keyed_oracle`.
+#[cfg(test)]
+fn build_trace_by_path(
+    model: &ExecutionModel,
+    mut events: Vec<&RawEvent>,
+) -> Result<ExecutionTrace, Grade10Error> {
+    use std::collections::HashMap;
+
     events.sort_by_key(|e| e.time);
 
     struct OpenPhase {
@@ -181,30 +435,11 @@ pub(crate) fn build_trace_from(
     tb.build()
 }
 
-/// Writes events as JSON lines.
-pub fn write_events_json<W: Write>(events: &[RawEvent], mut w: W) -> std::io::Result<()> {
-    for ev in events {
-        serde_json::to_writer(&mut w, ev)?;
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Reads events from JSON lines.
-pub fn read_events_json<R: BufRead>(r: R) -> std::io::Result<Vec<RawEvent>> {
-    let mut out = Vec::new();
-    for line in r.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(serde_json::from_str(&line).map_err(std::io::Error::other)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
     use super::*;
     use crate::model::execution::{ExecutionModelBuilder, Repeat};
     use crate::trace::timeslice::MILLIS;
@@ -423,5 +658,154 @@ mod tests {
         let trace = build_execution_trace(&m, &events).unwrap();
         assert_eq!(trace.instances()[0].start, 0);
         assert_eq!(trace.instances()[0].end, 20);
+    }
+
+    /// A random well-formed stream over [`model`]: one job, steps one after
+    /// another, each with tasks on random threads of two machines that
+    /// block on random resources, plus blocks outside any phase. Times are
+    /// small, so many records share a timestamp.
+    fn random_stream(rng: &mut ChaCha8Rng) -> Vec<RawEvent> {
+        let mut events = vec![ev(0, 0, 0, RawEventKind::PhaseStart { path: path(&[("job", 0)]) })];
+        let mut t: Nanos = rng.gen_range(0..2);
+        for s in 0..rng.gen_range(1..4u32) {
+            let step = path(&[("job", 0), ("step", s)]);
+            events.push(ev(t, 0, 0, RawEventKind::PhaseStart { path: step.clone() }));
+            let mut step_end = t;
+            for k in 0..rng.gen_range(1..5u32) {
+                let (machine, thread) = (rng.gen_range(0..2), k as u16);
+                let mut task = step.clone();
+                task.push(("task".to_string(), k));
+                let start = t + rng.gen_range(0..3);
+                let end = start + rng.gen_range(0..6);
+                let task_start = RawEventKind::PhaseStart { path: task.clone() };
+                events.push(ev(start, machine, thread, task_start));
+                let mut from = start;
+                for resource in ["gc", "msgq", "net"].into_iter().take(rng.gen_range(0..3)) {
+                    from = rng.gen_range(from..=end);
+                    let to = rng.gen_range(from..=end);
+                    let resource = resource.to_string();
+                    let block_start = RawEventKind::BlockStart { resource: resource.clone() };
+                    events.push(ev(from, machine, thread, block_start));
+                    events.push(ev(to, machine, thread, RawEventKind::BlockEnd { resource }));
+                }
+                events.push(ev(end, machine, thread, RawEventKind::PhaseEnd { path: task }));
+                step_end = step_end.max(end);
+            }
+            t = step_end + rng.gen_range(0..2);
+            events.push(ev(t, 0, 0, RawEventKind::PhaseEnd { path: step }));
+        }
+        if rng.gen_bool(0.3) {
+            let resource = "disk".to_string();
+            events.push(ev(t, 1, 5, RawEventKind::BlockStart { resource: resource.clone() }));
+            events.push(ev(t + 1, 1, 5, RawEventKind::BlockEnd { resource }));
+        }
+        events.push(ev(t + 1, 0, 0, RawEventKind::PhaseEnd { path: path(&[("job", 0)]) }));
+        events.sort_by_key(|e| e.time);
+        events
+    }
+
+    /// Applies damage class `class` (0: none) to a stream.
+    fn damage(rng: &mut ChaCha8Rng, events: &mut Vec<RawEvent>, class: usize) {
+        let pick = |rng: &mut ChaCha8Rng, events: &[RawEvent]| rng.gen_range(0..events.len());
+        match class {
+            // Equal-time ties in a random order.
+            1 => {
+                let mut i = 0;
+                while i < events.len() {
+                    let run = events[i..].iter().take_while(|e| e.time == events[i].time).count();
+                    for j in (1..run).rev() {
+                        events.swap(i + j, i + rng.gen_range(0..=j));
+                    }
+                    i += run;
+                }
+            }
+            // Duplicated records.
+            2 => {
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = pick(rng, events);
+                    events.insert(at, events[at].clone());
+                }
+            }
+            // Dropped ends.
+            3 => {
+                for _ in 0..rng.gen_range(1..3) {
+                    let ends: Vec<usize> = (0..events.len())
+                        .filter(|&i| {
+                            matches!(
+                                events[i].kind,
+                                RawEventKind::PhaseEnd { .. } | RawEventKind::BlockEnd { .. }
+                            )
+                        })
+                        .collect();
+                    events.remove(ends[rng.gen_range(0..ends.len())]);
+                }
+            }
+            // A path started again, after it ended or while it is open.
+            4 => {
+                let starts: Vec<RawPath> = events
+                    .iter()
+                    .filter_map(|e| match &e.kind {
+                        RawEventKind::PhaseStart { path } => Some(path.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                let again = starts[rng.gen_range(0..starts.len())].clone();
+                let at = rng.gen_range(0..events.last().map_or(1, |e| e.time + 2));
+                let end = at + rng.gen_range(0..3);
+                events.push(ev(at, 1, 1, RawEventKind::PhaseStart { path: again.clone() }));
+                events.push(ev(end, 1, 1, RawEventKind::PhaseEnd { path: again }));
+                events.sort_by_key(|e| e.time);
+            }
+            // An unknown type name on some records of one path.
+            5 => {
+                let at = pick(rng, events);
+                let renamed = match &events[at].kind {
+                    RawEventKind::PhaseStart { path } | RawEventKind::PhaseEnd { path } => {
+                        path.clone()
+                    }
+                    _ => return,
+                };
+                let depth = rng.gen_range(0..renamed.len());
+                let both = rng.gen_bool(0.7);
+                for (i, e) in events.iter_mut().enumerate() {
+                    if let RawEventKind::PhaseStart { path } | RawEventKind::PhaseEnd { path } =
+                        &mut e.kind
+                    {
+                        if *path == renamed && (both || i == at) {
+                            path[depth].0 = "bogus".to_string();
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The interned build returns exactly the string-keyed build's trace,
+    /// or exactly its error message, on clean and damaged random streams.
+    #[test]
+    fn interned_build_matches_the_string_keyed_oracle() {
+        let m = model();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7ace);
+        let (mut built, mut rejected) = (0, 0);
+        for case in 0..200 {
+            let mut events = random_stream(&mut rng);
+            damage(&mut rng, &mut events, case % 6);
+            let interned = build_trace_from(&m, events.iter().collect());
+            let oracle = build_trace_by_path(&m, events.iter().collect());
+            match (interned, oracle) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.instances(), b.instances(), "case {case}");
+                    assert_eq!(a.blocking(), b.blocking(), "case {case}");
+                    built += 1;
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "case {case}");
+                    rejected += 1;
+                }
+                (a, b) => panic!("case {case}: interned {:?}, oracle {:?}", a.err(), b.err()),
+            }
+        }
+        assert!(built >= 40 && rejected >= 40, "{built} built, {rejected} rejected");
     }
 }

@@ -48,7 +48,7 @@
 //! borrows the run's inputs.
 //!
 //! Deadlines are cooperative. An attempt publishes its deadline instant in
-//! a thread-local, and the kernels call [`checkpoint`] at their natural
+//! a thread-local, and the kernels call `checkpoint()` at their natural
 //! grain: between the demand, upsample and attribute steps of
 //! `build_profile` and once per upsampled row, every 4096 records of the
 //! repair scan, at the first and every 4096th pop of the replay event

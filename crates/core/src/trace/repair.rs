@@ -510,16 +510,16 @@ pub(crate) fn repair_events_opts<E: Borrow<RawEvent>>(
     // path must itself be a phase; a missing one is synthesized spanning
     // the union of its surviving descendants.
     if synthesize_ancestors {
-        let have: HashSet<RawPath> = closed.iter().map(|(p, ..)| p.clone()).collect();
+        let have: HashSet<&[(String, u32)]> = closed.iter().map(|(p, ..)| p.as_slice()).collect();
         let mut missing: HashMap<RawPath, (Nanos, Nanos, u16, u16)> = HashMap::new();
         for (path, start, end, machine, thread) in &closed {
             for cut in 1..path.len() {
-                let prefix = path[..cut].to_vec();
-                if have.contains(&prefix) {
+                let prefix = &path[..cut];
+                if have.contains(prefix) {
                     continue;
                 }
                 missing
-                    .entry(prefix)
+                    .entry(prefix.to_vec())
                     .and_modify(|(s, e, ..)| {
                         *s = (*s).min(*start);
                         *e = (*e).max(*end);
