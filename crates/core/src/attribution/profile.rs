@@ -7,6 +7,7 @@ use crate::attribution::demand::estimate_demand;
 use crate::attribution::upsample::{
     upsample_constant, upsample_measurement_scratch, UpsampleScratch,
 };
+use crate::config::pool_map;
 use crate::model::execution::ExecutionModel;
 use crate::model::rules::{AttributionRule, RuleSet};
 use crate::supervise::checkpoint;
@@ -37,7 +38,9 @@ pub struct ProfileConfig {
     pub parallelism: Parallelism,
     /// Explicit worker-pool width for the upsampling fan-out. `None` (the
     /// default) defers to `GRADE10_THREADS`, then to the machine size —
-    /// see [`crate::config::resolve_threads`].
+    /// see [`crate::config::resolve_threads`]. A profile built on a pool
+    /// worker (a supervised unit, a campaign mix) upsamples inline on that
+    /// worker whatever the width: pools never nest.
     pub threads: Option<usize>,
     /// When monitoring does not cover a timeslice (crashed monitor,
     /// dropped windows), estimate its consumption from the modeled demand
@@ -302,16 +305,18 @@ pub fn build_profile(
     checkpoint();
     let upsample_span = crate::obs::span(crate::obs::Stage::Upsample);
 
-    // Upsampling is independent per resource instance; fan the rows out
-    // over a small thread scope when there is enough work to amortize
-    // the thread spawns. Results are written into disjoint row slices, so
-    // the parallel and sequential paths are bit-identical. Each worker
-    // (and the sequential loop) owns one `UpsampleScratch`, so the
-    // columnar path allocates per worker instead of per measurement.
+    // Upsampling is independent per resource instance, so the rows fan out
+    // over the shared pool when the grid is large enough to amortize the
+    // spawns (`Auto`). Each row is written by exactly one item, so every
+    // cell is bit-identical at any width. On a pool thread `checkpoint()`
+    // is a no-op; inline, it lets a supervised attempt stop between rows.
     let mut consumption = MetricGrid::zeros(nr, ns);
-    let mut overflow = vec![0.0; nr];
-    let upsample_row = |r: usize, row: &mut [f64], scratch: &mut UpsampleScratch| -> f64 {
+    let width = cfg.parallelism.width(cfg.threads, nr, nr >= 4 && ns * nr >= 64 * 1024);
+    let rows: Vec<_> = consumption.rows_mut().enumerate().collect();
+    let overflow = pool_map(width, rows, Some(crate::obs::Stage::Worker), |(r, row)| {
+        checkpoint();
         let cap = resources.instances()[r].capacity;
+        let mut scratch = UpsampleScratch::default();
         let mut over = 0.0;
         for m in resources.measurements(ResourceIdx(r as u32)) {
             match cfg.upsample {
@@ -326,7 +331,7 @@ pub fn build_profile(
                         &dm.variable[r],
                         cap,
                         row,
-                        scratch,
+                        &mut scratch,
                     );
                     over += rem * grid.slice_secs();
                 }
@@ -336,53 +341,7 @@ pub fn build_profile(
             }
         }
         over
-    };
-    let parallel_worthwhile = match cfg.parallelism {
-        Parallelism::Never => false,
-        Parallelism::Always => nr > 1,
-        Parallelism::Auto => nr >= 4 && (ns * nr) >= 64 * 1024,
-    };
-    if parallel_worthwhile {
-        // Width precedence (cfg.threads > GRADE10_THREADS > machine size)
-        // is shared with the supervision layer via `crate::config`, so one
-        // knob pins every fan-out. `Always` keeps the worker scope even at
-        // width 1: tests rely on worker spans existing under that policy.
-        let threads = crate::config::resolve_threads(cfg.threads, nr);
-        let obs_session = crate::obs::worker_handle();
-        std::thread::scope(|scope| {
-            let mut rows: Vec<(usize, &mut [f64], &mut f64)> = consumption
-                .rows_mut()
-                .zip(overflow.iter_mut())
-                .enumerate()
-                .map(|(r, (row, over))| (r, row, over))
-                .collect();
-            let chunk = rows.len().div_ceil(threads);
-            let mut work: Vec<Vec<(usize, &mut [f64], &mut f64)>> = Vec::new();
-            while !rows.is_empty() {
-                let take = chunk.min(rows.len());
-                work.push(rows.drain(..take).collect());
-            }
-            for batch in work {
-                let upsample_row = &upsample_row;
-                let obs_session = obs_session.clone();
-                // A worker panic propagates when the scope joins, exactly
-                // like the old crossbeam scope's `expect`.
-                scope.spawn(move || {
-                    let _worker = obs_session.as_ref().map(|h| h.enter());
-                    let mut scratch = UpsampleScratch::default();
-                    for (r, row, over) in batch {
-                        *over = upsample_row(r, row, &mut scratch);
-                    }
-                });
-            }
-        });
-    } else {
-        let mut scratch = UpsampleScratch::default();
-        for (r, (row, over)) in consumption.rows_mut().zip(overflow.iter_mut()).enumerate() {
-            checkpoint();
-            *over = upsample_row(r, row, &mut scratch);
-        }
-    }
+    });
 
     // Graceful degradation: slices no monitoring window covers read as
     // zero consumption above, which attribution would interpret as "the

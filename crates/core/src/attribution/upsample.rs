@@ -114,8 +114,8 @@ pub struct UpsampleScratch {
 
 /// Scratch-buffer form of [`upsample_measurement`]: identical arithmetic
 /// (same three placement steps, same water-filling, same epsilons), but
-/// temporaries come from `scratch` — one allocation per worker instead of
-/// ~five per measurement — and the window is computed **in place** in
+/// temporaries come from `scratch` — one allocation per resource row
+/// instead of ~five per measurement — and the window is computed **in place** in
 /// `out[ws..we]`. The retired allocating path built the window in a fresh
 /// zeroed buffer and copied it back, so zeroing the window first is
 /// bit-identical; `tests/columnar_equivalence.rs` pins the end-to-end

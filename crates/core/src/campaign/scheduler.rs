@@ -39,9 +39,10 @@ use std::time::{Duration, Instant};
 
 use serde::{Serialize as _, Value};
 
+use crate::config::pool_map;
 use crate::error::Grade10Error;
 use crate::supervise::{
-    panic_message, pool_map, Incident, IncidentKind, IncidentOutcome, RetryPolicy,
+    panic_message, Incident, IncidentKind, IncidentOutcome, RetryPolicy,
 };
 
 use super::journal::{FailedMix, Journal, JournalReplay};
@@ -375,7 +376,9 @@ where
         local: Mutex::new(BTreeMap::new()),
     };
     let width = opts.width.max(1).min(items.len());
-    let results = pool_map(width, width, |slot| worker_loop(&shared, slot, &runner));
+    let results = pool_map(width, (0..width).collect(), None, |slot| {
+        worker_loop(&shared, slot, &runner)
+    });
     for r in results {
         r?;
     }

@@ -1,16 +1,15 @@
-//! Shared threading configuration.
+//! Shared threading configuration and the one worker pool.
 //!
-//! Two places fan work out over threads: the upsampling stage of
-//! [`crate::attribution::build_profile`] (one worker per batch of resource
-//! rows) and the lifecycle's executor in [`crate::pipeline`] when it runs
-//! under the supervised policy
-//! ([`crate::supervise::characterize_events_supervised`]: one worker per
-//! per-machine unit; the inline policy has one unit and no pool). Both
-//! must answer the same two questions — *should* this run parallel, and
-//! over *how many* threads — and both must answer them identically for
-//! `GRADE10_THREADS` to mean one thing. This module holds the shared
-//! vocabulary: the [`Parallelism`] enum and the [`resolve_threads`] width
-//! resolution. (Which *executor* policy a characterization runs under is
+//! Every fan-out in `core` goes through `pool_map`: the upsampling stage
+//! of [`crate::attribution::build_profile`] (one item per resource row),
+//! the lifecycle's executor in [`crate::pipeline`] under the supervised
+//! policy ([`crate::supervise::characterize_events_supervised`]: one item
+//! per per-machine unit; the inline policy has one unit and no pool), and
+//! the campaign scheduler's claimant slots ([`crate::campaign`]). Each
+//! caller decides its width with [`Parallelism::width`], the one width
+//! rule: the policy says *whether* to fan out, [`resolve_threads`] says
+//! over *how many* threads, so `GRADE10_THREADS` means one thing
+//! everywhere. (Which *executor* policy a characterization runs under is
 //! not configuration at all: the entry point picks it.)
 //!
 //! Width precedence, strongest first:
@@ -24,8 +23,18 @@
 //! The resolved width is clamped to the number of work units — spawning
 //! idle workers buys nothing — and to at least 1.
 //!
+//! Pools never nest: a `pool_map` called on a pool worker runs inline on
+//! that worker, so a campaign mix or a supervised unit that reaches the
+//! upsampling fan-out upsamples on its own thread. The machine is never
+//! asked for more threads than the outermost pool's width.
+//!
 //! [`CODE_VERSION`] lives here too: every layer that keys a durable
 //! artifact reads it, so it belongs to none of them.
+
+use std::cell::Cell;
+use std::sync::{Mutex, PoisonError};
+
+use crate::obs;
 
 /// Code-version tag mixed into every content hash (campaign result store,
 /// stage-cache keys). Bump when the characterization pipeline changes in a
@@ -93,6 +102,73 @@ pub fn resolve_threads(explicit: Option<usize>, units: usize) -> usize {
         .max(1)
 }
 
+thread_local! {
+    /// Set on each pool worker when it starts; a [`pool_map`] reached from
+    /// inside a worker runs inline.
+    static ON_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `run` over `items` on a bounded pool of `width` scoped workers and
+/// returns the results **in item order** — the pool only changes *when*
+/// items execute, never how their outputs interleave, which is what keeps
+/// every fan-out's output byte-identical across widths.
+///
+/// Workers claim items from a shared cursor (no up-front chunking: one
+/// slow item — a deadline sleeper, a retry ladder — must not leave its
+/// chunk-mates queued behind it while other workers sit idle) and join the
+/// caller's [`crate::obs`] session, so self-characterization sees the
+/// spans they record. `worker_span` is the stage each worker records its
+/// whole share under: the upsampling fan-out passes [`obs::Stage::Worker`]
+/// because its rows record nothing of their own; fan-outs whose items open
+/// their own stage spans pass `None`, so no worker time goes unattributed.
+///
+/// `width <= 1`, a single item, or a call from a pool worker degenerates
+/// to an inline loop on the caller's thread. A panic in `run` on a worker
+/// propagates to the caller when the pool joins.
+pub(crate) fn pool_map<I, T, F>(
+    width: usize,
+    items: Vec<I>,
+    worker_span: Option<obs::Stage>,
+    run: F,
+) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let n = items.len();
+    if width <= 1 || n <= 1 || ON_POOL.get() {
+        return items.into_iter().map(run).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    let session = obs::worker_handle();
+    std::thread::scope(|scope| {
+        for _ in 0..width.min(n) {
+            let (queue, done, run, session) = (&queue, &done, &run, &session);
+            scope.spawn(move || {
+                ON_POOL.set(true);
+                let _joined = session.as_ref().map(obs::WorkerHandle::enter);
+                let _span = worker_span.map(obs::span);
+                loop {
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((idx, item)) = next else { break };
+                    let out = run(item);
+                    // A poisoned ledger can only mean another worker died
+                    // mid-push; pushing anyway keeps this item's result.
+                    done.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((idx, out));
+                }
+            });
+        }
+    });
+    let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    done.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert_eq!(done.len(), n, "pool lost results");
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,5 +205,33 @@ mod tests {
     #[test]
     fn single_unit_never_spawns() {
         assert_eq!(Parallelism::Always.width(Some(8), 1, true), 1);
+    }
+
+    #[test]
+    fn pool_returns_results_in_item_order_at_any_width() {
+        // Uneven cost: early items sleep longest, so workers finish them
+        // last and the ledger fills out of order.
+        let items: Vec<u64> = (0..24).collect();
+        for width in [1, 2, 8] {
+            let out = pool_map(width, items.clone(), None, |i| {
+                std::thread::sleep(std::time::Duration::from_micros((24 - i) * 100));
+                i * 3
+            });
+            assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>(), "width {width}");
+        }
+    }
+
+    #[test]
+    fn nested_pool_runs_inline_on_the_worker() {
+        let caller = std::thread::current().id();
+        let outer = pool_map(2, vec![0, 1, 2, 3], None, |_| {
+            let me = std::thread::current().id();
+            let inner = pool_map(8, vec![0; 8], None, |_| std::thread::current().id());
+            (me, inner)
+        });
+        for (me, inner) in outer {
+            assert_ne!(me, caller, "outer items ran off the pool");
+            assert!(inner.iter().all(|&t| t == me), "nested pool left its worker");
+        }
     }
 }

@@ -147,8 +147,9 @@ impl MetaTrace {
                 .iter_mut()
                 .find(|u| u.0 <= w.start && w.end <= u.1)
             else {
-                // A worker that outlived its upsample scope (impossible by
-                // construction, but recorded input is data, not an oracle).
+                // A worker outside every upsample span. The one pool opens
+                // worker spans only for the upsampling fan-out, so this is
+                // foreign input (recorded input is data, not an oracle).
                 continue;
             };
             let wkey = u.3;

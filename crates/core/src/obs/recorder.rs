@@ -302,13 +302,14 @@ pub fn worker_handle() -> Option<WorkerHandle> {
 
 impl WorkerHandle {
     /// Joins the session from a worker thread: installs a recording context
-    /// with a fresh thread index and opens a [`Stage::Worker`] span. The
-    /// returned guard closes the span and flushes the thread's buffer into
-    /// the session when dropped.
+    /// with a fresh thread index, so the spans the worker opens land in the
+    /// session under that index. The returned guard flushes the thread's
+    /// buffer into the session when dropped. A [`Stage::Worker`] span for
+    /// the worker's whole share, if wanted, is the caller's to open.
     ///
     /// If the calling thread already has a context (the handle was entered
-    /// on the coordinating thread itself), only the span is opened; the
-    /// existing context is left untouched.
+    /// on the coordinating thread itself), the existing context is left
+    /// untouched and the guard does nothing.
     pub fn enter(&self) -> WorkerGuard {
         let fresh = CTX.with(|c| {
             let mut c = c.borrow_mut();
@@ -324,25 +325,19 @@ impl WorkerHandle {
                 true
             }
         });
-        WorkerGuard {
-            span: Some(span(Stage::Worker)),
-            fresh,
-        }
+        WorkerGuard { fresh }
     }
 }
 
-/// Guard returned by [`WorkerHandle::enter`]; closes the worker span and
-/// (for threads the handle installed) flushes and uninstalls the context.
+/// Guard returned by [`WorkerHandle::enter`]; for threads the handle
+/// installed, flushes and uninstalls the context. Close the thread's spans
+/// before dropping it.
 pub struct WorkerGuard {
-    span: Option<Span>,
     fresh: bool,
 }
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        // Close the worker span first so it lands in the buffer...
-        self.span.take();
-        // ...then hand the buffer to the session.
         if self.fresh {
             if let Some(ctx) = CTX.with(|c| c.borrow_mut().take()) {
                 flush_ctx(ctx);
@@ -399,6 +394,7 @@ mod tests {
                 let handle = handle.clone();
                 scope.spawn(move || {
                     let _g = handle.enter();
+                    let _w = span(Stage::Worker);
                     let _s = span(Stage::Upsample);
                 });
             }

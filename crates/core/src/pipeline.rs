@@ -29,6 +29,7 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::attribution::{build_profile, PerformanceProfile, ProfileConfig};
 use crate::bottleneck::{BottleneckConfig, BottleneckReport};
+use crate::config::pool_map;
 use crate::error::Grade10Error;
 use crate::issues::{detect_issues, IssueConfig, IssueKind, PerformanceIssue};
 use crate::model::{ExecutionModel, RuleSet};
@@ -37,7 +38,7 @@ use crate::parse::{build_execution_trace, build_trace_from, RawEvent};
 use crate::replay::{Baseline, ReplayConfig};
 use crate::report::table::pct;
 use crate::supervise::{
-    pool_map, run_unit, Coverage, Incident, IncidentKind, IncidentOutcome,
+    run_unit, Coverage, Incident, IncidentKind, IncidentOutcome,
     MachineCoverage, PartialCharacterization, StageCoverage, StageStatus, SuperviseConfig, UnitRun,
     UnitStatus,
 };
@@ -495,10 +496,10 @@ impl<'a> Run<'a> {
         let (sup, n) = (&self.cfg.supervise, units.len());
         let pool = if self.supervised { sup.parallelism.width(sup.threads, n, n > 1) } else { 1 };
         let this = &*self;
-        let runs = pool_map(pool, n, |i| {
-            let name = this.units[units[i]].name();
-            let run = this.attempt(&format!("{}/{name}", stage.name), body, units[i]);
-            (units[i], name, run)
+        let runs = pool_map(pool, units, None, |u| {
+            let name = this.units[u].name();
+            let run = this.attempt(&format!("{}/{name}", stage.name), body, u);
+            (u, name, run)
         });
         let mut kept = Vec::with_capacity(runs.len());
         for (u, name, run) in runs {

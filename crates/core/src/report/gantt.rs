@@ -38,36 +38,10 @@ pub fn render_gantt(model: &ExecutionModel, trace: &ExecutionTrace, cfg: &GanttC
         (((t.saturating_sub(origin)) as f64 / span) * cfg.width as f64).round() as usize
     };
 
-    // Depth-first order starting from the roots.
-    let mut roots: Vec<InstanceId> = trace
-        .instances()
-        .iter()
-        .filter(|i| i.parent.is_none())
-        .map(|i| i.id)
-        .collect();
-    roots.sort_by_key(|&id| trace.instance(id).start);
-    let mut order: Vec<(InstanceId, usize)> = Vec::new();
-    let mut stack: Vec<(InstanceId, usize)> = roots.into_iter().rev().map(|r| (r, 0)).collect();
-    while let Some((id, depth)) = stack.pop() {
-        order.push((id, depth));
-        if depth < cfg.max_depth {
-            let mut children = trace.children_of(id).to_vec();
-            children.sort_by_key(|&c| std::cmp::Reverse((trace.instance(c).start, c.0)));
-            stack.extend(children.into_iter().map(|c| (c, depth + 1)));
-        }
-    }
-
+    let (order, omitted) = gantt_rows(model, trace, cfg.max_depth, cfg.max_rows);
     let mut rows = Vec::new();
-    for &(id, depth) in order.iter().take(cfg.max_rows) {
+    for (id, depth, name) in order {
         let inst = trace.instance(id);
-        let name = {
-            let n = model.name(inst.type_id);
-            if inst.key == 0 {
-                n.to_string()
-            } else {
-                format!("{n}[{}]", inst.key)
-            }
-        };
         let label = format!("{}{}", "  ".repeat(depth), name);
         let (s, e) = (col_of(inst.start), col_of(inst.end).max(col_of(inst.start) + 1));
         let mut bar: Vec<char> = vec![' '; cfg.width + 1];
@@ -86,7 +60,6 @@ pub fn render_gantt(model: &ExecutionModel, trace: &ExecutionTrace, cfg: &GanttC
         }
         rows.push((label, bar.into_iter().collect::<String>()));
     }
-    let omitted = order.len().saturating_sub(cfg.max_rows);
 
     let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     let mut out = String::new();
@@ -97,6 +70,47 @@ pub fn render_gantt(model: &ExecutionModel, trace: &ExecutionTrace, cfg: &GanttC
         out.push_str(&format!("... {omitted} more phases omitted\n"));
     }
     out
+}
+
+/// The rows of a Gantt drawing, shared by the text and SVG renderers:
+/// instances in depth-first, start-time order down to `max_depth`, the
+/// first `max_rows` of them as `(instance, depth, name[key])` (the key is
+/// left off when it is 0), plus the number of rows left out.
+pub(crate) fn gantt_rows(
+    model: &ExecutionModel,
+    trace: &ExecutionTrace,
+    max_depth: usize,
+    max_rows: usize,
+) -> (Vec<(InstanceId, usize, String)>, usize) {
+    let mut roots: Vec<InstanceId> = trace
+        .instances()
+        .iter()
+        .filter(|i| i.parent.is_none())
+        .map(|i| i.id)
+        .collect();
+    roots.sort_by_key(|&id| trace.instance(id).start);
+    let mut order: Vec<(InstanceId, usize)> = Vec::new();
+    let mut stack: Vec<(InstanceId, usize)> = roots.into_iter().rev().map(|r| (r, 0)).collect();
+    while let Some((id, depth)) = stack.pop() {
+        order.push((id, depth));
+        if depth < max_depth {
+            let mut children = trace.children_of(id).to_vec();
+            children.sort_by_key(|&c| std::cmp::Reverse((trace.instance(c).start, c.0)));
+            stack.extend(children.into_iter().map(|c| (c, depth + 1)));
+        }
+    }
+    let omitted = order.len().saturating_sub(max_rows);
+    let rows = order
+        .into_iter()
+        .take(max_rows)
+        .map(|(id, depth)| {
+            let inst = trace.instance(id);
+            let n = model.name(inst.type_id);
+            let name = if inst.key == 0 { n.to_string() } else { format!("{n}[{}]", inst.key) };
+            (id, depth, name)
+        })
+        .collect();
+    (rows, omitted)
 }
 
 #[cfg(test)]

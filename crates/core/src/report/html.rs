@@ -7,9 +7,10 @@ use std::fmt::Write as _;
 
 use crate::model::execution::ExecutionModel;
 use crate::pipeline::Characterization;
+use crate::report::gantt::gantt_rows;
 use crate::report::summary::{machine_table, usage_table};
 use crate::report::table::Table;
-use crate::trace::execution::{ExecutionTrace, InstanceId};
+use crate::trace::execution::ExecutionTrace;
 
 /// Options for [`render_html_report`].
 #[derive(Clone, Debug)]
@@ -90,29 +91,17 @@ fn escape(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Converts a text [`Table`] into an HTML table.
+/// Converts a text [`Table`] into an HTML table, cell for cell.
 fn html_table(t: &Table) -> String {
-    // Re-parse the rendered text table: headers, separator, rows are split
-    // on 2+ spaces, which the fixed-width renderer guarantees.
-    let rendered = t.render();
-    let mut lines = rendered.lines();
-    let header = lines.next().unwrap_or_default();
-    let _sep = lines.next();
-    let split = |l: &str| -> Vec<String> {
-        l.split("  ")
-            .filter(|c| !c.trim().is_empty())
-            .map(|c| c.trim().to_string())
-            .collect()
-    };
     let mut out = String::from("<table><tr>");
-    for h in split(header) {
-        let _ = write!(out, "<th>{}</th>", escape(&h));
+    for h in t.headers() {
+        let _ = write!(out, "<th>{}</th>", escape(h));
     }
     out.push_str("</tr>");
-    for line in lines {
+    for row in t.rows() {
         out.push_str("<tr>");
-        for c in split(line) {
-            let _ = write!(out, "<td>{}</td>", escape(&c));
+        for c in row {
+            let _ = write!(out, "<td>{}</td>", escape(c));
         }
         out.push_str("</tr>");
     }
@@ -136,42 +125,16 @@ fn gantt_svg(model: &ExecutionModel, trace: &ExecutionTrace, cfg: &HtmlConfig) -
         LABEL_W as f64 + (t.saturating_sub(origin)) as f64 / span * cfg.gantt_width as f64
     };
 
-    // Depth-first rows, as in the text Gantt.
-    let mut roots: Vec<InstanceId> = trace
-        .instances()
-        .iter()
-        .filter(|i| i.parent.is_none())
-        .map(|i| i.id)
-        .collect();
-    roots.sort_by_key(|&id| trace.instance(id).start);
-    let mut order: Vec<(InstanceId, usize)> = Vec::new();
-    let mut stack: Vec<(InstanceId, usize)> = roots.into_iter().rev().map(|r| (r, 0)).collect();
-    while let Some((id, depth)) = stack.pop() {
-        order.push((id, depth));
-        if depth < cfg.max_depth {
-            let mut children = trace.children_of(id).to_vec();
-            children.sort_by_key(|&c| std::cmp::Reverse((trace.instance(c).start, c.0)));
-            stack.extend(children.into_iter().map(|c| (c, depth + 1)));
-        }
-    }
-    let rows: Vec<_> = order.into_iter().take(cfg.max_rows).collect();
+    let (rows, _) = gantt_rows(model, trace, cfg.max_depth, cfg.max_rows);
 
     let height = rows.len() as u32 * ROW_H + 10;
     let mut svg = format!(
         "<svg width=\"{}\" height=\"{height}\" xmlns=\"http://www.w3.org/2000/svg\">",
         LABEL_W + cfg.gantt_width + 10
     );
-    for (row, &(id, depth)) in rows.iter().enumerate() {
+    for (row, (id, depth, name)) in rows.into_iter().enumerate() {
         let inst = trace.instance(id);
         let y = row as u32 * ROW_H + 4;
-        let name = {
-            let n = model.name(inst.type_id);
-            if inst.key == 0 {
-                n.to_string()
-            } else {
-                format!("{n}[{}]", inst.key)
-            }
-        };
         let _ = write!(
             svg,
             "<text x=\"{}\" y=\"{}\" font-size=\"11\">{}</text>",
@@ -265,6 +228,17 @@ mod tests {
         // Phase rows and the blocking overlay are drawn.
         assert!(html.contains("p[1]"));
         assert!(html.contains("blocked on gc"));
+    }
+
+    #[test]
+    fn html_table_keeps_every_cell() {
+        let mut t = Table::new(&["name", "note"]);
+        t.row(&["".into(), "a  b".into()]);
+        assert_eq!(
+            html_table(&t),
+            "<table><tr><th>name</th><th>note</th></tr>\
+             <tr><td></td><td>a  b</td></tr></table>"
+        );
     }
 
     #[test]

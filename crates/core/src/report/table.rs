@@ -32,6 +32,16 @@ impl Table {
         self
     }
 
+    /// The column headers.
+    pub(crate) fn headers(&self) -> &[String] {
+        &self.headers
+    }
+
+    /// The data rows, cell for cell as added.
+    pub(crate) fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

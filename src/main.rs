@@ -454,9 +454,6 @@ fn campaign(flags: &Flags) -> Result<RunStatus, String> {
         validate_mix(mix)?;
     }
     let width = grade10::core::config::resolve_threads(threads(flags)?, mixes.len());
-    // With mixes fanned out across workers, each mix runs its own pipeline
-    // single-threaded; nesting pools would oversubscribe the machine.
-    let inner_threads = if width > 1 { Some(1) } else { None };
     let mut opts = CampaignOptions::new(PathBuf::from(&dir));
     opts.resume = flags.contains_key("--resume");
     opts.join = flags.contains_key("--join");
@@ -518,13 +515,7 @@ fn campaign(flags: &Flags) -> Result<RunStatus, String> {
     // the leader's journal, so spawning before run_campaign is safe.
     let children = spawn_peer_workers(&dir, workers, flags)?;
     let run = grade10::core::campaign::run_campaign(&spec, &opts, |mix, attempt| {
-        run_mix(
-            mix,
-            &spec.code_version,
-            attempt,
-            inner_threads,
-            cache.as_ref(),
-        )
+        run_mix(mix, &spec.code_version, attempt, cache.as_ref())
     })
     .map_err(|e| e.to_string())?;
     let mut peers_partial = false;
@@ -663,7 +654,6 @@ fn run_mix(
     mix: &MixSpec,
     code_version: &str,
     attempt: MixAttempt,
-    inner_threads: Option<usize>,
     cache: Option<&grade10::core::cache::StageCache>,
 ) -> Result<MixOutcome, grade10::core::Grade10Error> {
     use grade10::core::Grade10Error;
@@ -697,7 +687,7 @@ fn run_mix(
     };
     let expert = spec.engine.expert_input();
     let supervise = grade10::core::supervise::SuperviseConfig::default();
-    let cfg = pipeline_config(attempt.mode != MixMode::Strict, 10, inner_threads, supervise);
+    let cfg = pipeline_config(attempt.mode != MixMode::Strict, 10, None, supervise);
     let p = characterize_events_under(
         attempt.mode == MixMode::Partial,
         &expert.model,
@@ -841,9 +831,9 @@ fn print_supervision(p: &PartialCharacterization) {
 /// Builds the pipeline config from the shared CLI flags: `--lenient` picks
 /// the ingestion mode and, with it, demand-based estimation of slices whose
 /// monitoring was lost; `--deadline-ms` and `--max-retries` tune the
-/// supervision layer used by `--partial`; `--threads` pins the worker-pool
-/// width of both the upsampling fan-out and the supervised per-machine
-/// units (beating `GRADE10_THREADS`, which beats the machine size).
+/// supervision layer used by `--partial`; `--threads` pins the width of
+/// the run's worker pool (beating `GRADE10_THREADS`, which beats the
+/// machine size).
 fn characterization_config(flags: &Flags, slice_ms: u64) -> Result<CharacterizationConfig, String> {
     let mut supervise = grade10::core::supervise::SuperviseConfig::default();
     if let Some(ms) = number(flags, "--deadline-ms", "deadline")? {
@@ -862,8 +852,11 @@ fn characterization_config(flags: &Flags, slice_ms: u64) -> Result<Characterizat
 }
 
 /// The pipeline config of a run: lenient ingestion comes with demand-based
-/// estimation of slices whose monitoring was lost, and `threads` pins both
-/// worker pools (the upsampling fan-out and the supervised units).
+/// estimation of slices whose monitoring was lost, and `threads` pins the
+/// width of whichever fan-out the run reaches first — the supervised units,
+/// or the upsampling rows when no unit pool encloses them. Pools never
+/// nest, so a fan-out reached on a pool worker (a campaign mix, a
+/// supervised unit) runs inline whatever `threads` says.
 fn pipeline_config(
     lenient: bool,
     slice_ms: u64,

@@ -5,11 +5,15 @@
 
 use grade10::core::attribution::Parallelism;
 use grade10::core::model::{AttributionRule, ExecutionModelBuilder, Repeat, RuleSet};
-use grade10::core::obs::Stage;
-use grade10::core::pipeline::{characterize_self, CharacterizationConfig};
+use grade10::core::obs::{self, Stage};
+use grade10::core::pipeline::{characterize_meta, characterize_self, CharacterizationConfig};
 use grade10::core::report::{self_profile_table, usage_by_type};
+use grade10::core::supervise::characterize_events_supervised;
 use grade10::core::trace::{ExecutionTrace, ResourceInstance, ResourceTrace, TraceBuilder, MILLIS};
 use grade10::core::ExecutionModel;
+use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::engines::pregel::PregelConfig;
+use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
 
 /// A BSP workload big enough that the pipeline runs for tens of
 /// milliseconds — per-stage work must dominate the nanosecond-scale gaps
@@ -137,6 +141,8 @@ fn worker_spans_appear_under_parallel_upsampling() {
     let (model, rules, trace, rt) = workload(40);
     let mut cfg = CharacterizationConfig::default();
     cfg.profile.parallelism = Parallelism::Always;
+    // Two workers whatever the host's core count: width 1 runs inline.
+    cfg.profile.threads = Some(2);
 
     let sc = characterize_self(&model, &rules, &trace, &rt, &cfg).expect("self-characterization");
     let meta = &sc.meta;
@@ -148,4 +154,49 @@ fn worker_spans_appear_under_parallel_upsampling() {
     assert!(meta.raw.num_threads() > 1, "workers share the main thread");
     // Strict meta ingestion still passes with nested worker phases.
     assert!(meta.result.ingest.is_clean());
+}
+
+/// Supervised per-machine units run on pool workers. Every stage the
+/// self-profile lists must be one the meta characterization attributes
+/// CPU to: a pool worker's time shows up in the spans of the stages it
+/// ran, never as a `worker` row outside any upsampling.
+#[test]
+fn supervised_pool_workers_are_attributed() {
+    let run = run_workload(&WorkloadSpec {
+        dataset: Dataset::Rmat { scale: 8, seed: 3 },
+        algorithm: Algorithm::PageRank { iterations: 2 },
+        engine: EngineKind::Giraph(PregelConfig {
+            machines: 4,
+            threads: 2,
+            cores: 2.0,
+            ..Default::default()
+        }),
+    });
+    let events = to_raw_events(&run.sim.logs);
+    let monitoring = to_raw_series(&run.sim.series, 8);
+    let mut cfg = CharacterizationConfig::default();
+    cfg.supervise.threads = Some(2);
+
+    let rec = obs::start();
+    let p = characterize_events_supervised(&run.model, &run.rules_tuned, &events, &monitoring, &cfg)
+        .expect("supervised run");
+    let raw = rec.finish();
+    assert!(p.is_complete(), "{:?}", p.incidents);
+    assert!(raw.num_threads() > 1, "units never left the main thread");
+
+    let meta = characterize_meta(&raw).expect("meta characterization");
+    let usage = usage_by_type(&meta.result.profile, &meta.trace);
+    for stage in Stage::ALL {
+        let wall: u64 = raw.spans.iter().filter(|s| s.stage == stage).map(|s| s.end - s.start).sum();
+        if wall == 0 {
+            continue;
+        }
+        let cpu = meta
+            .model
+            .find_by_name(stage.name())
+            .and_then(|ty| usage.get(&(ty, "cpu".to_string())))
+            .copied()
+            .unwrap_or(0.0);
+        assert!(cpu > 0.0, "stage {stage:?} recorded {wall} ns but was attributed no CPU");
+    }
 }
