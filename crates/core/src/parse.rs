@@ -24,6 +24,8 @@ use crate::trace::execution::{
 };
 use crate::trace::timeslice::Nanos;
 
+mod jsonl;
+
 /// A phase path as it appears in logs: `(type name, instance key)` segments
 /// from the root.
 pub type RawPath = Vec<(String, u32)>;
@@ -300,26 +302,18 @@ fn path_type(
     Ok(type_id)
 }
 
-/// Writes events as JSON lines.
-pub fn write_events_json<W: Write>(events: &[RawEvent], mut w: W) -> std::io::Result<()> {
-    for ev in events {
-        serde_json::to_writer(&mut w, ev)?;
-        writeln!(w)?;
-    }
-    Ok(())
+/// Writes events as JSON lines, one compact JSON object per event, in the
+/// layout `docs/FORMATS.md` ("Event log") describes.
+pub fn write_events_json<W: Write>(events: &[RawEvent], w: W) -> std::io::Result<()> {
+    jsonl::write(events, w)
 }
 
-/// Reads events from JSON lines.
+/// Reads events from JSON lines. Blank lines are skipped, and a field given
+/// twice in one object is rejected. A line that does not decode is an
+/// [`std::io::ErrorKind::InvalidData`] error naming the 1-based line and
+/// the byte within it, as in "line 4001: expected `,` or `}` at byte 149".
 pub fn read_events_json<R: BufRead>(r: R) -> std::io::Result<Vec<RawEvent>> {
-    let mut out = Vec::new();
-    for line in r.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(serde_json::from_str(&line).map_err(std::io::Error::other)?);
-    }
-    Ok(out)
+    jsonl::read(r)
 }
 
 /// The string-keyed trace build the interned one replaced, kept verbatim as
