@@ -14,6 +14,12 @@
 //! * the supervised per-machine merge at pool width 2, strict on the clean
 //!   stream and lenient on the damaged one.
 //!
+//! A second hash golden pins the repair itself, not only the trace built
+//! from it: per fixture and seed, the FNV-1a of the repaired stream's
+//! `G10TRACE` encoding (so its exact record order, ties included) and the
+//! `IngestReport` its repair counted, plus the report of the supervised
+//! lenient run.
+//!
 //! The Giraph-like stream itself is committed as a `G10TRACE` golden too,
 //! for the unit tests of `critical_path` (which cannot run an engine).
 //!
@@ -188,7 +194,7 @@ fn fixtures() -> Vec<Fixture> {
 
 #[test]
 fn built_traces_are_pinned() {
-    let mut out = String::new();
+    let (mut out, mut repairs) = (String::new(), String::new());
     for f in fixtures() {
         let events = to_raw_events(&f.run.logs);
         let strict = ingest(&f.model, &events, &[], &IngestConfig::default())
@@ -210,7 +216,12 @@ fn built_traces_are_pinned() {
 
         for seed in [3, 11, 46] {
             let damaged = to_raw_events(&FaultPlan::all(seed).inject_logs(&f.run.logs));
-            let repaired = repair_events(&damaged, &mut IngestReport::default());
+            let mut report = IngestReport::default();
+            let repaired = repair_events(&damaged, &mut report);
+            let stream = fnv1a(&encode_trace(&repaired, None));
+            let name = format!("{} lenient all seed={seed}", f.name);
+            writeln!(repairs, "{name} events={} fnv1a={stream:016x}", repaired.len()).unwrap();
+            writeln!(repairs, "{name} {report:?}").unwrap();
             let trace = build_execution_trace(&f.model, &repaired)
                 .unwrap_or_else(|e| panic!("{} seed {seed}: repaired stream rejected: {e}", f.name));
             line(&mut out, &format!("{} lenient all seed={seed}", f.name), &trace);
@@ -233,8 +244,11 @@ fn built_traces_are_pinned() {
         let p = characterize_events_supervised(&f.model, &f.rules, &damaged, &monitoring, &cfg)
             .unwrap_or_else(|e| panic!("{}: supervised lenient run failed: {e}", f.name));
         line(&mut out, &format!("{} supervised lenient all w2", f.name), &p.trace);
+        let report = &p.characterization.ingest;
+        writeln!(repairs, "{} supervised lenient all w2 {report:?}", f.name).unwrap();
     }
     check_golden("trace_build_hashes.txt", &out);
+    check_golden("trace_build_repairs.txt", &repairs);
 }
 
 // ---------------------------------------------------------------------------
