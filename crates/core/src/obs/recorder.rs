@@ -22,7 +22,10 @@ use crate::trace::Nanos;
 /// code. Names match the phase types of [`meta_model`](crate::obs::meta_model).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Stage {
-    /// Validation/repair of raw events and monitoring (`trace::repair::ingest`).
+    /// Ingestion of raw events and monitoring (the pipeline's `ingest` row,
+    /// or `trace::repair::ingest`): interning the event stream once, then
+    /// strict validation or lenient repair, the execution-trace build and
+    /// the monitoring checks.
     Ingest,
     /// Timeslice-granular demand estimation (§III-D1).
     Demand,

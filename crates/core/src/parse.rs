@@ -6,11 +6,14 @@
 //! stream; the stream can also be serialized as JSON lines for offline
 //! analysis, decoupling the monitored run from the characterization run.
 //!
-//! The trace build interns every distinct phase path into a dense
-//! `PathId` as it scans the stream, and keys all of its bookkeeping on
-//! those ids. Ids live only inside one build. Instance order is unchanged
-//! from a build keyed on the paths themselves: instances are added by
-//! `(depth, start, rank)`, and sorting by rank is sorting by path.
+//! Inside the crate a stream is read once into an `Interned` stream: a
+//! `PathTable` holding each distinct phase path (and every prefix of one)
+//! under a dense `PathId`, and one fixed-size `Record` per event carrying
+//! the id and the borrowed resource name. Strict validation, lenient repair
+//! (`trace::repair`) and the trace build all read that stream, so a
+//! characterization hashes each path once and clones none. Ids number the
+//! paths in lexicographic order, so sorting by id is sorting by path, and
+//! instance order is unchanged from a build keyed on the paths themselves.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -77,20 +80,22 @@ pub fn build_execution_trace(
     model: &ExecutionModel,
     events: &[RawEvent],
 ) -> Result<ExecutionTrace, Grade10Error> {
-    build_trace_from(model, events.iter().collect())
+    let mut stream = Interned::new(events);
+    stream.records.sort_by_key(|r| r.time);
+    build_trace_from(model, &stream.paths, &stream.records)
 }
 
-/// Dense id of one distinct phase path of a stream. Ids live only inside
-/// one trace build: they are handed out in first-seen order and mean
-/// nothing outside the [`PathTable`] that issued them.
-type PathId = u32;
+/// Dense id of one distinct phase path of a stream: the path's place in
+/// lexicographic order among the stream's paths and their prefixes, so
+/// comparing ids compares paths. Ids mean nothing outside the
+/// [`PathTable`] that issued them.
+pub(crate) type PathId = u32;
 
-/// The distinct phase paths of one stream. A path is looked up by its
+/// The distinct phase paths of one stream, each hashed once from its
 /// borrowed slice and never cloned. Every proper prefix of an interned
 /// path is interned too, so each entry knows its parent's id.
 #[derive(Default)]
-struct PathTable<'e> {
-    ids: HashMap<Segments<'e>, PathId>,
+pub(crate) struct PathTable<'e> {
     /// Per id: the path and the id of its parent (its prefix one segment
     /// shorter; `None` at depth 0 and 1).
     entries: Vec<(Segments<'e>, Option<PathId>)>,
@@ -100,81 +105,145 @@ struct PathTable<'e> {
 type Segments<'e> = &'e [(String, u32)];
 
 impl<'e> PathTable<'e> {
-    /// The id of `path`, issuing one (and one for each new prefix) if it
-    /// is new.
-    fn intern(&mut self, path: Segments<'e>) -> PathId {
-        if let Some(&id) = self.ids.get(path) {
+    /// The id of `path`, issuing one (and one for each new prefix) in
+    /// first-seen order if it is new.
+    fn intern(&mut self, ids: &mut HashMap<Segments<'e>, PathId>, path: Segments<'e>) -> PathId {
+        if let Some(&id) = ids.get(path) {
             return id;
         }
         let parent = match path.len() {
             0 | 1 => None,
-            n => Some(self.intern(&path[..n - 1])),
+            n => Some(self.intern(ids, &path[..n - 1])),
         };
         let id = self.entries.len() as PathId;
-        self.ids.insert(path, id);
+        ids.insert(path, id);
         self.entries.push((path, parent));
         id
     }
 
-    fn len(&self) -> usize {
+    /// Renumbers the first-seen ids in path order, and returns each old
+    /// id's new one.
+    fn sort(&mut self) -> Vec<PathId> {
+        let mut order: Vec<PathId> = (0..self.len() as PathId).collect();
+        order.sort_unstable_by_key(|&id| self.path(id));
+        let mut renamed = vec![0; order.len()];
+        for (new, &old) in order.iter().enumerate() {
+            renamed[old as usize] = new as PathId;
+        }
+        let entry = |&old: &PathId| {
+            let (path, parent) = self.entries[old as usize];
+            (path, parent.map(|p| renamed[p as usize]))
+        };
+        self.entries = order.iter().map(entry).collect();
+        renamed
+    }
+
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    fn path(&self, id: PathId) -> Segments<'e> {
+    pub(crate) fn path(&self, id: PathId) -> Segments<'e> {
         self.entries[id as usize].0
     }
 
-    fn parent(&self, id: PathId) -> Option<PathId> {
+    pub(crate) fn parent(&self, id: PathId) -> Option<PathId> {
         self.entries[id as usize].1
-    }
-
-    /// Each id's rank among the distinct paths of its depth in
-    /// lexicographic order, so that between two paths of one depth
-    /// comparing ranks compares the paths. Ranked depth by depth: two paths
-    /// of one depth compare as their parents do, then as their last
-    /// segments do.
-    fn ranks(&self) -> Vec<u32> {
-        let mut order: Vec<PathId> = (0..self.len() as PathId).collect();
-        order.sort_unstable_by_key(|&id| self.path(id).len());
-        let mut rank = vec![0; order.len()];
-        for level in order.chunk_by_mut(|&a, &b| self.path(a).len() == self.path(b).len()) {
-            level.sort_unstable_by(|&a, &b| {
-                let parent_rank = |id| self.parent(id).map(|p| rank[p as usize]);
-                let last = |id| self.path(id).last();
-                (parent_rank(a), last(a)).cmp(&(parent_rank(b), last(b)))
-            });
-            for (r, &id) in level.iter().enumerate() {
-                rank[id as usize] = r as u32;
-            }
-        }
-        rank
     }
 }
 
-/// [`build_execution_trace`] over borrowed records, for callers whose
-/// stream is already a list of references (several machines' substreams
-/// merged without copying a record).
+/// One record of an interned stream: a [`RawEvent`] whose phase path is
+/// its [`PathId`] and whose resource name is borrowed. Fixed-size, so
+/// repair and the trace build copy records, never paths.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Record<'e> {
+    pub(crate) time: Nanos,
+    pub(crate) machine: u16,
+    pub(crate) thread: u16,
+    pub(crate) kind: RecordKind<'e>,
+}
+
+/// [`RawEventKind`] over ids and borrowed names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum RecordKind<'e> {
+    PhaseStart(PathId),
+    PhaseEnd(PathId),
+    BlockStart(&'e str),
+    BlockEnd(&'e str),
+}
+
+/// A raw event stream interned once: the table of its phase paths and one
+/// [`Record`] per event, in arrival order. Validation, repair and the trace
+/// build all read it, so a characterization hashes each path once.
+#[derive(Default)]
+pub(crate) struct Interned<'e> {
+    pub(crate) paths: PathTable<'e>,
+    pub(crate) records: Vec<Record<'e>>,
+}
+
+impl<'e> Interned<'e> {
+    pub(crate) fn new(events: &'e [RawEvent]) -> Self {
+        let mut paths = PathTable::default();
+        let mut ids = HashMap::new();
+        let mut intern = |path| paths.intern(&mut ids, path);
+        let record = |ev: &'e RawEvent| Record {
+            time: ev.time,
+            machine: ev.machine,
+            thread: ev.thread,
+            kind: match &ev.kind {
+                RawEventKind::PhaseStart { path } => RecordKind::PhaseStart(intern(path)),
+                RawEventKind::PhaseEnd { path } => RecordKind::PhaseEnd(intern(path)),
+                RawEventKind::BlockStart { resource } => RecordKind::BlockStart(resource),
+                RawEventKind::BlockEnd { resource } => RecordKind::BlockEnd(resource),
+            },
+        };
+        let mut records: Vec<Record<'e>> = events.iter().map(record).collect();
+        let renamed = paths.sort();
+        for r in &mut records {
+            if let RecordKind::PhaseStart(id) | RecordKind::PhaseEnd(id) = &mut r.kind {
+                *id = renamed[*id as usize];
+            }
+        }
+        Interned { paths, records }
+    }
+
+    /// `records` as raw events, each path and name copied out of the table.
+    pub(crate) fn materialize(&self, records: &[Record<'e>]) -> Vec<RawEvent> {
+        let path = |id| self.paths.path(id).to_vec();
+        let event = |r: &Record<'e>| RawEvent {
+            time: r.time,
+            machine: r.machine,
+            thread: r.thread,
+            kind: match r.kind {
+                RecordKind::PhaseStart(id) => RawEventKind::PhaseStart { path: path(id) },
+                RecordKind::PhaseEnd(id) => RawEventKind::PhaseEnd { path: path(id) },
+                RecordKind::BlockStart(name) => RawEventKind::BlockStart { resource: name.into() },
+                RecordKind::BlockEnd(name) => RawEventKind::BlockEnd { resource: name.into() },
+            },
+        };
+        records.iter().map(event).collect()
+    }
+}
+
+/// [`build_execution_trace`] over an interned stream whose `records` are
+/// in time order.
 ///
-/// Phase paths are interned as the stream is scanned, so open phases and
-/// thread stacks are keyed by dense ids; open blocks are keyed by the
-/// borrowed resource name.
+/// Open phases and thread stacks are keyed by path id; open blocks are
+/// keyed by the borrowed resource name.
 /// Instances are added shallowest first, then by start time, then by path
-/// rank: the order the paths themselves would sort in, so instance ids do
-/// not depend on the interning.
+/// id, which sorts as the paths themselves do.
 pub(crate) fn build_trace_from(
     model: &ExecutionModel,
-    mut events: Vec<&RawEvent>,
+    paths: &PathTable<'_>,
+    records: &[Record<'_>],
 ) -> Result<ExecutionTrace, Grade10Error> {
-    events.sort_by_key(|e| e.time);
-
+    #[derive(Clone, Copy)]
     struct OpenPhase {
         start: Nanos,
         machine: u16,
         thread: u16,
     }
-    let mut paths = PathTable::default();
     // Per path id: the phase open on that path, if any.
-    let mut open: Vec<Option<OpenPhase>> = Vec::new();
+    let mut open: Vec<Option<OpenPhase>> = vec![None; paths.len()];
     // Completed phases: (path, start, end, machine, thread).
     let mut completed: Vec<(PathId, Nanos, Nanos, u16, u16)> = Vec::new();
     // Innermost-phase stacks per (machine, thread).
@@ -184,13 +253,12 @@ pub(crate) fn build_trace_from(
     // Completed blocking events: (path, resource, start, end).
     let mut blocks: Vec<(PathId, &str, Nanos, Nanos)> = Vec::new();
 
-    for ev in events {
-        match &ev.kind {
-            RawEventKind::PhaseStart { path } => {
-                let id = paths.intern(path);
-                open.resize_with(paths.len(), || None);
+    for ev in records {
+        match ev.kind {
+            RecordKind::PhaseStart(id) => {
                 let slot = &mut open[id as usize];
                 if slot.is_some() {
+                    let path = paths.path(id);
                     return Err(Grade10Error::MalformedLog(format!(
                         "phase {path:?} started twice"
                     )));
@@ -202,9 +270,9 @@ pub(crate) fn build_trace_from(
                 });
                 stacks.entry((ev.machine, ev.thread)).or_default().push(id);
             }
-            RawEventKind::PhaseEnd { path } => {
-                let id = paths.intern(path);
-                let op = open.get_mut(id as usize).and_then(Option::take).ok_or_else(|| {
+            RecordKind::PhaseEnd(id) => {
+                let op = open[id as usize].take().ok_or_else(|| {
+                    let path = paths.path(id);
                     Grade10Error::MalformedLog(format!("phase {path:?} ended without starting"))
                 })?;
                 completed.push((id, op.start, ev.time, op.machine, op.thread));
@@ -214,15 +282,15 @@ pub(crate) fn build_trace_from(
                     }
                 }
             }
-            RawEventKind::BlockStart { resource } => {
+            RecordKind::BlockStart(resource) => {
                 let blocked = stacks
                     .get(&(ev.machine, ev.thread))
                     .and_then(|s| s.last())
                     .copied();
                 open_blocks.insert((ev.machine, ev.thread, resource), (ev.time, blocked));
             }
-            RawEventKind::BlockEnd { resource } => {
-                let key = (ev.machine, ev.thread, resource.as_str());
+            RecordKind::BlockEnd(resource) => {
+                let key = (ev.machine, ev.thread, resource);
                 let (start, blocked) = open_blocks.remove(&key).ok_or_else(|| {
                     Grade10Error::MalformedLog(format!(
                         "block on '{resource}' ended without starting"
@@ -236,10 +304,11 @@ pub(crate) fn build_trace_from(
             }
         }
     }
-    // Name the smallest key, not the first in id or hash order: the same
-    // damaged stream must yield the same message on every run.
-    let never_ended = open.iter().enumerate().filter(|(_, o)| o.is_some());
-    if let Some(path) = never_ended.map(|(id, _)| paths.path(id as PathId)).min() {
+    // Name the smallest key (the smallest id is the smallest path), not the
+    // first in hash order: the same damaged stream must yield the same
+    // message on every run.
+    if let Some(id) = open.iter().position(Option::is_some) {
+        let path = paths.path(id as PathId);
         return Err(Grade10Error::MalformedLog(format!("phase {path:?} never ended")));
     }
     if let Some((_, _, res)) = open_blocks.keys().min() {
@@ -247,15 +316,14 @@ pub(crate) fn build_trace_from(
     }
 
     // Add parents before children: shallower paths first, then by start
-    // time, then by path for deterministic instance ids.
-    let rank = paths.ranks();
-    completed.sort_by_key(|&(id, start, ..)| (paths.path(id).len(), start, rank[id as usize]));
+    // time, then by path (by id) for deterministic instance ids.
+    completed.sort_by_key(|&(id, start, ..)| (paths.path(id).len(), start, id));
     let mut tb = TraceBuilder::new(model);
     // Per path id: its phase type once resolved, and its instance once added.
     let mut types: Vec<Option<PhaseTypeId>> = vec![None; paths.len()];
     let mut instances: Vec<Option<InstanceId>> = vec![None; paths.len()];
     for &(id, start, end, machine, thread) in &completed {
-        let type_id = path_type(&tb, &paths, &mut types, id)?;
+        let type_id = path_type(&tb, paths, &mut types, id)?;
         let path = paths.path(id);
         let parent = match paths.parent(id) {
             None => None,
@@ -430,7 +498,7 @@ fn build_trace_by_path(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -438,7 +506,7 @@ mod tests {
     use crate::model::execution::{ExecutionModelBuilder, Repeat};
     use crate::trace::timeslice::MILLIS;
 
-    fn model() -> ExecutionModel {
+    pub(crate) fn model() -> ExecutionModel {
         let mut b = ExecutionModelBuilder::new("job");
         let r = b.root();
         let step = b.child(r, "step", Repeat::Sequential);
@@ -658,7 +726,7 @@ mod tests {
     /// another, each with tasks on random threads of two machines that
     /// block on random resources, plus blocks outside any phase. Times are
     /// small, so many records share a timestamp.
-    fn random_stream(rng: &mut ChaCha8Rng) -> Vec<RawEvent> {
+    pub(crate) fn random_stream(rng: &mut ChaCha8Rng) -> Vec<RawEvent> {
         let mut events = vec![ev(0, 0, 0, RawEventKind::PhaseStart { path: path(&[("job", 0)]) })];
         let mut t: Nanos = rng.gen_range(0..2);
         for s in 0..rng.gen_range(1..4u32) {
@@ -698,8 +766,11 @@ mod tests {
         events
     }
 
+    /// The damage classes [`damage`] knows, 0 (none) included.
+    pub(crate) const DAMAGE_CLASSES: usize = 7;
+
     /// Applies damage class `class` (0: none) to a stream.
-    fn damage(rng: &mut ChaCha8Rng, events: &mut Vec<RawEvent>, class: usize) {
+    pub(crate) fn damage(rng: &mut ChaCha8Rng, events: &mut Vec<RawEvent>, class: usize) {
         let pick = |rng: &mut ChaCha8Rng, events: &[RawEvent]| rng.gen_range(0..events.len());
         match class {
             // Equal-time ties in a random order.
@@ -771,6 +842,15 @@ mod tests {
                     }
                 }
             }
+            // Records that arrive late, behind records stamped after them.
+            6 => {
+                for _ in 0..rng.gen_range(1..4) {
+                    let from = pick(rng, events);
+                    let late = events.remove(from);
+                    let to = rng.gen_range(from..=events.len());
+                    events.insert(to, late);
+                }
+            }
             _ => {}
         }
     }
@@ -785,7 +865,7 @@ mod tests {
         for case in 0..200 {
             let mut events = random_stream(&mut rng);
             damage(&mut rng, &mut events, case % 6);
-            let interned = build_trace_from(&m, events.iter().collect());
+            let interned = build_execution_trace(&m, &events);
             let oracle = build_trace_by_path(&m, events.iter().collect());
             match (interned, oracle) {
                 (Ok(a), Ok(b)) => {

@@ -5,10 +5,9 @@
 //! and one executor (`Run::walk`) walks it under one of two policies:
 //!
 //! * *inline* — one unit spanning the whole input, run on the calling
-//!   thread, first error returned. [`characterize`],
-//!   [`characterize_ingested`] and [`characterize_events`] are front doors
-//!   of this policy (the first two enter the table after ingest, with
-//!   traces the caller built).
+//!   thread, first error returned. [`characterize`] and
+//!   [`characterize_events`] are front doors of this policy (the first
+//!   enters the table after ingest, with traces the caller built).
 //! * *supervised* — one unit per machine on a worker pool, each under the
 //!   retry ladder, panic capture, deadline and chaos points of
 //!   [`crate::supervise`]; failures become incidents and fallbacks, and
@@ -34,7 +33,7 @@ use crate::error::Grade10Error;
 use crate::issues::{detect_issues, IssueConfig, IssueKind, PerformanceIssue};
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs::{self, MetaTrace, Stage};
-use crate::parse::{build_execution_trace, build_trace_from, RawEvent};
+use crate::parse::{build_trace_from, Interned, RawEvent, Record};
 use crate::replay::{Baseline, ReplayConfig};
 use crate::report::table::pct;
 use crate::supervise::{
@@ -43,8 +42,8 @@ use crate::supervise::{
     UnitStatus,
 };
 use crate::trace::repair::{
-    clean_events, ingest_series, plausibility_bound, repair_events_opts, validate_event_stream,
-    IngestConfig, IngestMode, IngestReport, IngestedInput, RawSeries,
+    ingest_series, plausibility_bound, repair_events_opts, validate_records, IngestConfig,
+    IngestMode, IngestReport, RawSeries,
 };
 use crate::trace::timeslice::Nanos;
 use crate::trace::{ExecutionTrace, ResourceTrace};
@@ -167,20 +166,6 @@ pub fn characterize_events(
         .map(|run| run.characterization)
 }
 
-/// Runs the pipeline on the output of a separate
-/// [`ingest`](crate::trace::repair::ingest) call — for callers that keep
-/// the ingested traces while still carrying the repair report into the
-/// result.
-pub fn characterize_ingested(
-    model: &ExecutionModel,
-    rules: &RuleSet,
-    input: &IngestedInput,
-    cfg: &CharacterizationConfig,
-) -> Characterization {
-    let report = input.report.clone();
-    characterize_built(model, rules, &input.trace, &input.resources, report, cfg)
-}
-
 /// [`characterize_events`] under either executor policy, returning the
 /// merged trace (callers need it for rendering) with the characterization.
 ///
@@ -284,7 +269,7 @@ const STAGES: [StageDef; 5] = [
 
 /// A stage's work for one unit (or for the run: whole stages ignore the
 /// unit) at ladder rung `rung`.
-type Body<T> = fn(&Run<'_>, usize, u32) -> Result<T, Grade10Error>;
+type Body<'a, T> = fn(&Run<'a>, usize, u32) -> Result<T, Grade10Error>;
 
 /// One unit of a fanned-out stage: one machine's share of the input or,
 /// under the inline policy, all of it.
@@ -320,12 +305,12 @@ impl Unit {
 }
 
 /// What the ingest stage made of one unit's events.
-enum UnitEvents {
+enum UnitEvents<'e> {
     /// Not ingested yet, or dropped for good.
     Absent,
     /// They passed strict validation and stand as they arrived.
     Verbatim,
-    Repaired(Vec<RawEvent>),
+    Repaired(Vec<Record<'e>>),
 }
 
 /// One walk of the table: the inputs, what the stages so far produced, and
@@ -339,12 +324,15 @@ struct Run<'a> {
     /// The policy: supervised (knobs in `cfg.supervise`) or inline.
     supervised: bool,
     units: Vec<Unit>,
+    /// The event stream, interned by the ingest stage and dropped once it
+    /// has built the trace.
+    stream: Interned<'a>,
     /// The monitoring plausibility bound: a cross-series statistic, so it
     /// is computed once over every series and handed to every unit.
     bound: Option<Nanos>,
     /// Per unit, what ingest made of its events and of its monitoring
     /// (empty until then, and for good when the unit is dropped).
-    ingested: Vec<UnitEvents>,
+    ingested: Vec<UnitEvents<'a>>,
     resources: Vec<Cow<'a, ResourceTrace>>,
     /// Each stage's product starts out as the stage's last-resort fallback:
     /// the empty trace, profile and report. Only a run that enters the
@@ -383,6 +371,7 @@ impl<'a> Run<'a> {
         Run {
             supervised,
             bound: lenient.then(|| plausibility_bound(monitoring)).flatten(),
+            stream: Interned::default(),
             ingested: units.iter().map(|_| UnitEvents::Absent).collect(),
             resources: vec![Cow::default(); units.len()],
             units,
@@ -427,7 +416,7 @@ impl<'a> Run<'a> {
 
     /// Runs `body` for one unit as the policy says: inline, a direct call;
     /// supervised, the retry ladder around attempts on this thread.
-    fn attempt<T>(&self, label: &str, body: Body<T>, unit: usize) -> UnitRun<T> {
+    fn attempt<T>(&self, label: &str, body: Body<'a, T>, unit: usize) -> UnitRun<T> {
         if !self.supervised {
             let result = body(self, unit, 0);
             return UnitRun { result, attempts: 1, first_error: None };
@@ -487,7 +476,7 @@ impl<'a> Run<'a> {
         &mut self,
         stage: &StageDef,
         units: Vec<usize>,
-        body: Body<T>,
+        body: Body<'a, T>,
         retry_as: &str,
     ) -> Result<Vec<(usize, T, u32)>, Grade10Error> {
         debug_assert!(stage.fan_out);
@@ -518,7 +507,7 @@ impl<'a> Run<'a> {
     fn whole<T>(
         &mut self,
         stage: &StageDef,
-        body: Body<T>,
+        body: Body<'a, T>,
         substitute: T,
     ) -> Result<(T, bool), Grade10Error> {
         debug_assert!(!stage.fan_out);
@@ -572,13 +561,23 @@ impl<'a> Run<'a> {
         let machines = self.units.iter().filter_map(covered).collect();
         (characterization, self.trace, self.incidents, machines)
     }
+
+    /// `unit`'s records, in arrival order.
+    fn records_of(&self, unit: &Unit) -> Cow<'_, [Record<'a>]> {
+        match unit.key {
+            None => Cow::Borrowed(&self.stream.records),
+            Some(_) => Cow::Owned(unit.events.iter().map(|&i| self.stream.records[i]).collect()),
+        }
+    }
 }
 
-/// The ingest stage: validate-or-repair per unit, then `ingest/assemble`
-/// builds the merged execution trace from the surviving units' events.
-/// Assembling is the one step nothing can route around — no trace, no
-/// characterization — so its failure is the run's.
+/// The ingest stage: interns the event stream once, validates or repairs
+/// it per unit, then `ingest/assemble` builds the merged execution trace
+/// from the surviving units' records. Assembling is the one step nothing
+/// can route around — no trace, no characterization — so its failure is
+/// the run's.
 fn ingest(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
+    run.stream = Interned::new(run.events);
     let retry_as = match run.cfg.ingest.mode {
         IngestMode::Strict => "lenient ingestion",
         IngestMode::Lenient => "retried",
@@ -612,8 +611,9 @@ fn ingest(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
     let (trace, repairs) = run.recovered(stage, "assemble", assembled, "lenient merge repair")?;
     run.report.absorb_repairs(&repairs);
     run.trace = Cow::Owned(trace);
-    // The units' events are in the trace now; nothing reads them again.
+    // The units' records are in the trace now; nothing reads them again.
     run.ingested.clear();
+    run.stream = Interned::default();
     Ok(false)
 }
 
@@ -621,11 +621,11 @@ fn ingest(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
 /// streams. The ladder's rungs are the configured mode, then lenient. Only
 /// a unit that spans the whole event stream synthesizes lost ancestors
 /// itself; see [`repair_events_opts`].
-fn ingest_unit(
-    run: &Run<'_>,
+fn ingest_unit<'a>(
+    run: &Run<'a>,
     u: usize,
     rung: u32,
-) -> Result<(UnitEvents, ResourceTrace, IngestReport), Grade10Error> {
+) -> Result<(UnitEvents<'a>, ResourceTrace, IngestReport), Grade10Error> {
     let unit = &run.units[u];
     let mode = match rung {
         0 => run.cfg.ingest.mode,
@@ -633,62 +633,63 @@ fn ingest_unit(
     };
     let sole = run.units.len() == 1;
     let mut report = IngestReport::default();
-    let repaired = match unit.key {
-        None => clean_events(run.events, mode, sole, &mut report)?,
-        Some(_) => {
-            let events: Vec<&RawEvent> = unit.events.iter().map(|&i| &run.events[i]).collect();
-            clean_events(&events, mode, sole, &mut report)?
+    let records = run.records_of(unit);
+    let events = match mode {
+        IngestMode::Strict => {
+            validate_records(&records)?;
+            UnitEvents::Verbatim
+        }
+        IngestMode::Lenient => {
+            let paths = &run.stream.paths;
+            UnitEvents::Repaired(repair_events_opts(paths, &records, sole, &mut report))
         }
     };
     let mine = |s: &&RawSeries| unit.key.is_none_or(|machine| s.instance.machine == machine);
     let series = run.monitoring.iter().filter(mine);
     let resources = ingest_series(series, mode, run.bound, &mut report)?;
-    let events = repaired.map_or(UnitEvents::Verbatim, UnitEvents::Repaired);
     Ok((events, resources, report))
 }
 
-/// The body of `ingest/assemble`. A sole unit's events are final as the
-/// unit left them. Several units' events are merged and then, on rung 0 of
-/// a strict run in which no unit degraded, validated as one stream;
-/// otherwise one lenient repair over the merged stream also synthesizes
-/// cross-machine ancestors exactly once.
+/// The body of `ingest/assemble`. A sole unit's records are final as the
+/// unit left them. Several units' records are merged by time; on rung 0 of
+/// a strict run in which no unit degraded they are built as they stand,
+/// and otherwise one lenient repair over the merged stream also
+/// synthesizes cross-machine ancestors exactly once.
 fn assemble_trace(
     run: &Run<'_>,
     _: usize,
     rung: u32,
 ) -> Result<(ExecutionTrace, IngestReport), Grade10Error> {
-    let mut merged: Vec<&RawEvent> = Vec::new();
-    for (unit, ingested) in run.units.iter().zip(&run.ingested) {
-        match (ingested, unit.key) {
-            (UnitEvents::Absent, _) => {}
-            (UnitEvents::Repaired(events), _) => merged.extend(events),
-            (UnitEvents::Verbatim, None) => merged.extend(run.events),
-            (UnitEvents::Verbatim, Some(_)) => {
-                merged.extend(unit.events.iter().map(|&i| &run.events[i]))
-            }
+    let mut parts = run.units.iter().zip(&run.ingested).filter_map(|(unit, ingested)| {
+        match ingested {
+            UnitEvents::Absent => None,
+            UnitEvents::Verbatim => Some(run.records_of(unit)),
+            UnitEvents::Repaired(records) => Some(Cow::Borrowed(records.as_slice())),
         }
-    }
-    let sole = run.units.len() == 1;
-    if !sole {
+    });
+    let (sole, paths) = (run.units.len() == 1, &run.stream.paths);
+    let merged = if sole {
+        parts.next().unwrap_or_default()
+    } else {
         // Stable sort by time only: each unit's substream is already in
         // valid arrival order (the parser is order-insensitive among ties
         // with distinct keys, but zero-duration block pairs and doubled
         // barrier pairs NEED their original start-before-end order, which
         // any kind-based tie-break would destroy). Stability keeps every
         // machine's internal order intact while interleaving by time.
-        merged.sort_by_key(|e| e.time);
-    }
+        let mut merged = parts.collect::<Vec<_>>().concat();
+        merged.sort_by_key(|r| r.time);
+        Cow::Owned(merged)
+    };
     // Every incident so far degraded or dropped an ingest unit.
     let strict = run.cfg.ingest.mode == IngestMode::Strict && run.incidents.is_empty();
     let mut report = IngestReport::default();
     let trace = if rung == 0 && (sole || strict) {
-        if !sole {
-            validate_event_stream(&merged)?;
-        }
-        build_trace_from(run.model, merged)?
+        // Not validated again: each unit was, the merge is sorted, and duplicates share a unit.
+        build_trace_from(run.model, paths, &merged)?
     } else {
-        let repaired = repair_events_opts(&merged, true, &mut report);
-        build_execution_trace(run.model, &repaired)?
+        let repaired = repair_events_opts(paths, &merged, true, &mut report);
+        build_trace_from(run.model, paths, &repaired)?
     };
     Ok((trace, report))
 }
@@ -704,7 +705,7 @@ fn attribute(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> 
     if run.supervised && !fit_grid(run, stage, &live) {
         live.clear();
     }
-    let body: Body<_> = |run, u, _| {
+    let body: Body<'_, _> = |run, u, _| {
         let (trace, resources) = (&run.trace, &run.resources[u]);
         Ok(build_profile(run.model, run.rules, trace, resources, &run.grid))
     };
@@ -712,7 +713,7 @@ fn attribute(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> 
     let parts: Vec<_> = built.into_iter().map(|(_, part, _)| part).collect();
     let skipped = parts.is_empty();
     let profile = PerformanceProfile::merge(parts).unwrap_or_else(|| {
-        let none: Body<_> = |run, _, _| {
+        let none: Body<'_, _> = |run, _, _| {
             let none = ResourceTrace::new();
             Ok(build_profile(run.model, run.rules, &run.trace, &none, &run.grid))
         };
@@ -764,7 +765,7 @@ fn fit_grid(run: &mut Run<'_>, stage: &StageDef, live: &[usize]) -> bool {
 }
 
 fn bottleneck(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
-    let body: Body<_> =
+    let body: Body<'_, _> =
         |run, _, _| Ok(BottleneckReport::build(&run.trace, &run.profile, &run.cfg.bottleneck));
     let (report, skipped) = run.whole(stage, body, BottleneckReport::default())?;
     run.bottlenecks = report;
@@ -772,7 +773,7 @@ fn bottleneck(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error>
 }
 
 fn replay(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
-    let body: Body<_> =
+    let body: Body<'_, _> =
         |run, _, _| Ok(Some(Baseline::new(run.model, &run.trace, &run.cfg.replay)));
     let (base, skipped) = run.whole(stage, body, None)?;
     let measured = run.trace.makespan_end();
@@ -785,7 +786,7 @@ fn replay(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
 /// earlier attempt of this one already took the plan — issue detection
 /// builds its own.
 fn issues(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
-    let body: Body<_> = |run, _, _| {
+    let body: Body<'_, _> = |run, _, _| {
         let (model, trace, cfg) = (run.model, &*run.trace, run.cfg);
         // The slot is only ever replaced whole, so a poisoned lock still
         // guards a valid value.

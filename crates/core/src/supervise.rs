@@ -899,7 +899,7 @@ mod tests {
         let (_, _, events, _) = scenario();
         stops_itself(|| {
             let mut report = crate::trace::repair::IngestReport::default();
-            let repaired = crate::trace::repair::repair_events_opts(&events, true, &mut report);
+            let repaired = crate::trace::repair::repair_events(&events, &mut report);
             format!("{repaired:?} {report:?}")
         });
     }

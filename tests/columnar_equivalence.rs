@@ -244,8 +244,9 @@ fn columnar_unsupervised_matches_golden() {
     let monitoring = to_raw_series(&run.sim.series, 8);
     let input = grade10::core::trace::ingest(&run.model, &events, &monitoring, &cfg.ingest)
         .expect("clean fixture ingests");
+    let (trace, resources) = (&input.trace, &input.resources);
     let result =
-        grade10::core::pipeline::characterize_ingested(&run.model, &run.rules_tuned, &input, &cfg);
+        grade10::core::pipeline::characterize(&run.model, &run.rules_tuned, trace, resources, &cfg);
     let p = &result.profile;
     let dump = format!(
         "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{}\n{:?}",
