@@ -78,8 +78,8 @@ fn analyze(run: &WorkloadRun, phases: &PregelPhases, rules: &RuleSet) -> Analysi
     let mut bottleneck = vec![false; ns];
     for b in &bns {
         if b.resource == cpu && thread_ids.contains(&b.instance) {
-            for &s in &b.slices {
-                bottleneck[s] = true;
+            for run in &b.runs {
+                bottleneck[run.clone()].fill(true);
             }
         }
     }

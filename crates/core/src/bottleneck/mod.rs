@@ -66,7 +66,7 @@ impl BottleneckReport {
         let mut out = std::collections::BTreeMap::new();
         for c in &self.consumable {
             let ty = trace.instance(c.instance).type_id;
-            *out.entry((ty, c.resource)).or_insert(0) += c.slices.len();
+            *out.entry((ty, c.resource)).or_insert(0) += c.num_slices();
         }
         out
     }

@@ -7,7 +7,7 @@
 //! Exact limit, or to the resource's capacity for Variable rules). Blocking
 //! bottlenecks are simpler — the blocked time just disappears.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::attribution::{InstanceUsage, PerformanceProfile};
 use crate::bottleneck::BottleneckReport;
@@ -16,19 +16,71 @@ use crate::model::execution::ExecutionModel;
 use crate::model::rules::AttributionRule;
 use crate::replay::ReplayConfig;
 use crate::trace::execution::{ExecutionTrace, InstanceId};
-use crate::trace::resource::ResourceInstance;
 use crate::trace::timeslice::Nanos;
 
-/// `profile.usages` grouped by instance (in profile order), so a what-if
-/// looks at the resources of the instance it shrinks and nothing else.
-type UsagesByInstance<'p> = HashMap<InstanceId, Vec<&'p InstanceUsage>>;
+/// Nanoseconds each instance bottlenecked on a `removed` resource saves
+/// when those bottlenecks go, in instance order: every slice in the union
+/// of its runs shrinks to the highest fraction the instance shows on any
+/// other resource (floored at `floor_factor`), summed in ascending slice
+/// order.
+fn consumable_savings(
+    profile: &PerformanceProfile,
+    usages: &[&InstanceUsage],
+    report: &BottleneckReport,
+    removed: &[bool],
+    floor_factor: f64,
+) -> Vec<(InstanceId, f64)> {
+    let mut runs: Vec<(InstanceId, usize, usize)> = report
+        .consumable
+        .iter()
+        .filter(|b| removed[b.resource.0 as usize])
+        .flat_map(|b| b.runs.iter().map(move |r| (b.instance, r.start, r.end)))
+        .collect();
+    runs.sort_unstable();
 
-fn usages_by_instance(profile: &PerformanceProfile) -> UsagesByInstance<'_> {
-    let mut by_instance = UsagesByInstance::new();
-    for u in &profile.usages {
-        by_instance.entry(u.instance).or_default().push(u);
+    let slice_ns = profile.grid.slice_nanos() as f64;
+    let mut others = Vec::new();
+    let mut out = Vec::new();
+    for group in runs.chunk_by(|a, b| a.0 == b.0) {
+        let id = group[0].0;
+        // The instance's resources that stay, each with its limit: `None`
+        // for its own demand (an `Exact` rule), else the capacity.
+        let own = &usages[usages.partition_point(|u| u.instance < id)..];
+        others.clear();
+        others.extend(
+            own.iter()
+                .take_while(|u| u.instance == id)
+                .filter(|u| !removed[u.resource.0 as usize])
+                .map(|&u| match u.rule {
+                    AttributionRule::Exact(_) => (u, None),
+                    _ => (u, Some(profile.resources[u.resource.0 as usize].capacity)),
+                }),
+        );
+        let (mut saved, mut next) = (0.0f64, 0);
+        for &(_, start, end) in group {
+            for s in start.max(next)..end {
+                let factor = others
+                    .iter()
+                    .fold(0.0f64, |m, &(u, capacity)| {
+                        m.max(u.usage_at(s) / capacity.unwrap_or(u.demand_at(s).max(1e-12)))
+                    })
+                    .max(floor_factor);
+                saved += (1.0 - factor.min(1.0)) * slice_ns;
+            }
+            next = next.max(end);
+        }
+        out.push((id, saved));
     }
-    by_instance
+    out
+}
+
+/// `profile.usages` sorted by instance id, in profile order within one
+/// instance, so a what-if looks at the resources of the instance it shrinks
+/// and nothing else.
+fn usages_by_instance(profile: &PerformanceProfile) -> Vec<&InstanceUsage> {
+    let mut usages: Vec<&InstanceUsage> = profile.usages.iter().collect();
+    usages.sort_by_key(|u| u.instance);
+    usages
 }
 
 impl WhatIf<'_> {
@@ -37,37 +89,24 @@ impl WhatIf<'_> {
     fn consumable(
         &mut self,
         profile: &PerformanceProfile,
-        usages: &UsagesByInstance<'_>,
+        usages: &[&InstanceUsage],
         report: &BottleneckReport,
         resource_kind: &str,
         cfg: &IssueConfig,
     ) -> PerformanceIssue {
-        // Bottlenecked slices per instance, restricted to the target kind.
-        let mut slices_per_instance: BTreeMap<InstanceId, BTreeSet<usize>> = BTreeMap::new();
-        for b in &report.consumable {
-            if profile.resources[b.resource.0 as usize].kind == resource_kind {
-                slices_per_instance
-                    .entry(b.instance)
-                    .or_default()
-                    .extend(b.slices.iter().copied());
-            }
-        }
-
-        let slice_ns = profile.grid.slice_nanos();
-        let patch: Vec<(InstanceId, Nanos)> = slices_per_instance
+        let removed: Vec<bool> = profile
+            .resources
             .iter()
-            .map(|(&id, slices)| {
-                let own = usages.get(&id).map_or(&[][..], Vec::as_slice);
-                let mut saved = 0.0f64;
-                for &s in slices {
-                    let factor = next_limit_fraction(&profile.resources, own, resource_kind, s)
-                        .max(cfg.floor_factor);
-                    saved += (1.0 - factor.min(1.0)) * slice_ns as f64;
-                }
-                let orig = self.trace.instance(id).duration();
-                (id, (orig as f64 - saved).max(0.0) as Nanos)
-            })
+            .map(|r| r.kind == resource_kind)
             .collect();
+        let patch: Vec<(InstanceId, Nanos)> =
+            consumable_savings(profile, usages, report, &removed, cfg.floor_factor)
+                .into_iter()
+                .map(|(id, saved)| {
+                    let orig = self.trace.instance(id).duration();
+                    (id, (orig as f64 - saved).max(0.0) as Nanos)
+                })
+                .collect();
         self.evaluate(
             IssueKind::ConsumableBottleneck {
                 resource_kind: resource_kind.to_string(),
@@ -107,86 +146,28 @@ impl WhatIf<'_> {
         report: &BottleneckReport,
         cfg: &IssueConfig,
     ) -> Vec<PerformanceIssue> {
-        let mut issues = Vec::new();
-
         let consumable_kinds: BTreeSet<&str> = report
             .consumable
             .iter()
             .map(|b| profile.resources[b.resource.0 as usize].kind.as_str())
             .collect();
-        let usages = usages_by_instance(profile);
-        for kind in consumable_kinds {
-            issues.push(self.consumable(profile, &usages, report, kind, cfg));
-        }
-
         let blocking_kinds: BTreeSet<&str> = report
             .blocking
             .iter()
             .map(|b| b.resource.as_str())
             .collect();
-        for kind in blocking_kinds {
-            issues.push(self.blocking(report, kind));
-        }
+        let usages = usages_by_instance(profile);
+        let mut issues: Vec<PerformanceIssue> = consumable_kinds
+            .into_iter()
+            .map(|kind| self.consumable(profile, &usages, report, kind, cfg))
+            .collect();
+        issues.extend(
+            blocking_kinds
+                .into_iter()
+                .map(|kind| self.blocking(report, kind)),
+        );
         issues
     }
-}
-
-/// Simulates removing all bottlenecks on the consumable resource kind
-/// `resource_kind`.
-pub fn consumable_issue(
-    model: &ExecutionModel,
-    trace: &ExecutionTrace,
-    profile: &PerformanceProfile,
-    report: &BottleneckReport,
-    resource_kind: &str,
-    replay_cfg: &ReplayConfig,
-    cfg: &IssueConfig,
-) -> PerformanceIssue {
-    WhatIf::new(model, trace, replay_cfg).consumable(
-        profile,
-        &usages_by_instance(profile),
-        report,
-        resource_kind,
-        cfg,
-    )
-}
-
-/// The highest utilization fraction an instance shows on any resource other
-/// than `removed_kind` in slice `s` — the point at which the next resource
-/// becomes the bottleneck. `own` holds that instance's usages only.
-fn next_limit_fraction(
-    resources: &[ResourceInstance],
-    own: &[&InstanceUsage],
-    removed_kind: &str,
-    s: usize,
-) -> f64 {
-    let mut max_frac = 0.0f64;
-    for u in own {
-        let res = &resources[u.resource.0 as usize];
-        if res.kind == removed_kind {
-            continue;
-        }
-        let usage = u.usage_at(s);
-        let limit = match u.rule {
-            AttributionRule::Exact(_) => u.demand_at(s).max(1e-12),
-            _ => res.capacity,
-        };
-        max_frac = max_frac.max(usage / limit);
-    }
-    max_frac
-}
-
-/// Simulates removing all blocking on the blocking resource kind
-/// `resource_kind` (e.g. "gc", "msgq"): each affected phase shortens by its
-/// blocked time.
-pub fn blocking_issue(
-    model: &ExecutionModel,
-    trace: &ExecutionTrace,
-    report: &BottleneckReport,
-    resource_kind: &str,
-    replay_cfg: &ReplayConfig,
-) -> PerformanceIssue {
-    WhatIf::new(model, trace, replay_cfg).blocking(report, resource_kind)
 }
 
 /// Runs the sweep over the bottleneck report alone: one what-if per
@@ -209,12 +190,38 @@ pub fn detect_bottleneck_issues(
 mod tests {
     use super::*;
     use crate::attribution::{build_profile, ProfileConfig};
+    use crate::bottleneck::consumable::tests::{per_slice_oracle, random_profile};
     use crate::bottleneck::BottleneckConfig;
+    use crate::bottleneck::{consumable_bottlenecks, BottleneckCause};
     use crate::model::execution::{ExecutionModelBuilder, Repeat};
     use crate::model::rules::RuleSet;
     use crate::trace::execution::TraceBuilder;
     use crate::trace::resource::{ResourceInstance, ResourceTrace};
     use crate::trace::timeslice::MILLIS;
+    use crate::trace::ResourceIdx;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::HashMap;
+
+    /// Removing all bottlenecks on `resource_kind`, on an engine of its own.
+    fn consumable_issue(
+        model: &ExecutionModel,
+        trace: &ExecutionTrace,
+        profile: &PerformanceProfile,
+        report: &BottleneckReport,
+        resource_kind: &str,
+        replay_cfg: &ReplayConfig,
+        cfg: &IssueConfig,
+    ) -> PerformanceIssue {
+        let usages = usages_by_instance(profile);
+        WhatIf::new(model, trace, replay_cfg).consumable(
+            profile,
+            &usages,
+            report,
+            resource_kind,
+            cfg,
+        )
+    }
 
     /// One long CPU-saturated phase plus GC blocking on a second phase.
     fn setup() -> (
@@ -292,7 +299,7 @@ mod tests {
         let (model, trace, rt) = setup();
         let prof = build_profile(&model, &RuleSet::new(), &trace, &rt, &ProfileConfig::default());
         let report = BottleneckReport::build(&trace, &prof, &BottleneckConfig::default());
-        let issue = blocking_issue(&model, &trace, &report, "gc", &ReplayConfig::default());
+        let issue = WhatIf::new(&model, &trace, &ReplayConfig::default()).blocking(&report, "gc");
         // Removing 40 ms of GC from a 200 ms job: exactly 20 %.
         assert!(
             (issue.reduction - 0.2).abs() < 0.01,
@@ -362,7 +369,13 @@ mod tests {
         };
         let before = cpu_issue(&prof);
         let a = report.consumable[0].instance;
-        let own = usages_by_instance(&prof)[&a].len();
+        // `a`'s usages, found in the sorted index the way the sweep finds them.
+        let own_of = |prof: &PerformanceProfile| {
+            let usages = usages_by_instance(prof);
+            let lo = usages.partition_point(|u| u.instance < a);
+            usages[lo..].iter().take_while(|u| u.instance == a).count()
+        };
+        let own = own_of(&prof);
 
         // A second resource kind, saturated over the whole run by ten
         // times as many usages as the profile holds, none of them `a`'s.
@@ -384,14 +397,125 @@ mod tests {
         let unrelated = 10 * prof.usages.len() as u32;
         prof.usages
             .extend((0..unrelated).map(|k| saturating(InstanceId(1000 + k))));
-        assert_eq!(usages_by_instance(&prof)[&a].len(), own);
+        assert_eq!(own_of(&prof), own);
         let after = cpu_issue(&prof);
         assert_eq!(after.optimistic_makespan, before.optimistic_makespan);
         assert_eq!(after.affected_instances, before.affected_instances);
 
         // The same usage on `a` itself is read: the network now binds.
         prof.usages.push(saturating(a));
-        assert_eq!(usages_by_instance(&prof)[&a].len(), own + 1);
+        assert_eq!(own_of(&prof), own + 1);
         assert_eq!(cpu_issue(&prof).optimistic_makespan, before.base_makespan);
+    }
+
+    /// The highest utilization fraction an instance shows on any resource
+    /// other than `removed_kind` in slice `s`: the per-slice scan the
+    /// precomputed [`NextLimit`]s replaced, kept as their oracle.
+    fn next_limit_fraction(
+        resources: &[ResourceInstance],
+        own: &[&InstanceUsage],
+        removed_kind: &str,
+        s: usize,
+    ) -> f64 {
+        let mut max_frac = 0.0f64;
+        for u in own {
+            let res = &resources[u.resource.0 as usize];
+            if res.kind == removed_kind {
+                continue;
+            }
+            let usage = u.usage_at(s);
+            let limit = match u.rule {
+                AttributionRule::Exact(_) => u.demand_at(s).max(1e-12),
+                _ => res.capacity,
+            };
+            max_frac = max_frac.max(usage / limit);
+        }
+        max_frac
+    }
+
+    /// The per-slice sweep the runs replaced, kept as their oracle: every
+    /// bottlenecked slice of `resource_kind` into one set per instance,
+    /// the usages found through a map rebuilt per call.
+    fn savings_oracle(
+        profile: &PerformanceProfile,
+        bottlenecks: &[(InstanceId, ResourceIdx, BottleneckCause, Vec<usize>)],
+        resource_kind: &str,
+        floor_factor: f64,
+    ) -> Vec<(InstanceId, f64)> {
+        let mut usages: HashMap<InstanceId, Vec<&InstanceUsage>> = HashMap::new();
+        for u in &profile.usages {
+            usages.entry(u.instance).or_default().push(u);
+        }
+        let mut slices_per_instance: BTreeMap<InstanceId, BTreeSet<usize>> = BTreeMap::new();
+        for (instance, resource, _, slices) in bottlenecks {
+            if profile.resources[resource.0 as usize].kind == resource_kind {
+                slices_per_instance
+                    .entry(*instance)
+                    .or_default()
+                    .extend(slices.iter().copied());
+            }
+        }
+        let slice_ns = profile.grid.slice_nanos();
+        slices_per_instance
+            .iter()
+            .map(|(&id, slices)| {
+                let own = usages.get(&id).map_or(&[][..], Vec::as_slice);
+                let mut saved = 0.0f64;
+                for &s in slices {
+                    let factor = next_limit_fraction(&profile.resources, own, resource_kind, s)
+                        .max(floor_factor);
+                    saved += (1.0 - factor.min(1.0)) * slice_ns as f64;
+                }
+                (id, saved)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_sweep_matches_the_per_slice_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(28);
+        // Instances whose runs of one kind overlap across two resources;
+        // savings that are not a whole number of slices.
+        let (mut overlapping, mut partial) = (0, 0);
+        for _ in 0..2000 {
+            let profile = random_profile(&mut rng);
+            let cfg = BottleneckConfig {
+                min_saturation_slices: rng.gen_range(1..4),
+                ..Default::default()
+            };
+            let report = BottleneckReport {
+                blocking: Vec::new(),
+                consumable: consumable_bottlenecks(&profile, &cfg),
+            };
+            let oracle_report = per_slice_oracle(&profile, &cfg);
+            let floor_factor = [0.05, 0.0, 0.9][rng.gen_range(0..3)];
+            let usages = usages_by_instance(&profile);
+            for kind in ["cpu", "net", "disk"] {
+                let removed: Vec<bool> = profile.resources.iter().map(|r| r.kind == kind).collect();
+                let bits = |v: Vec<(InstanceId, f64)>| -> Vec<(InstanceId, u64)> {
+                    v.into_iter()
+                        .map(|(id, saved)| (id, saved.to_bits()))
+                        .collect()
+                };
+                let savings =
+                    consumable_savings(&profile, &usages, &report, &removed, floor_factor);
+                partial += savings.iter().filter(|(_, s)| s.fract() != 0.0).count();
+                assert_eq!(
+                    bits(savings),
+                    bits(savings_oracle(&profile, &oracle_report, kind, floor_factor))
+                );
+                let mut of_kind: Vec<_> = report
+                    .consumable
+                    .iter()
+                    .filter(|b| removed[b.resource.0 as usize])
+                    .collect();
+                of_kind.sort_by_key(|b| b.instance);
+                overlapping += of_kind
+                    .windows(2)
+                    .filter(|w| w[0].instance == w[1].instance && w[0].resource != w[1].resource)
+                    .count();
+            }
+        }
+        assert!(overlapping > 0 && partial > 0, "{overlapping} {partial}");
     }
 }

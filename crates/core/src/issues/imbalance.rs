@@ -126,20 +126,36 @@ pub fn imbalance_groups(
     trace: &ExecutionTrace,
     phase_type: PhaseTypeId,
 ) -> Vec<GroupDetail> {
-    let scope_type = model.grouping_scope(phase_type);
-    let mut groups: BTreeMap<InstanceId, Vec<(InstanceId, Option<u16>, Nanos)>> = BTreeMap::new();
-    for inst in trace.instances_of_type(phase_type) {
-        let scope = trace
-            .ancestor_of_type(inst.id, scope_type)
-            .unwrap_or(InstanceId(0));
-        groups
-            .entry(scope)
-            .or_default()
-            .push((inst.id, inst.machine, inst.duration()));
+    groups_by_type(model, trace, |ty| ty == phase_type)
+}
+
+/// [`imbalance_groups`] of every phase type `wanted` accepts, in one pass
+/// over the instances: by type, then by scope; members in instance order.
+fn groups_by_type(
+    model: &ExecutionModel,
+    trace: &ExecutionTrace,
+    wanted: impl Fn(PhaseTypeId) -> bool,
+) -> Vec<GroupDetail> {
+    let scope_types: Vec<Option<PhaseTypeId>> = (0..model.num_types() as u32)
+        .map(PhaseTypeId)
+        .map(|ty| wanted(ty).then(|| model.grouping_scope(ty)))
+        .collect();
+    let mut groups: BTreeMap<(PhaseTypeId, InstanceId), Vec<_>> = BTreeMap::new();
+    for inst in trace.instances() {
+        if let Some(scope_type) = scope_types[inst.type_id.0 as usize] {
+            let scope = trace
+                .ancestor_of_type(inst.id, scope_type)
+                .unwrap_or(InstanceId(0));
+            groups.entry((inst.type_id, scope)).or_default().push((
+                inst.id,
+                inst.machine,
+                inst.duration(),
+            ));
+        }
     }
     groups
         .into_iter()
-        .map(|(scope, members)| GroupDetail {
+        .map(|((phase_type, scope), members)| GroupDetail {
             phase_type,
             scope,
             members,
@@ -169,19 +185,14 @@ impl WhatIf<'_> {
     }
 
     /// One candidate per leaf phase type that shows concurrency, in type
-    /// order.
+    /// order, from one grouping pass over the instances.
     pub(crate) fn imbalance_candidates(&mut self) -> Vec<PerformanceIssue> {
-        let mut issues = Vec::new();
-        for ty in (0..self.model.num_types() as u32).map(PhaseTypeId) {
-            if !self.model.is_leaf(ty) {
-                continue;
-            }
-            let groups = imbalance_groups(self.model, self.trace, ty);
-            if groups.iter().any(|g| g.members.len() >= 2) {
-                issues.push(self.imbalance(ty, &groups));
-            }
-        }
-        issues
+        let model = self.model;
+        groups_by_type(model, self.trace, |ty| model.is_leaf(ty))
+            .chunk_by(|a, b| a.phase_type == b.phase_type)
+            .filter(|groups| groups.iter().any(|g| g.members.len() >= 2))
+            .map(|groups| self.imbalance(groups[0].phase_type, groups))
+            .collect()
     }
 }
 
