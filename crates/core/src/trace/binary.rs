@@ -30,22 +30,27 @@
 //!   `u64` capacity bits | `u32` measurement count | per measurement
 //!   `start u64 | end u64 | avg-bits u64`. Floats travel as
 //!   [`f64::to_bits`], so a round trip is exact.
+//! * `KEY` (5, optional): the UTF-8 key of a stage-cache record
+//!   (`crate::cache`), written last. [`encode_trace`] never writes it and
+//!   [`decode_trace`] skips it, so a cache record reads as a trace.
 //!
 //! Damage handling: every structural defect — short header, wrong magic,
 //! unsupported version, truncated or overlapping sections, zero-length
 //! sections, checksum mismatches, dangling string/path references —
 //! returns [`Grade10Error::Serialization`]. Decoding never panics on
-//! arbitrary input; `tests/binary_format.rs` fuzzes this contract.
+//! arbitrary input; `tests/binary_format.rs` fuzzes this contract. The
+//! monitoring is returned as written: validating or repairing it is
+//! ingestion's job, as for `resources.json`.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::Path;
 
+use crate::campaign::atomic_write;
 use crate::error::Grade10Error;
 use crate::hash::fnv1a;
 use crate::parse::{RawEvent, RawEventKind, RawPath};
-use crate::trace::repair::{ingest_series, IngestMode, IngestReport, RawSeries};
-use crate::trace::resource::{Measurement, ResourceInstance, ResourceTrace};
+use crate::trace::repair::RawSeries;
+use crate::trace::resource::{Measurement, ResourceIdx, ResourceInstance, ResourceTrace};
 
 /// File magic: the first eight bytes of every binary trace.
 pub const MAGIC: [u8; 8] = *b"G10TRACE";
@@ -57,6 +62,7 @@ const SECTION_STRINGS: u32 = 1;
 const SECTION_PATHS: u32 = 2;
 const SECTION_EVENTS: u32 = 3;
 const SECTION_RESOURCES: u32 = 4;
+const SECTION_KEY: u32 = 5;
 
 const HEADER_LEN: usize = 24;
 const SECTION_ENTRY_LEN: usize = 32;
@@ -72,33 +78,9 @@ pub struct BinaryTrace {
     pub resources: Option<ResourceTrace>,
 }
 
-fn corrupt_in(label: &str, msg: impl Into<String>) -> Grade10Error {
-    Grade10Error::Serialization(format!("{label}: {}", msg.into()))
-}
-
 fn corrupt(msg: impl Into<String>) -> Grade10Error {
-    corrupt_in("binary trace", msg)
+    Grade10Error::Serialization(format!("binary trace: {}", msg.into()))
 }
-
-/// Identity of one container dialect: the magic, the version a reader
-/// accepts, and the label damage reports use. The binary trace format and
-/// the stage-cache records (`crate::cache`) share the container machinery
-/// and differ only in their spec.
-pub(crate) struct ContainerSpec {
-    /// Eight-byte file magic.
-    pub(crate) magic: &'static [u8; 8],
-    /// The single version this reader accepts.
-    pub(crate) version: u32,
-    /// Human label used in corruption messages ("binary trace", ...).
-    pub(crate) label: &'static str,
-}
-
-/// The binary trace dialect of the section-table container.
-const TRACE_CONTAINER: ContainerSpec = ContainerSpec {
-    magic: &MAGIC,
-    version: FORMAT_VERSION,
-    label: "binary trace",
-};
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -130,13 +112,10 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Shared encoder for the deduplicated string/path pools and the record
-/// payloads that reference them. [`encode_trace`] and the stage cache's
-/// streams record (`crate::cache`) write the same record layouts through
-/// this one type, so the offline container and the cache records cannot
-/// drift apart.
+/// The deduplicated string/path pools, filled as the record payloads that
+/// reference them are encoded.
 #[derive(Default)]
-pub(crate) struct PoolEncoder {
+struct PoolEncoder {
     strings: Interner,
     path_ids: HashMap<RawPath, u32>,
     paths: Vec<Vec<(u32, u32)>>,
@@ -157,9 +136,7 @@ impl PoolEncoder {
         id
     }
 
-    /// Encodes an `EVENTS`-layout payload, interning names and paths as a
-    /// side effect.
-    pub(crate) fn encode_events(&mut self, events: &[RawEvent]) -> Vec<u8> {
+    fn encode_events(&mut self, events: &[RawEvent]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(4 + events.len() * EVENT_RECORD_LEN);
         push_u32(&mut buf, events.len() as u32);
         for ev in events {
@@ -179,9 +156,7 @@ impl PoolEncoder {
         buf
     }
 
-    /// Encodes a `RESOURCES`-layout payload from (instance, measurements)
-    /// pairs.
-    pub(crate) fn encode_series<'a>(
+    fn encode_series<'a>(
         &mut self,
         series: impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>,
     ) -> Vec<u8> {
@@ -201,9 +176,7 @@ impl PoolEncoder {
         buf
     }
 
-    /// Renders the `STRINGS` payload. Call after every record payload so
-    /// the pool is complete.
-    pub(crate) fn strings_payload(&self) -> Vec<u8> {
+    fn strings_payload(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         push_u32(&mut buf, self.strings.pool.len() as u32);
         for s in &self.strings.pool {
@@ -213,9 +186,7 @@ impl PoolEncoder {
         buf
     }
 
-    /// Renders the `PATHS` payload. Call after every record payload so the
-    /// pool is complete.
-    pub(crate) fn paths_payload(&self) -> Vec<u8> {
+    fn paths_payload(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         push_u32(&mut buf, self.paths.len() as u32);
         for path in &self.paths {
@@ -229,20 +200,30 @@ impl PoolEncoder {
     }
 }
 
-/// Assembles a section-table container: header (magic, version, section
-/// count, table checksum), the checksummed section table, then the
-/// payloads back to back. Shared by the binary trace format and the
-/// stage-cache records, which differ only in their [`ContainerSpec`] and
-/// section vocabulary.
-pub(crate) fn build_container(
-    magic: &[u8; 8],
-    version: u32,
-    sections: &[(u32, Vec<u8>)],
+/// Encodes a container: `STRINGS`, `PATHS`, `EVENTS`, then `RESOURCES`
+/// when `series` is given and `KEY` when `key` is. The one encoder behind
+/// [`encode_trace`] and the stage cache's records.
+pub(crate) fn encode_streams<'a>(
+    events: &[RawEvent],
+    series: Option<impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>>,
+    key: Option<&str>,
 ) -> Vec<u8> {
+    let mut enc = PoolEncoder::default();
+    // Record payloads first: interning fills the string/path pools.
+    let events_payload = enc.encode_events(events);
+    let series_payload = series.map(|s| enc.encode_series(s));
+    let mut sections = vec![
+        (SECTION_STRINGS, enc.strings_payload()),
+        (SECTION_PATHS, enc.paths_payload()),
+        (SECTION_EVENTS, events_payload),
+    ];
+    sections.extend(series_payload.map(|p| (SECTION_RESOURCES, p)));
+    sections.extend(key.map(|k| (SECTION_KEY, k.as_bytes().to_vec())));
+
     let table_len = sections.len() * SECTION_ENTRY_LEN;
     let mut offset = (HEADER_LEN + table_len) as u64;
     let mut table = Vec::with_capacity(table_len);
-    for (id, payload) in sections {
+    for (id, payload) in &sections {
         push_u32(&mut table, *id);
         push_u32(&mut table, 0); // reserved
         push_u64(&mut table, offset);
@@ -252,12 +233,12 @@ pub(crate) fn build_container(
     }
 
     let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(magic);
-    push_u32(&mut out, version);
+    out.extend_from_slice(&MAGIC);
+    push_u32(&mut out, FORMAT_VERSION);
     push_u32(&mut out, sections.len() as u32);
     push_u64(&mut out, fnv1a(&table));
     out.extend_from_slice(&table);
-    for (_, payload) in sections {
+    for (_, payload) in &sections {
         out.extend_from_slice(payload);
     }
     out
@@ -266,48 +247,24 @@ pub(crate) fn build_container(
 /// Serializes events (and optionally monitoring data) into the binary
 /// container format.
 pub fn encode_trace(events: &[RawEvent], resources: Option<&ResourceTrace>) -> Vec<u8> {
-    let mut enc = PoolEncoder::default();
-    // Events first: interning fills the string/path pools as a side effect.
-    let events_payload = enc.encode_events(events);
-    let resources_payload = resources.map(|rt| {
-        let series: Vec<(&ResourceInstance, &[Measurement])> = rt
-            .instances()
-            .iter()
-            .enumerate()
-            .map(|(r, inst)| {
-                (inst, rt.measurements(crate::trace::resource::ResourceIdx(r as u32)))
-            })
-            .collect();
-        enc.encode_series(series.into_iter())
+    let series = resources.map(|rt| {
+        (0..rt.instances().len()).map(move |r| {
+            let r = ResourceIdx(r as u32);
+            (rt.instance(r), rt.measurements(r))
+        })
     });
-
-    let mut sections: Vec<(u32, Vec<u8>)> = vec![
-        (SECTION_STRINGS, enc.strings_payload()),
-        (SECTION_PATHS, enc.paths_payload()),
-        (SECTION_EVENTS, events_payload),
-    ];
-    if let Some(p) = resources_payload {
-        sections.push((SECTION_RESOURCES, p));
-    }
-    build_container(&MAGIC, FORMAT_VERSION, &sections)
+    encode_streams(events, series, None)
 }
 
-/// Encodes and writes a binary trace to `path` via a temp-file rename, so
-/// a crash mid-write leaves no half-written file under the final name.
+/// Encodes and writes a binary trace to `path` through
+/// [`atomic_write`], so a crash mid-write leaves no half-written file
+/// under the final name.
 pub fn write_trace_file(
     path: &Path,
     events: &[RawEvent],
     resources: Option<&ResourceTrace>,
 ) -> Result<(), Grade10Error> {
-    let bytes = encode_trace(events, resources);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(atomic_write(path, &encode_trace(events, resources))?)
 }
 
 // ---------------------------------------------------------------------------
@@ -376,33 +333,27 @@ impl<'a> Cursor<'a> {
     }
 }
 
-pub(crate) struct Section<'a> {
-    pub(crate) id: u32,
-    pub(crate) payload: &'a [u8],
+struct Section<'a> {
+    id: u32,
+    payload: &'a [u8],
 }
 
-/// Validates a section-table container against `spec` (magic, version,
-/// table checksum, section bounds, per-section checksums) and returns the
-/// verified sections.
-pub(crate) fn parse_container<'a>(
-    bytes: &'a [u8],
-    spec: &ContainerSpec,
-) -> Result<Vec<Section<'a>>, Grade10Error> {
-    let bad = |msg: String| corrupt_in(spec.label, msg);
+/// Validates the container (magic, version, table checksum, section
+/// bounds, per-section checksums) and returns the verified sections.
+fn parse_container(bytes: &[u8]) -> Result<Vec<Section<'_>>, Grade10Error> {
     if bytes.len() < HEADER_LEN {
-        return Err(bad(format!(
+        return Err(corrupt(format!(
             "file too short for header: {} bytes",
             bytes.len()
         )));
     }
-    if bytes[0..8] != *spec.magic {
-        return Err(bad(format!("bad magic (not a Grade10 {})", spec.label)));
+    if bytes[0..8] != MAGIC {
+        return Err(corrupt("bad magic (not a Grade10 binary trace)"));
     }
     let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version != spec.version {
-        return Err(bad(format!(
-            "unsupported version {version} (reader supports {})",
-            spec.version
+    if version != FORMAT_VERSION {
+        return Err(corrupt(format!(
+            "unsupported version {version} (reader supports {FORMAT_VERSION})"
         )));
     }
     let count = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
@@ -411,11 +362,11 @@ pub(crate) fn parse_container<'a>(
     ]);
     let table_end = HEADER_LEN
         .checked_add(count.checked_mul(SECTION_ENTRY_LEN).ok_or_else(|| {
-            bad(format!("absurd section count {count}"))
+            corrupt(format!("absurd section count {count}"))
         })?)
         .filter(|&e| e <= bytes.len())
         .ok_or_else(|| {
-            bad(format!(
+            corrupt(format!(
                 "section table truncated: {count} sections do not fit in {} bytes",
                 bytes.len()
             ))
@@ -423,7 +374,7 @@ pub(crate) fn parse_container<'a>(
     let table = &bytes[HEADER_LEN..table_end];
     let actual = fnv1a(table);
     if actual != table_crc {
-        return Err(bad(format!(
+        return Err(corrupt(format!(
             "section table checksum mismatch (recorded {table_crc:#018x}, computed {actual:#018x})"
         )));
     }
@@ -442,16 +393,16 @@ pub(crate) fn parse_container<'a>(
             entry[24], entry[25], entry[26], entry[27], entry[28], entry[29], entry[30], entry[31],
         ]);
         if len == 0 {
-            return Err(bad(format!("section {i} (id {id}) has zero length")));
+            return Err(corrupt(format!("section {i} (id {id}) has zero length")));
         }
         if offset < next_free {
-            return Err(bad(format!(
+            return Err(corrupt(format!(
                 "section {i} (id {id}) overlaps preceding data (offset {offset})"
             )));
         }
         let end = offset.checked_add(len).filter(|&e| e <= bytes.len() as u64);
         let Some(end) = end else {
-            return Err(bad(format!(
+            return Err(corrupt(format!(
                 "section {i} (id {id}) truncated: [{offset}, {offset}+{len}) exceeds file of {} bytes",
                 bytes.len()
             )));
@@ -459,7 +410,7 @@ pub(crate) fn parse_container<'a>(
         let payload = &bytes[offset as usize..end as usize];
         let actual = fnv1a(payload);
         if actual != crc {
-            return Err(bad(format!(
+            return Err(corrupt(format!(
                 "section {i} (id {id}) checksum mismatch (recorded {crc:#018x}, computed {actual:#018x})"
             )));
         }
@@ -469,12 +420,7 @@ pub(crate) fn parse_container<'a>(
     Ok(sections)
 }
 
-/// Validates the binary trace container and returns the verified sections.
-fn validate_container(bytes: &[u8]) -> Result<Vec<Section<'_>>, Grade10Error> {
-    parse_container(bytes, &TRACE_CONTAINER)
-}
-
-pub(crate) fn decode_strings(payload: &[u8]) -> Result<Vec<String>, Grade10Error> {
+fn decode_strings(payload: &[u8]) -> Result<Vec<String>, Grade10Error> {
     let mut c = Cursor::new(payload, "strings");
     let count = c.u32()? as usize;
     let mut out = Vec::new();
@@ -489,7 +435,7 @@ pub(crate) fn decode_strings(payload: &[u8]) -> Result<Vec<String>, Grade10Error
     Ok(out)
 }
 
-pub(crate) fn decode_paths(
+fn decode_paths(
     payload: &[u8],
     strings: &[String],
 ) -> Result<Vec<RawPath>, Grade10Error> {
@@ -516,7 +462,7 @@ pub(crate) fn decode_paths(
     Ok(out)
 }
 
-pub(crate) fn decode_events(
+fn decode_events(
     payload: &[u8],
     strings: &[String],
     paths: &[RawPath],
@@ -564,11 +510,8 @@ pub(crate) fn decode_events(
     Ok(out)
 }
 
-/// Decodes a `RESOURCES`-layout payload into raw series, with no trace
-/// validation — the caller decides whether (and how strictly) to rebuild
-/// a [`ResourceTrace`]. The stage cache round-trips a mix's collected
-/// (possibly damaged) series through this layout verbatim.
-pub(crate) fn decode_series(
+/// Decodes a `RESOURCES` payload into raw series, as written.
+fn decode_series(
     payload: &[u8],
     strings: &[String],
 ) -> Result<Vec<RawSeries>, Grade10Error> {
@@ -613,16 +556,19 @@ pub(crate) fn decode_series(
     Ok(out)
 }
 
-fn decode_resources(payload: &[u8], strings: &[String]) -> Result<ResourceTrace, Grade10Error> {
-    let series = decode_series(payload, strings)?;
-    ingest_series(&series, IngestMode::Strict, None, &mut IngestReport::default())
+/// What one container carries, as written.
+pub(crate) struct Streams<'a> {
+    pub(crate) events: Vec<RawEvent>,
+    /// The `RESOURCES` section, when present.
+    pub(crate) series: Option<Vec<RawSeries>>,
+    /// The `KEY` section, when present.
+    pub(crate) key: Option<&'a [u8]>,
 }
 
-/// Decodes a binary trace from in-memory bytes, verifying every checksum.
-/// All damage — truncation, bit flips, dangling references — yields a
-/// [`Grade10Error`]; this function does not panic on arbitrary input.
-pub fn decode_trace(bytes: &[u8]) -> Result<BinaryTrace, Grade10Error> {
-    let sections = validate_container(bytes)?;
+/// Decodes a container, verifying every checksum. The one decoder behind
+/// [`decode_trace`] and the stage cache's lookups.
+pub(crate) fn decode_streams(bytes: &[u8]) -> Result<Streams<'_>, Grade10Error> {
+    let sections = parse_container(bytes)?;
     let find = |id: u32| sections.iter().find(|s| s.id == id).map(|s| s.payload);
     let strings = decode_strings(
         find(SECTION_STRINGS).ok_or_else(|| corrupt("missing strings section"))?,
@@ -636,10 +582,26 @@ pub fn decode_trace(bytes: &[u8]) -> Result<BinaryTrace, Grade10Error> {
         &strings,
         &paths,
     )?;
-    let resources = find(SECTION_RESOURCES)
-        .map(|p| decode_resources(p, &strings))
+    let series = find(SECTION_RESOURCES)
+        .map(|p| decode_series(p, &strings))
         .transpose()?;
-    Ok(BinaryTrace { events, resources })
+    Ok(Streams {
+        events,
+        series,
+        key: find(SECTION_KEY),
+    })
+}
+
+/// Decodes a binary trace from in-memory bytes, verifying every checksum.
+/// All damage — truncation, bit flips, dangling references — yields a
+/// [`Grade10Error`]; this function does not panic on arbitrary input. The
+/// monitoring comes back as written, unvalidated.
+pub fn decode_trace(bytes: &[u8]) -> Result<BinaryTrace, Grade10Error> {
+    let streams = decode_streams(bytes)?;
+    Ok(BinaryTrace {
+        events: streams.events,
+        resources: streams.series.map(ResourceTrace::from_series),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -732,7 +694,7 @@ mod tests {
         let brt = back.resources.unwrap();
         assert_eq!(brt.instances(), rt.instances());
         for r in 0..rt.instances().len() {
-            let idx = crate::trace::resource::ResourceIdx(r as u32);
+            let idx = ResourceIdx(r as u32);
             assert_eq!(brt.measurements(idx), rt.measurements(idx));
         }
     }

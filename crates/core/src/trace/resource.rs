@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::Grade10Error;
+use crate::trace::repair::RawSeries;
 use crate::trace::timeslice::Nanos;
 
 /// Index of a resource instance within a [`ResourceTrace`].
@@ -60,6 +61,20 @@ impl ResourceTrace {
     /// Creates an empty trace.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The trace of `series` as written, with no checks: the inverse of
+    /// [`RawSeries::from_trace`], and the same trust a deserialized
+    /// `resources.json` gets. Ingestion validates or repairs it.
+    pub(crate) fn from_series(series: Vec<RawSeries>) -> Self {
+        let (instances, measurements) = series
+            .into_iter()
+            .map(|s| (s.instance, s.measurements))
+            .unzip();
+        ResourceTrace {
+            instances,
+            measurements,
+        }
     }
 
     /// Registers a resource instance.

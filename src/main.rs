@@ -146,7 +146,7 @@ use grade10::core::report::{coverage_table, incident_table, ingest_table, machin
 use grade10::core::supervise::PartialCharacterization;
 use grade10::core::trace::{
     ingest_monitoring, read_trace_file, write_trace_file, ExecutionTrace, IngestConfig,
-    IngestMode, RawSeries, ResourceTrace, MILLIS,
+    IngestMode, RawSeries, ResourceIdx, ResourceTrace, MILLIS,
 };
 
 /// Count heap allocations per thread so `--self-profile` span records can
@@ -166,12 +166,32 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(RunStatus::Clean) => ExitCode::SUCCESS,
         Ok(RunStatus::Partial) => ExitCode::from(2),
-        Err(e) => {
+        Err(CliError::Usage(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a run failed. Only a usage error is followed by the usage block, so
+/// a data, I/O or pipeline error ends on its one-line cause.
+enum CliError {
+    /// The command line is wrong: an unknown command or flag, or a missing
+    /// or malformed flag value.
+    Usage(String),
+    /// The run failed after its command line was understood.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Failed(e)
     }
 }
 
@@ -245,12 +265,14 @@ type Flags = HashMap<String, String>;
 const CHARACTERIZE_FLAGS: &str =
     "--lenient --partial --deadline-ms --max-retries --threads --gantt --html --self-profile --self-export";
 
-fn run(args: &[String]) -> Result<RunStatus, String> {
-    let (cmd, rest) = args.split_first().ok_or("no command given")?;
-    let flags = parse_flags(rest)?;
+fn run(args: &[String]) -> Result<RunStatus, CliError> {
+    let (cmd, rest) = args
+        .split_first()
+        .ok_or_else(|| CliError::Usage("no command given".into()))?;
+    let flags = parse_flags(rest).map_err(CliError::Usage)?;
     // Every flag the command reads on any path. Any other flag is a typo
     // that would otherwise silently fall back to a default.
-    type Command = fn(&Flags) -> Result<RunStatus, String>;
+    type Command = fn(&Flags) -> Result<RunStatus, CliError>;
     let (command, known, shared): (Command, &str, &str) = match cmd.as_str() {
         "demo" => (
             demo,
@@ -270,37 +292,49 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
             CHARACTERIZE_FLAGS,
         ),
         "convert" => (convert, "--events --resources --trace --out-dir -o", ""),
-        other => return Err(format!("unknown command '{other}'")),
+        other => return Err(CliError::Usage(format!("unknown command '{other}'"))),
     };
     let reads = format!("{known} {shared}");
     let unknown = flags
         .keys()
         .filter(|k| !reads.split_whitespace().any(|r| r == *k));
     if let Some(key) = unknown.min() {
-        return Err(format!("unknown flag '{key}' for {cmd}"));
+        return Err(CliError::Usage(format!("unknown flag '{key}' for {cmd}")));
     }
     // The supervision knobs tune only the supervised policy; without it
     // they would silently do nothing.
     let knobs = ["--deadline-ms", "--max-retries"];
     if let Some(key) = knobs.iter().find(|k| flags.contains_key(**k)) {
         if !flags.contains_key("--partial") {
-            return Err(format!("{key} applies only to supervised runs: add --partial"));
+            return Err(CliError::Usage(format!(
+                "{key} applies only to supervised runs: add --partial"
+            )));
         }
     }
     command(&flags)
 }
 
-/// Reads the numeric flag `key`, if given; `what` names it in the error.
-/// A `NonZero*` type also rejects zero.
-fn number<T: FromStr>(flags: &Flags, key: &str, what: &str) -> Result<Option<T>, String> {
+/// The value of the flag `key`; `missing` is the usage error without it.
+fn required<'a>(flags: &'a Flags, key: &str, missing: &str) -> Result<&'a String, CliError> {
     flags
         .get(key)
-        .map(|s| s.parse().map_err(|_| format!("bad {what} '{s}'")))
+        .ok_or_else(|| CliError::Usage(missing.into()))
+}
+
+/// Reads the numeric flag `key`, if given; `what` names it in the error.
+/// A `NonZero*` type also rejects zero.
+fn number<T: FromStr>(flags: &Flags, key: &str, what: &str) -> Result<Option<T>, CliError> {
+    flags
+        .get(key)
+        .map(|s| {
+            s.parse()
+                .map_err(|_| CliError::Usage(format!("bad {what} '{s}'")))
+        })
         .transpose()
 }
 
 /// `--threads N`: the worker-pool width, at least 1.
-fn threads(flags: &Flags) -> Result<Option<usize>, String> {
+fn threads(flags: &Flags) -> Result<Option<usize>, CliError> {
     Ok(number::<NonZeroUsize>(flags, "--threads", "thread count")?.map(NonZeroUsize::get))
 }
 
@@ -336,21 +370,21 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(out)
 }
 
-fn demo(flags: &Flags) -> Result<RunStatus, String> {
+fn demo(flags: &Flags) -> Result<RunStatus, CliError> {
     let seed = number(flags, "--seed", "seed")?.unwrap_or(46);
     let dataset = match flags.get("--dataset").map(String::as_str) {
         None => Dataset::Rmat { scale: 12, seed },
-        Some(spec) => parse_dataset(spec, seed)?,
+        Some(spec) => parse_dataset(spec, seed).map_err(CliError::Usage)?,
     };
     let algorithm = match flags.get("--algorithm") {
         None => Algorithm::PageRank { iterations: 8 },
-        Some(name) => parse_algorithm(name)?,
+        Some(name) => parse_algorithm(name).map_err(CliError::Usage)?,
     };
     // The Spark-like dataflow engine has its own job mapping; handle it
     // before the graph-native engines.
     let engine = match flags.get("--engine").map_or("giraph", String::as_str) {
         "spark" => return demo_spark(dataset, algorithm, flags),
-        name => parse_engine(name, None)?,
+        name => parse_engine(name, None).map_err(CliError::Usage)?,
     };
 
     let spec = WorkloadSpec {
@@ -417,16 +451,16 @@ fn demo(flags: &Flags) -> Result<RunStatus, String> {
 }
 
 /// Runs (or resumes) a screening campaign from a declarative spec file.
-fn campaign(flags: &Flags) -> Result<RunStatus, String> {
+fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
     if let Some(dir) = flags.get("--status") {
         return campaign_status_cmd(dir);
     }
     if flags.contains_key("--join") && flags.contains_key("--resume") {
-        return Err(
+        return Err(CliError::Usage(
             "--join and --resume are mutually exclusive: --resume leads a new epoch over a \
              dead fleet, --join joins a live one"
                 .to_string(),
-        );
+        ));
     }
     // A joiner takes everything from the leader's manifest; a leader
     // takes the spec file and records the manifest for joiners.
@@ -442,8 +476,8 @@ fn campaign(flags: &Flags) -> Result<RunStatus, String> {
             grade10::core::campaign::load_manifest(Path::new(dir)).map_err(|e| e.to_string())?;
         (spec, dir.clone(), Some(base), Some(lease))
     } else {
-        let spec_path = flags.get("--spec").ok_or("campaign needs --spec FILE")?;
-        let dir = flags.get("--dir").ok_or("campaign needs --dir DIR")?;
+        let spec_path = required(flags, "--spec", "campaign needs --spec FILE")?;
+        let dir = required(flags, "--dir", "campaign needs --dir DIR")?;
         let spec = CampaignSpec::load(Path::new(spec_path)).map_err(|e| e.to_string())?;
         (spec, dir.clone(), None, None)
     };
@@ -476,7 +510,9 @@ fn campaign(flags: &Flags) -> Result<RunStatus, String> {
     let workers =
         number::<NonZeroUsize>(flags, "--workers", "worker count")?.map_or(1, NonZeroUsize::get);
     if workers > 1 && opts.join {
-        return Err("--workers spawns joiners; a --join process is already one".to_string());
+        return Err(CliError::Usage(
+            "--workers spawns joiners; a --join process is already one".to_string(),
+        ));
     }
     eprintln!(
         "campaign {}: {} mixes over {} worker{}{}{}",
@@ -527,11 +563,11 @@ fn campaign(flags: &Flags) -> Result<RunStatus, String> {
             Some(0) => {}
             Some(2) => peers_partial = true,
             _ => {
-                return Err(format!(
+                return Err(CliError::Failed(format!(
                     "worker process {} failed ({status}); see {dir}/worker-{}.log",
                     i + 2,
                     i + 2
-                ))
+                )))
             }
         }
     }
@@ -599,7 +635,7 @@ fn spawn_peer_workers(
 
 /// `campaign --status DIR`: print a read-only progress summary derived
 /// purely from the journal and store. Safe while workers are live.
-fn campaign_status_cmd(dir: &str) -> Result<RunStatus, String> {
+fn campaign_status_cmd(dir: &str) -> Result<RunStatus, CliError> {
     let st = grade10::core::campaign::campaign_status(Path::new(dir)).map_err(|e| e.to_string())?;
     println!("campaign {} in {dir}", st.campaign);
     let mut t = grade10::core::report::Table::new(&["state", "mixes"]);
@@ -769,7 +805,7 @@ fn characterize_and_report(
     cfg: &CharacterizationConfig,
     flags: &Flags,
     title: &str,
-) -> Result<RunStatus, String> {
+) -> Result<RunStatus, CliError> {
     let partial = flags.contains_key("--partial");
     // Under `--self-profile` the pipeline's own execution is recorded...
     let recording = flags.contains_key("--self-profile").then(obs::start);
@@ -834,7 +870,7 @@ fn print_supervision(p: &PartialCharacterization) {
 /// supervision layer used by `--partial`; `--threads` pins the width of
 /// the run's worker pool (beating `GRADE10_THREADS`, which beats the
 /// machine size).
-fn characterization_config(flags: &Flags, slice_ms: u64) -> Result<CharacterizationConfig, String> {
+fn characterization_config(flags: &Flags, slice_ms: u64) -> Result<CharacterizationConfig, CliError> {
     let mut supervise = grade10::core::supervise::SuperviseConfig::default();
     if let Some(ms) = number(flags, "--deadline-ms", "deadline")? {
         supervise.deadline = Some(Duration::from_millis(ms));
@@ -897,12 +933,12 @@ fn ingest_error(e: &Grade10Error, mode: IngestMode) -> String {
 }
 
 /// Parses `--inject CLASS[,CLASS...]` (+ `--fault-seed`) into a plan.
-fn parse_fault_plan(flags: &Flags) -> Result<Option<FaultPlan>, String> {
+fn parse_fault_plan(flags: &Flags) -> Result<Option<FaultPlan>, CliError> {
     let Some(spec) = flags.get("--inject") else {
         return Ok(None);
     };
     let seed = number(flags, "--fault-seed", "fault seed")?.unwrap_or(1);
-    Ok(Some(parse_fault_classes(spec, seed)?))
+    Ok(Some(parse_fault_classes(spec, seed).map_err(CliError::Usage)?))
 }
 
 /// Parses a fault-class spec (`all`, `hostile`, or a comma-separated class
@@ -960,7 +996,7 @@ fn parse_engine(name: &str, machines: Option<usize>) -> Result<EngineKind, Strin
 }
 
 /// Runs a GraphX-flavored job on the Spark-like dataflow engine (§V).
-fn demo_spark(dataset: Dataset, algorithm: Algorithm, flags: &Flags) -> Result<RunStatus, String> {
+fn demo_spark(dataset: Dataset, algorithm: Algorithm, flags: &Flags) -> Result<RunStatus, CliError> {
     use grade10::engines::dataflow::{
         dataflow_model, dataflow_rules_tuned, run_dataflow, DataflowConfig, JobSpec,
     };
@@ -992,26 +1028,58 @@ fn demo_spark(dataset: Dataset, algorithm: Algorithm, flags: &Flags) -> Result<R
 /// Writes a run's streams in the offline-analysis formats into `dir`,
 /// creating it: `events.jsonl` (raw log events) and, when given,
 /// `resources.json` (the resource trace). Returns the two paths. Each
-/// artifact is rendered in memory and written atomically (temp sibling +
-/// rename): a consumer polling the directory never sees a truncated file,
-/// even if this process dies mid-export.
+/// artifact is rendered in memory before either is written, and written
+/// atomically (temp sibling + rename): a consumer polling the directory
+/// never sees a truncated file, even if this process dies mid-export.
 fn write_streams(
     dir: &str,
     events: &[RawEvent],
     resources: Option<&ResourceTrace>,
 ) -> Result<(String, String), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
     let events_path = format!("{dir}/events.jsonl");
+    let resources_path = format!("{dir}/resources.json");
+    let resources_json = resources
+        .map(|rt| {
+            json_safe(rt).map_err(|e| e.to_string())?;
+            serde_json::to_vec(rt).map_err(|e| e.to_string())
+        })
+        .transpose()
+        .map_err(|e| format!("render {resources_path}: {e}"))?;
     let mut buf = Vec::new();
     write_events_json(events, &mut buf).map_err(|e| format!("render {events_path}: {e}"))?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
     atomic_write(Path::new(&events_path), &buf).map_err(|e| format!("write {events_path}: {e}"))?;
-    let resources_path = format!("{dir}/resources.json");
-    if let Some(rt) = resources {
-        let json = serde_json::to_vec(rt).map_err(|e| format!("render {resources_path}: {e}"))?;
+    if let Some(json) = resources_json {
         atomic_write(Path::new(&resources_path), &json)
             .map_err(|e| format!("write {resources_path}: {e}"))?;
     }
     Ok((events_path, resources_path))
+}
+
+/// JSON has no NaN or infinity: `serde_json` writes them as `null`, which
+/// [`read_resources`] rejects. A trace that carries one (a stage-cache
+/// record keeps the samples the `monitoring` fault makes NaN) cannot be
+/// exported as text.
+fn json_safe(rt: &ResourceTrace) -> Result<(), Grade10Error> {
+    for (r, inst) in rt.instances().iter().enumerate() {
+        let unsafe_value = |what: String| {
+            Grade10Error::Serialization(format!(
+                "resource '{}' {what} is not finite; JSON cannot carry it",
+                inst.label()
+            ))
+        };
+        if !inst.capacity.is_finite() {
+            return Err(unsafe_value(format!("capacity {}", inst.capacity)));
+        }
+        let ms = rt.measurements(ResourceIdx(r as u32));
+        if let Some(m) = ms.iter().find(|m| !m.avg.is_finite()) {
+            return Err(unsafe_value(format!(
+                "sample {} in window [{}, {})",
+                m.avg, m.start, m.end
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn parse_dataset(spec: &str, seed: u64) -> Result<Dataset, String> {
@@ -1031,11 +1099,12 @@ fn parse_dataset(spec: &str, seed: u64) -> Result<Dataset, String> {
     }
 }
 
-fn export_model(flags: &Flags) -> Result<RunStatus, String> {
+fn export_model(flags: &Flags) -> Result<RunStatus, CliError> {
     let engine = parse_engine(
-        flags.get("--engine").ok_or("export-model needs --engine")?,
+        required(flags, "--engine", "export-model needs --engine")?,
         None,
-    )?;
+    )
+    .map_err(CliError::Usage)?;
     let (resources, cores) = match &engine {
         EngineKind::Giraph(cfg) => (pregel_resource_model(), cfg.cores),
         EngineKind::PowerGraph(cfg) => (gas_resource_model(), cfg.cores),
@@ -1061,16 +1130,17 @@ fn export_model(flags: &Flags) -> Result<RunStatus, String> {
     Ok(RunStatus::Clean)
 }
 
-fn analyze(flags: &Flags) -> Result<RunStatus, String> {
-    let bundle_path = flags.get("--model").ok_or("analyze needs --model")?;
+fn analyze(flags: &Flags) -> Result<RunStatus, CliError> {
+    let bundle_path = required(flags, "--model", "analyze needs --model")?;
     let slice_ms = number(flags, "--slice-ms", "slice")?.unwrap_or(10);
 
     let bundle = ModelBundle::load(open(bundle_path)?).map_err(|e| e.to_string())?;
     let (events, resources) = if let Some(trace_path) = flags.get("--trace") {
         // Binary container: events plus (usually) embedded monitoring.
-        // Validation — magic, version, section checksums — happens inside
-        // the reader; any damage surfaces as a classified error here
-        // instead of a garbage characterization.
+        // The reader checks the container — magic, version, section
+        // checksums — and any damage surfaces as a classified error here
+        // instead of a garbage characterization; the streams it returns
+        // are what was written.
         let bt =
             read_trace_file(Path::new(trace_path)).map_err(|e| format!("{trace_path}: {e}"))?;
         let resources = match flags.get("--resources") {
@@ -1084,19 +1154,17 @@ fn analyze(flags: &Flags) -> Result<RunStatus, String> {
         };
         (bt.events, resources)
     } else {
-        let events_path = flags
-            .get("--events")
-            .ok_or("analyze needs --events (or --trace)")?;
-        let resources_path = flags
-            .get("--resources")
-            .ok_or("analyze needs --resources (or --trace)")?;
+        let events_path = required(flags, "--events", "analyze needs --events (or --trace)")?;
+        let resources_path =
+            required(flags, "--resources", "analyze needs --resources (or --trace)")?;
         (read_events(events_path)?, read_resources(resources_path)?)
     };
 
-    // Deserialization does not validate the monitoring payload (NaN or
-    // negative samples pass straight through serde), so both streams enter
-    // through the ingestion layer: strict mode rejects damage with a
-    // classified error, `--lenient` repairs it and reports the repairs.
+    // Neither reader validates the monitoring payload (NaN or negative
+    // samples pass straight through serde and the binary decoder alike), so
+    // both streams enter through the ingestion layer: strict mode rejects
+    // damage with a classified error, `--lenient` repairs it and reports
+    // the repairs.
     let monitoring = RawSeries::from_trace(&resources);
     let cfg = characterization_config(flags, slice_ms)?;
     characterize_and_report(
@@ -1115,11 +1183,9 @@ fn analyze(flags: &Flags) -> Result<RunStatus, String> {
 /// `--resources`) plus `-o`; binary → text needs `--trace` plus
 /// `--out-dir`, which receives `events.jsonl` and, when the container has
 /// a monitoring section, `resources.json`.
-fn convert(flags: &Flags) -> Result<RunStatus, String> {
+fn convert(flags: &Flags) -> Result<RunStatus, CliError> {
     if let Some(trace_path) = flags.get("--trace") {
-        let out_dir = flags
-            .get("--out-dir")
-            .ok_or("convert --trace needs --out-dir")?;
+        let out_dir = required(flags, "--out-dir", "convert --trace needs --out-dir")?;
         let bt =
             read_trace_file(Path::new(trace_path)).map_err(|e| format!("{trace_path}: {e}"))?;
         let (events_path, resources_path) =
@@ -1134,10 +1200,12 @@ fn convert(flags: &Flags) -> Result<RunStatus, String> {
         eprintln!("wrote {wrote}");
         return Ok(RunStatus::Clean);
     }
-    let events_path = flags
-        .get("--events")
-        .ok_or("convert needs --events (text to binary) or --trace (binary to text)")?;
-    let out_path = flags.get("-o").ok_or("convert --events needs -o OUT.g10t")?;
+    let events_path = required(
+        flags,
+        "--events",
+        "convert needs --events (text to binary) or --trace (binary to text)",
+    )?;
+    let out_path = required(flags, "-o", "convert --events needs -o OUT.g10t")?;
     let events = read_events(events_path)?;
     let resources = flags
         .get("--resources")

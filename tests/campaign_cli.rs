@@ -524,6 +524,30 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
         );
         assert!(out.stdout.is_empty(), "{args:?} did no work");
     }
+
+    // 1: the other usage errors — an unknown command, a missing flag, a
+    // flag with no value, a malformed value — print the usage too; an
+    // error met after the command line was understood ends on its cause.
+    let usage_errors: [(&[&str], &str); 4] = [
+        (&["frobnicate"], "unknown command 'frobnicate'"),
+        (&["campaign"], "campaign needs --spec FILE"),
+        (&["demo", "--seed"], "flag '--seed' needs a value"),
+        (&["demo", "--seed", "x"], "bad seed 'x'"),
+    ];
+    for (args, cause) in usage_errors {
+        let out = grade10().args(args).output().expect("run grade10");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} is fatal: {stderr}");
+        assert!(
+            stderr.contains(cause) && stderr.contains("usage:"),
+            "{args:?} names the cause and prints the usage: {stderr}"
+        );
+    }
+    let stderr = String::from_utf8_lossy(&missing_spec.stderr);
+    assert!(
+        stderr.contains("nope.toml") && !stderr.contains("usage:"),
+        "an unreadable spec is no usage error: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 

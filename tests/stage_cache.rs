@@ -11,7 +11,8 @@
 //! * (a) a warm campaign is all hits, stores nothing, and its reports are
 //!   byte-identical to the cold run's and to a `--no-cache` run's;
 //! * (b) streams damaged by every fault class round-trip bit-exactly, so
-//!   every ladder rung sees the same outcome with and without the cache;
+//!   every ladder rung sees the same outcome with and without the cache,
+//!   and a record is a binary trace that decodes to the same streams;
 //! * (c) a mix that walks the ladder simulates once;
 //! * (d) a truncated, bit-flipped or colliding record is a quarantined
 //!   miss that recomputes to the same report;
@@ -28,7 +29,7 @@ use grade10::core::hash::fnv1a;
 use grade10::core::parse::RawEvent;
 use grade10::core::pipeline::{characterize_events, CharacterizationConfig};
 use grade10::core::supervise::characterize_events_supervised;
-use grade10::core::trace::{IngestConfig, RawSeries, MILLIS};
+use grade10::core::trace::{decode_trace, IngestConfig, RawSeries, MILLIS};
 use grade10::engines::bridge::{to_raw_events, to_raw_series};
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
@@ -222,8 +223,10 @@ fn series_bits(series: &[RawSeries]) -> Vec<String> {
 /// reordered and truncated records, NaN / negative / out-of-order
 /// monitoring, a machine with no log stream — round-trip the record
 /// bit-exactly, and every ladder rung reports the same outcome from the
-/// stored streams as from the collected ones. Through the binary, the same
-/// fault matrix renders one report cold, warm and uncached.
+/// stored streams as from the collected ones. Each record is a binary
+/// trace: `decode_trace` reads the same streams from it, and `convert
+/// --trace` refuses to write the NaN samples as JSON. Through the binary,
+/// the same fault matrix renders one report cold, warm and uncached.
 #[test]
 fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
     let root = tdir("faults");
@@ -268,6 +271,37 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
             "{}: a rung's outcome changed across the cache",
             class.name()
         );
+
+        let record = root
+            .join("records")
+            .join(format!("streams-{:016x}.g10c", fnv1a(key.as_bytes())));
+        let trace = decode_trace(&std::fs::read(&record).expect("record")).expect("a trace");
+        assert_eq!(trace.events, events, "{}: decoded events", class.name());
+        let resources = trace.resources.expect("a RESOURCES section");
+        assert_eq!(
+            series_bits(&RawSeries::from_trace(&resources)),
+            series_bits(&monitoring),
+            "{}: decoded monitoring",
+            class.name()
+        );
+        if class == FaultClass::Monitoring {
+            let out = Command::new(env!("CARGO_BIN_EXE_grade10"))
+                .args(["convert", "--trace"])
+                .arg(&record)
+                .arg("--out-dir")
+                .arg(root.join("text"))
+                .output()
+                .expect("run grade10 convert");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{stderr}");
+            assert!(
+                stderr.contains("serialization: resource '")
+                    && stderr.contains("sample NaN in window [")
+                    && stderr.contains("JSON cannot carry it"),
+                "{stderr}"
+            );
+            assert!(!root.join("text").exists(), "nothing written");
+        }
     }
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.stores), (6, 0, 6));
@@ -313,10 +347,10 @@ fn a_mix_that_walks_the_ladder_simulates_once() {
 }
 
 /// (d) Damaged records never decode into an answer. A truncated record, a
-/// bit-flipped one and one sitting under another key's file name (a 64-bit
-/// name collision) are each a miss, are moved aside, and the mixes
-/// recompute to the cold report; the next run hits on the rewritten
-/// records.
+/// bit-flipped one, one sitting under another key's file name (a 64-bit
+/// name collision) and one in the older `G10CACHE` container are each a
+/// miss, are moved aside, and the mixes recompute to the cold report; the
+/// next run hits on the rewritten records.
 #[test]
 fn damaged_and_colliding_records_are_quarantined_misses() {
     let root = tdir("damage");
@@ -337,15 +371,19 @@ fn damaged_and_colliding_records_are_quarantined_misses() {
     // mix 2 finds nothing.
     let collided = record_path(&cache, &spec, 3);
     std::fs::rename(record_path(&cache, &spec, 2), &collided).expect("collide records 2 and 3");
+    let older = record_path(&cache, &spec, 4);
+    let mut bytes = std::fs::read(&older).expect("record 4");
+    bytes[..8].copy_from_slice(b"G10CACHE");
+    std::fs::write(&older, &bytes).expect("relabel record 4");
 
     let repaired = campaign(&spec, &root.join("repaired"), Some(&cache));
     assert_eq!(
         counts(&repaired),
-        (2, 4, 4),
-        "the two intact records hit; the damaged four recompute and are stored again"
+        (1, 5, 5),
+        "the intact record hits; the damaged five recompute and are stored again"
     );
     assert_same_reports(&cold, &repaired, "recomputed vs cold");
-    for bad in [&truncated, &flipped, &collided] {
+    for bad in [&truncated, &flipped, &collided, &older] {
         let mut aside = bad.clone().into_os_string();
         aside.push(".quarantined");
         assert!(
