@@ -46,13 +46,13 @@ pub use scaling::{scaling, Scaling, ScalingRow};
 pub use table2::{table2, Table2, Table2Row, TABLE2_COLUMNS};
 
 /// Ground-truth monitoring interval (the paper's 50 ms), in nanoseconds.
-pub const GROUND_TRUTH_NS: u64 = 50 * 1_000_000;
+const GROUND_TRUTH_NS: u64 = 50 * 1_000_000;
 
 /// The downsampling factor the paper recommends (8× → 400 ms monitoring).
-pub const DEFAULT_DOWNSAMPLE: usize = 8;
+const DEFAULT_DOWNSAMPLE: usize = 8;
 
 /// Timeslice used by the analyses that do not study upsampling accuracy.
-pub const SLICE_NS: u64 = 10 * 1_000_000;
+const SLICE_NS: u64 = 10 * 1_000_000;
 
 /// Outlier threshold of the sync-bug analyses (Fig. 6, fleet screening): a
 /// thread counts as an outlier at 2.2× its peers' median, comfortably above
