@@ -12,7 +12,7 @@ use grade10_engines::gas::{GasConfig, SyncBugConfig};
 use grade10_engines::workload::EnginePhases;
 use grade10_engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
 
-use crate::{claims_table, markdown_table, NON_TRIVIAL_NS, OUTLIER_FACTOR};
+use crate::{claims_table, markdown_table, straggler_screen, NON_TRIVIAL_NS, OUTLIER_FACTOR};
 
 /// The paper's observations, with its values.
 const CLAIMS: [(&str, &str); 6] = [
@@ -89,18 +89,7 @@ pub fn fig6() -> Fig6 {
     let mut machines: Vec<Option<u16>> = detailed.members.iter().map(|&(_, m, _)| m).collect();
     machines.sort_unstable();
     machines.dedup();
-
-    // Statistics over all non-trivial gather steps. A step counts as
-    // affected only when its outliers actually extend it — an outlier that
-    // is not the step's critical thread costs nothing.
-    let non_trivial: Vec<_> = groups.iter().filter(|g| g.max() >= NON_TRIVIAL_NS).collect();
-    let mut affected_slowdowns: Vec<f64> = non_trivial
-        .iter()
-        .map(|g| outliers(g))
-        .filter(|rep| !rep.outliers.is_empty() && rep.slowdown > 1.05)
-        .map(|rep| rep.slowdown)
-        .collect();
-    affected_slowdowns.sort_by(f64::total_cmp);
+    let (non_trivial_steps, affected_slowdowns) = straggler_screen(&groups);
 
     // Validation against the injected ground truth.
     let found = |iteration: u32, machine: u16| {
@@ -118,7 +107,7 @@ pub fn fig6() -> Fig6 {
         outlier_vs_worker_mean,
         detail_step_s: (rep.max_without_outliers as f64 / 1e9, rep.max_duration as f64 / 1e9),
         detail_slowdown: rep.slowdown,
-        non_trivial_steps: non_trivial.len(),
+        non_trivial_steps,
         affected_slowdowns,
         injected: bugs.iter().map(|b| b.iteration as u32).collect(),
         recovered: bugs.iter().filter(|b| found(b.iteration as u32, b.machine as u16)).count(),

@@ -15,7 +15,7 @@ use grade10_engines::gas::GasConfig;
 use grade10_engines::workload::EnginePhases;
 use grade10_engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
 
-use crate::{markdown_table, NON_TRIVIAL_NS, OUTLIER_FACTOR};
+use crate::{markdown_table, straggler_screen};
 
 /// One screened job.
 pub struct FleetJob {
@@ -51,20 +51,11 @@ pub fn fleet() -> Fleet {
         });
         fleet.simulated_s += run.sim.end_time.as_secs_f64();
         let EnginePhases::Gas(phases) = run.phases else { unreachable!("a PowerGraph run") };
+        let groups = imbalance_groups(&run.model, &run.trace, phases.gather_thread);
+        let (steps, slowdowns) = straggler_screen(&groups);
+        let (affected, worst) = (slowdowns.len(), slowdowns.last().copied().unwrap_or(1.0));
         let injected = run.injected_bugs.len();
-        let mut screened = FleetJob { seed, steps: 0, affected: 0, worst: 1.0, injected };
-        for g in imbalance_groups(&run.model, &run.trace, phases.gather_thread) {
-            if g.max() < NON_TRIVIAL_NS {
-                continue;
-            }
-            screened.steps += 1;
-            let rep = g.outliers(OUTLIER_FACTOR);
-            if !rep.outliers.is_empty() && rep.slowdown > 1.05 {
-                screened.affected += 1;
-                screened.worst = screened.worst.max(rep.slowdown);
-            }
-        }
-        fleet.jobs.push(screened);
+        fleet.jobs.push(FleetJob { seed, steps, affected, worst, injected });
     }
     fleet
 }

@@ -12,6 +12,7 @@
 
 use grade10_core::attribution::{relative_sampling_error, PerformanceProfile, UpsampleMode};
 use grade10_core::bottleneck::{BottleneckConfig, BottleneckReport};
+use grade10_core::issues::imbalance::GroupDetail;
 use grade10_core::issues::{detect_bottleneck_issues, IssueConfig, IssueKind, PerformanceIssue};
 use grade10_core::replay::ReplayConfig;
 use grade10_engines::gas::GasConfig;
@@ -63,6 +64,20 @@ const OUTLIER_FACTOR: f64 = 2.2;
 /// statistics (the paper uses > 1 s at testbed scale; our simulated steps
 /// are smaller).
 const NON_TRIVIAL_NS: u64 = 200 * 1_000_000;
+
+/// The sync-bug screen over one phase type's groups (Fig. 6, fleet
+/// screening): the number of non-trivial steps, and the outlier-induced
+/// slowdown of each step its outliers extend, sorted. A step counts as
+/// affected only when its outliers actually extend it — an outlier that is
+/// not the step's critical thread costs nothing.
+fn straggler_screen(groups: &[GroupDetail]) -> (usize, Vec<f64>) {
+    let non_trivial: Vec<_> = groups.iter().filter(|g| g.max() >= NON_TRIVIAL_NS).collect();
+    let reports = non_trivial.iter().map(|g| g.outliers(OUTLIER_FACTOR));
+    let affected = reports.filter(|rep| !rep.outliers.is_empty() && rep.slowdown > 1.05);
+    let mut slowdowns: Vec<f64> = affected.map(|rep| rep.slowdown).collect();
+    slowdowns.sort_by(f64::total_cmp);
+    (non_trivial.len(), slowdowns)
+}
 
 /// Giraph configuration for Fig. 3: threads < cores so the CPU is never
 /// saturated and the *exact-limit* bottleneck (one core per thread) is what
