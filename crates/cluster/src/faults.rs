@@ -237,6 +237,24 @@ impl FaultPlan {
         p
     }
 
+    /// Parses a fault spec — `all`, `hostile`, or a comma-separated class
+    /// list — into a plan seeded with `seed`: the grammar of `demo
+    /// --inject` and of a campaign's fault axis.
+    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
+        match spec {
+            "all" => return Ok(FaultPlan::all(seed)),
+            "hostile" => return Ok(FaultPlan::hostile(seed)),
+            _ => {}
+        }
+        let mut plan = FaultPlan::clean(seed);
+        for name in spec.split(',') {
+            let class = FaultClass::from_name(name.trim())
+                .ok_or_else(|| format!("unknown fault class '{name}'"))?;
+            plan.enable(class);
+        }
+        Ok(plan)
+    }
+
     /// Turns one class on at its default severity.
     pub fn enable(&mut self, class: FaultClass) -> &mut Self {
         match class {
@@ -700,6 +718,19 @@ mod tests {
         assert_eq!(
             FaultPlan::all(1).enabled(),
             FaultClass::STREAM_DAMAGE.to_vec()
+        );
+    }
+
+    #[test]
+    fn specs_parse_into_seeded_plans() {
+        assert_eq!(FaultPlan::parse("all", 3), Ok(FaultPlan::all(3)));
+        assert_eq!(FaultPlan::parse("hostile", 4), Ok(FaultPlan::hostile(4)));
+        let mut list = FaultPlan::clean(5);
+        list.enable(FaultClass::Drop).enable(FaultClass::TimestampBomb);
+        assert_eq!(FaultPlan::parse("drop, timestamp-bomb", 5), Ok(list));
+        assert_eq!(
+            FaultPlan::parse("drop,bogus", 5),
+            Err("unknown fault class 'bogus'".to_string())
         );
     }
 

@@ -6,7 +6,7 @@
 //! ≈ 85–90 % of a mix — and the characterization pipeline behind it is a
 //! few milliseconds. So the one boundary worth persisting is the pipeline's
 //! *input*: the collected (post-fault-injection, post-bridge)
-//! `Vec<RawEvent>` + `Vec<RawSeries>` that `run_mix` hands to
+//! `Vec<RawEvent>` + `Vec<RawSeries>` that `grade10_engines::run_mix` hands to
 //! [`crate::pipeline::characterize_events`]. A hit skips the simulation;
 //! the pipeline always recomputes (see `docs/robustness.md` for the
 //! measurements behind that cut).

@@ -68,6 +68,36 @@ pub struct CharacterizationConfig {
     pub supervise: SuperviseConfig,
 }
 
+impl CharacterizationConfig {
+    /// The config of one run at `slice` ns per timeslice. Lenient ingestion
+    /// comes with demand-based estimation of slices whose monitoring was
+    /// lost. `threads` pins the width of whichever fan-out the run reaches
+    /// first — the supervised units, or the upsampling rows when no unit
+    /// pool encloses them. Pools never nest, so a fan-out reached on a pool
+    /// worker (a campaign mix, a supervised unit) runs inline whatever
+    /// `threads` says.
+    pub fn new(lenient: bool, slice: Nanos, threads: Option<usize>) -> Self {
+        CharacterizationConfig {
+            profile: ProfileConfig {
+                slice,
+                estimate_missing: lenient,
+                threads,
+                ..Default::default()
+            },
+            ingest: if lenient {
+                IngestConfig::lenient()
+            } else {
+                IngestConfig::default()
+            },
+            supervise: SuperviseConfig {
+                threads,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+}
+
 /// Everything one characterization run produces.
 pub struct Characterization {
     /// The fine-grained phase × resource × timeslice profile.
@@ -847,16 +877,10 @@ pub fn characterize_meta(raw: &MetaTrace) -> Result<MetaCharacterization, Grade1
     let (model, rules) = obs::meta_model();
     let events = raw.to_raw_events();
     let series = raw.to_raw_series(MetaCharacterization::window_for(raw.end));
-    let cfg = CharacterizationConfig {
-        profile: ProfileConfig {
-            slice: MetaCharacterization::slice_for(raw.end),
-            // Default `Auto` policy: a meta-trace is far below the Auto
-            // fan-out threshold, so it analyzes sequentially without
-            // pinning a policy the caller might want to override.
-            ..ProfileConfig::default()
-        },
-        ..CharacterizationConfig::default()
-    };
+    // Default `Auto` policy: a meta-trace is far below the Auto fan-out
+    // threshold, so it analyzes sequentially without pinning a policy the
+    // caller might want to override.
+    let cfg = CharacterizationConfig::new(false, MetaCharacterization::slice_for(raw.end), None);
     let run = characterize_events_under(false, &model, &rules, &events, &series, &cfg)?;
     Ok(MetaCharacterization {
         model,

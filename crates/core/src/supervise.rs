@@ -128,7 +128,7 @@ pub struct SuperviseConfig {
     pub retry: RetryPolicy,
     /// Unused: nothing in `core` reads this field any more. The stage
     /// cache holds one streams record per campaign mix and is consulted
-    /// by the CLI's `run_mix` before the pipeline is entered (see
+    /// by `grade10_engines::run_mix` before the pipeline is entered (see
     /// [`crate::cache`]); neither pipeline caches its stages. The field
     /// is kept only because the frozen benchmark sources still assign it,
     /// and goes when a `benchmark` PR drops that assignment.

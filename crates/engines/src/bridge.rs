@@ -1,7 +1,7 @@
 //! Adapters from `grade10-cluster` simulator output to `grade10-core`
 //! inputs — the role framework-specific log parsers play for a real SUT.
 
-use grade10_cluster::{LogEvent, LogRecord, ResourceSeries};
+use grade10_cluster::{FaultPlan, LogEvent, LogRecord, ResourceSeries, SimOutput};
 use grade10_core::parse::{RawEvent, RawEventKind, RawPath};
 use grade10_core::trace::{Measurement, RawSeries, ResourceInstance, ResourceTrace};
 
@@ -93,6 +93,22 @@ pub fn to_raw_series(series: &[ResourceSeries], downsample: usize) -> Vec<RawSer
             }
         })
         .collect()
+}
+
+/// What a run's collectors shipped: the bridged event stream and the
+/// monitoring series at the recommended 8× downsampling, with `plan`'s
+/// faults applied to the simulator's output first.
+pub fn collected_streams(
+    sim: &SimOutput,
+    plan: Option<&FaultPlan>,
+) -> (Vec<RawEvent>, Vec<RawSeries>) {
+    match plan {
+        None => (to_raw_events(&sim.logs), to_raw_series(&sim.series, 8)),
+        Some(plan) => (
+            to_raw_events(&plan.inject_logs(&sim.logs)),
+            to_raw_series(&plan.inject_series(&sim.series), 8),
+        ),
+    }
 }
 
 #[cfg(test)]

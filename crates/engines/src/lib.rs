@@ -26,7 +26,9 @@
 //! corresponding "expert input" — execution models, resource models, and
 //! tuned/untuned attribution rules. [`bridge`] converts simulator output
 //! into `grade10-core` inputs. [`workload`] wires datasets × algorithms ×
-//! engines into one-call experiment runs.
+//! engines into one-call experiment runs, and holds the campaign's mix
+//! runner ([`run_mix`]): spec parsing, the per-thread graph memo, the
+//! stage-cache lookup and the characterization of one mix.
 
 #![warn(missing_docs)]
 // Library code must classify failures, not abort: unwrap/expect are only
@@ -43,6 +45,6 @@ pub mod pregel;
 pub mod workload;
 
 pub use workload::{
-    run_workload, simulate_workload, Algorithm, Dataset, EngineKind, ExpertInput, SimulatedRun,
-    WorkloadRun, WorkloadSpec,
+    mix_workload, run_mix, run_workload, simulate_workload, Algorithm, Dataset, EngineKind,
+    ExpertInput, SimulatedRun, WorkloadRun, WorkloadSpec,
 };

@@ -9,21 +9,34 @@
 //! starts from a graph the caller generated and stops before the parsing,
 //! for callers that run several workloads on one graph and hand the logs
 //! on as collected streams.
+//!
+//! [`run_mix`] is the campaign's mix runner on top of it: a mix's spec
+//! strings parse into a workload and a fault plan ([`mix_workload`]), the
+//! workload simulates on the claimant thread's last graph when it fits,
+//! and the collected streams — from the stage cache when it holds them —
+//! are characterized at the mix's degradation-ladder rung.
 
-use grade10_cluster::{ResourceSeries, SimOutput};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use grade10_cluster::{FaultPlan, ResourceSeries, SimOutput};
 use grade10_core::attribution::{build_profile, PerformanceProfile, ProfileConfig, UpsampleMode};
-use grade10_core::model::{ExecutionModel, RuleSet};
+use grade10_core::cache::StageCache;
+use grade10_core::campaign::{MixAttempt, MixMode, MixOutcome, MixSpec};
+use grade10_core::model::{ExecutionModel, ModelBundle, RuleSet};
 use grade10_core::parse::build_execution_trace;
-use grade10_core::trace::{ExecutionTrace, Nanos, ResourceTrace};
+use grade10_core::pipeline::{characterize_events_under, CharacterizationConfig};
+use grade10_core::trace::{ExecutionTrace, Nanos, ResourceTrace, MILLIS};
+use grade10_core::Grade10Error;
 use grade10_graph::algorithms::{bfs, cdlp, lcc, pagerank, pagerank_until, sssp, wcc, WorkProfile};
 use grade10_graph::partition::{EdgeCutPartition, VertexCutPartition, WorkMapper};
 use grade10_graph::CsrGraph;
 
-use crate::bridge::{to_raw_events, to_resource_trace};
+use crate::bridge::{collected_streams, to_raw_events, to_resource_trace};
 use crate::gas::{run_gas, GasConfig, InjectedBug};
 use crate::models::{
-    gas_model, gas_rules_tuned, gas_rules_untuned, pregel_model, pregel_rules_tuned,
-    pregel_rules_untuned, GasPhases, PregelPhases,
+    gas_model, gas_resource_model, gas_rules_tuned, gas_rules_untuned, pregel_model,
+    pregel_resource_model, pregel_rules_tuned, pregel_rules_untuned, GasPhases, PregelPhases,
 };
 use crate::pregel::{run_pregel, PregelConfig};
 
@@ -53,6 +66,25 @@ impl Dataset {
         match self {
             Dataset::Rmat { scale, .. } => format!("g500-{scale}"),
             Dataset::Social { vertices, .. } => format!("dg-{}k", vertices / 1000),
+        }
+    }
+
+    /// Parses a `kind:size` spec (`rmat:SCALE`, `social:VERTICES`), the
+    /// grammar of `demo --dataset` and of a campaign's dataset axis.
+    pub fn parse(spec: &str, seed: u64) -> Result<Dataset, String> {
+        let (kind, size) = spec
+            .split_once(':')
+            .ok_or_else(|| format!("dataset spec '{spec}' must be kind:size"))?;
+        match kind {
+            "rmat" => Ok(Dataset::Rmat {
+                scale: size.parse().map_err(|_| format!("bad scale '{size}'"))?,
+                seed,
+            }),
+            "social" => Ok(Dataset::Social {
+                vertices: size.parse().map_err(|_| format!("bad size '{size}'"))?,
+                seed,
+            }),
+            other => Err(format!("unknown dataset kind '{other}'")),
         }
     }
 
@@ -121,6 +153,23 @@ impl Algorithm {
         }
     }
 
+    /// Parses an algorithm name, the grammar of `demo --algorithm` and of a
+    /// campaign's workload axis.
+    pub fn parse(name: &str) -> Result<Algorithm, String> {
+        match name {
+            "pr" => Ok(Algorithm::PageRank { iterations: 8 }),
+            "bfs" => Ok(Algorithm::Bfs { root: 0 }),
+            "wcc" => Ok(Algorithm::Wcc),
+            "cdlp" => Ok(Algorithm::Cdlp { iterations: 8 }),
+            "sssp" => Ok(Algorithm::Sssp { root: 0 }),
+            "lcc" => Ok(Algorithm::Lcc),
+            "prc" => Ok(Algorithm::PageRankConverge {
+                epsilon_millionths: 100,
+            }),
+            other => Err(format!("unknown algorithm '{other}'")),
+        }
+    }
+
     /// Executes the algorithm, returning its work profile.
     pub fn run<M: WorkMapper>(&self, graph: &CsrGraph, mapper: &M) -> WorkProfile {
         match *self {
@@ -159,6 +208,41 @@ impl EngineKind {
         match self {
             EngineKind::Giraph(_) => "giraph",
             EngineKind::PowerGraph(_) => "powergraph",
+        }
+    }
+
+    /// Parses a graph-engine name (`giraph`, `powergraph`) into the engine's
+    /// default configuration, on `machines` machines when given.
+    pub fn parse(name: &str, machines: Option<usize>) -> Result<EngineKind, String> {
+        let mut engine = match name {
+            "giraph" => EngineKind::Giraph(PregelConfig::default()),
+            "powergraph" => EngineKind::PowerGraph(GasConfig::default()),
+            other => return Err(format!("unknown engine '{other}'")),
+        };
+        if let Some(n) = machines {
+            match &mut engine {
+                EngineKind::Giraph(cfg) => cfg.machines = n,
+                EngineKind::PowerGraph(cfg) => cfg.machines = n,
+            }
+        }
+        Ok(engine)
+    }
+
+    /// The engine's expert input as a reusable bundle — execution model,
+    /// resource model and tuned attribution rules — as `export-model`
+    /// writes it.
+    pub fn model_bundle(&self) -> ModelBundle {
+        let (resources, cores) = match self {
+            EngineKind::Giraph(cfg) => (pregel_resource_model(), cfg.cores),
+            EngineKind::PowerGraph(cfg) => (gas_resource_model(), cfg.cores),
+        };
+        let expert = self.expert_input();
+        ModelBundle {
+            framework: self.name().into(),
+            notes: format!("tuned rules assume {cores} cores per machine"),
+            rules: expert.rules_tuned,
+            resources,
+            execution: expert.model,
         }
     }
 
@@ -360,10 +444,128 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadRun {
     }
 }
 
+/// A campaign mix's workload and fault plan, parsed from its spec strings.
+/// The fault seed is the mix seed: the damage is part of the mix's
+/// identity, deterministic across retries and resumes. An error names the
+/// mix, so a campaign launch can reject a bad axis value up front.
+pub fn mix_workload(mix: &MixSpec) -> Result<(WorkloadSpec, Option<FaultPlan>), String> {
+    let in_mix = |e: String| format!("mix {}: {e}", mix.id());
+    let algorithm = Algorithm::parse(&mix.algorithm).map_err(in_mix)?;
+    let dataset = Dataset::parse(&mix.dataset, mix.seed).map_err(in_mix)?;
+    let engine = EngineKind::parse(&mix.engine, Some(mix.machines as usize)).map_err(in_mix)?;
+    if mix.machines == 0 {
+        return Err(in_mix("machines must be at least 1".to_string()));
+    }
+    let plan = match mix.fault.as_str() {
+        "none" => None,
+        fault => Some(FaultPlan::parse(fault, mix.seed).map_err(in_mix)?),
+    };
+    let spec = WorkloadSpec {
+        dataset,
+        algorithm,
+        engine,
+    };
+    Ok((spec, plan))
+}
+
+/// Characterizes one campaign mix at one degradation-ladder rung: obtain the
+/// mix's collected streams, then ingest them strictly, leniently, or under
+/// full supervision per the rung. The scheduler owns retries and fills the
+/// outcome's identity fields.
+///
+/// The streams come from the stage cache when it holds the mix's record —
+/// keyed by the identity the result store hashes, `content_string` under
+/// the campaign's code version — and from a simulation otherwise, which
+/// then stores them. This is the only place the cache is consulted: a
+/// ladder that fails strict and retries lenient simulates once. The
+/// simulation runs on the thread's last graph when it fits (the per-thread
+/// graph memo).
+pub fn run_mix(
+    mix: &MixSpec,
+    code_version: &str,
+    attempt: MixAttempt,
+    cache: Option<&StageCache>,
+) -> Result<MixOutcome, Grade10Error> {
+    let (spec, plan) = mix_workload(mix).map_err(Grade10Error::Serialization)?;
+    let key = mix.content_string(code_version);
+    let (events, monitoring) = match cache.and_then(|c| c.lookup_streams(&key)) {
+        Some(streams) => streams,
+        None => {
+            let run = with_graph(spec.dataset, |graph| simulate_workload(&spec, graph));
+            MIXES_SIMULATED.fetch_add(1, Ordering::Relaxed);
+            let streams = collected_streams(&run.sim, plan.as_ref());
+            if let Some(c) = cache {
+                c.store_streams(&key, &streams.0, &streams.1);
+            }
+            streams
+        }
+    };
+    let expert = spec.engine.expert_input();
+    let cfg = CharacterizationConfig::new(attempt.mode != MixMode::Strict, 10 * MILLIS, None);
+    let p = characterize_events_under(
+        attempt.mode == MixMode::Partial,
+        &expert.model,
+        &expert.rules_tuned,
+        &events,
+        &monitoring,
+        &cfg,
+    )?;
+    Ok(MixOutcome {
+        mix: mix.clone(),
+        hash: 0,
+        makespan_ns: p.characterization.base_makespan,
+        classes: p.characterization.issue_classes(&expert.model),
+        incidents: p.incidents.len() as u32,
+        degraded: !p.is_complete(),
+        attempts: 0,
+        mode: String::new(),
+    })
+}
+
+thread_local! {
+    /// The input graph this claimant thread generated last, with the
+    /// dataset it was generated from.
+    static LAST_GRAPH: RefCell<Option<(Dataset, CsrGraph)>> = const { RefCell::new(None) };
+}
+
+/// Graphs [`run_mix`] generated and mixes it simulated in this process,
+/// for [`substrate_line`].
+static GRAPHS_GENERATED: AtomicUsize = AtomicUsize::new(0);
+static MIXES_SIMULATED: AtomicUsize = AtomicUsize::new(0);
+
+/// Calls `f` on `dataset`'s graph, generating it only when this thread's
+/// last graph came from another dataset. The scheduler claims mixes grouped
+/// by dataset and seed, so consecutive mixes on a thread usually share the
+/// graph. The old graph is dropped before the new one is generated, so a
+/// thread never holds more than one, and only while it simulates anyway.
+fn with_graph<R>(dataset: Dataset, f: impl FnOnce(&CsrGraph) -> R) -> R {
+    LAST_GRAPH.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        let graph = match slot.take() {
+            Some((d, graph)) if d == dataset => graph,
+            stale => {
+                drop(stale);
+                GRAPHS_GENERATED.fetch_add(1, Ordering::Relaxed);
+                dataset.generate()
+            }
+        };
+        f(&slot.insert((dataset, graph)).1)
+    })
+}
+
+/// "substrate: N graphs generated for M simulated mixes": the per-thread
+/// graph reuse of this process's [`run_mix`] calls.
+pub fn substrate_line() -> String {
+    format!(
+        "substrate: {} graphs generated for {} simulated mixes",
+        GRAPHS_GENERATED.load(Ordering::Relaxed),
+        MIXES_SIMULATED.load(Ordering::Relaxed)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grade10_core::trace::MILLIS;
 
     fn tiny_giraph() -> WorkloadSpec {
         WorkloadSpec {
@@ -412,6 +614,59 @@ mod tests {
         assert_eq!(run.spec.name(), "cdlp-dg-2k-powergraph");
         // PowerGraph runs carry injected bug metadata (possibly empty).
         let _ = run.injected_bugs.len();
+    }
+
+    #[test]
+    fn dataset_spec_parsing() {
+        assert_eq!(
+            Dataset::parse("rmat:12", 1).unwrap(),
+            Dataset::Rmat { scale: 12, seed: 1 }
+        );
+        assert_eq!(
+            Dataset::parse("social:5000", 2).unwrap(),
+            Dataset::Social {
+                vertices: 5000,
+                seed: 2
+            }
+        );
+        assert!(Dataset::parse("nope", 1).is_err());
+        assert!(Dataset::parse("rmat:abc", 1).is_err());
+    }
+
+    fn mix(engine: &str, machines: u32, fault: &str) -> MixSpec {
+        MixSpec {
+            algorithm: "pr".to_string(),
+            dataset: "rmat:6".to_string(),
+            engine: engine.to_string(),
+            machines,
+            seed: 46,
+            fault: fault.to_string(),
+        }
+    }
+
+    #[test]
+    fn mix_workload_rejects_zero_machines() {
+        let err = mix_workload(&mix("giraph", 0, "none")).unwrap_err();
+        assert!(err.contains("machines must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn mix_workload_sizes_the_engine_and_seeds_the_faults() {
+        let (spec, plan) = mix_workload(&mix("powergraph", 3, "drop")).unwrap();
+        assert!(matches!(spec.engine, EngineKind::PowerGraph(ref cfg) if cfg.machines == 3));
+        assert_eq!(spec.dataset, Dataset::Rmat { scale: 6, seed: 46 });
+        assert_eq!(plan, Some(FaultPlan::parse("drop", 46).unwrap()));
+        let (spec, plan) = mix_workload(&mix("giraph", 5, "none")).unwrap();
+        assert!(matches!(spec.engine, EngineKind::Giraph(ref cfg) if cfg.machines == 5));
+        assert_eq!(plan, None);
+    }
+
+    #[test]
+    fn mix_workload_errors_name_the_mix() {
+        for bad in [mix("spark", 2, "none"), mix("giraph", 2, "bogus")] {
+            let err = mix_workload(&bad).unwrap_err();
+            assert!(err.starts_with(&format!("mix {}: ", bad.id())), "{err}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use grade10::core::hash::fnv1a;
 use grade10::core::pipeline::CharacterizationConfig;
 use grade10::core::supervise::{characterize_events_supervised, PartialCharacterization};
 use grade10::core::trace::{IngestConfig, MILLIS};
-use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
 
@@ -56,10 +56,7 @@ fn tiny_run() -> &'static WorkloadRun {
 }
 
 fn supervised_config() -> CharacterizationConfig {
-    let mut cfg = CharacterizationConfig::default();
-    cfg.profile.slice = 10 * MILLIS;
-    cfg.profile.estimate_missing = true;
-    cfg.ingest = IngestConfig::lenient();
+    let mut cfg = CharacterizationConfig::new(true, 10 * MILLIS, None);
     // Force the pool on even for this 3-unit workload, so the matrix
     // genuinely exercises concurrent units at every width.
     cfg.supervise.parallelism = Parallelism::Always;
@@ -154,8 +151,7 @@ fn matrix_at(threads: &str) -> Vec<String> {
         .into_iter()
         .map(|mask| {
             let plan = plan_for(mask, 0x5D_0000 + mask as u64);
-            let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-            let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+            let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
             let p = characterize_events_supervised(
                 &run.model,
                 &run.rules_tuned,

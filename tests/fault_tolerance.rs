@@ -15,7 +15,7 @@ use grade10::cluster::{FaultClass, FaultPlan};
 use grade10::core::critical_path::critical_path;
 use grade10::core::pipeline::{characterize_events, CharacterizationConfig};
 use grade10::core::trace::{ingest, repair_events, IngestConfig, IngestReport, MILLIS};
-use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
 
@@ -33,13 +33,7 @@ fn tiny_run() -> WorkloadRun {
 }
 
 fn config(lenient: bool) -> CharacterizationConfig {
-    let mut cfg = CharacterizationConfig::default();
-    cfg.profile.slice = 10 * MILLIS;
-    cfg.profile.estimate_missing = lenient;
-    if lenient {
-        cfg.ingest = IngestConfig::lenient();
-    }
-    cfg
+    CharacterizationConfig::new(lenient, 10 * MILLIS, None)
 }
 
 /// The acceptance criterion of the fault harness, class by class: strict
@@ -50,8 +44,7 @@ fn every_fault_class_strict_rejects_and_lenient_repairs() {
     let run = tiny_run();
     for class in FaultClass::STREAM_DAMAGE {
         let plan = FaultPlan::single(class, 7);
-        let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-        let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+        let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
 
         match characterize_events(
             &run.model,
@@ -128,8 +121,7 @@ fn all_faults_at_once_never_panic_lenient() {
     let run = tiny_run();
     for seed in 1..=5u64 {
         let plan = FaultPlan::all(seed);
-        let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-        let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+        let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
         let result = characterize_events(
             &run.model,
             &run.rules_tuned,
@@ -154,8 +146,7 @@ fn injection_and_repair_are_deterministic() {
     let reports: Vec<String> = (0..2)
         .map(|_| {
             let plan = FaultPlan::all(42);
-            let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-            let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+            let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
             let result = characterize_events(
                 &run.model,
                 &run.rules_tuned,
@@ -229,8 +220,7 @@ fn critical_path_terminates_on_lenient_repaired_reorder_damage() {
     });
     for seed in 1..=10u64 {
         let plan = FaultPlan::all(seed);
-        let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-        let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+        let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
         let input = ingest(&run.model, &events, &monitoring, &IngestConfig::lenient())
             .unwrap_or_else(|e| panic!("seed {seed}: lenient ingest failed: {e}"));
         let leaves = input.trace.leaves().count();

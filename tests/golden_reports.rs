@@ -29,7 +29,7 @@ use grade10::core::report::{
 };
 use grade10::core::supervise::characterize_events_supervised;
 use grade10::core::trace::{ingest_monitoring, IngestConfig, IngestReport, MILLIS};
-use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
 
@@ -102,13 +102,7 @@ fn demo_run() -> WorkloadRun {
 }
 
 fn demo_config(lenient: bool) -> CharacterizationConfig {
-    let mut cfg = CharacterizationConfig::default();
-    cfg.profile.slice = 10 * MILLIS;
-    cfg.profile.estimate_missing = lenient;
-    if lenient {
-        cfg.ingest = IngestConfig::lenient();
-    }
-    cfg
+    CharacterizationConfig::new(lenient, 10 * MILLIS, None)
 }
 
 /// Summary tables of the clean demo run: per-type usage, per-resource
@@ -150,8 +144,7 @@ fn golden_summary_report() {
 fn golden_ingest_damage_report() {
     let run = demo_run();
     let plan = FaultPlan::all(42);
-    let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-    let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+    let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
     let result = characterize_events(
         &run.model,
         &run.rules_tuned,
@@ -177,8 +170,7 @@ fn golden_supervision_incident_report() {
     let mut plan = FaultPlan::clean(7);
     plan.enable(FaultClass::MachineMissing);
     plan.enable(FaultClass::TimestampBomb);
-    let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-    let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+    let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
     let p = characterize_events_supervised(
         &run.model,
         &run.rules_tuned,

@@ -29,8 +29,8 @@ use grade10::core::hash::{fnv1a, fnv1a_extend};
 use grade10::core::model::{ExecutionModel, RuleSet};
 use grade10::core::parse::RawEvent;
 use grade10::core::pipeline::{characterize_events, Characterization, CharacterizationConfig};
-use grade10::core::trace::{IngestConfig, RawSeries, MILLIS};
-use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::core::trace::{RawSeries, MILLIS};
+use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::dataflow::{
     dataflow_model, dataflow_rules_tuned, run_dataflow, DataflowConfig, JobSpec,
 };
@@ -152,13 +152,13 @@ fn fixtures() -> Vec<Fixture> {
             });
         }
         for seed in [3, 11, 46] {
-            let plan = FaultPlan::all(seed);
+            let (events, monitoring) = collected_streams(&sim, Some(&FaultPlan::all(seed)));
             out.push(Fixture {
                 name: format!("{name} lenient all seed={seed} 10ms"),
                 model: model.clone(),
                 rules: rules.clone(),
-                events: to_raw_events(&plan.inject_logs(&sim.logs)),
-                monitoring: to_raw_series(&plan.inject_series(&sim.series), 8),
+                events,
+                monitoring,
                 slice_ms: 10,
                 lenient: true,
             });
@@ -168,13 +168,8 @@ fn fixtures() -> Vec<Fixture> {
 }
 
 fn characterize(f: &Fixture) -> Characterization {
-    let mut cfg = CharacterizationConfig::default();
-    cfg.profile.slice = f.slice_ms * MILLIS;
+    let mut cfg = CharacterizationConfig::new(f.lenient, f.slice_ms * MILLIS, None);
     cfg.issues.min_reduction = f64::NEG_INFINITY;
-    if f.lenient {
-        cfg.ingest = IngestConfig::lenient();
-        cfg.profile.estimate_missing = true;
-    }
     characterize_events(&f.model, &f.rules, &f.events, &f.monitoring, &cfg)
         .unwrap_or_else(|e| panic!("{}: characterization failed: {e}", f.name))
 }

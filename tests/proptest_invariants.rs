@@ -34,7 +34,7 @@ use grade10::core::trace::{
     RawSeries, ResourceIdx, ResourceInstance, ResourceTrace, TimesliceGrid, TraceBuilder, MILLIS,
 };
 use grade10::core::ExecutionModel;
-use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
 use grade10::graph::algorithms::{bfs, pagerank};
 use grade10::graph::partition::{EdgeCutPartition, VertexCutPartition};
@@ -654,16 +654,11 @@ fn supervised_policy_matches_inline_policy_on_clean_streams() {
 #[test]
 fn inline_policy_keeps_no_incident_log_on_damaged_input() {
     let run = fault_run();
-    let mut cfg = CharacterizationConfig {
-        ingest: IngestConfig::lenient(),
-        ..CharacterizationConfig::default()
-    };
-    cfg.profile.estimate_missing = true;
+    let cfg = CharacterizationConfig::new(true, 10 * MILLIS, None);
     for seed in 1..=4u64 {
         let mut plan = FaultPlan::all(seed);
         plan.enable(FaultClass::TimestampBomb);
-        let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-        let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+        let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
         let inline =
             characterize_events_under(false, &run.model, &run.rules_tuned, &events, &monitoring, &cfg)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -847,18 +842,14 @@ fn quality_score_is_monotone_in_damage_counters() {
 #[test]
 fn quality_score_is_monotone_in_fault_classes() {
     let run = fault_run();
-    let mut cfg = CharacterizationConfig::default();
-    cfg.profile.slice = 10 * MILLIS;
-    cfg.profile.estimate_missing = true;
-    cfg.ingest = IngestConfig::lenient();
+    let cfg = CharacterizationConfig::new(true, 10 * MILLIS, None);
     for seed in 0..6u64 {
         let mut plan = FaultPlan::clean(0x5A17_E000 + seed);
         let mut prev = 1.0f64;
         let mut prev_classes = String::from("(clean)");
         for class in FaultClass::STREAM_DAMAGE {
             plan.enable(class);
-            let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-            let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+            let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
             let result =
                 characterize_events(&run.model, &run.rules_tuned, &events, &monitoring, &cfg)
                     .unwrap_or_else(|e| panic!("seed {seed} +{}: {e}", class.name()));

@@ -29,8 +29,8 @@ use grade10::core::hash::fnv1a;
 use grade10::core::parse::RawEvent;
 use grade10::core::pipeline::{characterize_events, CharacterizationConfig};
 use grade10::core::supervise::characterize_events_supervised;
-use grade10::core::trace::{decode_trace, IngestConfig, RawSeries, MILLIS};
-use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::core::trace::{decode_trace, RawSeries, MILLIS};
+use grade10::engines::bridge::collected_streams;
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
 
@@ -157,15 +157,7 @@ fn ladder_outcomes(
     events: &[RawEvent],
     monitoring: &[RawSeries],
 ) -> [RungOutcome; 3] {
-    let cfg = |lenient: bool| {
-        let mut cfg = CharacterizationConfig::default();
-        cfg.profile.slice = 10 * MILLIS;
-        cfg.profile.estimate_missing = lenient;
-        if lenient {
-            cfg.ingest = IngestConfig::lenient();
-        }
-        cfg
-    };
+    let cfg = |lenient: bool| CharacterizationConfig::new(lenient, 10 * MILLIS, None);
     let plain = |lenient: bool| -> RungOutcome {
         characterize_events(
             &expert.model,
@@ -251,8 +243,7 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
     ];
     for class in classes {
         let plan = FaultPlan::single(class, 46);
-        let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-        let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+        let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
         let key = format!("fault={}", class.name());
         cache.store_streams(&key, &events, &monitoring);
         let (back_events, back_monitoring) = cache

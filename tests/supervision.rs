@@ -12,8 +12,8 @@ use grade10::core::pipeline::CharacterizationConfig;
 use grade10::core::supervise::{
     characterize_events_supervised, ChaosMode, ChaosPoint, IncidentKind, UnitStatus,
 };
-use grade10::core::trace::{IngestConfig, MILLIS};
-use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::core::trace::MILLIS;
+use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::pregel::PregelConfig;
 use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
 
@@ -34,11 +34,7 @@ fn tiny_run() -> &'static WorkloadRun {
 }
 
 fn lenient_config() -> CharacterizationConfig {
-    let mut cfg = CharacterizationConfig::default();
-    cfg.profile.slice = 10 * MILLIS;
-    cfg.profile.estimate_missing = true;
-    cfg.ingest = IngestConfig::lenient();
-    cfg
+    CharacterizationConfig::new(true, 10 * MILLIS, None)
 }
 
 /// The CLI acceptance scenario: machine-missing + timestamp-bomb under
@@ -50,8 +46,7 @@ fn hostile_faults_yield_partial_characterization_with_incidents() {
     let mut plan = FaultPlan::clean(7);
     plan.enable(FaultClass::MachineMissing);
     plan.enable(FaultClass::TimestampBomb);
-    let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-    let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+    let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
 
     let p = characterize_events_supervised(
         &run.model,
@@ -109,8 +104,7 @@ fn any_fault_combination_is_absorbed_or_classified() {
                 plan.enable(class);
             }
         }
-        let events = to_raw_events(&plan.inject_logs(&run.sim.logs));
-        let monitoring = to_raw_series(&plan.inject_series(&run.sim.series), 8);
+        let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
         match characterize_events_supervised(
             &run.model,
             &run.rules_tuned,

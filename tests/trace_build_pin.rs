@@ -45,7 +45,7 @@ use grade10::core::trace::{
     decode_trace, encode_trace, ingest, repair_events, ExecutionTrace, IngestConfig,
     IngestReport, MILLIS,
 };
-use grade10::engines::bridge::{to_raw_events, to_raw_series};
+use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::dataflow::{
     dataflow_model, dataflow_rules_tuned, run_dataflow, DataflowConfig, JobSpec,
 };
@@ -227,20 +227,22 @@ fn built_traces_are_pinned() {
             line(&mut out, &format!("{} lenient all seed={seed}", f.name), &trace);
         }
 
-        let mut cfg = CharacterizationConfig::default();
-        cfg.profile.slice = 10 * MILLIS;
-        cfg.supervise.parallelism = Parallelism::Always;
-        cfg.supervise.threads = Some(2);
+        // Supervised at width 2; only the unit pool is pinned.
+        let config = |lenient| {
+            let mut cfg = CharacterizationConfig::new(lenient, 10 * MILLIS, None);
+            cfg.supervise.parallelism = Parallelism::Always;
+            cfg.supervise.threads = Some(2);
+            cfg
+        };
+        let cfg = config(false);
         let monitoring = to_raw_series(&f.run.series, 8);
         let p = characterize_events_supervised(&f.model, &f.rules, &events, &monitoring, &cfg)
             .unwrap_or_else(|e| panic!("{}: supervised strict run failed: {e}", f.name));
         line(&mut out, &format!("{} supervised strict w2", f.name), &p.trace);
 
-        cfg.ingest = IngestConfig::lenient();
-        cfg.profile.estimate_missing = true;
+        let cfg = config(true);
         let plan = FaultPlan::all(46);
-        let damaged = to_raw_events(&plan.inject_logs(&f.run.logs));
-        let monitoring = to_raw_series(&plan.inject_series(&f.run.series), 8);
+        let (damaged, monitoring) = collected_streams(&f.run, Some(&plan));
         let p = characterize_events_supervised(&f.model, &f.rules, &damaged, &monitoring, &cfg)
             .unwrap_or_else(|e| panic!("{}: supervised lenient run failed: {e}", f.name));
         line(&mut out, &format!("{} supervised lenient all w2", f.name), &p.trace);
