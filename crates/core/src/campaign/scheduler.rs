@@ -49,6 +49,10 @@ use super::journal::{FailedMix, Journal, JournalReplay};
 use super::spec::{CampaignSpec, MixSpec};
 use super::store::{atomic_write, MixOutcome, Store};
 
+/// Consecutive claimants a mix may kill (claims abandoned without a
+/// terminal record) before it is quarantined as poisoned.
+const POISON_THRESHOLD: u32 = 3;
+
 /// Which rung of the degradation ladder a mix attempt runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MixMode {
@@ -131,9 +135,6 @@ pub struct CampaignOptions {
     /// it only has to beat clock skew between fleet machines, not react
     /// quickly.
     pub lease_ms: u64,
-    /// Consecutive claimants a mix may kill (claims abandoned without a
-    /// terminal record) before it is quarantined as poisoned.
-    pub poison_threshold: u32,
     /// The longest a worker sleeps between journal polls while every
     /// remaining mix is leased to someone else, or while a joiner waits for
     /// the leader's journal; the sleeps start at 1 ms and grow with the
@@ -165,7 +166,6 @@ impl CampaignOptions {
             width: 1,
             worker: format!("w{}", std::process::id()),
             lease_ms: 30_000,
-            poison_threshold: 3,
             poll_ms: 200,
             retry: RetryPolicy::default(),
             base_mode: MixMode::Strict,
@@ -622,7 +622,7 @@ fn claim_next(shared: &Shared<'_>, me: &str) -> Result<Pick, Grade10Error> {
         replay.claims.remove(hash);
         return Ok(Pick::Progress);
     }
-    if deaths >= shared.opts.poison_threshold {
+    if deaths >= POISON_THRESHOLD {
         // The mix keeps killing whoever claims it; quarantine instead of
         // feeding it another worker.
         journal.record_quarantined(&id, *hash, deaths)?;

@@ -95,13 +95,13 @@ pub fn to_raw_series(series: &[ResourceSeries], downsample: usize) -> Vec<RawSer
         .collect()
 }
 
+/// A run's collected streams: the event stream and the monitoring series.
+pub type Streams = (Vec<RawEvent>, Vec<RawSeries>);
+
 /// What a run's collectors shipped: the bridged event stream and the
 /// monitoring series at the recommended 8× downsampling, with `plan`'s
 /// faults applied to the simulator's output first.
-pub fn collected_streams(
-    sim: &SimOutput,
-    plan: Option<&FaultPlan>,
-) -> (Vec<RawEvent>, Vec<RawSeries>) {
+pub fn collected_streams(sim: &SimOutput, plan: Option<&FaultPlan>) -> Streams {
     match plan {
         None => (to_raw_events(&sim.logs), to_raw_series(&sim.series, 8)),
         Some(plan) => (

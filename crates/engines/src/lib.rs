@@ -27,8 +27,9 @@
 //! tuned/untuned attribution rules. [`bridge`] converts simulator output
 //! into `grade10-core` inputs. [`workload`] wires datasets × algorithms ×
 //! engines into one-call experiment runs, and holds the campaign's mix
-//! runner ([`run_mix`]): spec parsing, the per-thread graph memo, the
-//! stage-cache lookup and the characterization of one mix.
+//! runner ([`run_mix`]): spec parsing, the per-thread graph and
+//! failed-rung memos, the optional stage-cache lookup and the
+//! characterization of one mix.
 
 #![warn(missing_docs)]
 // Library code must classify failures, not abort: unwrap/expect are only

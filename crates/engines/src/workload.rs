@@ -13,8 +13,9 @@
 //! [`run_mix`] is the campaign's mix runner on top of it: a mix's spec
 //! strings parse into a workload and a fault plan ([`mix_workload`]), the
 //! workload simulates on the claimant thread's last graph when it fits,
-//! and the collected streams — from the stage cache when it holds them —
-//! are characterized at the mix's degradation-ladder rung.
+//! and the collected streams — from the rung that failed before, or from
+//! the stage cache when the campaign opened one and it holds them — are
+//! characterized at the mix's degradation-ladder rung.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,7 +33,7 @@ use grade10_graph::algorithms::{bfs, cdlp, lcc, pagerank, pagerank_until, sssp, 
 use grade10_graph::partition::{EdgeCutPartition, VertexCutPartition, WorkMapper};
 use grade10_graph::CsrGraph;
 
-use crate::bridge::{collected_streams, to_raw_events, to_resource_trace};
+use crate::bridge::{collected_streams, to_raw_events, to_resource_trace, Streams};
 use crate::gas::{run_gas, GasConfig, InjectedBug};
 use crate::models::{
     gas_model, gas_resource_model, gas_rules_tuned, gas_rules_untuned, pregel_model,
@@ -473,13 +474,13 @@ pub fn mix_workload(mix: &MixSpec) -> Result<(WorkloadSpec, Option<FaultPlan>), 
 /// full supervision per the rung. The scheduler owns retries and fills the
 /// outcome's identity fields.
 ///
-/// The streams come from the stage cache when it holds the mix's record —
-/// keyed by the identity the result store hashes, `content_string` under
-/// the campaign's code version — and from a simulation otherwise, which
-/// then stores them. This is the only place the cache is consulted: a
-/// ladder that fails strict and retries lenient simulates once. The
-/// simulation runs on the thread's last graph when it fits (the per-thread
-/// graph memo).
+/// The streams are keyed by the identity the result store hashes,
+/// `content_string` under the campaign's code version, and come from the
+/// first source that holds them: the one-slot per-thread memo a failed rung
+/// leaves them in, so a ladder that fails strict and retries lenient
+/// simulates once; the stage cache, when the campaign opened one; a
+/// simulation, which then stores them in that cache. The simulation runs on
+/// the thread's last graph when it fits (the per-thread graph memo).
 pub fn run_mix(
     mix: &MixSpec,
     code_version: &str,
@@ -488,9 +489,11 @@ pub fn run_mix(
 ) -> Result<MixOutcome, Grade10Error> {
     let (spec, plan) = mix_workload(mix).map_err(Grade10Error::Serialization)?;
     let key = mix.content_string(code_version);
-    let (events, monitoring) = match cache.and_then(|c| c.lookup_streams(&key)) {
-        Some(streams) => streams,
-        None => {
+    let (events, monitoring) = FAILED_RUNG
+        .take()
+        .and_then(|(k, streams)| (k == key).then_some(streams))
+        .or_else(|| cache.and_then(|c| c.lookup_streams(&key)))
+        .unwrap_or_else(|| {
             let run = with_graph(spec.dataset, |graph| simulate_workload(&spec, graph));
             MIXES_SIMULATED.fetch_add(1, Ordering::Relaxed);
             let streams = collected_streams(&run.sim, plan.as_ref());
@@ -498,8 +501,7 @@ pub fn run_mix(
                 c.store_streams(&key, &streams.0, &streams.1);
             }
             streams
-        }
-    };
+        });
     let expert = spec.engine.expert_input();
     let cfg = CharacterizationConfig::new(attempt.mode != MixMode::Strict, 10 * MILLIS, None);
     let p = characterize_events_under(
@@ -509,7 +511,8 @@ pub fn run_mix(
         &events,
         &monitoring,
         &cfg,
-    )?;
+    )
+    .inspect_err(|_| FAILED_RUNG.set(Some((key, (events, monitoring)))))?;
     Ok(MixOutcome {
         mix: mix.clone(),
         hash: 0,
@@ -526,6 +529,10 @@ thread_local! {
     /// The input graph this claimant thread generated last, with the
     /// dataset it was generated from.
     static LAST_GRAPH: RefCell<Option<(Dataset, CsrGraph)>> = const { RefCell::new(None) };
+    /// The key and collected streams of the rung that failed last on this
+    /// claimant thread, for the next rung of the same mix. A rung that
+    /// succeeds leaves the slot empty.
+    static FAILED_RUNG: RefCell<Option<(String, Streams)>> = const { RefCell::new(None) };
 }
 
 /// Graphs [`run_mix`] generated and mixes it simulated in this process,

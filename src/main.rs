@@ -16,21 +16,25 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use grade10::cluster::{FaultPlan, SimDuration, SimOutput};
+use grade10::core::cache::StageCache;
 use grade10::core::campaign::{atomic_write, CampaignOptions, CampaignSpec, MixMode, Poll};
 use grade10::core::critical_path::critical_path;
 use grade10::core::model::{ExecutionModel, ModelBundle, RuleSet};
 use grade10::core::obs;
-use grade10::core::Grade10Error;
 use grade10::core::parse::{read_events_json, write_events_json, RawEvent};
 use grade10::core::pipeline::{
     characterize_events_under, characterize_meta, CharacterizationConfig, MetaCharacterization,
 };
-use grade10::core::report::{coverage_table, incident_table, ingest_table, machine_table, render_gantt, render_html_report, self_profile_table, usage_table, GanttConfig, HtmlConfig};
+use grade10::core::report::{
+    coverage_table, incident_table, ingest_table, machine_table, render_gantt, render_html_report,
+    self_profile_table, usage_table, GanttConfig, HtmlConfig,
+};
 use grade10::core::supervise::PartialCharacterization;
 use grade10::core::trace::{
-    ingest_monitoring, read_trace_file, write_trace_file, ExecutionTrace, IngestConfig,
-    IngestMode, RawSeries, ResourceIdx, ResourceTrace, MILLIS,
+    ingest_monitoring, read_trace_file, write_trace_file, ExecutionTrace, IngestConfig, IngestMode,
+    RawSeries, ResourceIdx, ResourceTrace, MILLIS,
 };
+use grade10::core::Grade10Error;
 use grade10::engines::bridge::{collected_streams, to_resource_trace};
 
 /// Count heap allocations per thread so `--self-profile` span records can
@@ -95,9 +99,9 @@ const USAGE: &str = "usage:
                [--threads N] [--self-profile] [--self-export DIR]
   grade10 campaign --spec FILE --dir DIR [--resume] [--threads N]
                    [--lenient] [--workers N] [--lease-ms N] [--worker NAME]
-                   [--cache DIR|--no-cache]
+                   [--cache DIR]
   grade10 campaign --join DIR [--threads N] [--lease-ms N] [--worker NAME]
-                   [--cache DIR|--no-cache]
+                   [--cache DIR]
   grade10 campaign --status DIR
   grade10 export-model --engine giraph|powergraph [-o FILE]
   grade10 analyze --model BUNDLE.json
@@ -127,11 +131,10 @@ directory can add workers with --join DIR (ownership is leased through
 the journal, so SIGKILLed workers are reclaimed by their peers).
 --status DIR prints read-only progress while workers are live.
 
-Each mix's collected streams are kept in a stage cache (default
-DIR/stage-cache; relocate with --cache DIR to share one between
-campaigns, disable with --no-cache), so a mix whose record exists skips
-its simulation and a mix that retries down the ladder simulates once.
-Cached and uncached runs are byte-identical.
+--cache DIR keeps each mix's collected streams in a stage cache that
+campaigns can share, so a mix whose record exists skips its simulation.
+A mix that retries down the ladder simulates once either way. Cached and
+uncached runs are byte-identical.
 
 exit codes:
   0  clean characterization / campaign
@@ -389,15 +392,22 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
     if let Some(dir) = flags.get("--status") {
         return campaign_status_cmd(dir);
     }
-    if flags.contains_key("--join") && flags.contains_key("--resume") {
+    let resume = flags.contains_key("--resume");
+    if flags.contains_key("--join") && resume {
         return Err(CliError::Usage(
             "--join and --resume are mutually exclusive: --resume leads a new epoch over a \
              dead fleet, --join joins a live one"
                 .to_string(),
         ));
     }
+    if flags.contains_key("--lenient") && (resume || flags.contains_key("--join")) {
+        let why = "--lenient is fixed at launch: --resume and --join read it from campaign.json";
+        return Err(CliError::Usage(why.to_string()));
+    }
     // A joiner takes everything from the leader's manifest; a leader
-    // takes the spec file and records the manifest for joiners.
+    // takes the spec file and records the manifest for joiners. A resumed
+    // leader keeps the base mode its manifest records (a directory from
+    // before manifests resumes strict).
     let (spec, dir, manifest_mode, manifest_lease) = if let Some(dir) = flags.get("--join") {
         // The leader writes the manifest right after opening the journal;
         // a joiner spawned alongside it polls for both. The manifest usually
@@ -413,7 +423,10 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
         let spec_path = required(flags, "--spec", "campaign needs --spec FILE")?;
         let dir = required(flags, "--dir", "campaign needs --dir DIR")?;
         let spec = CampaignSpec::load(Path::new(spec_path)).map_err(|e| e.to_string())?;
-        (spec, dir.clone(), None, None)
+        let resumed = resume && Path::new(dir).join("campaign.json").exists();
+        let manifest = resumed.then(|| grade10::core::campaign::load_manifest(Path::new(dir)));
+        let manifest = manifest.transpose().map_err(|e| e.to_string())?;
+        (spec, dir.clone(), manifest.map(|m| m.1), None)
     };
     let mixes = spec.expand();
     // Validate every axis value up front: a typo'd algorithm name should
@@ -423,7 +436,7 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
     }
     let width = grade10::core::config::resolve_threads(threads(flags)?, mixes.len());
     let mut opts = CampaignOptions::new(PathBuf::from(&dir));
-    opts.resume = flags.contains_key("--resume");
+    opts.resume = resume;
     opts.join = flags.contains_key("--join");
     opts.width = width;
     opts.retry = grade10::core::supervise::SuperviseConfig::default().retry;
@@ -432,9 +445,7 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
     } else {
         MixMode::Strict
     });
-    if let Some(lease) = manifest_lease {
-        opts.lease_ms = lease;
-    }
+    opts.lease_ms = manifest_lease.unwrap_or(opts.lease_ms);
     if let Some(lease) = number::<NonZeroU64>(flags, "--lease-ms", "lease")? {
         opts.lease_ms = lease.get();
     }
@@ -469,18 +480,11 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
     );
     // The stage cache keeps each mix's collected streams, so a mix whose
     // record exists skips its simulation (the bulk of a mix) and goes
-    // straight to the pipeline. It lives beside the store by default so a
-    // campaign directory is self-contained; --cache points several
-    // campaigns at one shared cache, --no-cache opts out entirely.
-    let cache = if flags.contains_key("--no-cache") {
-        None
-    } else {
-        let cache_dir = flags
-            .get("--cache")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| Path::new(&dir).join("stage-cache"));
-        Some(grade10::core::cache::StageCache::open(&cache_dir).map_err(|e| e.to_string())?)
-    };
+    // straight to the pipeline. Within one directory the store already
+    // answers every finished mix, so a cache pays only when --cache shares
+    // it between campaigns.
+    let cache = flags.get("--cache").map(|d| StageCache::open(Path::new(d)));
+    let cache = cache.transpose().map_err(|e| e.to_string())?;
     // Peer worker processes join over the shared journal; they poll for
     // the leader's journal, so spawning before run_campaign is safe.
     let children = spawn_peer_workers(&dir, workers, flags)?;
@@ -549,9 +553,6 @@ fn spawn_peer_workers(
             if let Some(v) = flags.get(key) {
                 cmd.arg(key).arg(v);
             }
-        }
-        if flags.contains_key("--no-cache") {
-            cmd.arg("--no-cache");
         }
         let child = cmd
             .stdout(log)
@@ -1013,8 +1014,7 @@ mod tests {
     }
 
     /// The flags that take no value.
-    const SWITCHES: &str =
-        "--gantt --lenient --no-cache --partial --resume --self-profile --work-profile";
+    const SWITCHES: &str = "--gantt --lenient --partial --resume --self-profile --work-profile";
 
     /// Every flag each command accepts.
     const COMMAND_FLAGS: [(&str, &str); 5] = [
@@ -1026,8 +1026,8 @@ mod tests {
         ),
         (
             "campaign",
-            "--cache --dir --join --lease-ms --lenient --no-cache --resume --spec --status \
-             --threads --worker --workers",
+            "--cache --dir --join --lease-ms --lenient --resume --spec --status --threads \
+             --worker --workers",
         ),
         ("export-model", "--engine -o"),
         (

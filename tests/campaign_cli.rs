@@ -687,7 +687,7 @@ fn export_model_bundles_match_their_goldens() {
 
 /// The reports of a campaign whose mixes share input graphs are pinned,
 /// and every way of running it — one or two claimant threads, two worker
-/// processes, no stage cache — reproduces them byte for byte. A graph
+/// processes, a stage cache — reproduces them byte for byte. A graph
 /// reused under the wrong identity (say, the dataset without its seed)
 /// changes a makespan and fails here.
 #[test]
@@ -697,11 +697,13 @@ fn campaign_over_shared_graphs_matches_its_golden_at_any_width() {
     std::fs::create_dir_all(&root).expect("root");
     let spec = root.join("spec.toml");
     std::fs::write(&spec, GRAPHS_SPEC).expect("write spec");
+    let cache = root.join("stage-cache");
+    let cache = cache.to_str().expect("utf-8 path");
     let variants: [(&str, &[&str]); 4] = [
         ("t1", &["--threads", "1"]),
         ("t2", &["--threads", "2"]),
         ("w2", &["--threads", "1", "--workers", "2"]),
-        ("nocache", &["--threads", "1", "--no-cache"]),
+        ("cache", &["--threads", "1", "--cache", cache]),
     ];
     let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
     for (name, args) in variants {
@@ -733,6 +735,83 @@ fn campaign_over_shared_graphs_matches_its_golden_at_any_width() {
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `--resume` keeps the base mode the campaign was launched with, read from
+/// `campaign.json`: a mix reopened because its stored outcome is gone reruns
+/// lenient, so the report stays byte-identical to the uninterrupted one.
+/// `--lenient` beside `--resume` is a usage error, since the mode is fixed
+/// at launch.
+#[test]
+fn resume_keeps_the_launch_base_mode() {
+    let root = tmp("resume-mode");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("root");
+    let spec = root.join("spec.toml");
+    std::fs::write(
+        &spec,
+        "name = \"resume-mode\"\nalgorithms = [\"pr\"]\ndatasets = [\"rmat:6\"]\n\
+         machines = [2]\nseeds = [46, 47]\n",
+    )
+    .expect("write spec");
+    let dir = root.join("run");
+    let campaign = |extra: &[&str]| {
+        grade10()
+            .args(["campaign", "--spec"])
+            .arg(&spec)
+            .arg("--dir")
+            .arg(&dir)
+            .args(["--threads", "1"])
+            .args(extra)
+            .output()
+            .expect("run grade10 campaign")
+    };
+    let reports = || {
+        (
+            std::fs::read(dir.join("report.txt")).expect("report.txt"),
+            std::fs::read(dir.join("report.json")).expect("report.json"),
+        )
+    };
+
+    let launch = campaign(&["--lenient"]);
+    assert!(
+        launch.status.success(),
+        "lenient launch: {}",
+        String::from_utf8_lossy(&launch.stderr)
+    );
+    let want = reports();
+    assert!(
+        String::from_utf8_lossy(&want.0).contains("lenient"),
+        "the launch runs lenient"
+    );
+    let stored = std::fs::read_dir(dir.join("store"))
+        .expect("store")
+        .next()
+        .expect("a stored outcome")
+        .expect("store entry")
+        .path();
+    std::fs::remove_file(stored).expect("delete one stored outcome");
+
+    let resumed = campaign(&["--resume"]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "resume: {stderr}");
+    assert!(
+        stderr.contains("1 executed, 1 cached"),
+        "one mix reopened: {stderr}"
+    );
+    let got = reports();
+    assert!(got.0 == want.0, "report.txt changed across the resume");
+    assert!(got.1 == want.1, "report.json changed across the resume");
+
+    let refused = campaign(&["--resume", "--lenient"]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--lenient is fixed at launch") && stderr.contains("usage:"),
+        "a usage error: {stderr}"
+    );
+    assert!(reports() == want, "the refused resume did no work");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -9,11 +9,13 @@
 //! wherever the behaviour lives in `run_mix`:
 //!
 //! * (a) a warm campaign is all hits, stores nothing, and its reports are
-//!   byte-identical to the cold run's and to a `--no-cache` run's;
+//!   byte-identical to the cold run's and to those of a run without
+//!   `--cache`, which keeps no cache at all;
 //! * (b) streams damaged by every fault class round-trip bit-exactly, so
 //!   every ladder rung sees the same outcome with and without the cache,
 //!   and a record is a binary trace that decodes to the same streams;
-//! * (c) a mix that walks the ladder simulates once;
+//! * (c) a mix that walks the ladder simulates once, with or without a
+//!   cache;
 //! * (d) a truncated, bit-flipped or colliding record is a quarantined
 //!   miss that recomputes to the same report;
 //! * (e) a different code version is a miss.
@@ -57,12 +59,14 @@ struct Campaign {
     stdout: Vec<u8>,
     report_txt: Vec<u8>,
     report_json: Vec<u8>,
-    /// The `stage cache:` stderr line, `None` under `--no-cache`.
+    /// The `stage cache:` stderr line, `None` without `--cache`.
     stats: Option<StageCacheStats>,
+    stderr: String,
 }
 
-/// Runs `grade10 campaign --spec SPEC --dir DIR --threads 1` with either
-/// `--cache CACHE` or `--no-cache`, requiring a clean exit.
+/// Runs `grade10 campaign --spec SPEC --dir DIR --threads 1`, with
+/// `--cache CACHE` when given one, requiring a clean exit. A run without
+/// `--cache` must leave no stage cache behind.
 fn campaign(spec: &Path, dir: &Path, cache: Option<&Path>) -> Campaign {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_grade10"));
     cmd.arg("campaign")
@@ -71,10 +75,9 @@ fn campaign(spec: &Path, dir: &Path, cache: Option<&Path>) -> Campaign {
         .arg("--dir")
         .arg(dir);
     cmd.args(["--threads", "1"]);
-    match cache {
-        Some(c) => cmd.arg("--cache").arg(c),
-        None => cmd.arg("--no-cache"),
-    };
+    if let Some(c) = cache {
+        cmd.arg("--cache").arg(c);
+    }
     let out = cmd.output().expect("run grade10 campaign");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(
@@ -99,11 +102,18 @@ fn campaign(spec: &Path, dir: &Path, cache: Option<&Path>) -> Campaign {
         cache.is_some(),
         "stage cache line: {stderr}"
     );
+    if cache.is_none() {
+        assert!(
+            !dir.join("stage-cache").exists(),
+            "a run without --cache keeps no stage cache"
+        );
+    }
     Campaign {
         stdout: out.stdout,
         report_txt: std::fs::read(dir.join("report.txt")).expect("report.txt"),
         report_json: std::fs::read(dir.join("report.json")).expect("report.json"),
         stats,
+        stderr,
     }
 }
 
@@ -128,7 +138,7 @@ fn record_path(cache: &Path, spec: &Path, i: usize) -> PathBuf {
 
 /// (a) A second campaign into a fresh directory (so the mix-level store
 /// cannot shortcut it) sharing `--cache` is one hit per mix and stores
-/// nothing; cold, warm and `--no-cache` reports are byte-identical.
+/// nothing; cold, warm and uncached reports are byte-identical.
 #[test]
 fn warm_campaign_rerun_hits_fully_and_reproduces_the_report() {
     let root = tdir("warm");
@@ -142,7 +152,7 @@ fn warm_campaign_rerun_hits_fully_and_reproduces_the_report() {
     let plain = campaign(&spec, &root.join("plain"), None);
 
     assert_same_reports(&cold, &warm, "warm vs cold");
-    assert_same_reports(&cold, &plain, "--no-cache vs cold");
+    assert_same_reports(&cold, &plain, "uncached vs cold");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -310,13 +320,14 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
     let plain = campaign(&spec, &root.join("plain"), None);
     assert_eq!(counts(&warm).1, 0, "warm fault matrix must not miss");
     assert_same_reports(&cold, &warm, "fault matrix, warm vs cold");
-    assert_same_reports(&cold, &plain, "fault matrix, --no-cache vs cold");
+    assert_same_reports(&cold, &plain, "fault matrix, uncached vs cold");
     let _ = std::fs::remove_dir_all(&root);
 }
 
 /// (c) A mix whose duplicated records fail the strict rung and pass the
-/// lenient one simulates once: the strict attempt misses and stores, the
-/// lenient attempt hits.
+/// lenient one simulates once, with or without a cache: the failed strict
+/// rung hands its streams to the lenient one in memory. Under `--cache` the
+/// strict attempt misses and stores, and the lenient one never asks.
 #[test]
 fn a_mix_that_walks_the_ladder_simulates_once() {
     let root = tdir("ladder");
@@ -327,13 +338,27 @@ fn a_mix_that_walks_the_ladder_simulates_once() {
         "46",
         "faults = [\"duplicate\"]",
     );
-    let run = campaign(&spec, &root.join("run"), Some(&root.join("cache")));
-    let report = String::from_utf8_lossy(&run.report_json).into_owned();
-    assert!(
-        report.contains("\"mode\":\"lenient\"") || report.contains("\"mode\": \"lenient\""),
-        "the mix must end on the lenient rung: {report}"
+    let cached = campaign(&spec, &root.join("cached"), Some(&root.join("cache")));
+    let plain = campaign(&spec, &root.join("plain"), None);
+    for run in [&cached, &plain] {
+        let report = String::from_utf8_lossy(&run.report_json).into_owned();
+        assert!(
+            report.contains("\"mode\":\"lenient\"") || report.contains("\"mode\": \"lenient\""),
+            "the mix must end on the lenient rung: {report}"
+        );
+        assert!(
+            run.stderr
+                .contains("substrate: 1 graphs generated for 1 simulated mixes"),
+            "one simulation for two attempts: {}",
+            run.stderr
+        );
+    }
+    assert_eq!(
+        counts(&cached),
+        (0, 1, 1),
+        "the memo serves the lenient rung"
     );
-    assert_eq!(counts(&run), (1, 1, 1), "one simulation for two attempts");
+    assert_same_reports(&cached, &plain, "ladder, uncached vs cached");
     let _ = std::fs::remove_dir_all(&root);
 }
 
