@@ -223,7 +223,11 @@ impl JournalReplay {
                         }
                         self.claims.insert(
                             hash,
-                            ClaimState { worker, deadline_ms: lease, at_ms: at },
+                            ClaimState {
+                                worker,
+                                deadline_ms: lease,
+                                at_ms: at,
+                            },
                         );
                     }
                 }
@@ -279,7 +283,14 @@ impl JournalReplay {
                             Some(Value::Str(s)) => s.clone(),
                             _ => "error".to_string(), // v1 records carry no kind
                         };
-                        self.failed.insert(hash, FailedMix { error, attempts, kind: kind_name });
+                        self.failed.insert(
+                            hash,
+                            FailedMix {
+                                error,
+                                attempts,
+                                kind: kind_name,
+                            },
+                        );
                     }
                     "quarantined" => {
                         let claims = uint_field(&entries, "claims").unwrap_or(0) as u32;
@@ -384,7 +395,10 @@ impl Journal {
     /// [`open_join`](Self::open_join), which never truncates what a peer
     /// may still be writing. A missing file degenerates to
     /// [`create`](Self::create) — resuming nothing is a fresh start.
-    pub fn open_resume(path: &Path, campaign: &str) -> Result<(Journal, JournalReplay), Grade10Error> {
+    pub fn open_resume(
+        path: &Path,
+        campaign: &str,
+    ) -> Result<(Journal, JournalReplay), Grade10Error> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -409,7 +423,9 @@ impl Journal {
                 Grade10Error::Io(format!("truncating torn tail of {}: {e}", path.display()))
             })?;
         }
-        let mut journal = Journal { file: open_append(path)? };
+        let mut journal = Journal {
+            file: open_append(path)?,
+        };
         if keep == 0 {
             // Everything (header included) was torn away: re-establish one.
             journal.append(
@@ -434,7 +450,12 @@ impl Journal {
             .map_err(|e| Grade10Error::Io(format!("reading {}: {e}", path.display())))?;
         let mut replay = JournalReplay::default();
         replay.absorb(&bytes, path)?;
-        Ok((Journal { file: open_append(path)? }, replay))
+        Ok((
+            Journal {
+                file: open_append(path)?,
+            },
+            replay,
+        ))
     }
 
     /// Read-only replay for progress inspection (`--status`): no handle is
@@ -526,7 +547,12 @@ impl Journal {
 
     /// Records a durable completion marker (fsync'd; the mix's outcome is
     /// already in the store when this lands).
-    pub fn record_finished(&mut self, mix: &str, hash: u64, attempts: u32) -> Result<(), Grade10Error> {
+    pub fn record_finished(
+        &mut self,
+        mix: &str,
+        hash: u64,
+        attempts: u32,
+    ) -> Result<(), Grade10Error> {
         self.append(
             &[
                 ("record", Value::Str("finished".to_string())),
@@ -634,12 +660,20 @@ mod tests {
         assert!(replay.finished.contains(&1));
         assert_eq!(
             replay.failed.get(&2),
-            Some(&FailedMix { error: "boom".into(), attempts: 3, kind: "panic".into() })
+            Some(&FailedMix {
+                error: "boom".into(),
+                attempts: 3,
+                kind: "panic".into()
+            })
         );
         assert_eq!(replay.interrupted(), BTreeSet::from([3]));
         assert_eq!(
             replay.claims.get(&3),
-            Some(&ClaimState { worker: "w2".into(), deadline_ms: 1_300, at_ms: 300 })
+            Some(&ClaimState {
+                worker: "w2".into(),
+                deadline_ms: 1_300,
+                at_ms: 300
+            })
         );
         assert_eq!(replay.quarantined, 0);
         let _ = std::fs::remove_file(&path);
@@ -702,7 +736,11 @@ mod tests {
         assert!(replay.failed.is_empty(), "failures reopen across epochs");
         assert!(replay.claims.is_empty(), "pre-boundary claims are dead");
         assert_eq!(replay.abandoned.get(&1), Some(&1));
-        assert_eq!(replay.abandoned.get(&2), None, "terminal before the boundary");
+        assert_eq!(
+            replay.abandoned.get(&2),
+            None,
+            "terminal before the boundary"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -713,7 +751,8 @@ mod tests {
         let mut j = Journal::create(&path, "c").expect("create");
         j.record_finished("a", 1, 1).expect("rec");
         // A reclaim race's late duplicate completion changes nothing.
-        j.record_failed("a", 1, "late loser", 3, "error").expect("rec");
+        j.record_failed("a", 1, "late loser", 3, "error")
+            .expect("rec");
         j.record_quarantined("a", 1, 3).expect("rec");
         drop(j);
         let replay = Journal::replay_snapshot(&path).expect("snapshot");
@@ -750,7 +789,10 @@ mod tests {
         // Simulate a SIGKILL mid-append: a record prefix with no newline.
         {
             use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new().append(true).open(&path).expect("open");
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .expect("open");
             f.write_all(b"{\"record\":\"finis").expect("tear");
         }
         // A non-destructive snapshot just ignores the tail.

@@ -41,9 +41,7 @@ use serde::{Serialize as _, Value};
 
 use crate::config::pool_map;
 use crate::error::Grade10Error;
-use crate::supervise::{
-    panic_message, Incident, IncidentKind, IncidentOutcome, RetryPolicy,
-};
+use crate::supervise::{panic_message, Incident, IncidentKind, IncidentOutcome, RetryPolicy};
 
 use super::journal::{FailedMix, Journal, JournalReplay};
 use super::spec::{CampaignSpec, MixSpec};
@@ -209,7 +207,10 @@ impl CampaignRun {
     pub fn is_clean(&self) -> bool {
         !self.interrupted
             && self.incidents.is_empty()
-            && self.outcomes.iter().all(|o| !o.degraded && o.incidents == 0)
+            && self
+                .outcomes
+                .iter()
+                .all(|o| !o.degraded && o.incidents == 0)
     }
 }
 
@@ -343,7 +344,11 @@ where
                 opts.dir.display()
             )));
         }
-        (Journal::create(&journal_path, &spec.name)?, JournalReplay::default(), 0)
+        (
+            Journal::create(&journal_path, &spec.name)?,
+            JournalReplay::default(),
+            0,
+        )
     };
 
     if !opts.join {
@@ -351,7 +356,10 @@ where
         // matrix and the execution knobs without the original spec file.
         let manifest = Value::Object(vec![
             ("spec".to_string(), spec.to_value()),
-            ("base_mode".to_string(), Value::Str(opts.base_mode.name().to_string())),
+            (
+                "base_mode".to_string(),
+                Value::Str(opts.base_mode.name().to_string()),
+            ),
             ("lease_ms".to_string(), Value::UInt(opts.lease_ms)),
         ]);
         let path = opts.dir.join("campaign.json");
@@ -383,7 +391,13 @@ where
         r?;
     }
 
-    let Shared { state, local, interrupted, executed, .. } = shared;
+    let Shared {
+        state,
+        local,
+        interrupted,
+        executed,
+        ..
+    } = shared;
     let mut st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
     Journal::refresh(&journal_path, &mut st.replay)?;
     let local = local.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -679,7 +693,9 @@ where
                     }
                 }
                 let mut st = lock(&shared.state);
-                let _ = st.journal.record_renewed(*hash, me, now_ms() + opts.lease_ms);
+                let _ = st
+                    .journal
+                    .record_renewed(*hash, me, now_ms() + opts.lease_ms);
             }
         });
         let r = run_ladder(shared, mix, *hash, &id, runner);
@@ -749,8 +765,13 @@ where
     let err = last_err
         .unwrap_or_else(|| Grade10Error::StagePanicked("mix produced no result".to_string()));
     let mut st = lock(&shared.state);
-    st.journal
-        .record_failed(id, hash, &err.to_string(), attempts_made, IncidentKind::of(&err).name())?;
+    st.journal.record_failed(
+        id,
+        hash,
+        &err.to_string(),
+        attempts_made,
+        IncidentKind::of(&err).name(),
+    )?;
     drop(st);
     shared.executed.fetch_add(1, Ordering::SeqCst);
     Ok(())
@@ -987,15 +1008,29 @@ mod tests {
         .expect("run");
         // Four graphs in ascending (dataset, seed), four mixes each, and
         // within a graph matrix order.
-        let graphs = [("rmat:6", 46), ("rmat:6", 47), ("social:500", 46), ("social:500", 47)];
-        let cells = [("pr", "giraph"), ("pr", "powergraph"), ("bfs", "giraph"), ("bfs", "powergraph")];
+        let graphs = [
+            ("rmat:6", 46),
+            ("rmat:6", 47),
+            ("social:500", 46),
+            ("social:500", 47),
+        ];
+        let cells = [
+            ("pr", "giraph"),
+            ("pr", "powergraph"),
+            ("bfs", "giraph"),
+            ("bfs", "powergraph"),
+        ];
         let mut grouped = Vec::new();
         for (ds, seed) in graphs {
             for (alg, eng) in cells {
                 grouped.push(format!("{alg}-{ds}-{eng}-m2-s{seed}-none"));
             }
         }
-        assert_eq!(calls.into_inner().unwrap(), grouped, "claimed by (dataset, seed)");
+        assert_eq!(
+            calls.into_inner().unwrap(),
+            grouped,
+            "claimed by (dataset, seed)"
+        );
         let reported: Vec<MixSpec> = run.outcomes.iter().map(|o| o.mix.clone()).collect();
         assert_eq!(reported, sp.expand(), "outcomes stay in matrix order");
         let _ = std::fs::remove_dir_all(&o.dir);
@@ -1118,10 +1153,12 @@ mod tests {
             let path = o.dir.join("journal.jsonl");
             let mut j = Journal::create(&path, &sp.name).expect("create");
             for _ in 0..2 {
-                j.record_claimed(&victim.id(), hash, "dead", 1, 2).expect("claim");
+                j.record_claimed(&victim.id(), hash, "dead", 1, 2)
+                    .expect("claim");
                 j.record_launch("next").expect("launch");
             }
-            j.record_claimed(&victim.id(), hash, "dead", 1, 2).expect("claim");
+            j.record_claimed(&victim.id(), hash, "dead", 1, 2)
+                .expect("claim");
         }
         let mut o2 = o.clone();
         o2.resume = true;

@@ -9,7 +9,7 @@
 //! comments, multi-line arrays); tables and dotted keys are rejected with
 //! an explicit error rather than silently misread.
 
-use serde::{Deserialize, DeError, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::config::CODE_VERSION;
 use crate::error::Grade10Error;
@@ -214,7 +214,10 @@ fn parse_toml_subset(contents: &str) -> Result<Value, Grade10Error> {
             ));
         }
         let Some(eq) = line.find('=') else {
-            return Err(err(line_no, format!("expected `key = value`, got `{line}`")));
+            return Err(err(
+                line_no,
+                format!("expected `key = value`, got `{line}`"),
+            ));
         };
         let key = line[..eq].trim();
         if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
@@ -331,7 +334,9 @@ fn parse_toml_scalar(text: &str) -> Result<Value, String> {
     if let Ok(i) = text.parse::<i64>() {
         return Ok(Value::Int(i));
     }
-    Err(format!("unsupported scalar `{text}` (expected string, integer, or boolean)"))
+    Err(format!(
+        "unsupported scalar `{text}` (expected string, integer, or boolean)"
+    ))
 }
 
 #[cfg(test)]

@@ -226,9 +226,11 @@ mod tests {
         atomic_write(&path, b"second").expect("rewrite");
         assert_eq!(std::fs::read(&path).expect("read"), b"second");
         assert!(
-            std::fs::read_dir(&dir)
-                .expect("ls")
-                .all(|e| !e.expect("entry").file_name().to_string_lossy().ends_with(".tmp")),
+            std::fs::read_dir(&dir).expect("ls").all(|e| !e
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .ends_with(".tmp")),
             "no temp droppings"
         );
         let _ = std::fs::remove_dir_all(&dir);

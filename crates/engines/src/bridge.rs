@@ -52,12 +52,7 @@ pub fn to_resource_trace(series: &[ResourceSeries], downsample: usize) -> Resour
             machine: Some(coarse.spec.machine),
             capacity: coarse.spec.capacity,
         });
-        rt.add_series(
-            idx,
-            0,
-            coarse.interval.as_nanos(),
-            &coarse.samples,
-        );
+        rt.add_series(idx, 0, coarse.interval.as_nanos(), &coarse.samples);
     }
     rt
 }
@@ -142,7 +137,10 @@ mod tests {
         assert_eq!(raw[0].time, 5);
         match &raw[0].kind {
             RawEventKind::PhaseStart { path } => {
-                assert_eq!(path, &vec![("job".to_string(), 0), ("superstep".to_string(), 3)]);
+                assert_eq!(
+                    path,
+                    &vec![("job".to_string(), 0), ("superstep".to_string(), 3)]
+                );
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -175,21 +175,14 @@ impl Algorithm {
     pub fn run<M: WorkMapper>(&self, graph: &CsrGraph, mapper: &M) -> WorkProfile {
         match *self {
             Algorithm::Bfs { root } => bfs(graph, mapper, root).profile,
-            Algorithm::PageRank { iterations } => {
-                pagerank(graph, mapper, iterations, 0.85).profile
-            }
+            Algorithm::PageRank { iterations } => pagerank(graph, mapper, iterations, 0.85).profile,
             Algorithm::Wcc => wcc(graph, mapper).profile,
             Algorithm::Cdlp { iterations } => cdlp(graph, mapper, iterations).profile,
             Algorithm::Sssp { root } => sssp(graph, mapper, root).profile,
             Algorithm::Lcc => lcc(graph, mapper).profile,
-            Algorithm::PageRankConverge { epsilon_millionths } => pagerank_until(
-                graph,
-                mapper,
-                epsilon_millionths as f64 / 1e6,
-                100,
-                0.85,
-            )
-            .profile,
+            Algorithm::PageRankConverge { epsilon_millionths } => {
+                pagerank_until(graph, mapper, epsilon_millionths as f64 / 1e6, 100, 0.85).profile
+            }
         }
     }
 }

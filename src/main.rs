@@ -284,7 +284,12 @@ fn demo(flags: &Flags) -> Result<RunStatus, CliError> {
     if flags.contains_key("--work-profile") {
         println!("workload iteration profile (whole cluster):");
         let mut t = grade10::core::report::Table::new(&[
-            "iter", "active", "edges", "local msgs", "remote msgs", "balance",
+            "iter",
+            "active",
+            "edges",
+            "local msgs",
+            "remote msgs",
+            "balance",
         ]);
         for (i, active, edges, local, remote, balance) in run.work.iteration_rows() {
             t.row(&[
@@ -669,7 +674,10 @@ fn print_supervision(p: &PartialCharacterization) {
 /// supervision layer used by `--partial`; `--threads` pins the width of
 /// the run's worker pool (beating `GRADE10_THREADS`, which beats the
 /// machine size).
-fn characterization_config(flags: &Flags, slice_ms: u64) -> Result<CharacterizationConfig, CliError> {
+fn characterization_config(
+    flags: &Flags,
+    slice_ms: u64,
+) -> Result<CharacterizationConfig, CliError> {
     let deadline = number(flags, "--deadline-ms", "deadline")?;
     let max_retries = number(flags, "--max-retries", "retry count")?;
     let lenient = flags.contains_key("--lenient");
@@ -793,16 +801,17 @@ fn analyze(flags: &Flags) -> Result<RunStatus, CliError> {
             // An explicit monitoring file overrides the embedded section.
             Some(rp) => read_resources(rp)?,
             None => bt.resources.ok_or_else(|| {
-                format!(
-                    "{trace_path} has no monitoring section; pass --resources RESOURCES.json"
-                )
+                format!("{trace_path} has no monitoring section; pass --resources RESOURCES.json")
             })?,
         };
         (bt.events, resources)
     } else {
         let events_path = required(flags, "--events", "analyze needs --events (or --trace)")?;
-        let resources_path =
-            required(flags, "--resources", "analyze needs --resources (or --trace)")?;
+        let resources_path = required(
+            flags,
+            "--resources",
+            "analyze needs --resources (or --trace)",
+        )?;
         (read_events(events_path)?, read_resources(resources_path)?)
     };
 

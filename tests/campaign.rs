@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use grade10::core::campaign::{
-    campaign_status, run_campaign, CampaignOptions, CampaignRun, CampaignSpec, Journal,
-    MixAttempt, MixOutcome, MixSpec,
+    campaign_status, run_campaign, CampaignOptions, CampaignRun, CampaignSpec, Journal, MixAttempt,
+    MixOutcome, MixSpec,
 };
 use grade10::core::error::Grade10Error;
 use grade10::core::supervise::IncidentKind;
@@ -211,7 +211,10 @@ fn bumping_the_code_version_invalidates_every_stored_outcome() {
     bumped.code_version = "t2".into();
     o.resume = true;
     let second = run_campaign(&bumped, &o, fake_runner).expect("resume with bumped version");
-    assert_eq!(second.executed, 6, "no stale outcome survives a version bump");
+    assert_eq!(
+        second.executed, 6,
+        "no stale outcome survives a version bump"
+    );
     assert_eq!(second.cached, 0);
     let _ = std::fs::remove_dir_all(&o.dir);
 }
@@ -240,7 +243,13 @@ fn joiner_waits_out_a_live_lease_then_reclaims_the_abandoned_mix() {
         // A ghost worker claimed the first mix and died without a terminal
         // record; its lease has 600 ms left to run.
         journal
-            .record_claimed(&ghost_mix.id(), ghost_hash, "ghost", now_ms(), now_ms() + 600)
+            .record_claimed(
+                &ghost_mix.id(),
+                ghost_hash,
+                "ghost",
+                now_ms(),
+                now_ms() + 600,
+            )
             .expect("ghost claim");
     }
     o.join = true;
@@ -253,7 +262,10 @@ fn joiner_waits_out_a_live_lease_then_reclaims_the_abandoned_mix() {
         "the joiner must not claim over a live lease"
     );
     assert!(run.is_clean());
-    assert_eq!(run.executed, 6, "the ghost's mix re-ran after its lease expired");
+    assert_eq!(
+        run.executed, 6,
+        "the ghost's mix re-ran after its lease expired"
+    );
     assert_eq!(run.report_text, reference.report_text);
     assert_eq!(run.report_json, reference.report_json);
     let _ = std::fs::remove_dir_all(&o.dir);
@@ -382,12 +394,22 @@ fn a_mix_that_kills_three_claimants_is_quarantined_not_rerun() {
         fake_runner(mix, a)
     })
     .expect("campaign survives a poisoned mix");
-    assert!(!run.is_clean(), "a quarantined mix makes the campaign partial");
-    assert_eq!(run.outcomes.len(), 5, "the other five mixes are characterized");
+    assert!(
+        !run.is_clean(),
+        "a quarantined mix makes the campaign partial"
+    );
+    assert_eq!(
+        run.outcomes.len(),
+        5,
+        "the other five mixes are characterized"
+    );
     assert_eq!(run.incidents.len(), 1);
     let incident = &run.incidents[0];
     assert_eq!(incident.kind, IncidentKind::Poisoned);
-    assert_eq!(incident.attempts, 3, "the incident counts the dead claimants");
+    assert_eq!(
+        incident.attempts, 3,
+        "the incident counts the dead claimants"
+    );
     assert!(
         run.report_text.contains("poisoned"),
         "the ranked report names the quarantine:\n{}",
@@ -415,7 +437,11 @@ fn transient_failure_is_retried_with_backoff_and_recovers() {
         fake_runner(mix, a)
     })
     .expect("run");
-    assert_eq!(attempts_seen.load(Ordering::SeqCst), 1, "failed exactly once");
+    assert_eq!(
+        attempts_seen.load(Ordering::SeqCst),
+        1,
+        "failed exactly once"
+    );
     assert!(run.incidents.is_empty(), "retry absorbed the crash");
     let recovered = run
         .outcomes

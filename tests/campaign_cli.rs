@@ -152,8 +152,14 @@ fn sigkill_mid_campaign_resumes_to_an_identical_report() {
     );
     let got_txt = std::fs::read(kill_dir.join("report.txt")).expect("resumed report.txt");
     let got_json = std::fs::read(kill_dir.join("report.json")).expect("resumed report.json");
-    assert_eq!(got_txt, want_txt, "text report byte-identical after kill+resume");
-    assert_eq!(got_json, want_json, "json report byte-identical after kill+resume");
+    assert_eq!(
+        got_txt, want_txt,
+        "text report byte-identical after kill+resume"
+    );
+    assert_eq!(
+        got_json, want_json,
+        "json report byte-identical after kill+resume"
+    );
 
     // The resumed stderr accounting shows the cache actually served mixes
     // (unless the process won the race and finished everything itself).
@@ -212,7 +218,8 @@ fn multi_worker_fleet_survives_sigkills_and_reproduces_the_reference_report() {
         String::from_utf8_lossy(&out.stderr)
     );
     let want_txt = std::fs::read(reference_dir.join("report.txt")).expect("reference report.txt");
-    let want_json = std::fs::read(reference_dir.join("report.json")).expect("reference report.json");
+    let want_json =
+        std::fs::read(reference_dir.join("report.json")).expect("reference report.json");
 
     // Width 3 via --workers, unkilled: the leader spawns two peers and
     // waits for them.
@@ -455,7 +462,14 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
     // 2: a supervised run with incidents still exits partial after the
     // subcommand dispatch gained the campaign arm.
     let partial = grade10()
-        .args(["demo", "--partial", "--inject", "hostile", "--dataset", "rmat:6"])
+        .args([
+            "demo",
+            "--partial",
+            "--inject",
+            "hostile",
+            "--dataset",
+            "rmat:6",
+        ])
         .output()
         .expect("run demo --partial");
     assert_eq!(
@@ -467,9 +481,17 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
 
     // 1: fatal usage and spec errors.
     let missing_spec = run_campaign(&root.join("nope.toml"), &root.join("x"), false);
-    assert_eq!(missing_spec.status.code(), Some(1), "unreadable spec is fatal");
+    assert_eq!(
+        missing_spec.status.code(),
+        Some(1),
+        "unreadable spec is fatal"
+    );
     let no_args = grade10().arg("campaign").output().expect("run");
-    assert_eq!(no_args.status.code(), Some(1), "missing --spec/--dir is fatal");
+    assert_eq!(
+        no_args.status.code(),
+        Some(1),
+        "missing --spec/--dir is fatal"
+    );
     let bad_spec = root.join("bad.toml");
     std::fs::write(&bad_spec, "name = \"x\"\nalgorithms = [\"pr\"]\n").expect("write");
     let bad = run_campaign(&bad_spec, &root.join("y"), false);
@@ -488,10 +510,34 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
     let typo_dir_arg = typo_dir.to_str().expect("utf-8 path");
     let typos: [&[&str]; 6] = [
         &["demo", "--dataset", "rmat:6", "--fault-sed", "3"],
-        &["campaign", "--spec", spec_arg, "--dir", typo_dir_arg, "--thread", "2"],
+        &[
+            "campaign",
+            "--spec",
+            spec_arg,
+            "--dir",
+            typo_dir_arg,
+            "--thread",
+            "2",
+        ],
         &["export-model", "--engine", "giraph", "--no-such-flag", "7"],
-        &["analyze", "--model", "m.json", "--trace", "t.g10t", "--slices-ms", "5"],
-        &["convert", "--events", "e.jsonl", "-o", "t.g10t", "--resource", "r.json"],
+        &[
+            "analyze",
+            "--model",
+            "m.json",
+            "--trace",
+            "t.g10t",
+            "--slices-ms",
+            "5",
+        ],
+        &[
+            "convert",
+            "--events",
+            "e.jsonl",
+            "-o",
+            "t.g10t",
+            "--resource",
+            "r.json",
+        ],
         &["export-model", "--engine", "giraph", "--lenient"],
     ];
     for args in typos {
@@ -511,8 +557,24 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
     let knobs: [&[&str]; 4] = [
         &["demo", "--dataset", "rmat:6", "--deadline-ms", "1"],
         &["demo", "--dataset", "rmat:6", "--max-retries", "0"],
-        &["analyze", "--model", "m.json", "--trace", "t.g10t", "--deadline-ms", "1"],
-        &["analyze", "--model", "m.json", "--trace", "t.g10t", "--max-retries", "0"],
+        &[
+            "analyze",
+            "--model",
+            "m.json",
+            "--trace",
+            "t.g10t",
+            "--deadline-ms",
+            "1",
+        ],
+        &[
+            "analyze",
+            "--model",
+            "m.json",
+            "--trace",
+            "t.g10t",
+            "--max-retries",
+            "0",
+        ],
     ];
     for args in knobs {
         let out = grade10().args(args).output().expect("run grade10");
@@ -639,10 +701,16 @@ fn lenient_hint_names_only_strict_input_damage() {
     let run = |args: &[&str]| grade10().args(args).output().expect("run grade10");
     let dir = root.to_str().expect("utf-8 path");
     let exported = run(&["demo", "--dataset", "rmat:6", "--export-logs", dir]);
-    assert!(exported.status.success(), "{}", String::from_utf8_lossy(&exported.stderr));
+    assert!(
+        exported.status.success(),
+        "{}",
+        String::from_utf8_lossy(&exported.stderr)
+    );
     let model = root.join("model.json");
     let model = model.to_str().expect("utf-8 path");
-    assert!(run(&["export-model", "--engine", "giraph", "-o", model]).status.success());
+    assert!(run(&["export-model", "--engine", "giraph", "-o", model])
+        .status
+        .success());
     // A shipper that re-sent the first record at the end: out of order.
     let events = root.join("events.jsonl");
     let text = std::fs::read_to_string(&events).expect("read events");
@@ -655,15 +723,28 @@ fn lenient_hint_names_only_strict_input_damage() {
     let strict = run(&[&analyze[..], &resources[..]].concat());
     let stderr = String::from_utf8_lossy(&strict.stderr);
     assert_eq!(strict.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("malformed log") && stderr.contains(HINT), "{stderr}");
+    assert!(
+        stderr.contains("malformed log") && stderr.contains(HINT),
+        "{stderr}"
+    );
 
     // A zero deadline fails every attempt, `ingest/assemble` included:
     // fatal, but no repair would help.
-    let knobs = ["--lenient", "--partial", "--deadline-ms", "0", "--max-retries", "0"];
+    let knobs = [
+        "--lenient",
+        "--partial",
+        "--deadline-ms",
+        "0",
+        "--max-retries",
+        "0",
+    ];
     let late = run(&[&["demo", "--dataset", "rmat:6"][..], &knobs[..]].concat());
     let stderr = String::from_utf8_lossy(&late.stderr);
     assert_eq!(late.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("deadline exceeded") && !stderr.contains(HINT), "{stderr}");
+    assert!(
+        stderr.contains("deadline exceeded") && !stderr.contains(HINT),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -730,8 +811,14 @@ fn campaign_over_shared_graphs_matches_its_golden_at_any_width() {
                 reference = Some((txt, json));
             }
             Some((want_txt, want_json)) => {
-                assert!(&txt == want_txt, "{name}: report.txt differs from --threads 1");
-                assert!(&json == want_json, "{name}: report.json differs from --threads 1");
+                assert!(
+                    &txt == want_txt,
+                    "{name}: report.txt differs from --threads 1"
+                );
+                assert!(
+                    &json == want_json,
+                    "{name}: report.json differs from --threads 1"
+                );
             }
         }
     }
@@ -828,7 +915,11 @@ fn campaign_validates_every_mix_before_running_any() {
     .expect("write spec");
     let dir = root.join("run");
     let out = run_campaign(&spec, &dir, false);
-    assert_eq!(out.status.code(), Some(1), "unknown algorithm is fatal up front");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "unknown algorithm is fatal up front"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("zork"), "error names the bad mix: {stderr}");
     assert!(
