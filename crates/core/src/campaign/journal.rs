@@ -57,8 +57,6 @@ pub struct ClaimState {
     pub worker: String,
     /// Lease deadline, ms since the Unix epoch (renewals extend it).
     pub deadline_ms: u64,
-    /// When the claim was appended, ms since the Unix epoch.
-    pub at_ms: u64,
 }
 
 /// One permanently failed mix, as reconstructed from the journal. Carries
@@ -226,7 +224,6 @@ impl JournalReplay {
                             ClaimState {
                                 worker,
                                 deadline_ms: lease,
-                                at_ms: at,
                             },
                         );
                     }
@@ -672,7 +669,6 @@ mod tests {
             Some(&ClaimState {
                 worker: "w2".into(),
                 deadline_ms: 1_300,
-                at_ms: 300
             })
         );
         assert_eq!(replay.quarantined, 0);

@@ -38,10 +38,6 @@ mod store;
 // `campaign::CODE_VERSION`.
 pub use crate::config::CODE_VERSION;
 
-// Re-exported from the shared hash module for backwards compatibility;
-// the implementation lives in [`crate::hash`] so other subsystems (the
-// binary trace format's section checksums) share one FNV-1a.
-pub use crate::hash::{fnv1a, fnv1a_extend};
 pub use journal::{
     ClaimState, FailedMix, Journal, JournalReplay, JOURNAL_FORMAT_VERSION,
     MIN_JOURNAL_FORMAT_VERSION,

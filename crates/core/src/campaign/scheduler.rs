@@ -131,15 +131,17 @@ pub struct CampaignOptions {
     /// Lease duration: a claim not renewed within this window is
     /// presumed dead and reclaimable. Coarse (default 30s) on purpose —
     /// it only has to beat clock skew between fleet machines, not react
-    /// quickly.
+    /// quickly. One lease per fleet: the leader records it in
+    /// `campaign.json` and every joiner reads it from there, because a
+    /// holder heartbeats at its own lease/3 while an observer tolerates
+    /// skew of its own lease/3, so mixed leases could steal a live claim.
     pub lease_ms: u64,
     /// The longest a worker sleeps between journal polls while every
     /// remaining mix is leased to someone else, or while a joiner waits for
     /// the leader's journal; the sleeps start at 1 ms and grow with the
     /// time spent waiting.
     pub poll_ms: u64,
-    /// Per-mix retry/backoff policy (normally copied from
-    /// [`SuperviseConfig::retry`](crate::supervise::SuperviseConfig)).
+    /// Per-mix retry/backoff policy (default [`RetryPolicy::default`]).
     pub retry: RetryPolicy,
     /// Ladder rung attempt 0 runs at.
     pub base_mode: MixMode,
@@ -777,11 +779,13 @@ where
     Ok(())
 }
 
-/// The campaign manifest (`campaign.json`) a leader writes: everything a
-/// joining worker or `--status` needs to reconstruct the matrix without
-/// the original spec file.
+/// The launch record (`campaign.json`) a leader writes for each epoch:
+/// the spec, the base mode and the lease. Joiners and `--status`
+/// reconstruct the matrix from it without the original spec file, and a
+/// resumed leader keeps its base mode and lease.
 pub fn load_manifest(dir: &Path) -> Result<(CampaignSpec, MixMode, u64), Grade10Error> {
     let path = dir.join("campaign.json");
+    let bad = |what: &str| Grade10Error::Serialization(format!("{}: {what}", path.display()));
     let text = std::fs::read_to_string(&path).map_err(|e| {
         Grade10Error::Io(format!(
             "reading {}: {e}; was a campaign started in this directory?",
@@ -790,24 +794,21 @@ pub fn load_manifest(dir: &Path) -> Result<(CampaignSpec, MixMode, u64), Grade10
     })?;
     let value: Value = serde_json::from_str(&text)?;
     let Value::Object(entries) = &value else {
-        return Err(Grade10Error::Serialization(format!(
-            "{}: manifest is not an object",
-            path.display()
-        )));
+        return Err(bad("manifest is not an object"));
     };
     let get = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let spec = CampaignSpec::from_value(get("spec").ok_or_else(|| {
-        Grade10Error::Serialization(format!("{}: manifest has no `spec`", path.display()))
-    })?)?;
+    let spec = CampaignSpec::from_value(get("spec").ok_or_else(|| bad("manifest has no `spec`"))?)?;
     let base_mode = match get("base_mode") {
-        Some(Value::Str(s)) => MixMode::from_name(s).ok_or_else(|| {
-            Grade10Error::Serialization(format!("{}: unknown base mode `{s}`", path.display()))
-        })?,
+        Some(Value::Str(s)) => {
+            MixMode::from_name(s).ok_or_else(|| bad(&format!("unknown base mode `{s}`")))?
+        }
         _ => MixMode::Strict,
     };
+    // A zero lease would expire every claim the moment it is made.
     let lease_ms = match get("lease_ms") {
-        Some(Value::UInt(n)) => *n,
-        _ => 30_000,
+        Some(Value::UInt(n)) if *n >= 1 => *n,
+        None => 30_000,
+        Some(_) => return Err(bad("`lease_ms` is not a whole number >= 1")),
     };
     Ok((spec, base_mode, lease_ms))
 }
@@ -1224,6 +1225,46 @@ mod tests {
         assert_eq!(loaded, spec());
         assert_eq!(base, MixMode::Strict);
         assert_eq!(lease, 30_000);
+        let _ = std::fs::remove_dir_all(&o.dir);
+    }
+
+    /// The launch record's decoder under damage: every truncation and 300
+    /// single-bit flips of a real `campaign.json` load or fail with a
+    /// classified error, never a panic, and a zero lease is refused.
+    #[test]
+    fn damaged_manifests_load_or_fail_cleanly() {
+        use rand::{Rng, SeedableRng};
+        let o = opts("manifest-fuzz");
+        let _ = std::fs::remove_dir_all(&o.dir);
+        run_campaign(&spec(), &o, fake_runner).expect("run");
+        let path = o.dir.join("campaign.json");
+        let good = std::fs::read(&path).expect("manifest");
+        let loads = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("write manifest");
+            match load_manifest(&o.dir) {
+                Ok(_) => true,
+                Err(Grade10Error::Serialization(_) | Grade10Error::Io(_)) => false,
+                Err(e) => panic!("unclassified manifest error: {e:?}"),
+            }
+        };
+        for cut in 0..good.len() {
+            assert!(!loads(&good[..cut]), "a {cut}-byte prefix loaded");
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x6a5);
+        for _ in 0..300 {
+            let mut bytes = good.clone();
+            bytes[rng.gen_range(0..good.len())] ^= 1 << rng.gen_range(0..8);
+            loads(&bytes);
+        }
+        let text = String::from_utf8(good).expect("utf-8 manifest");
+        let zero = text.replace("\"lease_ms\": 30000", "\"lease_ms\": 0");
+        assert_ne!(zero, text, "the manifest records its lease");
+        std::fs::write(&path, zero).expect("write manifest");
+        let err = load_manifest(&o.dir).expect_err("a zero lease is refused");
+        assert!(
+            matches!(&err, Grade10Error::Serialization(m) if m.contains("lease_ms")),
+            "{err:?}"
+        );
         let _ = std::fs::remove_dir_all(&o.dir);
     }
 }

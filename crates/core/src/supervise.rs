@@ -119,12 +119,14 @@ pub struct SuperviseConfig {
     /// [`crate::config::resolve_threads`]. A run reached on a pool worker
     /// (a campaign mix) runs its units inline: pools never nest.
     pub threads: Option<usize>,
-    /// Retry/backoff policy for *whole-mix* re-execution under the
-    /// campaign envelope (see [`crate::campaign`]). Unit-level retries
-    /// inside one characterization are governed by
-    /// [`max_retries`](Self::max_retries); this policy governs how a
-    /// campaign re-launches an entire failed mix before recording it as
-    /// an [`Incident`].
+    /// Unused: nothing in `core` or the binary reads this field. The
+    /// campaign's whole-mix retry policy is
+    /// [`CampaignOptions::retry`](crate::campaign::CampaignOptions::retry),
+    /// which defaults to the same [`RetryPolicy::default`]; unit-level
+    /// retries inside one characterization are governed by
+    /// [`max_retries`](Self::max_retries). The field is kept only because
+    /// the frozen benchmark sources still read it, and goes when a
+    /// `benchmark` PR drops that read.
     pub retry: RetryPolicy,
     /// Unused: nothing in `core` reads this field any more. The stage
     /// cache holds one streams record per campaign mix and is consulted

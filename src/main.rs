@@ -13,6 +13,7 @@ use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use grade10::cluster::{FaultPlan, SimDuration, SimOutput};
@@ -100,8 +101,7 @@ const USAGE: &str = "usage:
   grade10 campaign --spec FILE --dir DIR [--resume] [--threads N]
                    [--lenient] [--workers N] [--lease-ms N] [--worker NAME]
                    [--cache DIR]
-  grade10 campaign --join DIR [--threads N] [--lease-ms N] [--worker NAME]
-                   [--cache DIR]
+  grade10 campaign --join DIR [--threads N] [--worker NAME] [--cache DIR]
   grade10 campaign --status DIR
   grade10 export-model --engine giraph|powergraph [-o FILE]
   grade10 analyze --model BUNDLE.json
@@ -128,8 +128,11 @@ and a killed campaign resumes with --resume without recomputing finished
 mixes or changing a byte of the final report. --workers N drains the
 matrix with N cooperating processes; any machine sharing the campaign
 directory can add workers with --join DIR (ownership is leased through
-the journal, so SIGKILLed workers are reclaimed by their peers).
---status DIR prints read-only progress while workers are live.
+the journal, so SIGKILLed workers are reclaimed by their peers). The
+spec, --lenient and --lease-ms are fixed at launch in DIR/campaign.json:
+--join reads all three, --resume the mode and the lease (which
+--resume --lease-ms N replaces). --status DIR prints read-only progress
+while workers are live.
 
 --cache DIR keeps each mix's collected streams in a stage cache that
 campaigns can share, so a mix whose record exists skips its simulation.
@@ -398,41 +401,71 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
         return campaign_status_cmd(dir);
     }
     let resume = flags.contains_key("--resume");
-    if flags.contains_key("--join") && resume {
+    let join = flags.get("--join");
+    if join.is_some() && resume {
         return Err(CliError::Usage(
             "--join and --resume are mutually exclusive: --resume leads a new epoch over a \
              dead fleet, --join joins a live one"
                 .to_string(),
         ));
     }
-    if flags.contains_key("--lenient") && (resume || flags.contains_key("--join")) {
-        let why = "--lenient is fixed at launch: --resume and --join read it from campaign.json";
-        return Err(CliError::Usage(why.to_string()));
+    // campaign.json fixes the base mode and the lease at launch: --join
+    // reads both, --resume reads the mode and may set a new lease.
+    let fixed = [
+        ("--lenient", resume || join.is_some()),
+        ("--lease-ms", join.is_some()),
+    ];
+    if let Some((key, _)) = fixed.iter().find(|&&(k, f)| f && flags.contains_key(k)) {
+        let by = if resume { "--resume" } else { "--join" };
+        let why = format!("{key} is fixed at launch: {by} reads it from campaign.json");
+        return Err(CliError::Usage(why));
     }
-    // A joiner takes everything from the leader's manifest; a leader
-    // takes the spec file and records the manifest for joiners. A resumed
-    // leader keeps the base mode its manifest records (a directory from
-    // before manifests resumes strict).
-    let (spec, dir, manifest_mode, manifest_lease) = if let Some(dir) = flags.get("--join") {
-        // The leader writes the manifest right after opening the journal;
-        // a joiner spawned alongside it polls for both. The manifest usually
-        // lands a few milliseconds after the spawn, so the naps stay short
-        // (at most 50 ms): a flat 50 ms nap delayed the joiner's first claim
-        // by that much whenever it looked too early.
-        let manifest = Path::new(dir).join("campaign.json");
-        Poll::new(Duration::from_millis(50)).until(|| manifest.exists());
-        let (spec, base, lease) =
-            grade10::core::campaign::load_manifest(Path::new(dir)).map_err(|e| e.to_string())?;
-        (spec, dir.clone(), Some(base), Some(lease))
-    } else {
-        let spec_path = required(flags, "--spec", "campaign needs --spec FILE")?;
-        let dir = required(flags, "--dir", "campaign needs --dir DIR")?;
-        let spec = CampaignSpec::load(Path::new(spec_path)).map_err(|e| e.to_string())?;
-        let resumed = resume && Path::new(dir).join("campaign.json").exists();
-        let manifest = resumed.then(|| grade10::core::campaign::load_manifest(Path::new(dir)));
-        let manifest = manifest.transpose().map_err(|e| e.to_string())?;
-        (spec, dir.clone(), manifest.map(|m| m.1), None)
+    let workers =
+        number::<NonZeroUsize>(flags, "--workers", "worker count")?.map_or(1, NonZeroUsize::get);
+    if workers > 1 && join.is_some() {
+        return Err(CliError::Usage(
+            "--workers spawns joiners; a --join process is already one".to_string(),
+        ));
+    }
+    let (spec, dir) = match join {
+        Some(dir) => (None, dir),
+        None => {
+            let spec_path = required(flags, "--spec", "campaign needs --spec FILE")?;
+            let dir = required(flags, "--dir", "campaign needs --dir DIR")?;
+            let spec = CampaignSpec::load(Path::new(spec_path)).map_err(|e| e.to_string())?;
+            (Some(spec), dir)
+        }
     };
+    // The launch record of the epoch: a joiner takes the spec, base mode
+    // and lease from it, a resumed leader the base mode and lease (a
+    // directory from before manifests resumes strict on the default
+    // lease). The leader writes it before its first claim; a joiner started
+    // by hand may look earlier, so it polls with short naps (at most
+    // 50 ms): a flat 50 ms nap delayed the first claim by that much
+    // whenever it looked too early.
+    let manifest = Path::new(dir).join("campaign.json");
+    if join.is_some() {
+        Poll::new(Duration::from_millis(50)).until(|| manifest.exists());
+    }
+    let launch = (join.is_some() || resume && manifest.exists())
+        .then(|| grade10::core::campaign::load_manifest(Path::new(dir)))
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    let mut opts = CampaignOptions::new(PathBuf::from(dir));
+    if flags.contains_key("--lenient") {
+        opts.base_mode = MixMode::Lenient;
+    }
+    let spec = match (spec, launch) {
+        (spec, Some((launched, base_mode, lease_ms))) => {
+            (opts.base_mode, opts.lease_ms) = (base_mode, lease_ms);
+            spec.unwrap_or(launched)
+        }
+        (Some(spec), None) => spec,
+        (None, None) => return Err(CliError::Usage("campaign needs --spec FILE".into())),
+    };
+    if let Some(lease) = number::<NonZeroU64>(flags, "--lease-ms", "lease")? {
+        opts.lease_ms = lease.get();
+    }
     let mixes = spec.expand();
     // Validate every axis value up front: a typo'd algorithm name should
     // fail the launch, not surface as one incident per affected mix.
@@ -440,29 +473,11 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
         mix_workload(mix)?;
     }
     let width = grade10::core::config::resolve_threads(threads(flags)?, mixes.len());
-    let mut opts = CampaignOptions::new(PathBuf::from(&dir));
     opts.resume = resume;
-    opts.join = flags.contains_key("--join");
+    opts.join = join.is_some();
     opts.width = width;
-    opts.retry = grade10::core::supervise::SuperviseConfig::default().retry;
-    opts.base_mode = manifest_mode.unwrap_or(if flags.contains_key("--lenient") {
-        MixMode::Lenient
-    } else {
-        MixMode::Strict
-    });
-    opts.lease_ms = manifest_lease.unwrap_or(opts.lease_ms);
-    if let Some(lease) = number::<NonZeroU64>(flags, "--lease-ms", "lease")? {
-        opts.lease_ms = lease.get();
-    }
     if let Some(name) = flags.get("--worker") {
         opts.worker = name.clone();
-    }
-    let workers =
-        number::<NonZeroUsize>(flags, "--workers", "worker count")?.map_or(1, NonZeroUsize::get);
-    if workers > 1 && opts.join {
-        return Err(CliError::Usage(
-            "--workers spawns joiners; a --join process is already one".to_string(),
-        ));
     }
     eprintln!(
         "campaign {}: {} mixes over {} worker{}{}{}",
@@ -490,27 +505,27 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
     // it between campaigns.
     let cache = flags.get("--cache").map(|d| StageCache::open(Path::new(d)));
     let cache = cache.transpose().map_err(|e| e.to_string())?;
-    // Peer worker processes join over the shared journal; they poll for
-    // the leader's journal, so spawning before run_campaign is safe.
-    let children = spawn_peer_workers(&dir, workers, flags)?;
+    // Peers join the epoch this process leads, so they start on its first
+    // claim: run_campaign claims only once the epoch's journal (with a
+    // resume's `launch` record) and campaign.json are on disk.
+    let peers = OnceLock::new();
     let run = grade10::core::campaign::run_campaign(&spec, &opts, |mix, attempt| {
+        peers.get_or_init(|| spawn_peer_workers(dir, workers, flags));
         grade10::engines::run_mix(mix, &spec.code_version, attempt, cache.as_ref())
-    })
-    .map_err(|e| e.to_string())?;
+    });
+    let children = peers.into_inner().transpose()?.unwrap_or_default();
+    let run = run.map_err(|e| e.to_string())?;
     let mut peers_partial = false;
-    for (i, mut child) in children.into_iter().enumerate() {
+    for (n, mut child) in (2..).zip(children) {
         let status = child
             .wait()
-            .map_err(|e| format!("waiting for worker {}: {e}", i + 2))?;
+            .map_err(|e| format!("waiting for worker {n}: {e}"))?;
         match status.code() {
             Some(0) => {}
             Some(2) => peers_partial = true,
             _ => {
-                return Err(CliError::Failed(format!(
-                    "worker process {} failed ({status}); see {dir}/worker-{}.log",
-                    i + 2,
-                    i + 2
-                )))
+                let why = format!("worker process {n} failed ({status}); see {dir}/worker-{n}.log");
+                return Err(CliError::Failed(why));
             }
         }
     }
@@ -533,17 +548,13 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
 
 /// Spawns `workers - 1` peer `grade10 campaign --join` processes against
 /// `dir`, each logging to `dir/worker-N.log`. The calling process is
-/// worker 1.
+/// worker 1. Peers get only the per-process `--threads` and `--cache`;
+/// they read the rest from `campaign.json`.
 fn spawn_peer_workers(
     dir: &str,
     workers: usize,
     flags: &Flags,
 ) -> Result<Vec<std::process::Child>, String> {
-    if workers <= 1 {
-        return Ok(Vec::new());
-    }
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-    let exe = std::env::current_exe().map_err(|e| format!("locating grade10 binary: {e}"))?;
     let mut children = Vec::new();
     for i in 2..=workers {
         let log_path = Path::new(dir).join(format!("worker-{i}.log"));
@@ -552,19 +563,16 @@ fn spawn_peer_workers(
         let log_err = log
             .try_clone()
             .map_err(|e| format!("cloning log handle: {e}"))?;
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("campaign").arg("--join").arg(dir);
-        for key in ["--threads", "--lease-ms", "--cache"] {
+        let exe = std::env::current_exe().map_err(|e| format!("locating grade10 binary: {e}"))?;
+        let mut cmd = std::process::Command::new(exe);
+        cmd.args(["campaign", "--join", dir]);
+        for key in ["--threads", "--cache"] {
             if let Some(v) = flags.get(key) {
                 cmd.arg(key).arg(v);
             }
         }
-        let child = cmd
-            .stdout(log)
-            .stderr(log_err)
-            .spawn()
-            .map_err(|e| format!("spawning worker {i}: {e}"))?;
-        children.push(child);
+        let child = cmd.stdout(log).stderr(log_err).spawn();
+        children.push(child.map_err(|e| format!("spawning worker {i}: {e}"))?);
     }
     Ok(children)
 }

@@ -248,16 +248,15 @@ fn multi_worker_fleet_survives_sigkills_and_reproduces_the_reference_report() {
 
     // Width 3 via explicit --join peers, with a deterministic kill
     // schedule: SIGKILL one peer after the first finished marker, the
-    // second peer after the next. Short leases keep reclaim fast.
+    // second peer after the next. Short leases keep reclaim fast; the
+    // peers read the leader's from campaign.json.
     let kill_dir = root.join("killed");
-    let lease = ["--lease-ms", "800"];
     let mut leader = grade10()
         .args(["campaign", "--spec"])
         .arg(&spec)
         .arg("--dir")
         .arg(&kill_dir)
-        .args(["--threads", "1", "--worker", "lead"])
-        .args(lease)
+        .args(["--threads", "1", "--worker", "lead", "--lease-ms", "800"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -268,7 +267,6 @@ fn multi_worker_fleet_survives_sigkills_and_reproduces_the_reference_report() {
                 .args(["campaign", "--join"])
                 .arg(&kill_dir)
                 .args(["--threads", "1", "--worker", &format!("peer{i}")])
-                .args(lease)
                 .stdout(Stdio::null())
                 .stderr(Stdio::null())
                 .spawn()
@@ -390,10 +388,11 @@ fn concurrent_finish_of_one_mix_leaves_a_single_valid_artifact() {
         assert!(stop.success(), "SIGSTOP delivered");
     }
 
+    // The joiner leases for the leader's 300 ms, read from campaign.json.
     let joiner = grade10()
         .args(["campaign", "--join"])
         .arg(&dir)
-        .args(["--threads", "1", "--worker", "peer", "--lease-ms", "300"])
+        .args(["--threads", "1", "--worker", "peer"])
         .output()
         .expect("run joiner");
     assert!(
@@ -588,11 +587,18 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
     }
 
     // 1: the other usage errors — an unknown command, a missing flag, a
-    // flag with no value, a malformed value — print the usage too; an
-    // error met after the command line was understood ends on its cause.
-    let usage_errors: [(&[&str], &str); 4] = [
+    // joiner setting its own lease over the fleet's, a flag with no value,
+    // a malformed value — print the usage too; an error met after the
+    // command line was understood ends on its cause.
+    let join_dir = root.join("ok");
+    let join_dir = join_dir.to_str().expect("utf-8 path");
+    let usage_errors: [(&[&str], &str); 5] = [
         (&["frobnicate"], "unknown command 'frobnicate'"),
         (&["campaign"], "campaign needs --spec FILE"),
+        (
+            &["campaign", "--join", join_dir, "--lease-ms", "100"],
+            "--lease-ms is fixed at launch",
+        ),
         (&["demo", "--seed"], "flag '--seed' needs a value"),
         (&["demo", "--seed", "x"], "bad seed 'x'"),
     ];
@@ -825,11 +831,11 @@ fn campaign_over_shared_graphs_matches_its_golden_at_any_width() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// `--resume` keeps the base mode the campaign was launched with, read from
-/// `campaign.json`: a mix reopened because its stored outcome is gone reruns
-/// lenient, so the report stays byte-identical to the uninterrupted one.
-/// `--lenient` beside `--resume` is a usage error, since the mode is fixed
-/// at launch.
+/// `--resume` keeps the base mode and the lease the campaign was launched
+/// with, read from `campaign.json`: a mix reopened because its stored
+/// outcome is gone reruns lenient under the launch's 500 ms lease, so the
+/// report stays byte-identical to the uninterrupted one. `--lenient` beside
+/// `--resume` is a usage error, since the mode is fixed at launch.
 #[test]
 fn resume_keeps_the_launch_base_mode() {
     let root = tmp("resume-mode");
@@ -861,7 +867,7 @@ fn resume_keeps_the_launch_base_mode() {
         )
     };
 
-    let launch = campaign(&["--lenient"]);
+    let launch = campaign(&["--lenient", "--lease-ms", "500"]);
     assert!(
         launch.status.success(),
         "lenient launch: {}",
@@ -890,6 +896,24 @@ fn resume_keeps_the_launch_base_mode() {
     let got = reports();
     assert!(got.0 == want.0, "report.txt changed across the resume");
     assert!(got.1 == want.1, "report.json changed across the resume");
+    let manifest = std::fs::read_to_string(dir.join("campaign.json")).expect("campaign.json");
+    assert!(
+        manifest.contains("\"lease_ms\": 500"),
+        "the resume keeps the launch lease: {manifest}"
+    );
+    let journal = std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal");
+    let epoch = journal
+        .rfind("\"record\":\"launch\"")
+        .expect("the resume's launch record");
+    let leases: Vec<u64> = journal[epoch..]
+        .lines()
+        .filter(|l| l.contains("\"record\":\"claimed\""))
+        .map(|l| number_field(l, "lease") - number_field(l, "at"))
+        .collect();
+    assert!(
+        !leases.is_empty() && leases.iter().all(|&l| l == 500),
+        "claims of the resumed epoch lease for 500 ms: {leases:?}"
+    );
 
     let refused = campaign(&["--resume", "--lenient"]);
     let stderr = String::from_utf8_lossy(&refused.stderr);
@@ -899,6 +923,100 @@ fn resume_keeps_the_launch_base_mode() {
         "a usage error: {stderr}"
     );
     assert!(reports() == want, "the refused resume did no work");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The unsigned number a journal line records under `key`.
+fn number_field(line: &str, key: &str) -> u64 {
+    let at = line.find(&format!("\"{key}\":")).expect("field present") + key.len() + 3;
+    let digits = line[at..].split(|c: char| !c.is_ascii_digit()).next();
+    digits.and_then(|d| d.parse().ok()).expect("a number")
+}
+
+/// Copies the directory tree `from` to `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create copy");
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        let dest = to.join(path.file_name().expect("file name"));
+        if path.is_dir() {
+            copy_dir(&path, &dest);
+        } else {
+            std::fs::copy(&path, &dest).expect("copy file");
+        }
+    }
+}
+
+/// The peers of a resumed epoch read that epoch's launch record. An 8-mix
+/// campaign is resumed with an edited 2-mix spec and `--workers 2`, its
+/// stored outcomes deleted so both mixes rerun: the spawned peer must load
+/// the 2-mix matrix the resume wrote to `campaign.json`, not the launch's
+/// 8-mix one, and the report must be a fresh 2-mix campaign's. Five rounds,
+/// each on a fresh copy, because a peer that starts too early loses a race.
+#[test]
+fn resumed_peers_read_the_epochs_launch_record() {
+    let root = tmp("epoch");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("root");
+    let wide = root.join("wide.toml");
+    std::fs::write(
+        &wide,
+        "name = \"epoch\"\nalgorithms = [\"pr\", \"bfs\", \"wcc\", \"cdlp\"]\n\
+         datasets = [\"rmat:8\"]\nmachines = [2, 4]\nseeds = [46]\n",
+    )
+    .expect("write spec");
+    let narrow = root.join("narrow.toml");
+    std::fs::write(
+        &narrow,
+        "name = \"epoch\"\nalgorithms = [\"pr\"]\ndatasets = [\"rmat:8\"]\n\
+         machines = [2, 4]\nseeds = [46]\n",
+    )
+    .expect("write spec");
+    let campaign = |spec: &Path, dir: &Path, extra: &[&str]| {
+        let out = grade10()
+            .args(["campaign", "--spec"])
+            .arg(spec)
+            .arg("--dir")
+            .arg(dir)
+            .args(["--threads", "1"])
+            .args(extra)
+            .output()
+            .expect("run grade10 campaign");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{}: {stderr}", dir.display());
+    };
+    let reports = |dir: &Path| {
+        (
+            std::fs::read(dir.join("report.txt")).expect("report.txt"),
+            std::fs::read(dir.join("report.json")).expect("report.json"),
+        )
+    };
+    let launched = root.join("launched");
+    campaign(&wide, &launched, &[]);
+    let fresh = root.join("fresh");
+    campaign(&narrow, &fresh, &[]);
+    let want = reports(&fresh);
+    for round in 0..5 {
+        let dir = root.join(format!("round{round}"));
+        copy_dir(&launched, &dir);
+        for entry in std::fs::read_dir(dir.join("store")).expect("store") {
+            let path = entry.expect("store entry").path();
+            if path.extension().is_some_and(|e| e == "json") {
+                std::fs::remove_file(path).expect("delete a stored outcome");
+            }
+        }
+        campaign(&narrow, &dir, &["--resume", "--workers", "2"]);
+        if let Ok(log) = std::fs::read_to_string(dir.join("worker-2.log")) {
+            assert!(
+                log.contains("campaign epoch: 2 mixes"),
+                "round {round}: the peer loaded another epoch's matrix:\n{log}"
+            );
+        }
+        assert!(
+            reports(&dir) == want,
+            "round {round}: the resumed report is not the fresh 2-mix one"
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
