@@ -799,11 +799,11 @@ pub fn load_manifest(dir: &Path) -> Result<(CampaignSpec, MixMode, u64), Grade10
     let get = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
     let spec = CampaignSpec::from_value(get("spec").ok_or_else(|| bad("manifest has no `spec`"))?)?;
     let base_mode = match get("base_mode") {
-        Some(Value::Str(s)) => {
-            MixMode::from_name(s).ok_or_else(|| bad(&format!("unknown base mode `{s}`")))?
-        }
-        _ => MixMode::Strict,
-    };
+        None => Some(MixMode::Strict),
+        Some(Value::Str(s)) => MixMode::from_name(s),
+        Some(_) => None,
+    }
+    .ok_or_else(|| bad("`base_mode` is not strict, lenient or partial"))?;
     // A zero lease would expire every claim the moment it is made.
     let lease_ms = match get("lease_ms") {
         Some(Value::UInt(n)) if *n >= 1 => *n,
@@ -1230,7 +1230,8 @@ mod tests {
 
     /// The launch record's decoder under damage: every truncation and 300
     /// single-bit flips of a real `campaign.json` load or fail with a
-    /// classified error, never a panic, and a zero lease is refused.
+    /// classified error, never a panic; a zero lease and a base mode that
+    /// is not a mode name are refused.
     #[test]
     fn damaged_manifests_load_or_fail_cleanly() {
         use rand::{Rng, SeedableRng};
@@ -1257,14 +1258,20 @@ mod tests {
             loads(&bytes);
         }
         let text = String::from_utf8(good).expect("utf-8 manifest");
-        let zero = text.replace("\"lease_ms\": 30000", "\"lease_ms\": 0");
-        assert_ne!(zero, text, "the manifest records its lease");
-        std::fs::write(&path, zero).expect("write manifest");
-        let err = load_manifest(&o.dir).expect_err("a zero lease is refused");
-        assert!(
-            matches!(&err, Grade10Error::Serialization(m) if m.contains("lease_ms")),
-            "{err:?}"
-        );
+        let damage = [
+            ("\"lease_ms\": 30000", "\"lease_ms\": 0", "lease_ms"),
+            ("\"base_mode\": \"strict\"", "\"base_mode\": 5", "base_mode"),
+        ];
+        for (field, damaged, named) in damage {
+            let bad = text.replace(field, damaged);
+            assert_ne!(bad, text, "the manifest records {named}");
+            std::fs::write(&path, bad).expect("write manifest");
+            let err = load_manifest(&o.dir).expect_err("a damaged field is refused");
+            assert!(
+                matches!(&err, Grade10Error::Serialization(m) if m.contains(named)),
+                "{err:?}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&o.dir);
     }
 }
