@@ -1087,6 +1087,86 @@ mod tests {
         let _ = std::fs::remove_dir_all(&o.dir);
     }
 
+    /// What a scripted runner does on each attempt of its one mix.
+    #[derive(Clone, Copy, Debug)]
+    enum Script {
+        Succeeds,
+        FailsFirst,
+        FailsAlways,
+        PanicsAlways,
+        FatalAlways,
+    }
+
+    /// Every base mode against every runner script: the `(index, mode)`
+    /// rungs the runner is handed, and how the mix ends — an outcome's
+    /// `(attempts, mode)` or an incident's `(kind, attempts)`.
+    #[test]
+    fn each_base_mode_walks_the_ladder_the_same_way_for_each_script() {
+        use MixMode::{Lenient, Partial, Strict};
+        let ladders = [
+            (Strict, [(0, Strict), (1, Lenient), (2, Partial)]),
+            (Lenient, [(0, Lenient), (1, Partial), (2, Partial)]),
+            (Partial, [(0, Partial), (1, Partial), (2, Partial)]),
+        ];
+        let scripts = [
+            Script::Succeeds,
+            Script::FailsFirst,
+            Script::FailsAlways,
+            Script::PanicsAlways,
+            Script::FatalAlways,
+        ];
+        let mut sp = spec();
+        sp.algorithms = vec!["pr".into()];
+        for (base, ladder) in ladders {
+            for script in scripts {
+                let mut o = opts(&format!("table-{}-{script:?}", base.name()));
+                o.base_mode = base;
+                let _ = std::fs::remove_dir_all(&o.dir);
+                let seen = Mutex::new(Vec::new());
+                let run = run_campaign(&sp, &o, |mix, a| {
+                    lock(&seen).push((a.index, a.mode));
+                    match script {
+                        Script::Succeeds => fake_runner(mix, a),
+                        Script::FailsFirst if a.index > 0 => fake_runner(mix, a),
+                        Script::FailsFirst | Script::FailsAlways => {
+                            Err(Grade10Error::MalformedLog("scripted damage".into()))
+                        }
+                        Script::PanicsAlways => panic!("scripted panic"),
+                        Script::FatalAlways => {
+                            Err(Grade10Error::ModelMismatch("scripted mismatch".into()))
+                        }
+                    }
+                })
+                .expect("run");
+                let rungs = match script {
+                    Script::Succeeds | Script::FatalAlways => 1,
+                    Script::FailsFirst => 2,
+                    Script::FailsAlways | Script::PanicsAlways => 3,
+                };
+                let case = format!("{} base, {script:?}", base.name());
+                assert_eq!(
+                    seen.into_inner().unwrap(),
+                    ladder[..rungs].to_vec(),
+                    "{case}"
+                );
+                let ended = match (&run.outcomes[..], &run.incidents[..]) {
+                    ([out], []) => format!("outcome {} {}", out.attempts, out.mode),
+                    ([], [inc]) => format!("incident {} {}", inc.kind.name(), inc.attempts),
+                    _ => panic!("{case}: {run:?}"),
+                };
+                let want = match script {
+                    Script::Succeeds => format!("outcome 1 {}", base.name()),
+                    Script::FailsFirst => format!("outcome 2 {}", ladder[1].1.name()),
+                    Script::FailsAlways => "incident error 3".to_string(),
+                    Script::PanicsAlways => "incident panic 3".to_string(),
+                    Script::FatalAlways => "incident error 1".to_string(),
+                };
+                assert_eq!(ended, want, "{case}");
+                let _ = std::fs::remove_dir_all(&o.dir);
+            }
+        }
+    }
+
     #[test]
     fn permanent_failure_becomes_incident_not_abort() {
         let o = opts("perm");

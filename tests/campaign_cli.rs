@@ -772,6 +772,60 @@ fn export_model_bundles_match_their_goldens() {
     }
 }
 
+/// Runs the campaign `spec` once per variant of extra flags, each into a
+/// fresh directory, and requires every run to exit 0 with the same
+/// `report.txt` and `report.json`, pinned as the goldens `{golden}.txt`
+/// and `{golden}.json`.
+fn reports_match_golden_at_any_width(
+    name: &str,
+    spec: &str,
+    golden: &str,
+    variants: &[(&str, &[&str])],
+) {
+    let root = tmp(name);
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("root");
+    let spec_path = root.join("spec.toml");
+    std::fs::write(&spec_path, spec).expect("write spec");
+    let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
+    for (variant, args) in variants {
+        let dir = root.join(variant);
+        let out = grade10()
+            .args(["campaign", "--spec"])
+            .arg(&spec_path)
+            .arg("--dir")
+            .arg(&dir)
+            .args(*args)
+            .output()
+            .expect("run grade10 campaign");
+        assert!(
+            out.status.success(),
+            "{variant}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let txt = std::fs::read(dir.join("report.txt")).expect("report.txt");
+        let json = std::fs::read(dir.join("report.json")).expect("report.json");
+        match &reference {
+            None => {
+                check_golden(&format!("{golden}.txt"), &txt);
+                check_golden(&format!("{golden}.json"), &json);
+                reference = Some((txt, json));
+            }
+            Some((want_txt, want_json)) => {
+                assert!(
+                    &txt == want_txt,
+                    "{variant}: report.txt differs from the first variant"
+                );
+                assert!(
+                    &json == want_json,
+                    "{variant}: report.json differs from the first variant"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// The reports of a campaign whose mixes share input graphs are pinned,
 /// and every way of running it — one or two claimant threads, two worker
 /// processes, a stage cache — reproduces them byte for byte. A graph
@@ -779,56 +833,51 @@ fn export_model_bundles_match_their_goldens() {
 /// changes a makespan and fails here.
 #[test]
 fn campaign_over_shared_graphs_matches_its_golden_at_any_width() {
-    let root = tmp("graphs");
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("root");
-    let spec = root.join("spec.toml");
-    std::fs::write(&spec, GRAPHS_SPEC).expect("write spec");
-    let cache = root.join("stage-cache");
-    let cache = cache.to_str().expect("utf-8 path");
-    let variants: [(&str, &[&str]); 4] = [
-        ("t1", &["--threads", "1"]),
-        ("t2", &["--threads", "2"]),
-        ("w2", &["--threads", "1", "--workers", "2"]),
-        ("cache", &["--threads", "1", "--cache", cache]),
-    ];
-    let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
-    for (name, args) in variants {
-        let dir = root.join(name);
-        let out = grade10()
-            .args(["campaign", "--spec"])
-            .arg(&spec)
-            .arg("--dir")
-            .arg(&dir)
-            .args(args)
-            .output()
-            .expect("run grade10 campaign");
-        assert!(
-            out.status.success(),
-            "{name}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let txt = std::fs::read(dir.join("report.txt")).expect("report.txt");
-        let json = std::fs::read(dir.join("report.json")).expect("report.json");
-        match &reference {
-            None => {
-                check_golden("campaign_graph_reuse_report.txt", &txt);
-                check_golden("campaign_graph_reuse_report.json", &json);
-                reference = Some((txt, json));
-            }
-            Some((want_txt, want_json)) => {
-                assert!(
-                    &txt == want_txt,
-                    "{name}: report.txt differs from --threads 1"
-                );
-                assert!(
-                    &json == want_json,
-                    "{name}: report.json differs from --threads 1"
-                );
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&root);
+    let cache = tmp("graphs-stage-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let cache_arg = cache.to_str().expect("utf-8 path");
+    reports_match_golden_at_any_width(
+        "graphs",
+        GRAPHS_SPEC,
+        "campaign_graph_reuse_report",
+        &[
+            ("t1", &["--threads", "1"]),
+            ("t2", &["--threads", "2"]),
+            ("w2", &["--threads", "1", "--workers", "2"]),
+            ("cache", &["--threads", "1", "--cache", cache_arg]),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// A 16-mix spec whose `all` fault axis damages half the mixes: each of
+/// those fails strict ingestion and finishes on the lenient rung.
+const DAMAGED_SPEC: &str = r#"
+name = "damaged"
+algorithms = ["pr", "bfs"]
+datasets = ["rmat:6"]
+engines = ["giraph", "powergraph"]
+machines = [2]
+seeds = [46, 47]
+faults = ["none", "all"]
+"#;
+
+/// The reports of a campaign in which half the mixes climb the retry
+/// ladder are pinned, and one or two claimant threads or two worker
+/// processes reproduce them byte for byte: the rung each mix ends on and
+/// its attempt count do not depend on who ran it.
+#[test]
+fn damaged_campaign_matches_its_golden_at_any_width() {
+    reports_match_golden_at_any_width(
+        "damaged",
+        DAMAGED_SPEC,
+        "campaign_damaged_report",
+        &[
+            ("t1", &["--threads", "1"]),
+            ("t2", &["--threads", "2"]),
+            ("w2", &["--threads", "1", "--workers", "2"]),
+        ],
+    );
 }
 
 /// `--resume` keeps the base mode and the lease the campaign was launched
