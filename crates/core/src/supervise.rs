@@ -511,7 +511,10 @@ impl Drop for Armed {
 /// attempt with a deadline, and so nothing on a thread the attempt itself
 /// spawned: the deadline belongs to the attempt's own thread.
 pub(crate) fn checkpoint() {
-    if DEADLINE.get().is_some_and(|deadline| Instant::now() >= deadline) {
+    if DEADLINE
+        .get()
+        .is_some_and(|deadline| Instant::now() >= deadline)
+    {
         resume_unwind(Box::new(Overrun));
     }
 }
@@ -519,7 +522,9 @@ pub(crate) fn checkpoint() {
 /// Sleeps for `d`, or until the attempt's deadline if that comes first,
 /// and then checks it.
 fn stall(d: Duration) {
-    let left = DEADLINE.get().map(|deadline| deadline.saturating_duration_since(Instant::now()));
+    let left = DEADLINE
+        .get()
+        .map(|deadline| deadline.saturating_duration_since(Instant::now()));
     std::thread::sleep(left.map_or(d, |left| left.min(d)));
     checkpoint();
 }
@@ -585,7 +590,11 @@ pub(crate) fn run_unit<T>(
             }
         }
     };
-    UnitRun { result, attempts: k + 1, first_error }
+    UnitRun {
+        result,
+        attempts: k + 1,
+        first_error,
+    }
 }
 
 /// Runs the full Grade10 pipeline from raw collected data under the
@@ -640,7 +649,13 @@ mod tests {
         let rules = RuleSet::new().rule(work, "cpu", AttributionRule::Variable(1.0));
 
         let events = vec![
-            ev(0, 0, RawEventKind::PhaseStart { path: path(&[("job", 0)]) }),
+            ev(
+                0,
+                0,
+                RawEventKind::PhaseStart {
+                    path: path(&[("job", 0)]),
+                },
+            ),
             ev(
                 0,
                 0,
@@ -672,7 +687,9 @@ mod tests {
             ev(
                 100 * MILLIS,
                 0,
-                RawEventKind::PhaseEnd { path: path(&[("job", 0)]) },
+                RawEventKind::PhaseEnd {
+                    path: path(&[("job", 0)]),
+                },
             ),
         ];
         let series = (0..2u16)
@@ -851,7 +868,10 @@ mod tests {
         deadline: Option<Duration>,
         kernel: impl FnOnce() -> String,
     ) -> (Result<String, Grade10Error>, bool) {
-        let sup = SuperviseConfig { deadline, ..SuperviseConfig::default() };
+        let sup = SuperviseConfig {
+            deadline,
+            ..SuperviseConfig::default()
+        };
         let mut returned = false;
         let out = attempt_once(&sup, "kernel", || {
             let dump = kernel();
@@ -875,8 +895,9 @@ mod tests {
 
     fn ingested() -> (ExecutionModel, RuleSet, crate::trace::repair::IngestedInput) {
         let (model, rules, events, series) = scenario();
-        let input = crate::trace::repair::ingest(&model, &events, &series, &IngestConfig::default())
-            .expect("clean scenario");
+        let input =
+            crate::trace::repair::ingest(&model, &events, &series, &IngestConfig::default())
+                .expect("clean scenario");
         (model, rules, input)
     }
 
@@ -977,10 +998,7 @@ mod tests {
             .expect("budget incident");
         assert!(matches!(inc.outcome, IncidentOutcome::Recovered { .. }));
         // One ×10 rung: slice 10 ms → 100 ms → 1 slice × 2 resources.
-        assert_eq!(
-            p.characterization.profile.grid.slice_nanos(),
-            100 * MILLIS
-        );
+        assert_eq!(p.characterization.profile.grid.slice_nanos(), 100 * MILLIS);
         assert!(p.characterization.profile.total_slices() <= 5);
     }
 
@@ -996,10 +1014,9 @@ mod tests {
             ..config()
         };
         // Unsupervised strict rejects outright…
-        assert!(crate::pipeline::characterize_events(
-            &model, &rules, &events, &series, &cfg
-        )
-        .is_err());
+        assert!(
+            crate::pipeline::characterize_events(&model, &rules, &events, &series, &cfg).is_err()
+        );
         // …supervised degrades machine 1 to lenient and completes.
         let p = characterize_events_supervised(&model, &rules, &events, &series, &cfg)
             .expect("supervised run");
