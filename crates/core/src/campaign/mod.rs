@@ -15,11 +15,12 @@
 //!   records with fsync'd completion markers. A SIGKILL'd campaign is
 //!   resumable with `--resume`; torn or corrupt records are quarantined,
 //!   never trusted and never fatal.
-//! - **Retry ladder** ([`run_campaign`]): failed mixes retry with bounded
-//!   exponential backoff and deterministic jitter, escalating strict →
-//!   lenient → partial; a mix that exhausts the ladder becomes a
-//!   campaign-level [`Incident`](crate::supervise::Incident) instead of
-//!   aborting the campaign.
+//! - **Retry ladder** ([`run_campaign`]): a failed mix re-runs at once one
+//!   rung further down strict → lenient → partial, through the same
+//!   attempt loop that retries supervised units; a mix that exhausts the
+//!   ladder becomes a campaign-level
+//!   [`Incident`](crate::supervise::Incident) instead of aborting the
+//!   campaign.
 //!
 //! The final report (text + JSON, rendered by
 //! [`report::campaign_report`](crate::report::campaign_report)) ranks

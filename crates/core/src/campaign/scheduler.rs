@@ -4,9 +4,11 @@
 //! Each mix runs at most once per launch, behind three layers of armor:
 //! the result store memoizes finished mixes across launches, the journal
 //! write-ahead-logs every state change so a SIGKILL'd campaign resumes
-//! instead of restarting, and a retry ladder (bounded exponential backoff
-//! with deterministic jitter, escalating strict → lenient → partial)
-//! absorbs transient failures before a mix is given up on. A mix that
+//! instead of restarting, and a retry ladder of three rungs (strict →
+//! lenient → partial) gives a failing mix a more forgiving run before it
+//! is given up on. The rungs run through the supervised policy's one
+//! attempt loop, `supervise::run_unit`, back to back: no failure a mix can
+//! return goes away by waiting, so nothing sleeps between them. A mix that
 //! exhausts its ladder becomes a campaign-level [`Incident`] and the
 //! campaign carries on — one pathological configuration must never cost
 //! the other results of an overnight screening run.
@@ -31,7 +33,6 @@
 //! or resume order.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -41,7 +42,9 @@ use serde::{Serialize as _, Value};
 
 use crate::config::pool_map;
 use crate::error::Grade10Error;
-use crate::supervise::{panic_message, Incident, IncidentKind, IncidentOutcome, RetryPolicy};
+use crate::supervise::{
+    run_unit, Incident, IncidentKind, IncidentOutcome, RetryPolicy, SuperviseConfig, UnitRun,
+};
 
 use super::journal::{FailedMix, Journal, JournalReplay};
 use super::spec::{CampaignSpec, MixSpec};
@@ -141,7 +144,11 @@ pub struct CampaignOptions {
     /// the leader's journal; the sleeps start at 1 ms and grow with the
     /// time spent waiting.
     pub poll_ms: u64,
-    /// Per-mix retry/backoff policy (default [`RetryPolicy::default`]).
+    /// Unused: nothing in `core` or the binary reads this field. A mix's
+    /// rungs run through the supervised policy's attempt loop with its
+    /// default [`SuperviseConfig`]: three attempts, no sleep between them.
+    /// The field is kept only because the frozen benchmark sources still
+    /// assign it, and goes when a `benchmark` PR drops that assignment.
     pub retry: RetryPolicy,
     /// Ladder rung attempt 0 runs at.
     pub base_mode: MixMode,
@@ -167,7 +174,7 @@ impl CampaignOptions {
             worker: format!("w{}", std::process::id()),
             lease_ms: 30_000,
             poll_ms: 200,
-            retry: RetryPolicy::default(),
+            retry: RetryPolicy,
             base_mode: MixMode::Strict,
             stop_after: None,
         }
@@ -279,7 +286,7 @@ fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
 /// [`MixOutcome`] (`makespan_ns`, `classes`, `incidents`, `degraded`) and
 /// the scheduler normalizes the identity fields (`mix`, `hash`,
 /// `attempts`, `mode`). Runner panics are captured and enter the retry
-/// ladder like classified errors.
+/// ladder like classified errors, as `stage panicked: <mix id>: <message>`.
 pub fn run_campaign<F>(
     spec: &CampaignSpec,
     opts: &CampaignOptions,
@@ -710,9 +717,11 @@ where
     result
 }
 
-/// The retry ladder for one claimed mix: attempts escalate strict →
-/// lenient → partial; success stores the outcome then marks `finished`,
-/// exhaustion (or a fatal error) marks `failed` with the incident kind.
+/// The retry ladder for one claimed mix: the supervised attempt loop runs
+/// rung `k` at [`ladder_mode`]`(base_mode, k)`, with panic capture and a
+/// stop on the first fatal error. Success stores the outcome then marks
+/// `finished`; exhaustion (or a fatal error) marks `failed` with the
+/// incident kind.
 fn run_ladder<F>(
     shared: &Shared<'_>,
     mix: &MixSpec,
@@ -723,58 +732,36 @@ fn run_ladder<F>(
 where
     F: Fn(&MixSpec, MixAttempt) -> Result<MixOutcome, Grade10Error> + Sync,
 {
-    let opts = shared.opts;
-    let max_attempts = opts.retry.max_attempts.max(1);
-    let mut attempts_made = 0;
-    let mut last_err: Option<Grade10Error> = None;
-    for k in 0..max_attempts {
-        attempts_made = k + 1;
-        let attempt = MixAttempt {
-            index: k,
-            mode: ladder_mode(opts.base_mode, k),
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| runner(mix, attempt)))
-            .unwrap_or_else(|p| Err(Grade10Error::StagePanicked(panic_message(p.as_ref()))));
-        match result {
-            Ok(mut outcome) => {
-                outcome.mix = mix.clone();
-                outcome.hash = hash;
-                outcome.attempts = attempts_made;
-                outcome.mode = attempt.mode.name().to_string();
-                if let Err(e) = shared.store.put(&outcome) {
-                    last_err = Some(e);
-                    break;
-                }
-                let mut st = lock(&shared.state);
-                st.journal.record_finished(id, hash, attempts_made)?;
-                drop(st);
-                lock(&shared.local).insert(hash, outcome);
-                shared.executed.fetch_add(1, Ordering::SeqCst);
-                return Ok(());
-            }
-            Err(e) => {
-                let fatal = !e.is_recoverable();
-                last_err = Some(e);
-                if fatal {
-                    break;
-                }
-                if k + 1 < max_attempts {
-                    std::thread::sleep(opts.retry.backoff_delay(k, hash));
-                }
-            }
+    let base = shared.opts.base_mode;
+    let UnitRun {
+        result, attempts, ..
+    } = run_unit(&SuperviseConfig::default(), id, |index| {
+        let mode = ladder_mode(base, index);
+        runner(mix, MixAttempt { index, mode })
+    });
+    let stored = result.and_then(|mut outcome| {
+        outcome.mix = mix.clone();
+        outcome.hash = hash;
+        outcome.attempts = attempts;
+        outcome.mode = ladder_mode(base, attempts - 1).name().to_string();
+        shared.store.put(&outcome)?;
+        Ok(outcome)
+    });
+    match stored {
+        Ok(outcome) => {
+            lock(&shared.state)
+                .journal
+                .record_finished(id, hash, attempts)?;
+            lock(&shared.local).insert(hash, outcome);
         }
+        Err(e) => lock(&shared.state).journal.record_failed(
+            id,
+            hash,
+            &e.to_string(),
+            attempts,
+            IncidentKind::of(&e).name(),
+        )?,
     }
-    let err = last_err
-        .unwrap_or_else(|| Grade10Error::StagePanicked("mix produced no result".to_string()));
-    let mut st = lock(&shared.state);
-    st.journal.record_failed(
-        id,
-        hash,
-        &err.to_string(),
-        attempts_made,
-        IncidentKind::of(&err).name(),
-    )?;
-    drop(st);
     shared.executed.fetch_add(1, Ordering::SeqCst);
     Ok(())
 }
@@ -903,7 +890,6 @@ mod tests {
         let mut o = CampaignOptions::new(
             std::env::temp_dir().join(format!("g10-sched-{dir}-{}", std::process::id())),
         );
-        o.retry.base = Duration::ZERO;
         o.poll_ms = 5;
         o
     }

@@ -1,8 +1,8 @@
 //! Content hashing for durable artifacts.
 //!
 //! Everything durable that Grade10 writes and later re-trusts — campaign
-//! store filenames, journal record integrity, retry jitter, binary-trace
-//! section checksums — keys off one hash function: FNV-1a over 64 bits.
+//! store filenames, journal record integrity, binary-trace section
+//! checksums — keys off one hash function: FNV-1a over 64 bits.
 //! It is not cryptographic and does not need to be; the adversary is a
 //! crashed process and a half-written file, not a forger. What matters is
 //! that the hash is cheap, dependency-free, and stable across platforms

@@ -73,7 +73,6 @@ use std::time::{Duration, Instant};
 
 use crate::config::Parallelism;
 use crate::error::Grade10Error;
-use crate::hash::{fnv1a, fnv1a_extend};
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs;
 use crate::parse::RawEvent;
@@ -119,14 +118,14 @@ pub struct SuperviseConfig {
     /// [`crate::config::resolve_threads`]. A run reached on a pool worker
     /// (a campaign mix) runs its units inline: pools never nest.
     pub threads: Option<usize>,
-    /// Unused: nothing in `core` or the binary reads this field. The
-    /// campaign's whole-mix retry policy is
-    /// [`CampaignOptions::retry`](crate::campaign::CampaignOptions::retry),
-    /// which defaults to the same [`RetryPolicy::default`]; unit-level
-    /// retries inside one characterization are governed by
-    /// [`max_retries`](Self::max_retries). The field is kept only because
-    /// the frozen benchmark sources still read it, and goes when a
-    /// `benchmark` PR drops that read.
+    /// Unused: nothing in `core` or the binary reads this field. A
+    /// campaign runs each mix's rungs through the one attempt loop, `run_unit`,
+    /// under this
+    /// config's defaults ([`max_retries`](Self::max_retries) 2, so three
+    /// attempts), the same loop that retries units inside one
+    /// characterization. The field is kept only because the frozen
+    /// benchmark sources still read it, and goes when a `benchmark` PR
+    /// drops that read.
     pub retry: RetryPolicy,
     /// Unused: nothing in `core` reads this field any more. The stage
     /// cache holds one streams record per campaign mix and is consulted
@@ -146,67 +145,21 @@ impl Default for SuperviseConfig {
             chaos: Vec::new(),
             parallelism: Parallelism::Auto,
             threads: None,
-            retry: RetryPolicy::default(),
+            retry: RetryPolicy,
             cache: None,
         }
     }
 }
 
-/// Bounded exponential backoff with deterministic jitter, used by the
-/// campaign scheduler between attempts of a failed mix.
-///
-/// The delay before attempt `k + 1` is `base << k`, capped at `cap`, then
-/// scaled by a jitter factor in `[1 - jitter, 1 + jitter]` derived from an
-/// FNV hash of `(salt, k)` — deterministic for a given mix, decorrelated
-/// across mixes, and entirely free of wall-clock or OS entropy so that a
-/// resumed campaign replays the same schedule.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per mix, including the first (default 3). `0` is
-    /// treated as `1`: the first attempt always runs.
-    pub max_attempts: u32,
-    /// Delay before the first retry (default 50 ms). Zero disables
-    /// sleeping entirely — useful in tests.
-    pub base: Duration,
-    /// Upper bound on any single delay (default 2 s).
-    pub cap: Duration,
-    /// Jitter half-width as a fraction of the delay, clamped to `[0, 1]`
-    /// (default 0.5, i.e. delays vary between 50% and 150% of nominal).
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(2),
-            jitter: 0.5,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay to sleep after failed attempt `attempt` (0-based), salted
-    /// so different mixes do not retry in lockstep. Returns
-    /// `Duration::ZERO` when [`base`](Self::base) is zero.
-    pub fn backoff_delay(&self, attempt: u32, salt: u64) -> Duration {
-        if self.base.is_zero() {
-            return Duration::ZERO;
-        }
-        let shifted = self
-            .base
-            .checked_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-            .unwrap_or(self.cap);
-        let nominal = shifted.min(self.cap);
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        // Map an FNV hash of (salt, attempt) onto [1 - jitter, 1 + jitter].
-        let h = fnv1a_extend(fnv1a(&salt.to_le_bytes()), &attempt.to_le_bytes());
-        let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 1.0 - jitter + 2.0 * jitter * frac;
-        nominal.mul_f64(factor).min(self.cap)
-    }
-}
+/// Unused, and empty: nothing in `core` or the binary reads it. Every
+/// failure a campaign mix can return recurs the same way on a re-run at
+/// the same rung, so a mix retries at once, down the ladder, and never
+/// sleeps between attempts. The type is kept only because the frozen
+/// benchmark sources still copy [`SuperviseConfig::retry`] into
+/// [`CampaignOptions::retry`](crate::campaign::CampaignOptions::retry), and
+/// goes when a `benchmark` PR drops that assignment.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RetryPolicy;
 
 /// What a [`ChaosPoint`] does when its unit runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -563,10 +516,13 @@ fn attempt_once<T>(
     }
 }
 
-/// Runs a unit through its retry ladder. `rung(k)` runs attempt `k` (the
-/// caller encodes per-rung degradation by inspecting `k`). Stops
-/// early on a fatal (non-recoverable) error. Each failed attempt is stamped
-/// into the self-profile as an [`obs::Stage::Incident`] span.
+/// Runs a unit through its retry ladder: the one attempt loop, for the
+/// stage and per-machine units of a supervised run and for the rungs of a
+/// campaign mix alike. `rung(k)` runs attempt `k` (the caller encodes
+/// per-rung degradation by inspecting `k`). Attempts follow each other
+/// without a pause, and the loop stops early on a fatal (non-recoverable)
+/// error. Each failed attempt is stamped into the self-profile as an
+/// [`obs::Stage::Incident`] span.
 pub(crate) fn run_unit<T>(
     sup: &SuperviseConfig,
     unit: &str,

@@ -37,9 +37,7 @@ fn spec() -> CampaignSpec {
 fn opts(name: &str) -> CampaignOptions {
     let dir = std::env::temp_dir().join(format!("g10-campaign-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut o = CampaignOptions::new(dir);
-    o.retry.base = Duration::ZERO; // no real sleeping in tests
-    o
+    CampaignOptions::new(dir)
 }
 
 /// Deterministic synthetic characterization: makespan and issue classes
@@ -328,7 +326,6 @@ fn leader_and_joiner_share_the_matrix_without_double_execution() {
     leader_opts.worker = "alpha".into();
     leader_opts.poll_ms = 5;
     let mut joiner_opts = CampaignOptions::new(leader_opts.dir.clone());
-    joiner_opts.retry.base = Duration::ZERO;
     joiner_opts.join = true;
     joiner_opts.worker = "beta".into();
     joiner_opts.poll_ms = 5;
@@ -426,7 +423,7 @@ fn a_mix_that_kills_three_claimants_is_quarantined_not_rerun() {
 }
 
 #[test]
-fn transient_failure_is_retried_with_backoff_and_recovers() {
+fn transient_failure_is_retried_and_recovers() {
     let o = opts("transient");
     let attempts_seen = AtomicUsize::new(0);
     let run = run_campaign(&spec(), &o, |mix, a| {

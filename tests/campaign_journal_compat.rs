@@ -19,7 +19,6 @@
 //! here will point at the drift first.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use grade10::core::campaign::{
     run_campaign, CampaignOptions, CampaignSpec, Journal, MixAttempt, MixOutcome, MixSpec,
@@ -45,9 +44,7 @@ fn spec() -> CampaignSpec {
 fn opts(name: &str) -> CampaignOptions {
     let dir = std::env::temp_dir().join(format!("g10-v1compat-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut o = CampaignOptions::new(dir);
-    o.retry.base = Duration::ZERO;
-    o
+    CampaignOptions::new(dir)
 }
 
 fn fake_runner(mix: &MixSpec, _a: MixAttempt) -> Result<MixOutcome, Grade10Error> {
