@@ -24,7 +24,7 @@
 //! with [`Grade10Error::UnsupportedVersion`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 use serde::Value;
@@ -76,7 +76,7 @@ pub struct FailedMix {
 /// What replaying a journal learned, keyed by mix content hash. Also the
 /// incremental view a live worker keeps: [`absorb`](Self::absorb) applies
 /// any records appended since the last refresh.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct JournalReplay {
     /// Mixes with a durable `finished` (or store-served `skipped`) marker.
     pub finished: BTreeSet<u64>,
@@ -124,21 +124,19 @@ impl JournalReplay {
             || self.poisoned.contains_key(&hash)
     }
 
-    /// Absorbs every *complete* record in `bytes` past
-    /// [`consumed`](Self::consumed) and advances the offset. Bytes after
-    /// the last newline are a possibly-still-growing tail and are left for
-    /// the next refresh. Only a header from a future format version is an
-    /// error; damaged lines are quarantined and skipped.
-    pub fn absorb(&mut self, bytes: &[u8], path: &Path) -> Result<(), Grade10Error> {
-        let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        if end <= self.consumed {
-            return Ok(());
-        }
-        let text = String::from_utf8_lossy(&bytes[self.consumed..end]);
+    /// Absorbs every *complete* record in `tail`, the journal's bytes from
+    /// offset [`consumed`](Self::consumed) on, and advances the offset past
+    /// them. Bytes after the last newline are a possibly-still-growing
+    /// record and are left for the next refresh. Only a header from a
+    /// future format version is an error; damaged lines are quarantined
+    /// and skipped.
+    pub fn absorb(&mut self, tail: &[u8], path: &Path) -> Result<(), Grade10Error> {
+        let end = tail.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let text = String::from_utf8_lossy(&tail[..end]);
         for line in text.lines() {
             self.apply_line(line, path)?;
         }
-        self.consumed = end;
+        self.consumed += end;
         Ok(())
     }
 
@@ -467,11 +465,17 @@ impl Journal {
     }
 
     /// Refreshes a live view: absorbs any complete records appended (by
-    /// this worker or any peer) since `replay` last looked.
+    /// this worker or any peer) since `replay` last looked. Reads only the
+    /// bytes past [`JournalReplay::consumed`], so a worker that refreshes
+    /// once per claim reads the journal about once in all.
     pub fn refresh(path: &Path, replay: &mut JournalReplay) -> Result<(), Grade10Error> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| Grade10Error::Io(format!("reading {}: {e}", path.display())))?;
-        replay.absorb(&bytes, path)
+        let io = |e: std::io::Error| Grade10Error::Io(format!("reading {}: {e}", path.display()));
+        let mut file = std::fs::File::open(path).map_err(io)?;
+        file.seek(SeekFrom::Start(replay.consumed as u64))
+            .map_err(io)?;
+        let mut tail = Vec::new();
+        file.read_to_end(&mut tail).map_err(io)?;
+        replay.absorb(&tail, path)
     }
 
     fn append(&mut self, fields: &[(&str, Value)], durable: bool) -> Result<(), Grade10Error> {
@@ -639,6 +643,61 @@ mod tests {
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("g10-journal-{name}-{}", std::process::id()))
+    }
+
+    /// A live view refreshed while the journal grows in arbitrary chunks —
+    /// each cut possibly mid-record, a torn last line that a later chunk
+    /// completes — ends equal to one replay of the whole file.
+    #[test]
+    fn refreshing_in_chunks_equals_one_whole_replay() {
+        use rand::{Rng, SeedableRng};
+        let path = tmp("chunks");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::create(&path, "c").expect("create");
+            j.record_claimed("a", 1, "w1", 100, 1_100).expect("rec");
+            j.record_renewed(1, "w1", 2_100).expect("rec");
+            j.record_finished("a", 1, 2).expect("rec");
+            j.record_claimed("b", 2, "w2", 200, 1_200).expect("rec");
+            j.record_failed("b", 2, "boom", 3, "panic").expect("rec");
+            j.record_claimed("c", 3, "w1", 300, 1_300).expect("rec");
+            j.record_launch("w3").expect("rec");
+            j.record_skipped("d", 4).expect("rec");
+            j.record_reopened("d", 4).expect("rec");
+            j.record_quarantined("e", 5, 3).expect("rec");
+            j.record_claimed("c", 3, "w3", 400, 1_400).expect("rec");
+        }
+        let whole = std::fs::read(&path).expect("journal");
+        let replay_of = |cuts: &[usize]| {
+            let mut replay = JournalReplay::default();
+            for &cut in cuts {
+                std::fs::write(&path, &whole[..cut]).expect("write prefix");
+                Journal::refresh(&path, &mut replay).expect("refresh");
+            }
+            replay
+        };
+        let want = Journal::replay_snapshot(&path).expect("snapshot");
+        assert_eq!(want.consumed, whole.len());
+        // The last line torn, then completed.
+        let last = whole[..whole.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .expect("several lines")
+            + 1;
+        let torn = replay_of(&[last + 7]);
+        assert_eq!(torn.consumed, last, "a torn line is left for later");
+        assert_ne!(torn, want);
+        assert_eq!(replay_of(&[last + 7, whole.len()]), want);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x10f);
+        for _ in 0..50 {
+            let mut cuts: Vec<usize> = (0..rng.gen_range(1..8))
+                .map(|_| rng.gen_range(0..=whole.len()))
+                .collect();
+            cuts.sort_unstable();
+            cuts.push(whole.len());
+            assert_eq!(replay_of(&cuts), want, "cuts {cuts:?}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
