@@ -466,8 +466,8 @@ impl Journal {
 
     /// Refreshes a live view: absorbs any complete records appended (by
     /// this worker or any peer) since `replay` last looked. Reads only the
-    /// bytes past [`JournalReplay::consumed`], so a worker that refreshes
-    /// once per claim reads the journal about once in all.
+    /// bytes past [`JournalReplay::consumed`], so however often a worker
+    /// refreshes, it reads each journal byte about once.
     pub fn refresh(path: &Path, replay: &mut JournalReplay) -> Result<(), Grade10Error> {
         let io = |e: std::io::Error| Grade10Error::Io(format!("reading {}: {e}", path.display()));
         let mut file = std::fs::File::open(path).map_err(io)?;

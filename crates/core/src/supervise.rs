@@ -119,13 +119,12 @@ pub struct SuperviseConfig {
     /// (a campaign mix) runs its units inline: pools never nest.
     pub threads: Option<usize>,
     /// Unused: nothing in `core` or the binary reads this field. A
-    /// campaign runs each mix's rungs through the one attempt loop, `run_unit`,
-    /// under this
-    /// config's defaults ([`max_retries`](Self::max_retries) 2, so three
-    /// attempts), the same loop that retries units inside one
-    /// characterization. The field is kept only because the frozen
-    /// benchmark sources still read it, and goes when a `benchmark` PR
-    /// drops that read.
+    /// campaign runs each mix's rungs through the one attempt loop,
+    /// `run_unit`, under this config's defaults
+    /// ([`max_retries`](Self::max_retries) 2, so three attempts), the same
+    /// loop that retries units inside one characterization. The field is
+    /// kept only because the frozen benchmark sources still read it, and
+    /// goes when a `benchmark` PR drops that read.
     pub retry: RetryPolicy,
     /// Unused: nothing in `core` reads this field any more. The stage
     /// cache holds one streams record per campaign mix and is consulted
