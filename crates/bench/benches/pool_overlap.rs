@@ -13,7 +13,6 @@
 
 use std::time::{Duration, Instant};
 
-use grade10_core::config::Parallelism;
 use grade10_core::pipeline::CharacterizationConfig;
 use grade10_core::report::Table;
 use grade10_core::supervise::{characterize_events_supervised, ChaosMode, ChaosPoint};
@@ -40,7 +39,6 @@ fn main() {
     let mut base = CharacterizationConfig::default();
     base.profile.slice = 10 * MILLIS;
     base.ingest = IngestConfig::lenient();
-    base.supervise.parallelism = Parallelism::Always;
     for m in 0..machines as u16 {
         let stall = ChaosMode::Stall(Duration::from_millis(60));
         let unit = format!("attribute/machine {m}");

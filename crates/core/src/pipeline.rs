@@ -28,7 +28,7 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::attribution::{build_profile, PerformanceProfile, ProfileConfig};
 use crate::bottleneck::{BottleneckConfig, BottleneckReport};
-use crate::config::pool_map;
+use crate::config::{pool_map, resolve_threads};
 use crate::error::Grade10Error;
 use crate::issues::{detect_issues, IssueConfig, IssueKind, PerformanceIssue};
 use crate::model::{ExecutionModel, RuleSet};
@@ -511,9 +511,9 @@ impl<'a> Run<'a> {
     ) -> Result<Vec<(usize, T, u32)>, Grade10Error> {
         debug_assert!(stage.fan_out);
         // Units are coarse (a full ingest repair or profile build each), so
-        // under `Parallelism::Auto` any multi-unit batch is worth fanning out.
-        let (sup, n) = (&self.cfg.supervise, units.len());
-        let pool = if self.supervised { sup.parallelism.width(sup.threads, n, n > 1) } else { 1 };
+        // any multi-unit batch is worth fanning out.
+        let n = units.len();
+        let pool = if self.supervised { resolve_threads(self.cfg.supervise.threads, n) } else { 1 };
         let this = &*self;
         let runs = pool_map(pool, units, None, |u| {
             let name = this.units[u].name();

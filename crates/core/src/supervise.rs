@@ -38,8 +38,8 @@
 //!
 //! Concurrency: per-machine units run on `config::pool_map`, the one
 //! worker pool of `core`
-//! ([`SuperviseConfig::parallelism`] / [`SuperviseConfig::threads`], width
-//! decided by [`Parallelism::width`] — explicit width, then
+//! (width [`SuperviseConfig::threads`], resolved by
+//! [`crate::config::resolve_threads`] — explicit width, then
 //! `GRADE10_THREADS`, then the machine size). Workers claim units from a
 //! shared queue, and the executor folds their results — profiles,
 //! repaired streams, incidents, per-machine status — in stable unit-key
@@ -71,7 +71,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::config::Parallelism;
 use crate::error::Grade10Error;
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs;
@@ -107,16 +106,14 @@ pub struct SuperviseConfig {
     /// Test-only fault injection: chaos points matched by unit label. Leave
     /// empty in production.
     pub chaos: Vec<ChaosPoint>,
-    /// Threading policy for the per-machine unit pools (ingestion and
-    /// attribution). Results are byte-identical at any width — workers
-    /// only compute, the supervisor merges in stable unit-key order — so
-    /// the default [`Parallelism::Auto`] parallelizes whenever there is
-    /// more than one unit.
-    pub parallelism: Parallelism,
-    /// Explicit worker-pool width. `None` (the default) defers to
-    /// `GRADE10_THREADS`, then to the machine size — see
-    /// [`crate::config::resolve_threads`]. A run reached on a pool worker
-    /// (a campaign mix) runs its units inline: pools never nest.
+    /// Worker-pool width for the per-machine unit pools (ingestion and
+    /// attribution); any run with more than one unit fans out. Results are
+    /// byte-identical at any width — workers only compute, the supervisor
+    /// merges in stable unit-key order — and `Some(1)` runs every unit
+    /// inline. `None` (the default) defers to `GRADE10_THREADS`, then to
+    /// the machine size — see [`crate::config::resolve_threads`]. A run
+    /// reached on a pool worker (a campaign mix) runs its units inline:
+    /// pools never nest.
     pub threads: Option<usize>,
     /// Unused: nothing in `core` or the binary reads this field. A
     /// campaign runs each mix's rungs through the one attempt loop,
@@ -142,7 +139,6 @@ impl Default for SuperviseConfig {
             max_retries: 2,
             max_grid_cells: 4_000_000,
             chaos: Vec::new(),
-            parallelism: Parallelism::Auto,
             threads: None,
             retry: RetryPolicy,
             cache: None,

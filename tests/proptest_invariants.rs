@@ -18,7 +18,6 @@ use grade10::cluster::alloc::{fair_share_single, max_min_fair, Consumer};
 use grade10::cluster::{FaultClass, FaultPlan};
 use grade10::core::attribution::upsample::{upsample_measurement, waterfill};
 use grade10::core::attribution::{build_profile, PerformanceProfile, ProfileConfig};
-use grade10::core::config::Parallelism;
 use grade10::core::critical_path::critical_path;
 use grade10::core::model::{AttributionRule, ExecutionModelBuilder, Repeat, RuleSet};
 use grade10::core::parse::{RawEvent, RawEventKind};
@@ -625,8 +624,6 @@ fn supervised_policy_matches_inline_policy_on_clean_streams() {
             .collect();
         assert_attribution_laws(&inline.profile, &measured, &what);
         for width in [1usize, 2] {
-            // Force the pool on, so width 2 genuinely runs units concurrently.
-            cfg.supervise.parallelism = Parallelism::Always;
             cfg.supervise.threads = Some(width);
             let p = characterize_events_supervised(&model, &rules, &events, &monitoring, &cfg)
                 .unwrap_or_else(|e| panic!("{what}: supervised width {width}: {e}"));

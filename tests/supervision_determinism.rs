@@ -14,7 +14,6 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use grade10::cluster::{FaultClass, FaultPlan};
-use grade10::core::config::Parallelism;
 use grade10::core::pipeline::CharacterizationConfig;
 use grade10::core::supervise::{characterize_events_supervised, PartialCharacterization};
 use grade10::core::trace::MILLIS;
@@ -39,11 +38,9 @@ fn tiny_run() -> &'static WorkloadRun {
 }
 
 fn supervised_config() -> CharacterizationConfig {
-    let mut cfg = CharacterizationConfig::new(true, 10 * MILLIS, None);
-    // Force the pool on even for this 3-unit workload, so the matrix
-    // genuinely exercises concurrent units at every width.
-    cfg.supervise.parallelism = Parallelism::Always;
-    cfg
+    // Any multi-unit run fans out, so even this 3-unit workload exercises
+    // concurrent units at every width of the matrix.
+    CharacterizationConfig::new(true, 10 * MILLIS, None)
 }
 
 /// The same 13 fault combinations the supervision matrix uses: every

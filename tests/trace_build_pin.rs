@@ -34,7 +34,6 @@ use std::fs;
 use std::path::PathBuf;
 
 use grade10::cluster::{FaultPlan, SimOutput};
-use grade10::core::config::Parallelism;
 use grade10::core::hash::{fnv1a, fnv1a_extend};
 use grade10::core::model::execution::{ExecutionModelBuilder, Repeat};
 use grade10::core::model::ExecutionModel;
@@ -230,7 +229,6 @@ fn built_traces_are_pinned() {
         // Supervised at width 2; only the unit pool is pinned.
         let config = |lenient| {
             let mut cfg = CharacterizationConfig::new(lenient, 10 * MILLIS, None);
-            cfg.supervise.parallelism = Parallelism::Always;
             cfg.supervise.threads = Some(2);
             cfg
         };
