@@ -10,8 +10,8 @@
 //! The allocation is a pure function of the demands, the links and the
 //! capacities, and the simulator relies on that: `FairShare` solves on
 //! buffers it keeps between calls, so the per-quantum solves allocate
-//! nothing, and a machine whose CPU demand vector is bit-equal to the one
-//! it solved last reuses that solution instead of solving again.
+//! nothing, and a machine whose CPU or disk demand vector is bit-equal to
+//! the one it solved last reuses that solution instead of solving again.
 //! [`max_min_fair`] and [`fair_share_single`] are one-shot wrappers over
 //! the same body.
 
