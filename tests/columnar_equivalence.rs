@@ -32,7 +32,9 @@ use std::sync::OnceLock;
 use grade10::cluster::{FaultClass, FaultPlan};
 use grade10::core::hash::fnv1a;
 use grade10::core::pipeline::CharacterizationConfig;
-use grade10::core::supervise::{characterize_events_supervised, PartialCharacterization};
+use grade10::core::supervise::{
+    characterize_events_supervised, ChaosMode, ChaosPoint, PartialCharacterization,
+};
 use grade10::core::trace::{IngestConfig, MILLIS};
 use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::pregel::PregelConfig;
@@ -223,6 +225,77 @@ fn code_version_is_tied_to_the_attribution_goldens() {
          crates/core/src/config.rs (stored outcomes and stage-cache \
          records from the old build are stale) and update this pinned pair."
     );
+}
+
+fn four_machine_run() -> &'static WorkloadRun {
+    static RUN: OnceLock<WorkloadRun> = OnceLock::new();
+    RUN.get_or_init(|| {
+        run_workload(&WorkloadSpec {
+            dataset: Dataset::Rmat { scale: 8, seed: 5 },
+            algorithm: Algorithm::PageRank { iterations: 2 },
+            engine: EngineKind::Giraph(PregelConfig {
+                machines: 4,
+                threads: 2,
+                cores: 2.0,
+                ..Default::default()
+            }),
+        })
+    })
+}
+
+/// The supervised attribute stage on a clean 4-machine run, pinned in the
+/// three shapes its rows can take: every machine kept; a middle machine's
+/// unit dropped by a panic, so the machines after it move up; and a grid
+/// the budget guard coarsens. Each case runs at pool widths 1 and 2 with
+/// the width set in the config, so the environment cannot change it.
+#[test]
+fn supervised_attribute_matches_golden() {
+    let run = four_machine_run();
+    let (events, monitoring) = collected_streams(&run.sim, None);
+    let characterize = |cfg: &CharacterizationConfig| {
+        characterize_events_supervised(&run.model, &run.rules_tuned, &events, &monitoring, cfg)
+            .expect("clean 4-machine run")
+    };
+    let at_width = |width: usize| {
+        let mut cfg = supervised_config();
+        cfg.supervise.threads = Some(width);
+        cfg.profile.threads = Some(width);
+        cfg
+    };
+    let full = characterize(&at_width(1));
+    assert!(full.incidents.is_empty(), "{:?}", full.incidents);
+    assert!(full.coverage.machines_covered() >= 4);
+    // Half the clean grid's cells: one coarsening rung fits it.
+    let cap = full.characterization.profile.total_slices() / 2;
+    let mut lines = String::new();
+    for width in [1, 2] {
+        let clean = at_width(width);
+        let mut dropped = at_width(width);
+        dropped.supervise.chaos.push(ChaosPoint {
+            unit: "attribute/machine 1".to_string(),
+            mode: ChaosMode::Panic,
+        });
+        let mut coarse = at_width(width);
+        coarse.supervise.max_grid_cells = cap;
+        for (case, cfg) in [("clean", clean), ("dropped", dropped), ("coarsened", coarse)] {
+            let p = characterize(&cfg);
+            let machines = p.characterization.profile.resources.iter().map(|r| r.machine);
+            match case {
+                "dropped" => {
+                    assert!(machines.clone().all(|m| m != Some(1)));
+                    assert!(machines.clone().any(|m| m == Some(2)));
+                }
+                "coarsened" => {
+                    let slice = p.characterization.profile.grid.slice_nanos();
+                    assert_eq!(slice, 100 * MILLIS, "{:?}", p.incidents);
+                }
+                _ => {}
+            }
+            let hash = fnv1a(dump(&p).as_bytes());
+            writeln!(lines, "case={case} width={width} fnv1a={hash:016x}").unwrap();
+        }
+    }
+    check_golden("supervised_attribute_hashes.txt", &lines);
 }
 
 /// The unsupervised single-process pipeline is pinned too — it skips the
