@@ -158,13 +158,7 @@ pub fn upsample_measurement_scratch(
         scratch.weights.extend_from_slice(&variable[ws..we]);
         scratch.caps.clear();
         scratch.caps.resize(n, capacity);
-        rem = waterfill_into(
-            &scratch.weights,
-            &scratch.caps,
-            rem,
-            x,
-            &mut scratch.active,
-        );
+        rem = waterfill_into(&scratch.weights, &scratch.caps, rem, x, &mut scratch.active);
     }
 
     // Step 3: residue proportional to remaining headroom (covers system
@@ -288,8 +282,16 @@ mod tests {
         let mut out = vec![0.0; 2];
         let overflow = upsample_measurement(&m, &g, &exact, &variable, 100.0, &mut out);
         assert!(overflow < 1e-9);
-        assert!((out[0] - 15.0).abs() < 1e-9, "slice 2 should be 15%, got {}", out[0]);
-        assert!((out[1] - 65.0).abs() < 1e-9, "slice 3 should be 65%, got {}", out[1]);
+        assert!(
+            (out[0] - 15.0).abs() < 1e-9,
+            "slice 2 should be 15%, got {}",
+            out[0]
+        );
+        assert!(
+            (out[1] - 65.0).abs() < 1e-9,
+            "slice 3 should be 65%, got {}",
+            out[1]
+        );
     }
 
     #[test]
@@ -318,8 +320,7 @@ mod tests {
             avg: 3.0,
         };
         let mut out = vec![0.0; 2];
-        let overflow =
-            upsample_measurement(&m, &g, &[0.0, 0.0], &[0.0, 0.0], 4.0, &mut out);
+        let overflow = upsample_measurement(&m, &g, &[0.0, 0.0], &[0.0, 0.0], 4.0, &mut out);
         assert!(overflow < 1e-9);
         // Uniform headroom: spread evenly (matches the constant strawman
         // when the model knows nothing).
@@ -336,8 +337,7 @@ mod tests {
             avg: 5.0, // above the capacity of 4
         };
         let mut out = vec![0.0; 2];
-        let overflow =
-            upsample_measurement(&m, &g, &[0.0, 0.0], &[1.0, 1.0], 4.0, &mut out);
+        let overflow = upsample_measurement(&m, &g, &[0.0, 0.0], &[1.0, 1.0], 4.0, &mut out);
         assert!((overflow - 2.0).abs() < 1e-9);
         assert!((out[0] - 4.0).abs() < 1e-9);
     }
@@ -395,8 +395,7 @@ mod tests {
             };
             let dur_slices = (end_ms - start_ms) as f64 / 10.0;
             let mut out = vec![0.0; 4];
-            let overflow =
-                upsample_measurement(&m, &g, &[0.0; 4], &[1.0; 4], 100.0, &mut out);
+            let overflow = upsample_measurement(&m, &g, &[0.0; 4], &[1.0; 4], 100.0, &mut out);
             let placed: f64 = out.iter().sum();
             assert!(
                 (placed + overflow - 2.0 * dur_slices).abs() < 1e-9,
