@@ -41,9 +41,10 @@
 //! (width [`SuperviseConfig::threads`], resolved by
 //! [`crate::config::resolve_threads`] — explicit width, then
 //! `GRADE10_THREADS`, then the machine size). Workers claim units from a
-//! shared queue, and the executor folds their results — profiles,
+//! shared queue, and the executor folds their results — usage rows,
 //! repaired streams, incidents, per-machine status — in stable unit-key
-//! order, so the output is byte-identical whatever the pool width,
+//! order (an attribution unit writes only its own rows of the one
+//! profile), so the output is byte-identical whatever the pool width,
 //! including width 1 (which runs the unit inline on the executor's
 //! thread). Every attempt runs on the thread that claimed its unit and
 //! borrows the run's inputs; a unit's own upsampling fan-out runs inline
@@ -99,9 +100,11 @@ pub struct SuperviseConfig {
     /// over the cap are rejected *before* allocating and the timeslice is
     /// coarsened ×10 per rung (bounded by
     /// [`max_retries`](Self::max_retries) rungs); a grid still over the
-    /// cap after coarsening drops the attribution stage. The default
-    /// (4 M cells ≈ a few hundred MB across the profile arrays) is sized
-    /// so a single clock-bombed timestamp cannot OOM the process.
+    /// cap after coarsening drops the attribution stage. The grid costed
+    /// is the one allocated: the profile's grids are allocated once at
+    /// that size, and every per-machine unit fills its own rows of them.
+    /// The default (4 M cells, 33 bytes each across the profile arrays) is
+    /// sized so a single clock-bombed timestamp cannot OOM the process.
     pub max_grid_cells: usize,
     /// Test-only fault injection: chaos points matched by unit label. Leave
     /// empty in production.

@@ -13,4 +13,4 @@ pub use repair::{
     IngestReport, IngestedInput, RawSeries,
 };
 pub use resource::{Measurement, ResourceIdx, ResourceInstance, ResourceTrace};
-pub use timeslice::{BoolGrid, MetricGrid, Nanos, TimesliceGrid, MILLIS};
+pub use timeslice::{BoolGrid, Grid, MetricGrid, Nanos, Rows, RowsMut, TimesliceGrid, MILLIS};
