@@ -57,7 +57,6 @@ pub enum Op {
     },
     /// Synchronously transfer bytes to another machine (bypasses the
     /// message queue; the thread resumes when the transfer completes).
-    /// Synchronously transfer bytes to another machine (bypasses the queue).
     Send {
         /// Destination machine.
         dst: MachineId,
@@ -75,7 +74,6 @@ pub enum Op {
     /// Wait until `participants` threads (cluster-wide) have arrived at
     /// barrier `id`. Each barrier id is released once; engines use fresh ids
     /// per superstep.
-    /// Wait until `participants` threads have arrived at barrier `id`.
     Barrier {
         /// Barrier identifier; each id is released once.
         id: u32,
@@ -83,7 +81,6 @@ pub enum Op {
         participants: u32,
     },
     /// Idle for a fixed duration (models I/O waits and think time).
-    /// Idle for a fixed duration.
     Sleep {
         /// How long to idle.
         dur: SimDuration,
