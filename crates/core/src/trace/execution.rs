@@ -143,10 +143,7 @@ impl ExecutionTrace {
     }
 
     /// All instances of one phase type.
-    pub fn instances_of_type(
-        &self,
-        type_id: PhaseTypeId,
-    ) -> impl Iterator<Item = &PhaseInstance> {
+    pub fn instances_of_type(&self, type_id: PhaseTypeId) -> impl Iterator<Item = &PhaseInstance> {
         self.instances.iter().filter(move |i| i.type_id == type_id)
     }
 
@@ -173,11 +170,7 @@ impl ExecutionTrace {
     }
 
     /// The ancestor of `id` (possibly itself) with the given type.
-    pub fn ancestor_of_type(
-        &self,
-        id: InstanceId,
-        type_id: PhaseTypeId,
-    ) -> Option<InstanceId> {
+    pub fn ancestor_of_type(&self, id: InstanceId, type_id: PhaseTypeId) -> Option<InstanceId> {
         let mut cur = Some(id);
         while let Some(c) = cur {
             if self.instance(c).type_id == type_id {
@@ -261,7 +254,10 @@ impl<'m> TraceBuilder<'m> {
         }
         let parent = match ancestors {
             [] => None,
-            _ => Some(self.instance_by_path(ancestors).ok_or_else(|| missing_parent(path))?),
+            _ => Some(
+                self.instance_by_path(ancestors)
+                    .ok_or_else(|| missing_parent(path))?,
+            ),
         };
         self.add_resolved((parent, type_id, key), start, end, machine, thread)
             .ok_or_else(|| duplicate_path(path))
@@ -358,7 +354,9 @@ pub(crate) fn missing_parent<S: AsRef<str>>(path: &[(S, u32)]) -> Grade10Error {
         .iter()
         .map(|(n, k)| format!("{}[{k}]", n.as_ref()))
         .collect();
-    Grade10Error::ModelMismatch(format!("parent instance not added yet for path {segments:?}"))
+    Grade10Error::ModelMismatch(format!(
+        "parent instance not added yet for path {segments:?}"
+    ))
 }
 
 /// The rejection of a second instance at one path.
@@ -476,7 +474,13 @@ mod tests {
         tb.add_phase(&[("job", 0), ("step", 0)], 0, 50, None, None)
             .unwrap();
         let t0 = tb
-            .add_phase(&[("job", 0), ("step", 0), ("task", 0)], 0, 40, Some(1), Some(2))
+            .add_phase(
+                &[("job", 0), ("step", 0), ("task", 0)],
+                0,
+                40,
+                Some(1),
+                Some(2),
+            )
             .unwrap();
         tb.add_blocking(t0, "gc", 10, 20);
         let trace = tb.build().unwrap();
@@ -485,7 +489,10 @@ mod tests {
         assert_eq!(back.instances(), trace.instances());
         assert_eq!(back.blocking(), trace.blocking());
         // Derived indices survive deserialization.
-        assert_eq!(back.children_of(InstanceId(0)), trace.children_of(InstanceId(0)));
+        assert_eq!(
+            back.children_of(InstanceId(0)),
+            trace.children_of(InstanceId(0))
+        );
         assert_eq!(back.blocking_of(t0).count(), 1);
     }
 

@@ -30,12 +30,7 @@ fn gen_path(rng: &mut ChaCha8Rng) -> RawPath {
     let names = ["job", "superstep", "compute", "communicate", "barrier"];
     let depth = rng.gen_range(1..=4);
     (0..depth)
-        .map(|d| {
-            (
-                names[d % names.len()].to_string(),
-                rng.gen_range(0..8u32),
-            )
-        })
+        .map(|d| (names[d % names.len()].to_string(), rng.gen_range(0..8u32)))
         .collect()
 }
 
@@ -45,8 +40,12 @@ fn gen_events(rng: &mut ChaCha8Rng) -> Vec<RawEvent> {
     (0..n)
         .map(|_| {
             let kind = match rng.gen_range(0..4) {
-                0 => RawEventKind::PhaseStart { path: gen_path(rng) },
-                1 => RawEventKind::PhaseEnd { path: gen_path(rng) },
+                0 => RawEventKind::PhaseStart {
+                    path: gen_path(rng),
+                },
+                1 => RawEventKind::PhaseEnd {
+                    path: gen_path(rng),
+                },
                 2 => RawEventKind::BlockStart {
                     resource: resources[rng.gen_range(0..resources.len())].to_string(),
                 },
@@ -70,7 +69,11 @@ fn gen_resources(rng: &mut ChaCha8Rng) -> ResourceTrace {
     for (i, kind) in kinds.iter().enumerate().take(rng.gen_range(1..=4)) {
         let idx = rt.add_resource(ResourceInstance {
             kind: kind.to_string(),
-            machine: if rng.gen_bool(0.8) { Some(i as u16) } else { None },
+            machine: if rng.gen_bool(0.8) {
+                Some(i as u16)
+            } else {
+                None
+            },
             // Includes awkward magnitudes: subnormal-adjacent fractions and
             // nanosecond-scale totals must both survive the bit round trip.
             capacity: [0.125, 4.0, 1e-9, 1.25e11][rng.gen_range(0..4)],
@@ -104,7 +107,11 @@ fn assert_traces_equal(a_events: &[RawEvent], a_rt: Option<&ResourceTrace>, byte
                 assert_eq!(brt.measurements(idx), rt.measurements(idx), "resource {r}");
             }
         }
-        (a, b) => panic!("resources presence diverged: {:?} vs {:?}", a.is_some(), b.is_some()),
+        (a, b) => panic!(
+            "resources presence diverged: {:?} vs {:?}",
+            a.is_some(),
+            b.is_some()
+        ),
     }
 }
 

@@ -41,8 +41,8 @@ use grade10::core::parse::{build_execution_trace, RawEvent, RawEventKind};
 use grade10::core::pipeline::CharacterizationConfig;
 use grade10::core::supervise::characterize_events_supervised;
 use grade10::core::trace::{
-    decode_trace, encode_trace, ingest, repair_events, ExecutionTrace, IngestConfig,
-    IngestReport, MILLIS,
+    decode_trace, encode_trace, ingest, repair_events, ExecutionTrace, IngestConfig, IngestReport,
+    MILLIS,
 };
 use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
 use grade10::engines::dataflow::{
@@ -68,9 +68,8 @@ fn check_golden(name: &str, actual: &str) {
         fs::write(&path, actual).unwrap();
         return;
     }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1")
-    });
+    let expected = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1"));
     if expected != actual {
         panic!(
             "trace build drifted from golden {name}; every characterization \
@@ -88,9 +87,8 @@ fn check_stream_golden(name: &str, actual: &[u8]) {
         fs::write(&path, actual).unwrap();
         return;
     }
-    let expected = fs::read(&path).unwrap_or_else(|e| {
-        panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1")
-    });
+    let expected = fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1"));
     assert!(expected == actual, "stream drifted from golden {name}");
 }
 
@@ -219,11 +217,21 @@ fn built_traces_are_pinned() {
             let repaired = repair_events(&damaged, &mut report);
             let stream = fnv1a(&encode_trace(&repaired, None));
             let name = format!("{} lenient all seed={seed}", f.name);
-            writeln!(repairs, "{name} events={} fnv1a={stream:016x}", repaired.len()).unwrap();
+            writeln!(
+                repairs,
+                "{name} events={} fnv1a={stream:016x}",
+                repaired.len()
+            )
+            .unwrap();
             writeln!(repairs, "{name} {report:?}").unwrap();
-            let trace = build_execution_trace(&f.model, &repaired)
-                .unwrap_or_else(|e| panic!("{} seed {seed}: repaired stream rejected: {e}", f.name));
-            line(&mut out, &format!("{} lenient all seed={seed}", f.name), &trace);
+            let trace = build_execution_trace(&f.model, &repaired).unwrap_or_else(|e| {
+                panic!("{} seed {seed}: repaired stream rejected: {e}", f.name)
+            });
+            line(
+                &mut out,
+                &format!("{} lenient all seed={seed}", f.name),
+                &trace,
+            );
         }
 
         // Supervised at width 2; only the unit pool is pinned.
@@ -236,14 +244,22 @@ fn built_traces_are_pinned() {
         let monitoring = to_raw_series(&f.run.series, 8);
         let p = characterize_events_supervised(&f.model, &f.rules, &events, &monitoring, &cfg)
             .unwrap_or_else(|e| panic!("{}: supervised strict run failed: {e}", f.name));
-        line(&mut out, &format!("{} supervised strict w2", f.name), &p.trace);
+        line(
+            &mut out,
+            &format!("{} supervised strict w2", f.name),
+            &p.trace,
+        );
 
         let cfg = config(true);
         let plan = FaultPlan::all(46);
         let (damaged, monitoring) = collected_streams(&f.run, Some(&plan));
         let p = characterize_events_supervised(&f.model, &f.rules, &damaged, &monitoring, &cfg)
             .unwrap_or_else(|e| panic!("{}: supervised lenient run failed: {e}", f.name));
-        line(&mut out, &format!("{} supervised lenient all w2", f.name), &p.trace);
+        line(
+            &mut out,
+            &format!("{} supervised lenient all w2", f.name),
+            &p.trace,
+        );
         let report = &p.characterization.ingest;
         writeln!(repairs, "{} supervised lenient all w2 {report:?}", f.name).unwrap();
     }
@@ -327,14 +343,29 @@ fn clean_stream() -> Vec<RawEvent> {
 fn defects() -> Vec<(&'static str, Vec<RawEvent>)> {
     vec![
         ("out of order", vec![]), // appended last, below
-        ("duplicate record", vec![start(10, 0, &[("job", 0), ("step", 0)])]),
+        (
+            "duplicate record",
+            vec![start(10, 0, &[("job", 0), ("step", 0)])],
+        ),
         (
             "started twice",
-            vec![start(100, 0, &[("job", 0), ("step", 1)]), start(101, 0, &[("job", 0), ("step", 1)])],
+            vec![
+                start(100, 0, &[("job", 0), ("step", 1)]),
+                start(101, 0, &[("job", 0), ("step", 1)]),
+            ],
         ),
-        ("ended without starting", vec![end(110, 0, &[("job", 0), ("step", 2)])]),
-        ("block ended without starting", vec![block(120, 5, "net", false)]),
-        ("never ended", vec![start(130, 0, &[("job", 0), ("step", 3)])]),
+        (
+            "ended without starting",
+            vec![end(110, 0, &[("job", 0), ("step", 2)])],
+        ),
+        (
+            "block ended without starting",
+            vec![block(120, 5, "net", false)],
+        ),
+        (
+            "never ended",
+            vec![start(130, 0, &[("job", 0), ("step", 3)])],
+        ),
         ("block never ended", vec![block(140, 6, "disk", true)]),
         (
             "root mismatch",
@@ -342,7 +373,10 @@ fn defects() -> Vec<(&'static str, Vec<RawEvent>)> {
         ),
         (
             "unknown phase type",
-            vec![start(170, 7, &[("job", 0), ("nope", 0)]), end(180, 7, &[("job", 0), ("nope", 0)])],
+            vec![
+                start(170, 7, &[("job", 0), ("nope", 0)]),
+                end(180, 7, &[("job", 0), ("nope", 0)]),
+            ],
         ),
         (
             "missing parent",
@@ -374,16 +408,22 @@ fn strict_rejection_texts_are_pinned() {
         events.extend(with.iter().flat_map(|(_, records)| records.iter().cloned()));
         events.sort_by_key(|e| e.time);
         if late {
-            let at = events.iter().position(|e| e.time > 60).unwrap_or(events.len());
+            let at = events
+                .iter()
+                .position(|e| e.time > 60)
+                .unwrap_or(events.len());
             events.insert(at, block(1, 0, "late", true));
         }
         events
     };
-    let reject = |events: &[RawEvent], name: &str| {
-        match ingest(&model, events, &[], &IngestConfig::default()) {
-            Ok(_) => panic!("{name}: strict ingestion accepted the stream"),
-            Err(e) => e.to_string(),
-        }
+    let reject = |events: &[RawEvent], name: &str| match ingest(
+        &model,
+        events,
+        &[],
+        &IngestConfig::default(),
+    ) {
+        Ok(_) => panic!("{name}: strict ingestion accepted the stream"),
+        Err(e) => e.to_string(),
     };
     let mut out = String::new();
     for (i, (name, _)) in defects.iter().enumerate() {
