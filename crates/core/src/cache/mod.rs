@@ -5,11 +5,14 @@
 //! generation, partitioning, the algorithm and the cluster simulation are
 //! ≈ 85–90 % of a mix — and the characterization pipeline behind it is a
 //! few milliseconds. So the one boundary worth persisting is the pipeline's
-//! *input*: the collected (post-fault-injection, post-bridge)
-//! `Vec<RawEvent>` + `Vec<RawSeries>` that `grade10_engines::run_mix` hands to
-//! [`crate::pipeline::characterize_events`]. A hit skips the simulation;
-//! the pipeline always recomputes (see `docs/robustness.md` for the
-//! measurements behind that cut).
+//! *input*: the collected (post-fault-injection, post-bridge) event stream
+//! and `Vec<RawSeries>` that `grade10_engines::run_mix` hands to
+//! [`crate::pipeline::characterize_input_under`]. A store writes the
+//! simulation's `RawEvent`s; a hit decodes the record straight into the
+//! [`EventStream`] ingestion reads and hands `run_mix` that, so no path is
+//! cloned per event. A hit skips the simulation; the pipeline always
+//! recomputes (see `docs/robustness.md` for the measurements behind that
+//! cut).
 //!
 //! # Record format and identity
 //!
@@ -41,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::campaign::{atomic_write, quarantine};
 use crate::error::Grade10Error;
 use crate::hash::fnv1a;
-use crate::parse::RawEvent;
+use crate::parse::{EventStream, RawEvent};
 use crate::trace::binary::{decode_streams, encode_streams, Streams};
 use crate::trace::repair::RawSeries;
 
@@ -103,11 +106,12 @@ impl StageCache {
             .join(format!("streams-{:016x}.g10c", fnv1a(key.as_bytes())))
     }
 
-    /// Looks up the collected streams stored under `key`. Container damage,
+    /// Looks up the collected streams stored under `key`, decoded into the
+    /// stream ingestion reads and the series as written. Container damage,
     /// a key mismatch (file-name collision) or a decode failure counts as a
     /// miss, and the offending file is quarantined aside so it cannot
     /// shadow a future store.
-    pub fn lookup_streams(&self, key: &str) -> Option<(Vec<RawEvent>, Vec<RawSeries>)> {
+    pub fn lookup_streams(&self, key: &str) -> Option<(EventStream, Vec<RawSeries>)> {
         let path = self.path_for(key);
         let Ok(bytes) = std::fs::read(&path) else {
             self.misses.fetch_add(1, Ordering::Relaxed);

@@ -256,9 +256,10 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
         let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
         let key = format!("fault={}", class.name());
         cache.store_streams(&key, &events, &monitoring);
-        let (back_events, back_monitoring) = cache
+        let (back_stream, back_monitoring) = cache
             .lookup_streams(&key)
             .unwrap_or_else(|| panic!("{}: stored record must hit", class.name()));
+        let back_events = back_stream.to_events();
         assert_eq!(back_events, events, "{}: events", class.name());
         assert_eq!(
             series_bits(&back_monitoring),
