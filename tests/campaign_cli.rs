@@ -1095,3 +1095,55 @@ fn campaign_validates_every_mix_before_running_any() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A dataset no graph can be built from is refused at launch, before any
+/// mix runs: `social:0` used to pass validation and panic in every mix.
+#[test]
+fn campaign_refuses_an_empty_dataset_at_launch() {
+    let root = tmp("empty-dataset");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("dir");
+    let spec = root.join("spec.toml");
+    std::fs::write(
+        &spec,
+        "name = \"e\"\nalgorithms = [\"pr\"]\ndatasets = [\"rmat:6\", \"social:0\"]\n",
+    )
+    .expect("write spec");
+    let dir = root.join("run");
+    let out = run_campaign(&spec, &dir, false);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "refused up front: {stderr}");
+    assert!(
+        stderr.contains("social:0") && stderr.contains("at least one vertex"),
+        "the error names the mix and the cause: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        !dir.join("journal.jsonl").exists(),
+        "nothing ran: validation precedes the journal"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `--slice-ms 0` is a usage error, as `--threads 0` is: it used to reach
+/// the timeslice grid and panic.
+#[test]
+fn zero_slice_is_a_usage_error() {
+    let args = [
+        "analyze",
+        "--model",
+        "m.json",
+        "--trace",
+        "t.g10t",
+        "--slice-ms",
+        "0",
+    ];
+    let out = grade10().args(args).output().expect("run grade10");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("bad slice '0'") && stderr.contains("usage:"),
+        "names the value and prints the usage: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "did no work");
+}
