@@ -24,17 +24,21 @@ pub fn blocking_bottlenecks(trace: &ExecutionTrace) -> Vec<BlockingBottleneck> {
     let mut agg: BTreeMap<(InstanceId, String), (f64, usize)> = BTreeMap::new();
     for ev in trace.blocking() {
         let secs = (ev.end - ev.start) as f64 / 1e9;
-        let e = agg.entry((ev.instance, ev.resource.clone())).or_insert((0.0, 0));
+        let e = agg
+            .entry((ev.instance, ev.resource.clone()))
+            .or_insert((0.0, 0));
         e.0 += secs;
         e.1 += 1;
     }
     agg.into_iter()
-        .map(|((instance, resource), (blocked_secs, events))| BlockingBottleneck {
-            instance,
-            resource,
-            blocked_secs,
-            events,
-        })
+        .map(
+            |((instance, resource), (blocked_secs, events))| BlockingBottleneck {
+                instance,
+                resource,
+                blocked_secs,
+                events,
+            },
+        )
         .collect()
 }
 
@@ -52,7 +56,8 @@ mod tests {
         b.child(r, "p", Repeat::Parallel);
         let model = b.build();
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None)
+            .unwrap();
         let p0 = tb
             .add_phase(&[("job", 0), ("p", 0)], 0, 50 * MILLIS, Some(0), Some(0))
             .unwrap();

@@ -167,7 +167,8 @@ pub(crate) mod tests {
         b.child(r, "p", Repeat::Once);
         let model = b.build();
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 60 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 60 * MILLIS, None, None)
+            .unwrap();
         let p = tb
             .add_phase(&[("job", 0), ("p", 0)], 0, 60 * MILLIS, Some(0), Some(0))
             .unwrap();
@@ -180,7 +181,13 @@ pub(crate) mod tests {
         });
         // Slices: 2 low, 3 saturated, 1 low (10 ms measurements = 1 slice).
         rt.add_series(cpu, 0, 10 * MILLIS, &[1.0, 1.0, 4.0, 4.0, 4.0, 1.0]);
-        let prof = build_profile(&model, &RuleSet::new(), &trace, &rt, &ProfileConfig::default());
+        let prof = build_profile(
+            &model,
+            &RuleSet::new(),
+            &trace,
+            &rt,
+            &ProfileConfig::default(),
+        );
         (prof, p)
     }
 
@@ -215,7 +222,8 @@ pub(crate) mod tests {
         let q_ty = b.child(r, "q", Repeat::Once);
         let model = b.build();
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 40 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 40 * MILLIS, None, None)
+            .unwrap();
         let p = tb
             .add_phase(&[("job", 0), ("p", 0)], 0, 40 * MILLIS, Some(0), Some(0))
             .unwrap();
@@ -251,7 +259,8 @@ pub(crate) mod tests {
         let p_ty = b.child(r, "p", Repeat::Once);
         let model = b.build();
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 40 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 40 * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("p", 0)], 0, 40 * MILLIS, Some(0), Some(0))
             .unwrap();
         let trace = tb.build().unwrap();

@@ -106,10 +106,7 @@ pub fn compare_traces(
                 blocked_a: 0,
                 blocked_b: 0,
             });
-            let blocked: Nanos = trace
-                .blocking_of(inst.id)
-                .map(|ev| ev.end - ev.start)
-                .sum();
+            let blocked: Nanos = trace.blocking_of(inst.id).map(|ev| ev.end - ev.start).sum();
             if is_a {
                 e.total_a += inst.duration();
                 e.count_a += 1;
@@ -155,7 +152,8 @@ mod tests {
     fn trace(model: &ExecutionModel, x_ms: u64, y_ms: u64, gc_ms: u64) -> ExecutionTrace {
         let total = x_ms.max(y_ms);
         let mut tb = TraceBuilder::new(model);
-        tb.add_phase(&[("job", 0)], 0, total * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, total * MILLIS, None, None)
+            .unwrap();
         let x = tb
             .add_phase(&[("job", 0), ("x", 0)], 0, x_ms * MILLIS, Some(0), Some(0))
             .unwrap();
@@ -201,7 +199,8 @@ mod tests {
         let m = model();
         let a = trace(&m, 50, 50, 0);
         let mut tb = TraceBuilder::new(&m);
-        tb.add_phase(&[("job", 0)], 0, 50 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 50 * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("y", 0)], 0, 50 * MILLIS, Some(0), Some(0))
             .unwrap();
         tb.add_phase(&[("job", 0), ("y", 1)], 0, 30 * MILLIS, Some(0), Some(1))

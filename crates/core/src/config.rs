@@ -217,7 +217,11 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_micros((24 - i) * 100));
                 i * 3
             });
-            assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>(), "width {width}");
+            assert_eq!(
+                out,
+                items.iter().map(|i| i * 3).collect::<Vec<_>>(),
+                "width {width}"
+            );
         }
     }
 
@@ -231,7 +235,10 @@ mod tests {
         });
         for (me, inner) in outer {
             assert_ne!(me, caller, "outer items ran off the pool");
-            assert!(inner.iter().all(|&t| t == me), "nested pool left its worker");
+            assert!(
+                inner.iter().all(|&t| t == me),
+                "nested pool left its worker"
+            );
         }
     }
 }

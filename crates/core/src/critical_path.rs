@@ -116,7 +116,10 @@ pub fn critical_path_of(
         // qualify, prefer one on the same machine (slot or local
         // dependency), then any; the lowest id within each.
         let machine = trace.instance(id).machine;
-        let mut cands = ending_at(s).iter().copied().filter(|&c| !visited[c.0 as usize]);
+        let mut cands = ending_at(s)
+            .iter()
+            .copied()
+            .filter(|&c| !visited[c.0 as usize]);
         current = cands
             .clone()
             .find(|&c| trace.instance(c).machine == machine)
@@ -216,7 +219,8 @@ mod tests {
         let mut tb = TraceBuilder::new(model);
         let s0 = durs[0].iter().max().unwrap();
         let s1 = durs[1].iter().max().unwrap();
-        tb.add_phase(&[("job", 0)], 0, (s0 + s1) * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, (s0 + s1) * MILLIS, None, None)
+            .unwrap();
         let mut t0 = 0u64;
         for (si, d) in durs.iter().enumerate() {
             let len = *d.iter().max().unwrap();
@@ -307,7 +311,8 @@ mod tests {
         }
         let model = b.build();
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 20 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 20 * MILLIS, None, None)
+            .unwrap();
         for (name, start, end) in [("z0", 10, 10), ("z1", 10, 10), ("a", 0, 10), ("d", 10, 20)] {
             tb.add_phase(
                 &[("job", 0), (name, 0)],

@@ -163,7 +163,10 @@ mod tests {
     #[test]
     fn unsupported_version_displays() {
         let e = Grade10Error::UnsupportedVersion("journal is format version 9".into());
-        assert_eq!(e.to_string(), "unsupported version: journal is format version 9");
+        assert_eq!(
+            e.to_string(),
+            "unsupported version: journal is format version 9"
+        );
         assert_eq!(e.detail(), "journal is format version 9");
     }
 

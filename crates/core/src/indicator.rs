@@ -126,19 +126,15 @@ mod tests {
 
     /// Two phases; a synthetic IPC indicator is high during the first and
     /// low during the second.
-    fn setup() -> (
-        ExecutionModel,
-        ExecutionTrace,
-        ResourceTrace,
-        ResourceIdx,
-    ) {
+    fn setup() -> (ExecutionModel, ExecutionTrace, ResourceTrace, ResourceIdx) {
         let mut b = ExecutionModelBuilder::new("job");
         let r = b.root();
         let _a = b.child(r, "a", Repeat::Once);
         let _c = b.child(r, "b", Repeat::Once);
         let model = b.build();
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 200 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 200 * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("a", 0)], 0, 100 * MILLIS, Some(0), Some(0))
             .unwrap();
         tb.add_phase(
@@ -165,8 +161,16 @@ mod tests {
         let (_model, trace, rt, ipc) = setup();
         let sums = summarize_indicator(&trace, &rt, ipc);
         assert_eq!(sums.len(), 2);
-        assert!((sums[0].mean - 2.0).abs() < 1e-9, "phase a: {}", sums[0].mean);
-        assert!((sums[1].mean - 0.6).abs() < 1e-9, "phase b: {}", sums[1].mean);
+        assert!(
+            (sums[0].mean - 2.0).abs() < 1e-9,
+            "phase a: {}",
+            sums[0].mean
+        );
+        assert!(
+            (sums[1].mean - 0.6).abs() < 1e-9,
+            "phase b: {}",
+            sums[1].mean
+        );
         assert_eq!(sums[0].peak, 2.0);
         assert_eq!(sums[1].peak, 0.7);
         assert!((sums[0].coverage - 1.0).abs() < 1e-9);
@@ -194,8 +198,12 @@ mod tests {
         let by_type = indicator_by_type(&trace, &rt, ipc);
         assert_eq!(by_type.len(), 2);
         let rows = indicator_rows(&model, &trace, &rt, ipc);
-        assert!(rows.iter().any(|(p, v)| p == "job.a" && (*v - 2.0).abs() < 1e-9));
-        assert!(rows.iter().any(|(p, v)| p == "job.b" && (*v - 0.6).abs() < 1e-9));
+        assert!(rows
+            .iter()
+            .any(|(p, v)| p == "job.a" && (*v - 2.0).abs() < 1e-9));
+        assert!(rows
+            .iter()
+            .any(|(p, v)| p == "job.b" && (*v - 0.6).abs() < 1e-9));
     }
 
     #[test]

@@ -155,14 +155,19 @@ pub fn infer_rules(
         .into_iter()
         .collect();
     machines.sort_unstable();
-    let tpos: BTreeMap<PhaseTypeId, usize> =
-        leaf_types.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-    let mpos: BTreeMap<u16, usize> =
-        machines.iter().enumerate().map(|(i, &m)| (m, i)).collect();
+    let tpos: BTreeMap<PhaseTypeId, usize> = leaf_types
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (t, i))
+        .collect();
+    let mpos: BTreeMap<u16, usize> = machines.iter().enumerate().map(|(i, &m)| (m, i)).collect();
     let nt = leaf_types.len();
     let mut active = vec![vec![0.0f64; ns * nt]; machines.len()];
     for inst in trace.leaves() {
-        let (m, t) = match (inst.machine.and_then(|m| mpos.get(&m)), tpos.get(&inst.type_id)) {
+        let (m, t) = match (
+            inst.machine.and_then(|m| mpos.get(&m)),
+            tpos.get(&inst.type_id),
+        ) {
             (Some(&m), Some(&t)) => (m, t),
             _ => continue,
         };
@@ -286,11 +291,7 @@ pub fn infer_rules(
 /// repeat. `xtx`/`xty` are consumed. A small ridge keeps singular systems
 /// (phase types that always co-occur) solvable.
 fn nnls(xtx: &mut [Vec<f64>], xty: &mut [f64], n: usize) -> Vec<f64> {
-    let ridge = 1e-9
-        * (0..n)
-            .map(|i| xtx[i][i])
-            .fold(0.0f64, f64::max)
-            .max(1e-12);
+    let ridge = 1e-9 * (0..n).map(|i| xtx[i][i]).fold(0.0f64, f64::max).max(1e-12);
     for (i, row) in xtx.iter_mut().enumerate() {
         row[i] += ridge;
     }
@@ -327,8 +328,7 @@ fn solve_gaussian(xtx: &[Vec<f64>], xty: &[f64], excluded: &[bool], n: usize) ->
         .collect();
     for col in 0..k {
         // Partial pivot.
-        let Some(pivot) =
-            (col..k).max_by(|&x, &y| a[x][col].abs().total_cmp(&a[y][col].abs()))
+        let Some(pivot) = (col..k).max_by(|&x, &y| a[x][col].abs().total_cmp(&a[y][col].abs()))
         else {
             unreachable!("col < k, so the pivot range is never empty");
         };
@@ -374,14 +374,27 @@ mod tests {
         let model = b.build();
         let ms = MILLIS;
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 400 * ms, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 400 * ms, None, None)
+            .unwrap();
         // a[0]: slices 0..4, a[1]: slices 2..6, b[0]: slices 4..8.
         tb.add_phase(&[("job", 0), ("a", 0)], 0, 200 * ms, Some(0), Some(0))
             .unwrap();
-        tb.add_phase(&[("job", 0), ("a", 1)], 100 * ms, 300 * ms, Some(0), Some(1))
-            .unwrap();
-        tb.add_phase(&[("job", 0), ("b", 0)], 200 * ms, 400 * ms, Some(0), Some(2))
-            .unwrap();
+        tb.add_phase(
+            &[("job", 0), ("a", 1)],
+            100 * ms,
+            300 * ms,
+            Some(0),
+            Some(1),
+        )
+        .unwrap();
+        tb.add_phase(
+            &[("job", 0), ("b", 0)],
+            200 * ms,
+            400 * ms,
+            Some(0),
+            Some(2),
+        )
+        .unwrap();
         let trace = tb.build().unwrap();
         let mut rt = ResourceTrace::new();
         let cpu = rt.add_resource(ResourceInstance {
@@ -391,12 +404,7 @@ mod tests {
         });
         // usage = 1*active_a + 2*active_b per 50 ms slice:
         // slices: a-active 1,1,2,2,1,1,0,0; b-active 0,0,0,0,1,1,1,1.
-        rt.add_series(
-            cpu,
-            0,
-            50 * ms,
-            &[1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 2.0, 2.0],
-        );
+        rt.add_series(cpu, 0, 50 * ms, &[1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 2.0, 2.0]);
         (model, trace, rt)
     }
 

@@ -224,11 +224,7 @@ mod tests {
     }
 
     /// One long CPU-saturated phase plus GC blocking on a second phase.
-    fn setup() -> (
-        ExecutionModel,
-        ExecutionTrace,
-        ResourceTrace,
-    ) {
+    fn setup() -> (ExecutionModel, ExecutionTrace, ResourceTrace) {
         let mut b = ExecutionModelBuilder::new("job");
         let r = b.root();
         let a = b.child(r, "a", Repeat::Once);
@@ -236,7 +232,8 @@ mod tests {
         b.edge(a, c);
         let model = b.build();
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 200 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 200 * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("a", 0)], 0, 100 * MILLIS, Some(0), Some(0))
             .unwrap();
         let bb = tb
@@ -267,7 +264,13 @@ mod tests {
     #[test]
     fn cpu_bottleneck_issue_reports_reduction() {
         let (model, trace, rt) = setup();
-        let prof = build_profile(&model, &RuleSet::new(), &trace, &rt, &ProfileConfig::default());
+        let prof = build_profile(
+            &model,
+            &RuleSet::new(),
+            &trace,
+            &rt,
+            &ProfileConfig::default(),
+        );
         let report = BottleneckReport::build(&trace, &prof, &BottleneckConfig::default());
         let issues = detect_bottleneck_issues(
             &model,
@@ -297,7 +300,13 @@ mod tests {
     #[test]
     fn gc_blocking_issue_saves_blocked_time() {
         let (model, trace, rt) = setup();
-        let prof = build_profile(&model, &RuleSet::new(), &trace, &rt, &ProfileConfig::default());
+        let prof = build_profile(
+            &model,
+            &RuleSet::new(),
+            &trace,
+            &rt,
+            &ProfileConfig::default(),
+        );
         let report = BottleneckReport::build(&trace, &prof, &BottleneckConfig::default());
         let issue = WhatIf::new(&model, &trace, &ReplayConfig::default()).blocking(&report, "gc");
         // Removing 40 ms of GC from a 200 ms job: exactly 20 %.
@@ -312,7 +321,13 @@ mod tests {
     #[test]
     fn threshold_filters_small_issues() {
         let (model, trace, rt) = setup();
-        let prof = build_profile(&model, &RuleSet::new(), &trace, &rt, &ProfileConfig::default());
+        let prof = build_profile(
+            &model,
+            &RuleSet::new(),
+            &trace,
+            &rt,
+            &ProfileConfig::default(),
+        );
         let report = BottleneckReport::build(&trace, &prof, &BottleneckConfig::default());
         let strict = IssueConfig {
             min_reduction: 0.99,
@@ -332,7 +347,13 @@ mod tests {
     #[test]
     fn floor_factor_bounds_speedup() {
         let (model, trace, rt) = setup();
-        let prof = build_profile(&model, &RuleSet::new(), &trace, &rt, &ProfileConfig::default());
+        let prof = build_profile(
+            &model,
+            &RuleSet::new(),
+            &trace,
+            &rt,
+            &ProfileConfig::default(),
+        );
         let report = BottleneckReport::build(&trace, &prof, &BottleneckConfig::default());
         let gentle = IssueConfig {
             floor_factor: 0.9, // slices shrink at most 10 %
@@ -354,7 +375,13 @@ mod tests {
     #[test]
     fn a_what_if_reads_only_the_usages_of_the_instance_it_shrinks() {
         let (model, trace, rt) = setup();
-        let mut prof = build_profile(&model, &RuleSet::new(), &trace, &rt, &ProfileConfig::default());
+        let mut prof = build_profile(
+            &model,
+            &RuleSet::new(),
+            &trace,
+            &rt,
+            &ProfileConfig::default(),
+        );
         let report = BottleneckReport::build(&trace, &prof, &BottleneckConfig::default());
         let cpu_issue = |prof: &PerformanceProfile| {
             consumable_issue(

@@ -252,7 +252,8 @@ mod tests {
             .map(|it| it.iter().flatten().copied().max().unwrap())
             .collect();
         let total: u64 = iter_lens.iter().sum();
-        tb.add_phase(&[("job", 0)], 0, total * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, total * MILLIS, None, None)
+            .unwrap();
         for (i, it) in durs.iter().enumerate() {
             let ilen = iter_lens[i];
             tb.add_phase(
@@ -319,8 +320,12 @@ mod tests {
     #[test]
     fn balanced_trace_reports_no_issue() {
         let (m, trace) = build([[[30, 30], [30, 30]], [[40, 40], [40, 40]]]);
-        let issues =
-            detect_imbalance_issues(&m, &trace, &ReplayConfig::default(), &IssueConfig::default());
+        let issues = detect_imbalance_issues(
+            &m,
+            &trace,
+            &ReplayConfig::default(),
+            &IssueConfig::default(),
+        );
         assert!(issues.is_empty(), "{issues:?}");
     }
 
@@ -351,8 +356,12 @@ mod tests {
     #[test]
     fn detect_sweep_finds_gather_imbalance() {
         let (m, trace) = build([[[10, 20], [30, 40]], [[50, 60], [70, 80]]]);
-        let issues =
-            detect_imbalance_issues(&m, &trace, &ReplayConfig::default(), &IssueConfig::default());
+        let issues = detect_imbalance_issues(
+            &m,
+            &trace,
+            &ReplayConfig::default(),
+            &IssueConfig::default(),
+        );
         assert_eq!(issues.len(), 1);
         let g_ty = m.find_by_name("gather").unwrap();
         assert_eq!(issues[0].kind, IssueKind::Imbalance { phase_type: g_ty });

@@ -319,7 +319,10 @@ mod tests {
     fn type_path_round_trips() {
         let m = giraph_like();
         let id = m.find_by_name("thread").unwrap();
-        assert_eq!(m.type_path(id), "job.execute.superstep.worker.compute.thread");
+        assert_eq!(
+            m.type_path(id),
+            "job.execute.superstep.worker.compute.thread"
+        );
     }
 
     #[test]

@@ -118,10 +118,7 @@ mod tests {
     #[test]
     fn invalid_json_reports_error() {
         let err = ModelBundle::from_json("{ not json").unwrap_err();
-        assert!(
-            err.detail().contains("invalid model bundle"),
-            "{err}"
-        );
+        assert!(err.detail().contains("invalid model bundle"), "{err}");
     }
 
     #[test]

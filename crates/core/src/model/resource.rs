@@ -84,7 +84,10 @@ mod tests {
             .blocking("gc")
             .blocking("msgq");
         assert_eq!(m.defs().len(), 4);
-        assert_eq!(m.find("cpu").map(|d| d.class), Some(ResourceClass::Consumable));
+        assert_eq!(
+            m.find("cpu").map(|d| d.class),
+            Some(ResourceClass::Consumable)
+        );
         assert_eq!(m.find("gc").map(|d| d.class), Some(ResourceClass::Blocking));
         assert!(m.find("disk").is_none());
     }

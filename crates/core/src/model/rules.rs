@@ -187,7 +187,10 @@ mod tests {
     #[test]
     fn default_is_variable_one() {
         let rs = RuleSet::new();
-        assert_eq!(rs.get(PhaseTypeId(3), "cpu"), AttributionRule::Variable(1.0));
+        assert_eq!(
+            rs.get(PhaseTypeId(3), "cpu"),
+            AttributionRule::Variable(1.0)
+        );
         assert!(rs.is_empty());
     }
 
@@ -199,8 +202,14 @@ mod tests {
             .rule(PhaseTypeId(2), "cpu", AttributionRule::Variable(2.0));
         assert_eq!(rs.get(PhaseTypeId(1), "cpu"), AttributionRule::Exact(0.25));
         assert!(rs.get(PhaseTypeId(1), "net_out").is_none());
-        assert_eq!(rs.get(PhaseTypeId(2), "cpu"), AttributionRule::Variable(2.0));
-        assert_eq!(rs.get(PhaseTypeId(2), "net_out"), AttributionRule::Variable(1.0));
+        assert_eq!(
+            rs.get(PhaseTypeId(2), "cpu"),
+            AttributionRule::Variable(2.0)
+        );
+        assert_eq!(
+            rs.get(PhaseTypeId(2), "net_out"),
+            AttributionRule::Variable(1.0)
+        );
         assert_eq!(rs.len(), 3);
     }
 
@@ -227,7 +236,9 @@ mod tests {
         let issues = rules.lint(&model, &resources);
         assert_eq!(issues.len(), 2, "{issues:?}");
         assert!(issues.iter().any(|i| i.contains("container")));
-        assert!(issues.iter().any(|i| i.contains("unknown resource kind 'cup'")));
+        assert!(issues
+            .iter()
+            .any(|i| i.contains("unknown resource kind 'cup'")));
         // A clean rule set lints clean.
         let clean = RuleSet::new().rule(task, "cpu", AttributionRule::Exact(0.5));
         assert!(clean.lint(&model, &resources).is_empty());

@@ -83,7 +83,13 @@ fn path(segs: &[(&str, u32)]) -> RawPath {
     segs.iter().map(|(n, k)| (n.to_string(), *k)).collect()
 }
 
-fn phase_events(out: &mut Vec<(Nanos, u8, u32, RawEvent)>, p: RawPath, start: Nanos, end: Nanos, machine: u16) {
+fn phase_events(
+    out: &mut Vec<(Nanos, u8, u32, RawEvent)>,
+    p: RawPath,
+    start: Nanos,
+    end: Nanos,
+    machine: u16,
+) {
     let depth = p.len() as u32;
     out.push((
         start,
@@ -193,8 +199,7 @@ impl MetaTrace {
         threads
             .into_iter()
             .map(|t| {
-                let spans: Vec<&SpanRecord> =
-                    self.spans.iter().filter(|s| s.thread == t).collect();
+                let spans: Vec<&SpanRecord> = self.spans.iter().filter(|s| s.thread == t).collect();
                 let busy = merge_intervals(&spans);
                 let mut measurements = Vec::new();
                 let mut w0 = 0;
@@ -245,14 +250,70 @@ mod tests {
 
     fn sample_trace() -> MetaTrace {
         let spans = vec![
-            SpanRecord { stage: Stage::Ingest, thread: 0, start: 0, end: 100, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Demand, thread: 0, start: 100, end: 250, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Upsample, thread: 0, start: 250, end: 600, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Worker, thread: 1, start: 260, end: 500, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Worker, thread: 2, start: 270, end: 590, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Attribute, thread: 0, start: 600, end: 800, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Bottleneck, thread: 0, start: 800, end: 950, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Report, thread: 0, start: 950, end: 1000, allocs: 0, alloc_bytes: 0 },
+            SpanRecord {
+                stage: Stage::Ingest,
+                thread: 0,
+                start: 0,
+                end: 100,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Demand,
+                thread: 0,
+                start: 100,
+                end: 250,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Upsample,
+                thread: 0,
+                start: 250,
+                end: 600,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Worker,
+                thread: 1,
+                start: 260,
+                end: 500,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Worker,
+                thread: 2,
+                start: 270,
+                end: 590,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Attribute,
+                thread: 0,
+                start: 600,
+                end: 800,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Bottleneck,
+                thread: 0,
+                start: 800,
+                end: 950,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Report,
+                thread: 0,
+                start: 950,
+                end: 1000,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
         ];
         MetaTrace { spans, end: 1000 }
     }
@@ -323,8 +384,22 @@ mod tests {
     #[test]
     fn repeated_stages_get_distinct_keys() {
         let spans = vec![
-            SpanRecord { stage: Stage::Demand, thread: 0, start: 0, end: 10, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Demand, thread: 0, start: 10, end: 30, allocs: 0, alloc_bytes: 0 },
+            SpanRecord {
+                stage: Stage::Demand,
+                thread: 0,
+                start: 0,
+                end: 10,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Demand,
+                thread: 0,
+                start: 10,
+                end: 30,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
         ];
         let trace = MetaTrace { spans, end: 30 };
         let events = trace.to_raw_events();

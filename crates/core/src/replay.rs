@@ -358,7 +358,11 @@ impl Baseline {
         let mut plan = ReplayPlan::new(model, trace, cfg);
         let durations = original_durations(trace);
         let makespan = plan.makespan(&durations);
-        Baseline { plan, durations, makespan }
+        Baseline {
+            plan,
+            durations,
+            makespan,
+        }
     }
 }
 
@@ -421,7 +425,8 @@ mod tests {
     fn build_trace(m: &ExecutionModel, task_ms: [[u64; 2]; 2]) -> ExecutionTrace {
         let mut tb = TraceBuilder::new(m);
         let total = 10 + task_ms[0].iter().max().unwrap() + task_ms[1].iter().max().unwrap();
-        tb.add_phase(&[("job", 0)], 0, total * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, total * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("load", 0)], 0, 10 * MILLIS, Some(0), Some(0))
             .unwrap();
         let mut t0 = 10u64;
@@ -525,7 +530,8 @@ mod tests {
         // (thread overlap 1) must serialize the replay too.
         let m = model();
         let mut tb = TraceBuilder::new(&m);
-        tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("load", 0)], 0, 0, Some(0), Some(0))
             .unwrap();
         tb.add_phase(&[("job", 0), ("execute", 0)], 0, 100 * MILLIS, None, None)
@@ -587,7 +593,8 @@ mod tests {
     fn different_machines_have_independent_slots() {
         let m = model();
         let mut tb = TraceBuilder::new(&m);
-        tb.add_phase(&[("job", 0)], 0, 50 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 50 * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("load", 0)], 0, 0, Some(0), Some(0))
             .unwrap();
         tb.add_phase(&[("job", 0), ("execute", 0)], 0, 50 * MILLIS, None, None)
@@ -620,11 +627,18 @@ mod tests {
     /// tasks queue for their machine's slot.
     fn contended_trace(m: &ExecutionModel) -> ExecutionTrace {
         let mut tb = TraceBuilder::new(m);
-        tb.add_phase(&[("job", 0)], 0, 310 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 310 * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("load", 0)], 0, 10 * MILLIS, Some(0), Some(0))
             .unwrap();
-        tb.add_phase(&[("job", 0), ("execute", 0)], 10 * MILLIS, 310 * MILLIS, None, None)
-            .unwrap();
+        tb.add_phase(
+            &[("job", 0), ("execute", 0)],
+            10 * MILLIS,
+            310 * MILLIS,
+            None,
+            None,
+        )
+        .unwrap();
         for s in 0..3u64 {
             let t0 = 10 + 100 * s;
             tb.add_phase(
@@ -639,7 +653,12 @@ mod tests {
                 // Machine k % 2 runs its tasks back to back.
                 let start = t0 + 30 * (k / 2);
                 tb.add_phase(
-                    &[("job", 0), ("execute", 0), ("step", s as u32), ("task", k as u32)],
+                    &[
+                        ("job", 0),
+                        ("execute", 0),
+                        ("step", s as u32),
+                        ("task", k as u32),
+                    ],
                     start * MILLIS,
                     (start + 20 + k) * MILLIS,
                     Some((k % 2) as u16),
@@ -657,7 +676,9 @@ mod tests {
         let trace = contended_trace(&m);
         let n = trace.instances().len() as u64;
         for enforce_concurrency in [true, false] {
-            let cfg = ReplayConfig { enforce_concurrency };
+            let cfg = ReplayConfig {
+                enforce_concurrency,
+            };
             let mut shared = ReplayPlan::new(&m, &trace, &cfg);
             let mut makespans = Vec::new();
             // Long, short, zero and original durations in turn: whatever a

@@ -67,7 +67,10 @@ pub fn campaign_report(
 ) -> CampaignReport {
     let sorted = ranked(outcomes);
     let best = sorted.iter().map(|o| o.makespan_ns).min().unwrap_or(0);
-    let degraded = sorted.iter().filter(|o| o.degraded || o.incidents > 0).count();
+    let degraded = sorted
+        .iter()
+        .filter(|o| o.degraded || o.incidents > 0)
+        .count();
 
     // --- Text ---
     let mut text = String::new();
@@ -231,10 +234,7 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        let outcomes = vec![
-            outcome("pr", 5, &["a"]),
-            outcome("bfs", 5, &["b"]),
-        ];
+        let outcomes = vec![outcome("pr", 5, &["a"]), outcome("bfs", 5, &["b"])];
         let a = campaign_report("t", &outcomes, &[]);
         let rev: Vec<MixOutcome> = outcomes.iter().rev().cloned().collect();
         let b = campaign_report("t", &rev, &[]);

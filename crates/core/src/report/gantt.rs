@@ -43,7 +43,10 @@ pub fn render_gantt(model: &ExecutionModel, trace: &ExecutionTrace, cfg: &GanttC
     for (id, depth, name) in order {
         let inst = trace.instance(id);
         let label = format!("{}{}", "  ".repeat(depth), name);
-        let (s, e) = (col_of(inst.start), col_of(inst.end).max(col_of(inst.start) + 1));
+        let (s, e) = (
+            col_of(inst.start),
+            col_of(inst.end).max(col_of(inst.start) + 1),
+        );
         let mut bar: Vec<char> = vec![' '; cfg.width + 1];
         for c in bar.iter_mut().take(e.min(cfg.width + 1)).skip(s) {
             *c = '█';
@@ -106,7 +109,11 @@ pub(crate) fn gantt_rows(
         .map(|(id, depth)| {
             let inst = trace.instance(id);
             let n = model.name(inst.type_id);
-            let name = if inst.key == 0 { n.to_string() } else { format!("{n}[{}]", inst.key) };
+            let name = if inst.key == 0 {
+                n.to_string()
+            } else {
+                format!("{n}[{}]", inst.key)
+            };
             (id, depth, name)
         })
         .collect();
@@ -132,7 +139,8 @@ mod tests {
 
     fn build_trace(model: &ExecutionModel) -> ExecutionTrace {
         let mut tb = TraceBuilder::new(model);
-        tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None)
+            .unwrap();
         tb.add_phase(&[("job", 0), ("step", 0)], 0, 50 * MILLIS, None, None)
             .unwrap();
         let t = tb
@@ -145,8 +153,14 @@ mod tests {
             )
             .unwrap();
         tb.add_blocking(t, "gc", 10 * MILLIS, 20 * MILLIS);
-        tb.add_phase(&[("job", 0), ("step", 1)], 50 * MILLIS, 100 * MILLIS, None, None)
-            .unwrap();
+        tb.add_phase(
+            &[("job", 0), ("step", 1)],
+            50 * MILLIS,
+            100 * MILLIS,
+            None,
+            None,
+        )
+        .unwrap();
         tb.build().unwrap()
     }
 
@@ -183,7 +197,10 @@ mod tests {
         let (model, trace) = setup();
         let out = render_gantt(&model, &trace, &GanttConfig::default());
         let task_line = out.lines().find(|l| l.contains("task")).unwrap();
-        assert!(task_line.contains('░'), "blocked interval must render: {task_line}");
+        assert!(
+            task_line.contains('░'),
+            "blocked interval must render: {task_line}"
+        );
     }
 
     #[test]

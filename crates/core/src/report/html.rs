@@ -190,7 +190,8 @@ mod tests {
         let model = b.build();
         let trace = {
             let mut tb = TraceBuilder::new(&model);
-            tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None).unwrap();
+            tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None)
+                .unwrap();
             let p0 = tb
                 .add_phase(&[("job", 0), ("p", 0)], 0, 100 * MILLIS, Some(0), Some(0))
                 .unwrap();
@@ -249,9 +250,16 @@ mod tests {
         let model = b.build();
         let trace = {
             let mut tb = TraceBuilder::new(&model);
-            tb.add_phase(&[("<job>", 0)], 0, 10 * MILLIS, None, None).unwrap();
-            tb.add_phase(&[("<job>", 0), ("a&b", 0)], 0, 10 * MILLIS, Some(0), Some(0))
+            tb.add_phase(&[("<job>", 0)], 0, 10 * MILLIS, None, None)
                 .unwrap();
+            tb.add_phase(
+                &[("<job>", 0), ("a&b", 0)],
+                0,
+                10 * MILLIS,
+                Some(0),
+                Some(0),
+            )
+            .unwrap();
             tb.build().unwrap()
         };
         let mut rt = ResourceTrace::new();

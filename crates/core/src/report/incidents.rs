@@ -43,9 +43,7 @@ pub fn coverage_table(coverage: &Coverage) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervise::{
-        IncidentKind, MachineCoverage, StageCoverage, StageStatus, UnitStatus,
-    };
+    use crate::supervise::{IncidentKind, MachineCoverage, StageCoverage, StageStatus, UnitStatus};
 
     #[test]
     fn tables_render_incidents_and_coverage() {

@@ -51,12 +51,7 @@ pub fn self_profile_table(meta: &MetaCharacterization) -> Table {
     let mut tot_wall = 0u64;
     let (mut tot_allocs, mut tot_bytes) = (0u64, 0u64);
     for stage in Stage::ALL {
-        let spans: Vec<_> = meta
-            .raw
-            .spans
-            .iter()
-            .filter(|s| s.stage == stage)
-            .collect();
+        let spans: Vec<_> = meta.raw.spans.iter().filter(|s| s.stage == stage).collect();
         if spans.is_empty() {
             continue;
         }
@@ -90,7 +85,11 @@ pub fn self_profile_table(meta: &MetaCharacterization) -> Table {
         tot_spans.to_string(),
         dur(tot_wall),
         format!("{:.6}", total_cpu),
-        if total_cpu > 0.0 { pct(1.0) } else { "-".to_string() },
+        if total_cpu > 0.0 {
+            pct(1.0)
+        } else {
+            "-".to_string()
+        },
     ];
     if any_allocs {
         row.push(tot_allocs.to_string());
@@ -122,11 +121,35 @@ mod tests {
     #[test]
     fn table_has_row_per_stage_plus_total() {
         let spans = vec![
-            SpanRecord { stage: Stage::Demand, thread: 0, start: 0, end: 400_000, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Upsample, thread: 0, start: 400_000, end: 2_000_000, allocs: 0, alloc_bytes: 0 },
-            SpanRecord { stage: Stage::Attribute, thread: 0, start: 2_000_000, end: 2_600_000, allocs: 0, alloc_bytes: 0 },
+            SpanRecord {
+                stage: Stage::Demand,
+                thread: 0,
+                start: 0,
+                end: 400_000,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Upsample,
+                thread: 0,
+                start: 400_000,
+                end: 2_000_000,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
+            SpanRecord {
+                stage: Stage::Attribute,
+                thread: 0,
+                start: 2_000_000,
+                end: 2_600_000,
+                allocs: 0,
+                alloc_bytes: 0,
+            },
         ];
-        let raw = MetaTrace { spans, end: 2_600_000 };
+        let raw = MetaTrace {
+            spans,
+            end: 2_600_000,
+        };
         let meta = characterize_meta(&raw).expect("meta characterization");
         let table = self_profile_table(&meta);
         let out = table.render();
@@ -147,7 +170,10 @@ mod tests {
             misses: 1,
             stores: 1,
         });
-        assert_eq!(line, "stage cache: 9 hits, 1 misses, 1 stored (90.0% hit rate)");
+        assert_eq!(
+            line,
+            "stage cache: 9 hits, 1 misses, 1 stored (90.0% hit rate)"
+        );
         let idle = stage_cache_line(&crate::cache::StageCacheStats::default());
         assert!(idle.contains("(0.0% hit rate)"), "{idle}");
     }
@@ -162,7 +188,10 @@ mod tests {
             allocs: 42,
             alloc_bytes: 4096,
         }];
-        let raw = MetaTrace { spans, end: 1_000_000 };
+        let raw = MetaTrace {
+            spans,
+            end: 1_000_000,
+        };
         let meta = characterize_meta(&raw).expect("meta characterization");
         let out = self_profile_table(&meta).render();
         assert!(out.contains("allocs"), "{out}");

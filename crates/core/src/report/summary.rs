@@ -20,8 +20,7 @@ pub fn usage_by_type(
     for u in &profile.usages {
         let ty = trace.instance(u.instance).type_id;
         let kind = profile.resources[u.resource.0 as usize].kind.clone();
-        *out.entry((ty, kind)).or_insert(0.0) +=
-            u.usage.iter().sum::<f64>() * slice_secs;
+        *out.entry((ty, kind)).or_insert(0.0) += u.usage.iter().sum::<f64>() * slice_secs;
     }
     out
 }
@@ -64,12 +63,7 @@ pub fn usage_table(
 /// Per-resource-instance infrastructure view: total consumption, mean and
 /// peak utilization — the "is the cluster even busy" table.
 pub fn machine_table(profile: &PerformanceProfile) -> Table {
-    let mut table = Table::new(&[
-        "resource",
-        "total (unit-s)",
-        "mean util",
-        "peak util",
-    ]);
+    let mut table = Table::new(&["resource", "total (unit-s)", "mean util", "peak util"]);
     let slice_secs = profile.grid.slice_secs();
     for (r, res) in profile.resources.iter().enumerate() {
         let row = &profile.consumption[r];
@@ -129,8 +123,7 @@ pub fn blocked_time_table(trace: &ExecutionTrace) -> Table {
     let total_leaf: f64 = trace.leaves().map(|i| i.duration() as f64 / 1e9).sum();
     let mut per_resource: BTreeMap<String, f64> = BTreeMap::new();
     for ev in trace.blocking() {
-        *per_resource.entry(ev.resource.clone()).or_insert(0.0) +=
-            (ev.end - ev.start) as f64 / 1e9;
+        *per_resource.entry(ev.resource.clone()).or_insert(0.0) += (ev.end - ev.start) as f64 / 1e9;
     }
     let mut table = Table::new(&["blocking resource", "blocked (s)", "share of leaf time"]);
     for (res, secs) in per_resource {
@@ -164,7 +157,8 @@ mod tests {
         let model = b.build();
         let trace = {
             let mut tb = TraceBuilder::new(&model);
-            tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None).unwrap();
+            tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None)
+                .unwrap();
             tb.add_phase(&[("job", 0), ("a", 0)], 0, 100 * MILLIS, Some(0), Some(0))
                 .unwrap();
             tb.add_phase(&[("job", 0), ("a", 1)], 0, 100 * MILLIS, Some(0), Some(1))
@@ -186,7 +180,8 @@ mod tests {
     fn blocked_time_table_shares() {
         let (model, _, _, _) = setup();
         let mut tb = TraceBuilder::new(&model);
-        tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None).unwrap();
+        tb.add_phase(&[("job", 0)], 0, 100 * MILLIS, None, None)
+            .unwrap();
         let a = tb
             .add_phase(&[("job", 0), ("a", 0)], 0, 100 * MILLIS, Some(0), Some(0))
             .unwrap();

@@ -7,12 +7,7 @@
 /// Each series is downscaled to `width` buckets (bucket = mean of the slices
 /// it covers) and drawn with a 0–8 level block glyph, normalized to
 /// `max_value`.
-pub fn render_series(
-    labels: &[&str],
-    series: &[&[f64]],
-    max_value: f64,
-    width: usize,
-) -> String {
+pub fn render_series(labels: &[&str], series: &[&[f64]], max_value: f64, width: usize) -> String {
     assert_eq!(labels.len(), series.len());
     assert!(width > 0 && max_value > 0.0);
     const GLYPHS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
