@@ -7,7 +7,7 @@
 //! few milliseconds. So the one boundary worth persisting is the pipeline's
 //! *input*: the collected (post-fault-injection, post-bridge) event stream
 //! and `Vec<RawSeries>` that `grade10_engines::run_mix` hands to
-//! [`crate::pipeline::characterize_input_under`]. A store writes the
+//! [`crate::pipeline::characterize_stream`]. A store writes the
 //! simulation's `RawEvent`s; a hit decodes the record straight into the
 //! [`EventStream`] ingestion reads and hands `run_mix` that, so no path is
 //! cloned per event. A hit skips the simulation; the pipeline always

@@ -22,10 +22,11 @@ use crate::trace::Nanos;
 /// code. Names match the phase types of [`meta_model`](crate::obs::meta_model).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Stage {
-    /// Ingestion of raw events and monitoring (the pipeline's `ingest` row,
-    /// or `trace::repair::ingest`): interning the event stream once, then
-    /// strict validation or lenient repair, the execution-trace build and
-    /// the monitoring checks.
+    /// Ingestion of an interned event stream and raw monitoring (the
+    /// pipeline's `ingest` row, which `trace::ingest` also walks): strict
+    /// validation or lenient repair, the monitoring checks and the
+    /// execution-trace build. Interning raw events into the stream is the
+    /// producer's cost, outside this span.
     Ingest,
     /// Timeslice-granular demand estimation (§III-D1).
     Demand,

@@ -75,8 +75,8 @@ use std::time::{Duration, Instant};
 use crate::error::Grade10Error;
 use crate::model::{ExecutionModel, RuleSet};
 use crate::obs;
-use crate::parse::RawEvent;
-use crate::pipeline::{characterize_events_under, Characterization, CharacterizationConfig};
+use crate::parse::{EventStream, RawEvent};
+use crate::pipeline::{characterize_stream, Characterization, CharacterizationConfig};
 use crate::trace::repair::RawSeries;
 use crate::trace::ExecutionTrace;
 
@@ -567,7 +567,8 @@ pub fn characterize_events_supervised(
     monitoring: &[RawSeries],
     cfg: &CharacterizationConfig,
 ) -> Result<PartialCharacterization, Grade10Error> {
-    characterize_events_under(true, model, rules, events, monitoring, cfg)
+    let events = EventStream::from_events(events);
+    characterize_stream(true, model, rules, &events, monitoring, cfg)
 }
 
 #[cfg(test)]

@@ -28,7 +28,8 @@
 //! trace build reads what repair made without a path being hashed or
 //! cloned again. [`validate_event_stream`], [`repair_events`] and
 //! [`ingest`] intern the raw events they are given; `repair_events` turns
-//! its records back into [`RawEvent`]s.
+//! its records back into [`RawEvent`]s, and `ingest` hands its stream to
+//! the pipeline's `ingest` row.
 
 use std::collections::HashSet;
 
@@ -36,9 +37,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::Grade10Error;
 use crate::model::execution::ExecutionModel;
-use crate::parse::{
-    build_trace_from, EventStream, NameId, PathId, PathTable, RawEvent, Record, RecordKind,
-};
+use crate::parse::{EventStream, NameId, PathId, PathTable, RawEvent, Record, RecordKind};
 use crate::trace::execution::ExecutionTrace;
 use crate::trace::resource::{Measurement, ResourceIdx, ResourceInstance, ResourceTrace};
 use crate::trace::timeslice::Nanos;
@@ -282,37 +281,17 @@ pub struct IngestedInput {
 }
 
 /// Ingests an event stream and monitoring streams together under one
-/// config, producing both traces and a combined report.
+/// config, producing both traces and a combined report: the pipeline's
+/// `ingest` row, run inline over the interned events, so its checks run in
+/// the pipeline's order (the events, then the monitoring, then the trace
+/// build).
 pub fn ingest(
     model: &ExecutionModel,
     events: &[RawEvent],
     monitoring: &[RawSeries],
     cfg: &IngestConfig,
 ) -> Result<IngestedInput, Grade10Error> {
-    let _span = crate::obs::span(crate::obs::Stage::Ingest);
-    let mut report = IngestReport {
-        events_total: events.len(),
-        ..IngestReport::default()
-    };
-    let stream = EventStream::from_events(events);
-    let repaired;
-    let records = match cfg.mode {
-        IngestMode::Strict => {
-            validate_records(&stream.records)?;
-            &stream.records
-        }
-        IngestMode::Lenient => {
-            repaired = repair_events_opts(&stream.paths, &stream.records, true, &mut report);
-            &repaired
-        }
-    };
-    let trace = build_trace_from(model, &stream, records)?;
-    let resources = ingest_monitoring(monitoring, cfg, &mut report)?;
-    Ok(IngestedInput {
-        trace,
-        resources,
-        report,
-    })
+    crate::pipeline::ingest_inline(model, &EventStream::from_events(events), monitoring, *cfg)
 }
 
 /// Strict stream-level checks build_execution_trace does not make itself:
@@ -758,7 +737,7 @@ mod tests {
     use super::*;
     use crate::model::execution::{ExecutionModelBuilder, Repeat};
     use crate::parse::tests::{damage, random_stream, DAMAGE_CLASSES};
-    use crate::parse::{build_execution_trace, RawEventKind, RawPath};
+    use crate::parse::{build_execution_trace, build_trace_from, RawEventKind, RawPath};
     use crate::trace::timeslice::MILLIS;
 
     /// The record-keyed strict check the id-keyed one replaced, kept as the

@@ -26,7 +26,7 @@ use grade10_core::cache::StageCache;
 use grade10_core::campaign::{MixAttempt, MixMode, MixOutcome, MixSpec};
 use grade10_core::model::{ExecutionModel, ModelBundle, RuleSet};
 use grade10_core::parse::{build_execution_trace, EventStream};
-use grade10_core::pipeline::{characterize_input_under, CharacterizationConfig, EventInput};
+use grade10_core::pipeline::{characterize_stream, CharacterizationConfig};
 use grade10_core::trace::{ExecutionTrace, Nanos, RawSeries, ResourceTrace, MILLIS};
 use grade10_core::Grade10Error;
 use grade10_graph::algorithms::{bfs, cdlp, lcc, pagerank, pagerank_until, sssp, wcc, WorkProfile};
@@ -502,11 +502,11 @@ pub fn run_mix(
         });
     let expert = spec.engine.expert_input();
     let cfg = CharacterizationConfig::new(attempt.mode != MixMode::Strict, 10 * MILLIS, None);
-    let p = characterize_input_under(
+    let p = characterize_stream(
         attempt.mode == MixMode::Partial,
         &expert.model,
         &expert.rules_tuned,
-        EventInput::Stream(&events),
+        &events,
         &monitoring,
         &cfg,
     )

@@ -9,7 +9,8 @@
 
 use grade10::cluster::{FaultClass, FaultPlan};
 use grade10::core::obs::{self, CountingAlloc, MetaTrace, Stage};
-use grade10::core::pipeline::{characterize_events_under, CharacterizationConfig};
+use grade10::core::parse::EventStream;
+use grade10::core::pipeline::{characterize_stream, CharacterizationConfig};
 use grade10::core::supervise::UnitStatus;
 use grade10::core::trace::MILLIS;
 use grade10::engines::bridge::collected_streams;
@@ -48,10 +49,11 @@ fn supervised_attribution_allocates_what_inline_does() {
         }
     }
     let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
+    let events = EventStream::from_events(&events);
     let cfg = CharacterizationConfig::new(true, MILLIS, Some(1));
     let bytes = |supervised: bool| {
         let recording = obs::start();
-        let p = characterize_events_under(
+        let p = characterize_stream(
             supervised,
             &run.model,
             &run.rules_tuned,
