@@ -24,9 +24,9 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
+use grade10::cluster::SimOutput;
 use grade10::core::hash::{fnv1a, fnv1a_extend};
 use grade10::core::trace::encode_trace;
-use grade10::cluster::SimOutput;
 use grade10::engines::bridge::to_raw_events;
 use grade10::engines::dataflow::{run_dataflow, DataflowConfig, JobSpec};
 use grade10::engines::gas::GasConfig;
@@ -51,9 +51,8 @@ fn check_golden(name: &str, actual: &str) {
         fs::write(&path, actual).unwrap();
         return;
     }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1")
-    });
+    let expected = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); bless it with UPDATE_GOLDENS=1"));
     if expected != actual {
         panic!(
             "substrate output drifted from golden {name}; every downstream golden \
@@ -65,12 +64,18 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 const DATASETS: [Dataset; 3] = [
-    Dataset::Rmat { scale: 10, seed: 46 },
+    Dataset::Rmat {
+        scale: 10,
+        seed: 46,
+    },
     Dataset::Social {
         vertices: 3000,
         seed: 46,
     },
-    Dataset::Rmat { scale: 12, seed: 46 },
+    Dataset::Rmat {
+        scale: 12,
+        seed: 46,
+    },
 ];
 
 fn label(d: &Dataset) -> String {
@@ -159,8 +164,9 @@ fn greedy_vertex_cut_is_pinned() {
         let g = d.generate();
         for parts in [1, 3, 32, 64] {
             let p = VertexCutPartition::greedy(&g, parts);
-            let owners = (0..g.num_edges() as u64)
-                .fold(fnv1a(&[]), |h, e| fnv1a_extend(h, &p.edge_owner(e).to_le_bytes()));
+            let owners = (0..g.num_edges() as u64).fold(fnv1a(&[]), |h, e| {
+                fnv1a_extend(h, &p.edge_owner(e).to_le_bytes())
+            });
             writeln!(
                 out,
                 "{} parts={parts} loads={:?} owners={owners:016x}",
