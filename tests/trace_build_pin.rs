@@ -37,6 +37,13 @@
 //! build looks, with bad monitoring beside it, fails the same way through
 //! either.
 //!
+//! The container test pins every byte of the `G10TRACE` containers that
+//! carry monitoring as well as events: each fixture with its monitoring,
+//! the stage-cache record of one simulated campaign mix (with its `KEY`),
+//! and a hand-built stream whose monitoring kinds repeat a blocking
+//! resource and a path segment. Their string pools list names in the order
+//! `EVENTS` first references them, then the new `RESOURCES` kinds.
+//!
 //! Bless with `UPDATE_GOLDENS=1 cargo test --test trace_build_pin`.
 
 use std::fmt::Write as _;
@@ -44,6 +51,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use grade10::cluster::{FaultPlan, SimOutput};
+use grade10::core::cache::StageCache;
+use grade10::core::campaign::{MixAttempt, MixMode, MixSpec};
 use grade10::core::hash::{fnv1a, fnv1a_extend};
 use grade10::core::model::execution::{ExecutionModelBuilder, Repeat};
 use grade10::core::model::{ExecutionModel, RuleSet};
@@ -54,13 +63,17 @@ use grade10::core::trace::{
     decode_trace, encode_trace, ingest, repair_events, ExecutionTrace, IngestConfig, IngestReport,
     IngestedInput, Measurement, RawSeries, ResourceIdx, ResourceInstance, ResourceTrace, MILLIS,
 };
-use grade10::engines::bridge::{collected_streams, to_raw_events, to_raw_series};
+use grade10::engines::bridge::{
+    collected_streams, to_raw_events, to_raw_series, to_resource_trace,
+};
 use grade10::engines::dataflow::{
     dataflow_model, dataflow_rules_tuned, run_dataflow, DataflowConfig, JobSpec,
 };
 use grade10::engines::gas::GasConfig;
 use grade10::engines::pregel::PregelConfig;
-use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
+use grade10::engines::{
+    run_mix, run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec,
+};
 use grade10::graph::partition::EdgeCutPartition;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -547,4 +560,76 @@ fn ingest_fails_in_the_pipelines_order() {
             "{name}: {ingested}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Container bytes.
+// ---------------------------------------------------------------------------
+
+/// One golden line per container: its length and FNV-1a.
+fn container_line(out: &mut String, name: &str, bytes: &[u8]) {
+    writeln!(
+        out,
+        "{name} bytes={} fnv1a={:016x}",
+        bytes.len(),
+        fnv1a(bytes)
+    )
+    .unwrap();
+}
+
+/// Every byte of the containers that carry more than events: each
+/// fixture's stream with its monitoring, the stage-cache record of one
+/// simulated campaign mix (`RESOURCES` and `KEY`), and a hand-built stream
+/// whose monitoring kinds repeat a blocking resource and a path segment,
+/// so the string pool's order and its dedup across sections are fixed.
+#[test]
+fn containers_are_pinned() {
+    let mut out = String::new();
+    for f in fixtures() {
+        let events = to_raw_events(&f.run.logs);
+        let rt = to_resource_trace(&f.run.series, 8);
+        let name = format!("{} with monitoring", f.name);
+        container_line(&mut out, &name, &encode_trace(&events, Some(&rt)));
+    }
+
+    let dir = std::env::temp_dir().join(format!("g10-container-pin-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let cache = StageCache::open(&dir).expect("open cache");
+    let mix = MixSpec {
+        algorithm: "pr".into(),
+        dataset: "rmat:6".into(),
+        engine: "giraph".into(),
+        machines: 2,
+        seed: 46,
+        fault: "all".into(),
+    };
+    let attempt = MixAttempt {
+        index: 0,
+        mode: MixMode::Lenient,
+    };
+    run_mix(&mix, "container-pin", attempt, Some(&cache)).expect("a lenient mix");
+    let records: Vec<PathBuf> = fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    assert_eq!(records.len(), 1, "{records:?}");
+    let record = fs::read(&records[0]).expect("record");
+    container_line(&mut out, "stage-cache record", &record);
+    let _ = fs::remove_dir_all(&dir);
+
+    let mut rt = ResourceTrace::new();
+    for (kind, machine) in [("cpu", Some(0)), ("gc", Some(0)), ("step", None)] {
+        let r = rt.add_resource(ResourceInstance {
+            kind: kind.into(),
+            machine,
+            capacity: 2.0,
+        });
+        rt.add_series(r, 0, 20, &[0.5, 1.5, 0.25]);
+    }
+    let mut events = clean_stream();
+    events.push(start(70, 2, &[]));
+    events.push(end(80, 2, &[]));
+    container_line(&mut out, "hand-built", &encode_trace(&events, Some(&rt)));
+    container_line(&mut out, "hand-built events", &encode_trace(&events, None));
+    check_golden("container_bytes.txt", &out);
 }
