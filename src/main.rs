@@ -36,7 +36,7 @@ use grade10::core::trace::{
     IngestConfig, IngestMode, RawSeries, ResourceIdx, ResourceTrace, MILLIS,
 };
 use grade10::core::Grade10Error;
-use grade10::engines::bridge::{collected_streams, to_resource_trace};
+use grade10::engines::bridge::{collected_streams, to_raw_events, to_resource_trace};
 
 /// Count heap allocations per thread so `--self-profile` span records can
 /// report them; free when no recording session is active.
@@ -308,11 +308,19 @@ fn demo(flags: &Flags) -> Result<RunStatus, CliError> {
     }
 
     // From here on only the simulator's output is needed: the pipeline
-    // reads what the collectors shipped. The pristine streams are bridged
-    // only for the export or for the pipeline itself.
+    // reads what the collectors shipped. The pristine events are bridged
+    // only for the export, and the pristine pair only when the pipeline
+    // characterizes it.
     let mut streams = None;
     if let Some(dir) = flags.get("--export-logs") {
-        let (events, _) = streams.insert(collected_streams(&run.sim, None));
+        let exported;
+        let events = match fault_plan {
+            Some(_) => {
+                exported = to_raw_events(&run.sim.logs);
+                &exported
+            }
+            None => &streams.insert(collected_streams(&run.sim, None)).0,
+        };
         // The monitoring ships at the recommended 8x downsampling.
         let rt = to_resource_trace(&run.sim.series, 8);
         let (events_path, resources_path) = write_streams(dir, events, Some(&rt))?;
