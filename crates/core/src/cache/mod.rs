@@ -7,12 +7,14 @@
 //! few milliseconds. So the one boundary worth persisting is the pipeline's
 //! *input*: the collected (post-fault-injection, post-bridge) event stream
 //! and `Vec<RawSeries>` that `grade10_engines::run_mix` hands to
-//! [`crate::pipeline::characterize_stream`]. A store writes the
-//! simulation's `RawEvent`s; a hit decodes the record straight into the
-//! [`EventStream`] ingestion reads and hands `run_mix` that, so no path is
-//! cloned per event. A hit skips the simulation; the pipeline always
-//! recomputes (see `docs/robustness.md` for the measurements behind that
-//! cut).
+//! [`crate::pipeline::characterize_stream`]. A store interns the
+//! simulation's `RawEvent`s once, writes that interned form as the record
+//! and returns the [`EventStream`] it numbers to, which is the stream the
+//! record decodes to; `run_mix` characterizes it, so a simulated mix is
+//! interned once. A hit decodes the record into the same stream and hands
+//! `run_mix` that, so no path is cloned per event. A hit skips the
+//! simulation; the pipeline always recomputes (see `docs/robustness.md`
+//! for the measurements behind that cut).
 //!
 //! # Record format and identity
 //!
@@ -44,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::campaign::{atomic_write, quarantine};
 use crate::error::Grade10Error;
 use crate::hash::fnv1a;
-use crate::parse::{EventStream, RawEvent};
+use crate::parse::{EventStream, FirstSeen, RawEvent};
 use crate::trace::binary::{decode_streams, encode_streams, Streams};
 use crate::trace::repair::RawSeries;
 
@@ -136,18 +138,26 @@ impl StageCache {
         }
     }
 
-    /// Persists the collected streams of one mix under `key`, atomically.
-    /// Failures are swallowed — a cache that cannot write degrades to a
-    /// cache that never hits, it must never fail the computation whose
-    /// input it was storing.
-    pub fn store_streams(&self, key: &str, events: &[RawEvent], series: &[RawSeries]) {
+    /// Persists the collected streams of one mix under `key`, atomically,
+    /// and returns the events as the stream ingestion reads: the one the
+    /// record decodes to, interned once for both. Failures to write are
+    /// swallowed — a cache that cannot write degrades to a cache that never
+    /// hits, it must never fail the computation whose input it was storing.
+    pub fn store_streams(
+        &self,
+        key: &str,
+        events: &[RawEvent],
+        series: &[RawSeries],
+    ) -> EventStream {
+        let mut stream = FirstSeen::from_events(events);
         let series = series
             .iter()
             .map(|s| (&s.instance, s.measurements.as_slice()));
-        let bytes = encode_streams(events, Some(series), Some(key));
+        let bytes = encode_streams(&mut stream, Some(series), Some(key));
         if atomic_write(&self.path_for(key), &bytes).is_ok() {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
+        stream.finish()
     }
 
     /// Snapshot of the hit/miss/store counters.

@@ -10,9 +10,12 @@
 //! and blocking resources) sorted once under dense `NameId`s, a `PathTable`
 //! holding each distinct phase path (and every prefix of one) as its
 //! parent's id plus a last segment under a dense `PathId`, and one
-//! fixed-size `Record` per event carrying ids only. The `G10TRACE` decoder
-//! fills one straight from a container's pools;
-//! [`EventStream::from_events`] builds one from raw events. Strict
+//! fixed-size `Record` per event carrying ids only. Both producers go
+//! through one first-seen form, the names and paths numbered as the records
+//! first reference them: [`EventStream::from_events`] interns raw events
+//! into it and the `G10TRACE` decoder reads it from a container's pools
+//! (the encoder writes those pools from the same form), and one `finish`
+//! ranks the names, numbers the paths and renumbers the records. Strict
 //! validation, lenient repair (`trace::repair`) and the trace build all
 //! read it, so a characterization decodes or hashes each distinct path
 //! once and clones none. Ids number names and paths in lexicographic
@@ -21,6 +24,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -142,7 +146,7 @@ impl PathTable {
 /// in any order: each new path and prefix is numbered as first seen, then
 /// [`finish`](Self::finish) renumbers them in path order.
 #[derive(Default)]
-pub(crate) struct PathTableBuilder {
+struct PathTableBuilder {
     /// First-seen nodes; parents are first-seen ids.
     nodes: Vec<PathNode>,
     /// Per (trie parent, name, key): the child's first-seen id. The trie
@@ -154,7 +158,7 @@ pub(crate) struct PathTableBuilder {
 impl PathTableBuilder {
     /// The first-seen id of the path `segments` spell, issuing one for it
     /// and for each prefix not seen before.
-    pub(crate) fn insert(&mut self, segments: impl IntoIterator<Item = (NameId, u32)>) -> PathId {
+    fn insert(&mut self, segments: impl IntoIterator<Item = (NameId, u32)>) -> PathId {
         let mut at = None;
         for (depth, (name, key)) in (1..).zip(segments) {
             let next = self.nodes.len() as PathId;
@@ -186,7 +190,7 @@ impl PathTableBuilder {
     /// children are ordered by (name id, key) — which is lexicographic path
     /// order, since name ids order as the names do — and each first-seen
     /// id's new id.
-    pub(crate) fn finish(self) -> (PathTable, Vec<PathId>) {
+    fn finish(self) -> (PathTable, Vec<PathId>) {
         let n = self.nodes.len();
         // A parent is seen before its children, so one backward pass sums
         // every subtree's size.
@@ -228,7 +232,7 @@ impl PathTableBuilder {
 
 /// A name pool sorted: the distinct names in order, and each pool entry's
 /// rank among them (equal names share one).
-pub(crate) fn rank_names(pool: &[&str]) -> (Vec<String>, Vec<NameId>) {
+fn rank_names(pool: &[&str]) -> (Vec<String>, Vec<NameId>) {
     let mut order: Vec<usize> = (0..pool.len()).collect();
     order.sort_unstable_by_key(|&i| pool[i]);
     let mut names: Vec<String> = Vec::new();
@@ -265,7 +269,8 @@ pub(crate) enum RecordKind {
 /// An event stream as ingestion reads it: the stream's names, sorted; the
 /// table of its phase paths; and one fixed-size record per event, in
 /// arrival order. The `G10TRACE` decoder builds one from a container's
-/// string and path pools, [`EventStream::from_events`] from raw events.
+/// string and path pools, [`EventStream::from_events`] from raw events,
+/// both by finishing a first-seen form.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventStream {
     pub(crate) names: Vec<String>,
@@ -273,58 +278,95 @@ pub struct EventStream {
     pub(crate) records: Vec<Record>,
 }
 
-impl EventStream {
+/// A stream in first-seen form: its names and phase paths numbered in the
+/// order the records first reference them, and its records over those
+/// numbers. A `G10TRACE` container's `STRINGS`, `PATHS` and `EVENTS`
+/// sections are this form as it stands: [`FirstSeen::from_events`]
+/// interns raw events into one, the encoder writes it, the decoder reads
+/// one back, and [`FirstSeen::finish`] numbers either in sorted order.
+#[derive(Default)]
+pub(crate) struct FirstSeen<'a> {
+    /// The name pool, indexed by first-seen name id. An interned pool holds
+    /// each name once; a decoded one is the `STRINGS` pool as written.
+    pub(crate) names: Vec<&'a str>,
+    /// Each interned name's first-seen id.
+    name_ids: HashMap<&'a str, NameId>,
+    /// Per pool path, its segments' range in `segments`.
+    pub(crate) paths: Vec<Range<usize>>,
+    /// Path segments over first-seen name ids.
+    pub(crate) segments: Vec<(NameId, u32)>,
+    /// The records over first-seen path and name ids, in arrival order.
+    pub(crate) records: Vec<Record>,
+}
+
+impl<'a> FirstSeen<'a> {
     /// Interns `events`: each event's whole path is looked up once, and
     /// only a path not seen before is walked segment by segment.
-    pub fn from_events(events: &[RawEvent]) -> EventStream {
+    pub(crate) fn from_events(events: &'a [RawEvent]) -> FirstSeen<'a> {
         let mut path_ids: HashMap<&[(String, u32)], PathId> = HashMap::new();
-        let mut name_ids: HashMap<&str, NameId> = HashMap::new();
-        let mut pool: Vec<&str> = Vec::new();
-        let mut name = |s| {
-            let next = pool.len() as NameId;
-            let id = *name_ids.entry(s).or_insert(next);
-            if id == next {
-                pool.push(s);
-            }
-            id
+        let mut form = FirstSeen {
+            records: Vec::with_capacity(events.len()),
+            ..FirstSeen::default()
         };
-        // Per new path, in first-seen order: its segments' range in
-        // `segments`, whose names are first-seen name ids.
-        let (mut spans, mut segments) = (Vec::new(), Vec::new());
-        let mut records = Vec::with_capacity(events.len());
         for ev in events {
             let kind = match &ev.kind {
                 RawEventKind::PhaseStart { path } | RawEventKind::PhaseEnd { path } => {
                     let next = path_ids.len() as PathId;
                     let id = *path_ids.entry(path.as_slice()).or_insert(next);
                     if id == next {
-                        let from = segments.len();
-                        segments.extend(path.iter().map(|(n, k)| (name(n.as_str()), *k)));
-                        spans.push(from..segments.len());
+                        let from = form.segments.len();
+                        for (name, key) in path {
+                            let name = form.intern(name);
+                            form.segments.push((name, *key));
+                        }
+                        form.paths.push(from..form.segments.len());
                     }
                     match ev.kind {
                         RawEventKind::PhaseStart { .. } => RecordKind::PhaseStart(id),
                         _ => RecordKind::PhaseEnd(id),
                     }
                 }
-                RawEventKind::BlockStart { resource } => RecordKind::BlockStart(name(resource)),
-                RawEventKind::BlockEnd { resource } => RecordKind::BlockEnd(name(resource)),
+                RawEventKind::BlockStart { resource } => {
+                    RecordKind::BlockStart(form.intern(resource))
+                }
+                RawEventKind::BlockEnd { resource } => RecordKind::BlockEnd(form.intern(resource)),
             };
-            let (time, machine, thread) = (ev.time, ev.machine, ev.thread);
-            records.push(Record {
-                time,
-                machine,
-                thread,
+            form.records.push(Record {
+                time: ev.time,
+                machine: ev.machine,
+                thread: ev.thread,
                 kind,
             });
         }
-        let (names, rank) = rank_names(&pool);
+        form
+    }
+
+    /// The first-seen id of `name`, adding it to the pool if it is new.
+    pub(crate) fn intern(&mut self, name: &'a str) -> NameId {
+        let next = self.names.len() as NameId;
+        let id = *self.name_ids.entry(name).or_insert(next);
+        if id == next {
+            self.names.push(name);
+        }
+        id
+    }
+
+    /// The stream ingestion reads: the names ranked, the pool's paths (and
+    /// their prefixes) numbered in path order, and the records renumbered
+    /// to match. Every id the form holds must be in its pools.
+    pub(crate) fn finish(self) -> EventStream {
+        let (names, rank) = rank_names(&self.names);
         let mut builder = PathTableBuilder::default();
-        let ids: Vec<PathId> = spans
-            .into_iter()
-            .map(|span| builder.insert(segments[span].iter().map(|&(n, k)| (rank[n as usize], k))))
+        let ids: Vec<PathId> = self
+            .paths
+            .iter()
+            .map(|span| {
+                let segments = &self.segments[span.clone()];
+                builder.insert(segments.iter().map(|&(n, k)| (rank[n as usize], k)))
+            })
             .collect();
         let (paths, renamed) = builder.finish();
+        let mut records = self.records;
         for r in &mut records {
             r.kind = match r.kind {
                 RecordKind::PhaseStart(i) => {
@@ -340,6 +382,13 @@ impl EventStream {
             paths,
             records,
         }
+    }
+}
+
+impl EventStream {
+    /// Interns `events` into the stream ingestion reads.
+    pub fn from_events(events: &[RawEvent]) -> EventStream {
+        FirstSeen::from_events(events).finish()
     }
 
     /// The stream as raw events, in arrival order.

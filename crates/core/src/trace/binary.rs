@@ -42,16 +42,12 @@
 //! monitoring is returned as written: validating or repairing it is
 //! ingestion's job, as for `resources.json`.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use crate::campaign::atomic_write;
 use crate::error::Grade10Error;
 use crate::hash::fnv1a;
-use crate::parse::{
-    rank_names, EventStream, NameId, PathId, PathTableBuilder, RawEvent, RawEventKind, RawPath,
-    Record, RecordKind,
-};
+use crate::parse::{EventStream, FirstSeen, RawEvent, Record, RecordKind};
 use crate::trace::repair::RawSeries;
 use crate::trace::resource::{Measurement, ResourceIdx, ResourceInstance, ResourceTrace};
 
@@ -89,24 +85,6 @@ fn corrupt(msg: impl Into<String>) -> Grade10Error {
 // Encoding
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct Interner {
-    pool: Vec<String>,
-    ids: HashMap<String, u32>,
-}
-
-impl Interner {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.ids.get(s) {
-            return id;
-        }
-        let id = self.pool.len() as u32;
-        self.pool.push(s.to_string());
-        self.ids.insert(s.to_string(), id);
-        id
-    }
-}
-
 fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -115,114 +93,77 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// The deduplicated string/path pools, filled as the record payloads that
-/// reference them are encoded.
-#[derive(Default)]
-struct PoolEncoder {
-    strings: Interner,
-    path_ids: HashMap<RawPath, u32>,
-    paths: Vec<Vec<(u32, u32)>>,
-}
-
-impl PoolEncoder {
-    fn intern_path(&mut self, path: &RawPath) -> u32 {
-        if let Some(&id) = self.path_ids.get(path) {
-            return id;
-        }
-        let id = self.paths.len() as u32;
-        let segs = path
-            .iter()
-            .map(|(name, key)| (self.strings.intern(name), *key))
-            .collect();
-        self.paths.push(segs);
-        self.path_ids.insert(path.clone(), id);
-        id
-    }
-
-    fn encode_events(&mut self, events: &[RawEvent]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(4 + events.len() * EVENT_RECORD_LEN);
-        push_u32(&mut buf, events.len() as u32);
-        for ev in events {
-            let (kind, payload) = match &ev.kind {
-                RawEventKind::PhaseStart { path } => (0u8, self.intern_path(path)),
-                RawEventKind::PhaseEnd { path } => (1u8, self.intern_path(path)),
-                RawEventKind::BlockStart { resource } => (2u8, self.strings.intern(resource)),
-                RawEventKind::BlockEnd { resource } => (3u8, self.strings.intern(resource)),
-            };
-            push_u64(&mut buf, ev.time);
-            buf.extend_from_slice(&ev.machine.to_le_bytes());
-            buf.extend_from_slice(&ev.thread.to_le_bytes());
-            buf.push(kind);
-            buf.extend_from_slice(&[0u8; 3]);
-            push_u32(&mut buf, payload);
-        }
-        buf
-    }
-
-    fn encode_series<'a>(
-        &mut self,
-        series: impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>,
-    ) -> Vec<u8> {
-        let mut buf = Vec::new();
-        push_u32(&mut buf, series.len() as u32);
-        for (inst, ms) in series {
-            push_u32(&mut buf, self.strings.intern(&inst.kind));
-            push_u32(&mut buf, inst.machine.map_or(MACHINE_NONE, |m| m as u32));
-            push_u64(&mut buf, inst.capacity.to_bits());
-            push_u32(&mut buf, ms.len() as u32);
-            for m in ms {
-                push_u64(&mut buf, m.start);
-                push_u64(&mut buf, m.end);
-                push_u64(&mut buf, m.avg.to_bits());
-            }
-        }
-        buf
-    }
-
-    fn strings_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        push_u32(&mut buf, self.strings.pool.len() as u32);
-        for s in &self.strings.pool {
-            push_u32(&mut buf, s.len() as u32);
-            buf.extend_from_slice(s.as_bytes());
-        }
-        buf
-    }
-
-    fn paths_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        push_u32(&mut buf, self.paths.len() as u32);
-        for path in &self.paths {
-            push_u32(&mut buf, path.len() as u32);
-            for &(sid, key) in path {
-                push_u32(&mut buf, sid);
-                push_u32(&mut buf, key);
-            }
-        }
-        buf
-    }
-}
-
 /// Encodes a container: `STRINGS`, `PATHS`, `EVENTS`, then `RESOURCES`
-/// when `series` is given and `KEY` when `key` is. The one encoder behind
-/// [`encode_trace`] and the stage cache's records.
+/// when `series` is given and `KEY` when `key` is. The pools are `stream`'s
+/// as they stand, after the series' kinds new to it are interned, so names
+/// appear as `EVENTS` first references them, then as `RESOURCES` does. The
+/// one encoder behind [`encode_trace`] and the stage cache's records.
 pub(crate) fn encode_streams<'a>(
-    events: &[RawEvent],
+    stream: &mut FirstSeen<'a>,
     series: Option<impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>>,
     key: Option<&str>,
 ) -> Vec<u8> {
-    let mut enc = PoolEncoder::default();
-    // Record payloads first: interning fills the string/path pools.
-    let events_payload = enc.encode_events(events);
-    let series_payload = series.map(|s| enc.encode_series(s));
+    // The series first: their kinds join the string pool.
+    let series = series.map(|s| encode_series(stream, s));
+    let mut strings = Vec::new();
+    push_u32(&mut strings, stream.names.len() as u32);
+    for s in &stream.names {
+        push_u32(&mut strings, s.len() as u32);
+        strings.extend_from_slice(s.as_bytes());
+    }
+    let mut paths = Vec::new();
+    push_u32(&mut paths, stream.paths.len() as u32);
+    for span in &stream.paths {
+        push_u32(&mut paths, span.len() as u32);
+        for &(sid, key) in &stream.segments[span.clone()] {
+            push_u32(&mut paths, sid);
+            push_u32(&mut paths, key);
+        }
+    }
+    let mut events = Vec::with_capacity(4 + stream.records.len() * EVENT_RECORD_LEN);
+    push_u32(&mut events, stream.records.len() as u32);
+    for r in &stream.records {
+        let (kind, payload) = match r.kind {
+            RecordKind::PhaseStart(path) => (0u8, path),
+            RecordKind::PhaseEnd(path) => (1u8, path),
+            RecordKind::BlockStart(name) => (2u8, name),
+            RecordKind::BlockEnd(name) => (3u8, name),
+        };
+        push_u64(&mut events, r.time);
+        events.extend_from_slice(&r.machine.to_le_bytes());
+        events.extend_from_slice(&r.thread.to_le_bytes());
+        events.push(kind);
+        events.extend_from_slice(&[0u8; 3]);
+        push_u32(&mut events, payload);
+    }
     let mut sections = vec![
-        (SECTION_STRINGS, enc.strings_payload()),
-        (SECTION_PATHS, enc.paths_payload()),
-        (SECTION_EVENTS, events_payload),
+        (SECTION_STRINGS, strings),
+        (SECTION_PATHS, paths),
+        (SECTION_EVENTS, events),
     ];
-    sections.extend(series_payload.map(|p| (SECTION_RESOURCES, p)));
+    sections.extend(series.map(|p| (SECTION_RESOURCES, p)));
     sections.extend(key.map(|k| (SECTION_KEY, k.as_bytes().to_vec())));
     seal(&sections)
+}
+
+fn encode_series<'a>(
+    stream: &mut FirstSeen<'a>,
+    series: impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>,
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    push_u32(&mut buf, series.len() as u32);
+    for (inst, ms) in series {
+        push_u32(&mut buf, stream.intern(&inst.kind));
+        push_u32(&mut buf, inst.machine.map_or(MACHINE_NONE, |m| m as u32));
+        push_u64(&mut buf, inst.capacity.to_bits());
+        push_u32(&mut buf, ms.len() as u32);
+        for m in ms {
+            push_u64(&mut buf, m.start);
+            push_u64(&mut buf, m.end);
+            push_u64(&mut buf, m.avg.to_bits());
+        }
+    }
+    buf
 }
 
 /// The container around `sections`, in order: header, section table and
@@ -261,7 +202,7 @@ pub fn encode_trace(events: &[RawEvent], resources: Option<&ResourceTrace>) -> V
             (rt.instance(r), rt.measurements(r))
         })
     });
-    encode_streams(events, series, None)
+    encode_streams(&mut FirstSeen::from_events(events), series, None)
 }
 
 /// Encodes and writes a binary trace to `path` through
@@ -449,43 +390,33 @@ fn decode_strings(payload: &[u8]) -> Result<Vec<&str>, Grade10Error> {
     Ok(out)
 }
 
-/// Decodes the `PATHS` pool into `paths`, whose segments name strings by
-/// their `rank`, and returns each pool path's id there.
-fn decode_paths(
-    payload: &[u8],
-    rank: &[NameId],
-    paths: &mut PathTableBuilder,
-) -> Result<Vec<PathId>, Grade10Error> {
+/// Decodes the `PATHS` pool into `stream`, whose `names` hold the
+/// `STRINGS` pool.
+fn decode_paths(payload: &[u8], stream: &mut FirstSeen<'_>) -> Result<(), Grade10Error> {
     let mut c = Cursor::new(payload, "paths");
     let count = c.u32()? as usize;
-    let (mut out, mut segments) = (Vec::new(), Vec::new());
     for i in 0..count {
         let nsegs = c.u32()? as usize;
-        segments.clear();
+        let from = stream.segments.len();
         for _ in 0..nsegs {
-            let sid = c.u32()? as usize;
+            let sid = c.u32()?;
             let key = c.u32()?;
-            let name = rank.get(sid).ok_or_else(|| {
-                corrupt(format!(
+            if sid as usize >= stream.names.len() {
+                return Err(corrupt(format!(
                     "path {i} references string {sid} of {}",
-                    rank.len()
-                ))
-            })?;
-            segments.push((*name, key));
+                    stream.names.len()
+                )));
+            }
+            stream.segments.push((sid, key));
         }
-        out.push(paths.insert(segments.iter().copied()));
+        stream.paths.push(from..stream.segments.len());
     }
-    c.finish()?;
-    Ok(out)
+    c.finish()
 }
 
-/// Decodes the `EVENTS` section into records over the pools' final ids:
-/// per string its name id `rank`, per pool path its path id `paths`.
-fn decode_events(
-    payload: &[u8],
-    rank: &[NameId],
-    paths: &[PathId],
-) -> Result<Vec<Record>, Grade10Error> {
+/// Decodes the `EVENTS` section into records over the pools' ids, each
+/// checked against its pool: `strings` names, `paths` paths.
+fn decode_events(payload: &[u8], strings: u32, paths: u32) -> Result<Vec<Record>, Grade10Error> {
     let mut c = Cursor::new(payload, "events");
     let count = c.u32()? as usize;
     let mut out = Vec::with_capacity(count.min(payload.len() / EVENT_RECORD_LEN));
@@ -494,16 +425,15 @@ fn decode_events(
         let machine = c.u16()?;
         let thread = c.u16()?;
         let kind = c.take(4)?[0];
-        let payload_id = c.u32()? as usize;
-        let (pool, of) = match kind {
+        let payload_id = c.u32()?;
+        let (len, of) = match kind {
             0 | 1 => (paths, "path"),
-            _ => (rank, "string"),
+            _ => (strings, "string"),
         };
         let id = |what: &str| {
-            pool.get(payload_id).copied().ok_or_else(|| {
+            (payload_id < len).then_some(payload_id).ok_or_else(|| {
                 corrupt(format!(
-                    "event {i} ({what}) references {of} {payload_id} of {}",
-                    pool.len()
+                    "event {i} ({what}) references {of} {payload_id} of {len}"
                 ))
             })
         };
@@ -580,39 +510,32 @@ pub(crate) struct Streams<'a> {
     pub(crate) key: Option<&'a [u8]>,
 }
 
-/// Decodes a container, verifying every checksum, straight into the
-/// stream ingestion reads: the `STRINGS` pool, ranked, is its name table
-/// and the `PATHS` pool its path table, so no path is cloned per event.
-/// The one decoder behind [`decode_trace`], [`read_trace_streams`] and the
-/// stage cache's lookups. Damage is a [`Grade10Error`], never a panic.
+/// Decodes a container, verifying every checksum, into the stream
+/// ingestion reads: the `STRINGS`, `PATHS` and `EVENTS` sections are a
+/// [`FirstSeen`] form, which [`FirstSeen::finish`] numbers as it numbers
+/// interned events, so no path is cloned per event. The one decoder behind
+/// [`decode_trace`], [`read_trace_streams`] and the stage cache's lookups.
+/// Damage is a [`Grade10Error`], never a panic.
 pub(crate) fn decode_streams(bytes: &[u8]) -> Result<Streams<'_>, Grade10Error> {
     let sections = parse_container(bytes)?;
     let find = |id: u32| sections.iter().find(|s| s.id == id).map(|s| s.payload);
-    let strings =
+    let mut stream = FirstSeen::default();
+    stream.names =
         decode_strings(find(SECTION_STRINGS).ok_or_else(|| corrupt("missing strings section"))?)?;
-    let (names, rank) = rank_names(&strings);
-    let mut paths = PathTableBuilder::default();
-    let pool = decode_paths(
+    decode_paths(
         find(SECTION_PATHS).ok_or_else(|| corrupt("missing paths section"))?,
-        &rank,
-        &mut paths,
+        &mut stream,
     )?;
-    let (paths, renamed) = paths.finish();
-    let pool: Vec<PathId> = pool.iter().map(|&id| renamed[id as usize]).collect();
-    let records = decode_events(
+    stream.records = decode_events(
         find(SECTION_EVENTS).ok_or_else(|| corrupt("missing events section"))?,
-        &rank,
-        &pool,
+        stream.names.len() as u32,
+        stream.paths.len() as u32,
     )?;
     let series = find(SECTION_RESOURCES)
-        .map(|p| decode_series(p, &strings))
+        .map(|p| decode_series(p, &stream.names))
         .transpose()?;
     Ok(Streams {
-        events: EventStream {
-            names,
-            paths,
-            records,
-        },
+        events: stream.finish(),
         series,
         key: find(SECTION_KEY),
     })
@@ -657,6 +580,8 @@ pub fn read_trace_streams(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -800,6 +725,137 @@ mod tests {
         })
     }
 
+    // -----------------------------------------------------------------------
+    // The encoder that interned into its own pools, kept as the oracle of
+    // `first_seen_encoder_matches_the_interner_oracle`.
+    // -----------------------------------------------------------------------
+
+    #[derive(Default)]
+    struct Interner {
+        pool: Vec<String>,
+        ids: HashMap<String, u32>,
+    }
+
+    impl Interner {
+        fn intern(&mut self, s: &str) -> u32 {
+            if let Some(&id) = self.ids.get(s) {
+                return id;
+            }
+            let id = self.pool.len() as u32;
+            self.pool.push(s.to_string());
+            self.ids.insert(s.to_string(), id);
+            id
+        }
+    }
+
+    /// The deduplicated string/path pools, filled as the record payloads
+    /// that reference them are encoded.
+    #[derive(Default)]
+    struct PoolEncoder {
+        strings: Interner,
+        path_ids: HashMap<RawPath, u32>,
+        paths: Vec<Vec<(u32, u32)>>,
+    }
+
+    impl PoolEncoder {
+        fn intern_path(&mut self, path: &RawPath) -> u32 {
+            if let Some(&id) = self.path_ids.get(path) {
+                return id;
+            }
+            let id = self.paths.len() as u32;
+            let segs = path
+                .iter()
+                .map(|(name, key)| (self.strings.intern(name), *key))
+                .collect();
+            self.paths.push(segs);
+            self.path_ids.insert(path.clone(), id);
+            id
+        }
+
+        fn encode_events(&mut self, events: &[RawEvent]) -> Vec<u8> {
+            let mut buf = Vec::with_capacity(4 + events.len() * EVENT_RECORD_LEN);
+            push_u32(&mut buf, events.len() as u32);
+            for ev in events {
+                let (kind, payload) = match &ev.kind {
+                    RawEventKind::PhaseStart { path } => (0u8, self.intern_path(path)),
+                    RawEventKind::PhaseEnd { path } => (1u8, self.intern_path(path)),
+                    RawEventKind::BlockStart { resource } => (2u8, self.strings.intern(resource)),
+                    RawEventKind::BlockEnd { resource } => (3u8, self.strings.intern(resource)),
+                };
+                push_u64(&mut buf, ev.time);
+                buf.extend_from_slice(&ev.machine.to_le_bytes());
+                buf.extend_from_slice(&ev.thread.to_le_bytes());
+                buf.push(kind);
+                buf.extend_from_slice(&[0u8; 3]);
+                push_u32(&mut buf, payload);
+            }
+            buf
+        }
+
+        fn encode_series<'a>(
+            &mut self,
+            series: impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>,
+        ) -> Vec<u8> {
+            let mut buf = Vec::new();
+            push_u32(&mut buf, series.len() as u32);
+            for (inst, ms) in series {
+                push_u32(&mut buf, self.strings.intern(&inst.kind));
+                push_u32(&mut buf, inst.machine.map_or(MACHINE_NONE, |m| m as u32));
+                push_u64(&mut buf, inst.capacity.to_bits());
+                push_u32(&mut buf, ms.len() as u32);
+                for m in ms {
+                    push_u64(&mut buf, m.start);
+                    push_u64(&mut buf, m.end);
+                    push_u64(&mut buf, m.avg.to_bits());
+                }
+            }
+            buf
+        }
+
+        fn strings_payload(&self) -> Vec<u8> {
+            let mut buf = Vec::new();
+            push_u32(&mut buf, self.strings.pool.len() as u32);
+            for s in &self.strings.pool {
+                push_u32(&mut buf, s.len() as u32);
+                buf.extend_from_slice(s.as_bytes());
+            }
+            buf
+        }
+
+        fn paths_payload(&self) -> Vec<u8> {
+            let mut buf = Vec::new();
+            push_u32(&mut buf, self.paths.len() as u32);
+            for path in &self.paths {
+                push_u32(&mut buf, path.len() as u32);
+                for &(sid, key) in path {
+                    push_u32(&mut buf, sid);
+                    push_u32(&mut buf, key);
+                }
+            }
+            buf
+        }
+    }
+
+    /// [`encode_streams`] as it was, over raw events.
+    fn encode_pooled<'a>(
+        events: &[RawEvent],
+        series: Option<impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>>,
+        key: Option<&str>,
+    ) -> Vec<u8> {
+        let mut enc = PoolEncoder::default();
+        // Record payloads first: interning fills the string/path pools.
+        let events_payload = enc.encode_events(events);
+        let series_payload = series.map(|s| enc.encode_series(s));
+        let mut sections = vec![
+            (SECTION_STRINGS, enc.strings_payload()),
+            (SECTION_PATHS, enc.paths_payload()),
+            (SECTION_EVENTS, events_payload),
+        ];
+        sections.extend(series_payload.map(|p| (SECTION_RESOURCES, p)));
+        sections.extend(key.map(|k| (SECTION_KEY, k.as_bytes().to_vec())));
+        seal(&sections)
+    }
+
     fn sample_events() -> Vec<RawEvent> {
         let path = vec![("job".to_string(), 0u32)];
         vec![
@@ -922,13 +978,11 @@ mod tests {
         }
     }
 
-    /// A random stream for the decoder oracle: `random_stream`, damaged,
-    /// with names drawn from a pool of ASCII and non-ASCII spellings (so
-    /// sorting the pool is not the identity), plus random series and key.
-    fn random_container(
-        rng: &mut ChaCha8Rng,
-        case: usize,
-    ) -> (Vec<RawEvent>, Vec<RawSeries>, Vec<u8>) {
+    /// A random stream for the oracles: `random_stream`, damaged, with
+    /// names drawn from a pool of ASCII and non-ASCII spellings, empty and
+    /// prefixes of one another (so sorting the pool is not the identity),
+    /// sometimes an empty path, plus random series.
+    fn random_streams(rng: &mut ChaCha8Rng, case: usize) -> (Vec<RawEvent>, Vec<RawSeries>) {
         const SPELLINGS: [&str; 8] = ["task", "Task", "tâche", "задача", "t", "ta", "", "タスク"];
         let mut events = random_stream(rng);
         damage(rng, &mut events, case % DAMAGE_CLASSES);
@@ -981,14 +1035,29 @@ mod tests {
                     })
                     .collect(),
             })
-            .collect::<Vec<_>>();
-        let with_series = rng.gen_bool(0.7).then(|| {
-            series
-                .iter()
-                .map(|s| (&s.instance, s.measurements.as_slice()))
-        });
+            .collect();
+        (events, series)
+    }
+
+    /// `series` as the encoder takes them.
+    fn series_refs(
+        series: &[RawSeries],
+    ) -> impl ExactSizeIterator<Item = (&ResourceInstance, &[Measurement])> {
+        series
+            .iter()
+            .map(|s| (&s.instance, s.measurements.as_slice()))
+    }
+
+    /// [`random_streams`] encoded, with their series or not and a key or
+    /// not, at random.
+    fn random_container(
+        rng: &mut ChaCha8Rng,
+        case: usize,
+    ) -> (Vec<RawEvent>, Vec<RawSeries>, Vec<u8>) {
+        let (events, series) = random_streams(rng, case);
+        let with_series = rng.gen_bool(0.7).then(|| series_refs(&series));
         let key = rng.gen_bool(0.3).then_some("mix-κ");
-        let bytes = encode_streams(&events, with_series, key);
+        let bytes = encode_streams(&mut FirstSeen::from_events(&events), with_series, key);
         (events, series, bytes)
     }
 
@@ -1076,6 +1145,65 @@ mod tests {
         assert!(
             decoded >= 200 && rejected >= 2000,
             "{decoded} decoded, {rejected} rejected"
+        );
+    }
+
+    /// The encoder over the first-seen form writes exactly the bytes the
+    /// interning encoder did, on random damaged streams (non-ASCII, empty
+    /// and prefix names, empty paths) whose series kinds often repeat a
+    /// name of the events, each with and without series and key.
+    #[test]
+    fn first_seen_encoder_matches_the_interner_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xe4c0);
+        let (mut empty_paths, mut shared_kinds, mut with_series) = (0, 0, 0);
+        for case in 0..256 {
+            let (events, mut series) = random_streams(&mut rng, case);
+            let names: Vec<&str> = events
+                .iter()
+                .flat_map(|ev| match &ev.kind {
+                    RawEventKind::PhaseStart { path } | RawEventKind::PhaseEnd { path } => {
+                        path.iter().map(|(n, _)| n.as_str()).collect()
+                    }
+                    RawEventKind::BlockStart { resource } | RawEventKind::BlockEnd { resource } => {
+                        vec![resource.as_str()]
+                    }
+                })
+                .collect();
+            for s in &mut series {
+                if rng.gen_bool(0.5) {
+                    s.instance.kind = names[rng.gen_range(0..names.len())].to_string();
+                }
+            }
+            empty_paths += usize::from(events.iter().any(
+                |ev| matches!(&ev.kind, RawEventKind::PhaseStart { path } if path.is_empty()),
+            ));
+            shared_kinds += usize::from(
+                series
+                    .iter()
+                    .any(|s| names.contains(&s.instance.kind.as_str())),
+            );
+            with_series += usize::from(!series.is_empty());
+            for (series_on, key) in [
+                (false, None),
+                (true, None),
+                (false, Some("κ")),
+                (true, Some("mix")),
+            ] {
+                let mine = encode_streams(
+                    &mut FirstSeen::from_events(&events),
+                    series_on.then(|| series_refs(&series)),
+                    key,
+                );
+                let theirs = encode_pooled(&events, series_on.then(|| series_refs(&series)), key);
+                assert!(
+                    mine == theirs,
+                    "case {case}: series {series_on}, key {key:?}"
+                );
+            }
+        }
+        assert!(
+            empty_paths >= 20 && shared_kinds >= 60 && with_series >= 120,
+            "{empty_paths} with an empty path, {shared_kinds} sharing a kind, {with_series} with series"
         );
     }
 

@@ -478,7 +478,8 @@ pub fn mix_workload(mix: &MixSpec) -> Result<(WorkloadSpec, Option<FaultPlan>), 
 /// simulation, which then stores them in that cache. The simulation runs on
 /// the thread's last graph when it fits (the per-thread graph memo). The
 /// memo and the cache hold the event stream already interned, and a
-/// simulated one is interned once, so no rung interns it again.
+/// simulated one is interned once, by the store that also encodes it when
+/// there is a cache, so no rung interns it again.
 pub fn run_mix(
     mix: &MixSpec,
     code_version: &str,
@@ -495,10 +496,11 @@ pub fn run_mix(
             let run = with_graph(spec.dataset, |graph| simulate_workload(&spec, graph));
             MIXES_SIMULATED.fetch_add(1, Ordering::Relaxed);
             let (events, monitoring) = collected_streams(&run.sim, plan.as_ref());
-            if let Some(c) = cache {
-                c.store_streams(&key, &events, &monitoring);
-            }
-            (EventStream::from_events(&events), monitoring)
+            let events = match cache {
+                Some(c) => c.store_streams(&key, &events, &monitoring),
+                None => EventStream::from_events(&events),
+            };
+            (events, monitoring)
         });
     let expert = spec.engine.expert_input();
     let cfg = CharacterizationConfig::new(attempt.mode != MixMode::Strict, 10 * MILLIS, None);

@@ -13,7 +13,8 @@
 //!   `--cache`, which keeps no cache at all;
 //! * (b) streams damaged by every fault class round-trip bit-exactly, so
 //!   every ladder rung sees the same outcome with and without the cache,
-//!   and a record is a binary trace that decodes to the same streams;
+//!   the stream a store returns is the one its record decodes to, and a
+//!   record is a binary trace that decodes to the same streams;
 //! * (c) a mix that walks the ladder simulates once, with or without a
 //!   cache;
 //! * (d) a truncated, bit-flipped or colliding record is a quarantined
@@ -255,10 +256,13 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
         let plan = FaultPlan::single(class, 46);
         let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
         let key = format!("fault={}", class.name());
-        cache.store_streams(&key, &events, &monitoring);
+        let stored = cache.store_streams(&key, &events, &monitoring);
         let (back_stream, back_monitoring) = cache
             .lookup_streams(&key)
             .unwrap_or_else(|| panic!("{}: stored record must hit", class.name()));
+        // A cold mix characterizes the stream the store interned, a warm
+        // one the stream the record decodes to: they are one stream.
+        assert_eq!(back_stream, stored, "{}: stream", class.name());
         let back_events = back_stream.to_events();
         assert_eq!(back_events, events, "{}: events", class.name());
         assert_eq!(
