@@ -1,20 +1,28 @@
-//! Stage cache: one record per campaign mix, holding the mix's collected
-//! streams.
+//! Stage cache: per campaign mix, one record of its collected streams and
+//! one record of the outcome of each ladder rung that succeeded on them.
 //!
 //! A mix's wall time is the simulation that produces its streams — graph
 //! generation, partitioning, the algorithm and the cluster simulation are
 //! ≈ 85–90 % of a mix — and the characterization pipeline behind it is a
-//! few milliseconds. So the one boundary worth persisting is the pipeline's
-//! *input*: the collected (post-fault-injection, post-bridge) event stream
-//! and `Vec<RawSeries>` that `grade10_engines::run_mix` hands to
-//! [`crate::pipeline::characterize_stream`]. A store interns the
+//! few milliseconds. So the first boundary worth persisting is the
+//! pipeline's *input*: the collected (post-fault-injection, post-bridge)
+//! event stream and `Vec<RawSeries>` that `grade10_engines::run_mix` hands
+//! to [`crate::pipeline::characterize_stream`]. A store interns the
 //! simulation's `RawEvent`s once, writes that interned form as the record
 //! and returns the [`EventStream`] it numbers to, which is the stream the
 //! record decodes to; `run_mix` characterizes it, so a simulated mix is
 //! interned once. A hit decodes the record into the same stream and hands
-//! `run_mix` that, so no path is cloned per event. A hit skips the
-//! simulation; the pipeline always recomputes (see `docs/robustness.md`
-//! for the measurements behind that cut).
+//! `run_mix` that, so no path is cloned per event. A streams hit skips the
+//! simulation.
+//!
+//! The second boundary is the pipeline's *output*. Once the simulation is
+//! gone, decoding and characterizing are most of a warm mix, and the
+//! [`MixOutcome`] they reduce to is about 0.5 KB. So a rung that succeeds
+//! under a cache also writes an outcome record, keyed by the mix identity
+//! plus the rung, and `run_mix` asks for it before anything else: a hit
+//! answers the rung without decoding or characterizing. Per-stage records
+//! stay out (see `docs/robustness.md` for the measurements behind both
+//! cuts), and a failing rung stores no outcome.
 //!
 //! # Record format and identity
 //!
@@ -31,6 +39,12 @@
 //! collision, a tampered record or one in an older format is a miss (and
 //! is quarantined), never a silently wrong answer.
 //!
+//! An outcome record is JSON: the full key (the mix key plus
+//! `;rung=<rung>`), the outcome with the fields a result-store entry has,
+//! and the FNV-1a of that outcome's JSON, so a bit flip the parser accepts
+//! is a miss too. It sits beside the streams records, at the top level of
+//! the cache directory.
+//!
 //! Writes reuse the atomic pid+seq-qualified temp-file discipline of the
 //! campaign store ([`crate::campaign::Store`]): concurrent workers sharing
 //! a cache directory can race on the same record and the loser simply
@@ -43,7 +57,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::campaign::{atomic_write, quarantine};
+use serde::{Deserialize, Serialize};
+
+use crate::campaign::{atomic_write, quarantine, MixOutcome};
 use crate::error::Grade10Error;
 use crate::hash::fnv1a;
 use crate::parse::{EventStream, FirstSeen, RawEvent};
@@ -53,12 +69,13 @@ use crate::trace::repair::RawSeries;
 /// Monotonic counters of one cache's activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageCacheStats {
-    /// Lookups that returned a verified, decodable record.
+    /// Lookups that returned a verified, decodable record, of either kind.
     pub hits: u64,
-    /// Lookups that found nothing usable (absent, corrupt, colliding, or
-    /// in an older format).
+    /// Streams lookups that found nothing usable (absent, corrupt,
+    /// colliding, or in an older format). An outcome miss is not counted:
+    /// it falls through to a streams lookup, which counts.
     pub misses: u64,
-    /// Records written.
+    /// Streams records written.
     pub stores: u64,
 }
 
@@ -74,8 +91,22 @@ impl StageCacheStats {
     }
 }
 
-/// A directory of streams records. Cheap to clone behind an `Arc`; safe to
-/// share across pool workers and campaign peers.
+/// What an outcome record holds: its full key, the rung's outcome, and the
+/// FNV-1a of that outcome's JSON.
+#[derive(Serialize, Deserialize)]
+struct OutcomeRecord {
+    key: String,
+    outcome: MixOutcome,
+    fnv: u64,
+}
+
+/// The FNV-1a of an outcome's JSON, the checksum of its record.
+fn outcome_fnv(outcome: &MixOutcome) -> Option<u64> {
+    Some(fnv1a(serde_json::to_string(outcome).ok()?.as_bytes()))
+}
+
+/// A directory of streams and outcome records. Cheap to clone behind an
+/// `Arc`; safe to share across pool workers and campaign peers.
 #[derive(Debug)]
 pub struct StageCache {
     dir: PathBuf,
@@ -103,9 +134,48 @@ impl StageCache {
         &self.dir
     }
 
-    fn path_for(&self, key: &str) -> PathBuf {
-        self.dir
-            .join(format!("streams-{:016x}.g10c", fnv1a(key.as_bytes())))
+    /// `<dir>/<kind>-<fnv1a(key)>.<ext>`.
+    fn path_for(&self, kind: &str, key: &str, ext: &str) -> PathBuf {
+        let hash = fnv1a(key.as_bytes());
+        self.dir.join(format!("{kind}-{hash:016x}.{ext}"))
+    }
+
+    /// Looks up the outcome a successful rung stored under `key`. A hit
+    /// counts as a hit; an absent record counts nothing, since the caller
+    /// falls through to [`lookup_streams`](Self::lookup_streams). A record
+    /// that does not parse, carries another key or fails its checksum is
+    /// quarantined and treated as absent.
+    pub fn lookup_outcome(&self, key: &str) -> Option<MixOutcome> {
+        let path = self.path_for("outcome", key, "json");
+        let bytes = std::fs::read(&path).ok()?;
+        match serde_json::from_slice::<OutcomeRecord>(&bytes) {
+            Ok(r) if r.key == key && outcome_fnv(&r.outcome) == Some(r.fnv) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(r.outcome)
+            }
+            _ => {
+                quarantine(&path);
+                None
+            }
+        }
+    }
+
+    /// Persists one rung's outcome under `key`, atomically. Like
+    /// [`store_streams`](Self::store_streams) it swallows failures, and it
+    /// counts no store.
+    pub fn store_outcome(&self, key: &str, outcome: &MixOutcome) {
+        let Some(fnv) = outcome_fnv(outcome) else {
+            return;
+        };
+        let record = OutcomeRecord {
+            key: key.to_string(),
+            outcome: outcome.clone(),
+            fnv,
+        };
+        if let Ok(json) = serde_json::to_string(&record) {
+            let path = self.path_for("outcome", key, "json");
+            let _ = atomic_write(&path, json.as_bytes());
+        }
     }
 
     /// Looks up the collected streams stored under `key`, decoded into the
@@ -114,7 +184,7 @@ impl StageCache {
     /// miss, and the offending file is quarantined aside so it cannot
     /// shadow a future store.
     pub fn lookup_streams(&self, key: &str) -> Option<(EventStream, Vec<RawSeries>)> {
-        let path = self.path_for(key);
+        let path = self.path_for("streams", key, "g10c");
         let Ok(bytes) = std::fs::read(&path) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -154,7 +224,7 @@ impl StageCache {
             .iter()
             .map(|s| (&s.instance, s.measurements.as_slice()));
         let bytes = encode_streams(&mut stream, Some(series), Some(key));
-        if atomic_write(&self.path_for(key), &bytes).is_ok() {
+        if atomic_write(&self.path_for("streams", key, "g10c"), &bytes).is_ok() {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
         stream.finish()

@@ -127,8 +127,9 @@ pub struct SuperviseConfig {
     /// goes when a `benchmark` PR drops that read.
     pub retry: RetryPolicy,
     /// Unused: nothing in `core` reads this field any more. The stage
-    /// cache holds one streams record per campaign mix and is consulted
-    /// by `grade10_engines::run_mix` before the pipeline is entered (see
+    /// cache holds one streams record per campaign mix and one outcome
+    /// record per ladder rung that succeeded, and is consulted by
+    /// `grade10_engines::run_mix` before the pipeline is entered (see
     /// [`crate::cache`]); neither pipeline caches its stages. The field
     /// is kept only because the frozen benchmark sources still assign it,
     /// and goes when a `benchmark` PR drops that assignment.

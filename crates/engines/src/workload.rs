@@ -15,7 +15,8 @@
 //! workload simulates on the claimant thread's last graph when it fits,
 //! and the collected streams — from the rung that failed before, or from
 //! the stage cache when the campaign opened one and it holds them — are
-//! characterized at the mix's degradation-ladder rung.
+//! characterized at the mix's degradation-ladder rung, unless that cache
+//! already holds the rung's outcome.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -470,7 +471,12 @@ pub fn mix_workload(mix: &MixSpec) -> Result<(WorkloadSpec, Option<FaultPlan>), 
 /// full supervision per the rung. The scheduler owns retries and fills the
 /// outcome's identity fields.
 ///
-/// The streams are keyed by the identity the result store hashes,
+/// Under a stage cache the rung first asks for its outcome record, keyed by
+/// the mix identity plus the rung: a rung that succeeded once, in any
+/// campaign sharing the cache, answers from it without decoding or
+/// characterizing anything, and one that succeeds here writes it.
+///
+/// Otherwise the streams are keyed by the identity the result store hashes,
 /// `content_string` under the campaign's code version, and come from the
 /// first source that holds them: the one-slot per-thread memo a failed rung
 /// leaves them in, so a ladder that fails strict and retries lenient
@@ -488,8 +494,13 @@ pub fn run_mix(
 ) -> Result<MixOutcome, Grade10Error> {
     let (spec, plan) = mix_workload(mix).map_err(Grade10Error::Serialization)?;
     let key = mix.content_string(code_version);
-    let (events, monitoring) = FAILED_RUNG
-        .take()
+    // Taken first, so an outcome hit drops a stale slot too.
+    let failed = FAILED_RUNG.take();
+    let rung_key = format!("{key};rung={}", attempt.mode.name());
+    if let Some(outcome) = cache.and_then(|c| c.lookup_outcome(&rung_key)) {
+        return Ok(outcome);
+    }
+    let (events, monitoring) = failed
         .and_then(|(k, streams)| (k == key).then_some(streams))
         .or_else(|| cache.and_then(|c| c.lookup_streams(&key)))
         .unwrap_or_else(|| {
@@ -513,7 +524,7 @@ pub fn run_mix(
         &cfg,
     )
     .inspect_err(|_| FAILED_RUNG.set(Some((key, (events, monitoring)))))?;
-    Ok(MixOutcome {
+    let outcome = MixOutcome {
         mix: mix.clone(),
         hash: 0,
         makespan_ns: p.characterization.base_makespan,
@@ -522,7 +533,11 @@ pub fn run_mix(
         degraded: !p.is_complete(),
         attempts: 0,
         mode: String::new(),
-    })
+    };
+    if let Some(c) = cache {
+        c.store_outcome(&rung_key, &outcome);
+    }
+    Ok(outcome)
 }
 
 thread_local! {
@@ -687,6 +702,34 @@ mod tests {
             let err = mix_workload(&bad).unwrap_err();
             assert!(err.starts_with(&format!("mix {}: ", bad.id())), "{err}");
         }
+    }
+
+    /// An outcome hit answers the rung before the streams are looked at,
+    /// but still takes the failed-rung memo: a lenient rung served from
+    /// its outcome record leaves no streams behind from the strict rung
+    /// that failed before it.
+    #[test]
+    fn an_outcome_hit_leaves_the_failed_rung_memo_empty() {
+        let dir = std::env::temp_dir().join(format!("g10-outcome-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = StageCache::open(&dir).unwrap();
+        let duplicated = mix("giraph", 2, "duplicate");
+        let rung = |mode| MixAttempt { index: 0, mode };
+        let lenient = run_mix(&duplicated, "t", rung(MixMode::Lenient), Some(&cache)).unwrap();
+        assert!(run_mix(&duplicated, "t", rung(MixMode::Strict), Some(&cache)).is_err());
+        assert!(
+            FAILED_RUNG.with_borrow(Option::is_some),
+            "the strict rung failed"
+        );
+        let before = cache.stats();
+        let again = run_mix(&duplicated, "t", rung(MixMode::Lenient), Some(&cache)).unwrap();
+        assert_eq!(again, lenient);
+        assert_eq!(cache.stats().hits, before.hits + 1, "an outcome hit");
+        assert!(
+            FAILED_RUNG.with_borrow(Option::is_none),
+            "the memo was dropped"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Write as _};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -47,9 +47,33 @@ use grade10::engines::{
 };
 use grade10::graph::algorithms::WorkProfile;
 
+/// `print!` through the one fallible writer: a closed stdout (`grade10
+/// analyze … | head -1`) ends the run with an error instead of a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        std::io::stdout().write_fmt(format_args!($($arg)*)).map_err(stdout_error)?
+    };
+}
+
+/// `println!` through `out!`.
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+fn stdout_error(e: std::io::Error) -> String {
+    format!("writing to stdout: {e}")
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    // Whatever stdout still buffers is written here, not at exit, where a
+    // failure would go unreported.
+    let flushed = |status| {
+        std::io::stdout().flush().map_err(stdout_error)?;
+        Ok(status)
+    };
+    match run(&args).and_then(flushed) {
         Ok(RunStatus::Clean) => ExitCode::SUCCESS,
         Ok(RunStatus::Partial) => ExitCode::from(2),
         Err(CliError::Usage(e)) => {
@@ -134,10 +158,12 @@ spec, --lenient and --lease-ms are fixed at launch in DIR/campaign.json:
 --resume --lease-ms N replaces). --status DIR prints read-only progress
 while workers are live.
 
---cache DIR keeps each mix's collected streams in a stage cache that
-campaigns can share, so a mix whose record exists skips its simulation.
-A mix that retries down the ladder simulates once either way. Cached and
-uncached runs are byte-identical.
+--cache DIR keeps each mix's collected streams, and the outcome of each
+ladder rung that succeeded, in a stage cache that campaigns can share: a
+rung whose outcome is stored is answered without running, and a mix
+whose streams are stored skips its simulation. A mix that retries down
+the ladder simulates once either way. Cached and uncached runs are
+byte-identical.
 
 exit codes:
   0  clean characterization / campaign
@@ -285,7 +311,7 @@ fn demo(flags: &Flags) -> Result<RunStatus, CliError> {
         None => simulate_spark(dataset, algorithm),
     };
     if flags.contains_key("--work-profile") {
-        println!("workload iteration profile (whole cluster):");
+        outln!("workload iteration profile (whole cluster):");
         let mut t = grade10::core::report::Table::new(&[
             "iter",
             "active",
@@ -304,7 +330,7 @@ fn demo(flags: &Flags) -> Result<RunStatus, CliError> {
                 format!("{balance:.2}"),
             ]);
         }
-        println!("{}", t.render());
+        outln!("{}", t.render());
     }
 
     // From here on only the simulator's output is needed: the pipeline
@@ -511,8 +537,9 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
             ""
         }
     );
-    // The stage cache keeps each mix's collected streams, so a mix whose
-    // record exists skips its simulation (the bulk of a mix) and goes
+    // The stage cache keeps each mix's collected streams and each
+    // successful rung's outcome: an outcome hit answers the rung outright,
+    // and a streams hit skips the simulation (the bulk of a mix) and goes
     // straight to the pipeline. Within one directory the store already
     // answers every finished mix, so a cache pays only when --cache shares
     // it between campaigns.
@@ -550,7 +577,7 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
     if let Some(c) = &cache {
         eprintln!("{}", grade10::core::report::stage_cache_line(&c.stats()));
     }
-    print!("{}", run.report_text);
+    out!("{}", run.report_text);
     eprintln!("wrote {dir}/report.txt and {dir}/report.json");
     Ok(if run.is_clean() && !peers_partial {
         RunStatus::Clean
@@ -594,7 +621,7 @@ fn spawn_peer_workers(
 /// purely from the journal and store. Safe while workers are live.
 fn campaign_status_cmd(dir: &str) -> Result<RunStatus, CliError> {
     let st = grade10::core::campaign::campaign_status(Path::new(dir)).map_err(|e| e.to_string())?;
-    println!("campaign {} in {dir}", st.campaign);
+    outln!("campaign {} in {dir}", st.campaign);
     let mut t = grade10::core::report::Table::new(&["state", "mixes"]);
     t.row(&["finished".to_string(), st.finished.to_string()]);
     t.row(&["claimed".to_string(), st.claimed.to_string()]);
@@ -602,8 +629,8 @@ fn campaign_status_cmd(dir: &str) -> Result<RunStatus, CliError> {
     t.row(&["failed".to_string(), st.failed.to_string()]);
     t.row(&["poisoned".to_string(), st.poisoned.to_string()]);
     t.row(&["pending".to_string(), st.pending.to_string()]);
-    print!("{}", t.render());
-    println!(
+    out!("{}", t.render());
+    outln!(
         "{} of {} mixes done; report {}written{}",
         st.finished + st.failed + st.poisoned,
         st.total,
@@ -646,15 +673,15 @@ fn characterize_and_report(
         &p.trace,
         &p.characterization,
         flags.contains_key("--gantt"),
-    );
+    )?;
     if partial {
-        print_supervision(&p);
+        print_supervision(&p)?;
     }
     // ...and characterized once the normal report is out.
     if let Some(recording) = recording {
         let meta = characterize_meta(&recording.finish())
             .map_err(|e| format!("self-characterization failed: {e}"))?;
-        print_self_profile(&meta);
+        print_self_profile(&meta)?;
         if let Some(dir) = flags.get("--self-export") {
             export_self_trace(&meta, dir)?;
         }
@@ -677,16 +704,17 @@ fn characterize_and_report(
 
 /// Prints the supervision epilogue: coverage summary, incident table, and
 /// the per-machine / per-stage coverage table.
-fn print_supervision(p: &PartialCharacterization) {
-    println!("\nsupervision summary: {}", p.coverage.summary());
+fn print_supervision(p: &PartialCharacterization) -> Result<(), String> {
+    outln!("\nsupervision summary: {}", p.coverage.summary());
     if p.incidents.is_empty() {
-        println!("  no incidents");
+        outln!("  no incidents");
     } else {
-        println!("\nincidents:");
-        print!("{}", incident_table(&p.incidents).render());
+        outln!("\nincidents:");
+        out!("{}", incident_table(&p.incidents).render());
     }
-    println!("\ncoverage:");
-    print!("{}", coverage_table(&p.coverage).render());
+    outln!("\ncoverage:");
+    out!("{}", coverage_table(&p.coverage).render());
+    Ok(())
 }
 
 /// Builds the pipeline config from the shared CLI flags: `--lenient` picks
@@ -800,7 +828,7 @@ fn export_model(flags: &Flags) -> Result<RunStatus, CliError> {
                 .map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        None => println!("{}", bundle.to_json()),
+        None => outln!("{}", bundle.to_json()),
     }
     Ok(RunStatus::Clean)
 }
@@ -917,25 +945,26 @@ fn read_resources(path: &str) -> Result<ResourceTrace, String> {
 }
 
 /// Prints Grade10's characterization of its own pipeline run.
-fn print_self_profile(meta: &MetaCharacterization) {
-    println!("\nself-profile: the pipeline characterized by itself");
-    println!(
+fn print_self_profile(meta: &MetaCharacterization) -> Result<(), String> {
+    outln!("\nself-profile: the pipeline characterized by itself");
+    outln!(
         "  {} spans on {} recorder threads over {}",
         meta.raw.spans.len(),
         meta.raw.num_threads(),
         SimDuration::from_nanos(meta.raw.end)
     );
-    println!("\npipeline stage profile:");
-    print!("{}", self_profile_table(meta).render());
-    println!("\nrecorder-thread utilization:");
-    print!("{}", machine_table(&meta.result.profile).render());
-    println!("\npipeline bottlenecks, most impactful first:");
+    outln!("\npipeline stage profile:");
+    out!("{}", self_profile_table(meta).render());
+    outln!("\nrecorder-thread utilization:");
+    out!("{}", machine_table(&meta.result.profile).render());
+    outln!("\npipeline bottlenecks, most impactful first:");
     if meta.result.issues.is_empty() {
-        println!("  (none above threshold)");
+        outln!("  (none above threshold)");
     }
     for line in meta.result.summary(&meta.model) {
-        println!("  - {line}");
+        outln!("  - {line}");
     }
+    Ok(())
 }
 
 /// Writes the meta-trace in the offline-analysis formats (`model.json`,
@@ -969,49 +998,50 @@ fn print_characterization(
     trace: &ExecutionTrace,
     result: &grade10::core::pipeline::Characterization,
     gantt: bool,
-) {
+) -> Result<(), String> {
     // Under --self-profile the rendering work is itself a pipeline stage.
     let _span = obs::span(obs::Stage::Report);
     if !result.ingest.is_clean() {
-        println!("ingestion repaired a degraded input:");
-        print!("{}", ingest_table(&result.ingest).render());
-        println!();
+        outln!("ingestion repaired a degraded input:");
+        out!("{}", ingest_table(&result.ingest).render());
+        outln!();
     }
-    println!(
+    outln!(
         "baseline makespan (replayed): {:.2}s",
         result.base_makespan as f64 / 1e9
     );
-    println!("\ncluster utilization:");
-    print!("{}", machine_table(&result.profile).render());
-    println!("\nattributed consumption by phase type:");
-    print!("{}", usage_table(&result.profile, model, trace).render());
-    println!("\nblocked time by phase type:");
+    outln!("\ncluster utilization:");
+    out!("{}", machine_table(&result.profile).render());
+    outln!("\nattributed consumption by phase type:");
+    out!("{}", usage_table(&result.profile, model, trace).render());
+    outln!("\nblocked time by phase type:");
     let mut any = false;
     for ((ty, res), secs) in result.bottlenecks.blocked_time_by_type(trace) {
         if secs > 0.01 {
-            println!("  {} blocked on {res}: {secs:.2}s", model.type_path(ty));
+            outln!("  {} blocked on {res}: {secs:.2}s", model.type_path(ty));
             any = true;
         }
     }
     if !any {
-        println!("  (none above 10 ms)");
+        outln!("  (none above 10 ms)");
     }
-    println!("\nissues, most impactful first:");
+    outln!("\nissues, most impactful first:");
     if result.issues.is_empty() {
-        println!("  (none above threshold)");
+        outln!("  (none above threshold)");
     }
     for line in result.summary(model) {
-        println!("  - {line}");
+        outln!("  - {line}");
     }
-    println!("\ncritical path (replayed), time per phase type:");
+    outln!("\ncritical path (replayed), time per phase type:");
     let cp = critical_path(model, trace, &Default::default());
     for (path, secs) in cp.rows(model) {
-        println!("  {path:<55} {secs:>7.2}s");
+        outln!("  {path:<55} {secs:>7.2}s");
     }
     if gantt {
-        println!("\nexecution gantt (top 3 levels):");
-        print!("{}", render_gantt(model, trace, &GanttConfig::default()));
+        outln!("\nexecution gantt (top 3 levels):");
+        out!("{}", render_gantt(model, trace, &GanttConfig::default()));
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! --export-logs` + `grade10 analyze`. The `cli_*` tests drive the binary
 //! over a `demo --dataset rmat:10` export and pin what `analyze` prints for
 //! it against goldens under `tests/goldens/` (re-bless an intentional
-//! change with `UPDATE_GOLDENS=1`).
+//! change with `UPDATE_GOLDENS=1`), and check that a reader that closes
+//! stdout early ends a run with an error, not a panic.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -218,5 +219,34 @@ fn cli_lenient_analyze_repairs_damaged_monitoring() {
             && !stderr.contains("usage:"),
         "{stderr}"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `grade10 analyze … | head -1`: a stdout whose reader is gone before the
+/// first write fails the run on a one-line error with exit code 1, not a
+/// panic with a backtrace (exit 101). `export-model` writes its bundle to
+/// the same writer.
+#[test]
+fn cli_output_into_a_closed_stdout_is_an_error_not_a_panic() {
+    let dir = export_demo("closed-stdout");
+    let text_pair = ["--events", "logs/events.jsonl", "--resources", "logs/resources.json"];
+    let analyze = [&["analyze", "--model", "bundle.json"], &text_pair[..]].concat();
+    for args in [analyze, vec!["export-model", "--engine", "giraph"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_grade10"))
+            .current_dir(&dir)
+            .args(&args)
+            .stdout(writer)
+            .output()
+            .expect("run grade10");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: writing to stdout: "),
+            "{args:?}: {stderr}"
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }

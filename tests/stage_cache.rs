@@ -1,12 +1,15 @@
-//! The stage cache: one streams record per campaign mix.
+//! The stage cache: one streams record per campaign mix, and one outcome
+//! record per ladder rung that succeeded.
 //!
 //! The cache persists a mix's collected streams — the simulation's output
 //! after fault injection and bridging, i.e. exactly what `run_mix` hands
 //! the pipeline — keyed by the mix identity the result store hashes
-//! (`MixSpec::content_string` under the campaign's code version). A hit
-//! skips the simulation; the pipeline always recomputes. These tests pin
-//! what makes that trustworthy, through the `grade10 campaign` binary
-//! wherever the behaviour lives in `run_mix`:
+//! (`MixSpec::content_string` under the campaign's code version). A streams
+//! hit skips the simulation. A rung that succeeds also stores its outcome
+//! under that key plus the rung, and an outcome hit skips the decode and
+//! the pipeline as well. These tests pin what makes that trustworthy,
+//! through the `grade10 campaign` binary wherever the behaviour lives in
+//! `run_mix`:
 //!
 //! * (a) a warm campaign is all hits, stores nothing, and its reports are
 //!   byte-identical to the cold run's and to those of a run without
@@ -19,7 +22,13 @@
 //!   cache;
 //! * (d) a truncated, bit-flipped or colliding record is a quarantined
 //!   miss that recomputes to the same report;
-//! * (e) a different code version is a miss.
+//! * (e) a different code version is a miss;
+//! * (f) outcome records alone answer a warm campaign, which then neither
+//!   simulates nor characterizes and still renders the cold report;
+//! * (g) a strict campaign and a `--lenient` one share a cache without
+//!   taking each other's rungs;
+//! * (h) a truncated, bit-flipped or colliding outcome record is a
+//!   quarantined miss that falls through to the streams.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -69,13 +78,18 @@ struct Campaign {
 /// `--cache CACHE` when given one, requiring a clean exit. A run without
 /// `--cache` must leave no stage cache behind.
 fn campaign(spec: &Path, dir: &Path, cache: Option<&Path>) -> Campaign {
+    campaign_with(spec, dir, cache, &[])
+}
+
+/// [`campaign`] with `extra` flags.
+fn campaign_with(spec: &Path, dir: &Path, cache: Option<&Path>, extra: &[&str]) -> Campaign {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_grade10"));
     cmd.arg("campaign")
         .arg("--spec")
         .arg(spec)
         .arg("--dir")
         .arg(dir);
-    cmd.args(["--threads", "1"]);
+    cmd.args(["--threads", "1"]).args(extra);
     if let Some(c) = cache {
         cmd.arg("--cache").arg(c);
     }
@@ -129,12 +143,46 @@ fn assert_same_reports(a: &Campaign, b: &Campaign, what: &str) {
     assert_eq!(a.report_json, b.report_json, "{what}: report.json diverged");
 }
 
+/// The key `run_mix` stores the streams of the `i`-th mix of `spec` under.
+fn mix_key(spec: &Path, i: usize) -> String {
+    let spec = CampaignSpec::load(spec).expect("load spec");
+    spec.expand()[i].content_string(&spec.code_version)
+}
+
 /// Where the record of the `i`-th mix of `spec` lives in `cache`: the file
 /// name grammar of docs/FORMATS.md, from the key `run_mix` uses.
 fn record_path(cache: &Path, spec: &Path, i: usize) -> PathBuf {
-    let spec = CampaignSpec::load(spec).expect("load spec");
-    let key = spec.expand()[i].content_string(&spec.code_version);
+    let key = mix_key(spec, i);
     cache.join(format!("streams-{:016x}.g10c", fnv1a(key.as_bytes())))
+}
+
+/// Where the outcome record of the `i`-th mix of `spec` at the strict rung
+/// lives in `cache`.
+fn outcome_path(cache: &Path, spec: &Path, i: usize) -> PathBuf {
+    let key = format!("{};rung=strict", mix_key(spec, i));
+    cache.join(format!("outcome-{:016x}.json", fnv1a(key.as_bytes())))
+}
+
+/// The files in `cache` whose names start with `prefix`.
+fn records(cache: &Path, prefix: &str) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(cache)
+        .expect("read cache")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| {
+            let name = p.file_name().unwrap_or_default().to_string_lossy();
+            name.starts_with(prefix) && !name.ends_with(".quarantined")
+        })
+        .collect();
+    found.sort();
+    found
+}
+
+/// Removes every outcome record from `cache`, so the next campaign reads
+/// the streams records.
+fn remove_outcomes(cache: &Path) {
+    for path in records(cache, "outcome-") {
+        std::fs::remove_file(path).expect("remove outcome record");
+    }
 }
 
 /// (a) A second campaign into a fresh directory (so the mix-level store
@@ -371,7 +419,9 @@ fn a_mix_that_walks_the_ladder_simulates_once() {
 /// bit-flipped one, one sitting under another key's file name (a 64-bit
 /// name collision) and one in the older `G10CACHE` container are each a
 /// miss, are moved aside, and the mixes recompute to the cold report; the
-/// next run hits on the rewritten records.
+/// next run hits on the rewritten records. The outcome records, which a
+/// warm run would read before any streams record, are removed before each
+/// warm run.
 #[test]
 fn damaged_and_colliding_records_are_quarantined_misses() {
     let root = tdir("damage");
@@ -397,6 +447,7 @@ fn damaged_and_colliding_records_are_quarantined_misses() {
     bytes[..8].copy_from_slice(b"G10CACHE");
     std::fs::write(&older, &bytes).expect("relabel record 4");
 
+    remove_outcomes(&cache);
     let repaired = campaign(&spec, &root.join("repaired"), Some(&cache));
     assert_eq!(
         counts(&repaired),
@@ -414,6 +465,7 @@ fn damaged_and_colliding_records_are_quarantined_misses() {
         );
     }
 
+    remove_outcomes(&cache);
     let again = campaign(&spec, &root.join("again"), Some(&cache));
     assert_eq!(
         counts(&again),
@@ -424,7 +476,7 @@ fn damaged_and_colliding_records_are_quarantined_misses() {
 }
 
 /// (e) The code version is part of the key: the same matrix under another
-/// version shares no record with the first.
+/// version shares no record with the first, streams or outcome.
 #[test]
 fn a_different_code_version_is_a_miss() {
     let root = tdir("version");
@@ -435,13 +487,138 @@ fn a_different_code_version_is_a_miss() {
         counts(&campaign(&v1, &root.join("a"), Some(&cache))),
         (0, 2, 2)
     );
-    assert_eq!(
-        counts(&campaign(&v2, &root.join("b"), Some(&cache))),
-        (0, 2, 2)
+    assert_eq!(records(&cache, "outcome-").len(), 2, "one outcome per mix");
+    let b = campaign(&v2, &root.join("b"), Some(&cache));
+    assert_eq!(counts(&b), (0, 2, 2), "no outcome hit either");
+    assert!(
+        b.stderr.contains("for 2 simulated mixes"),
+        "t2 simulates both mixes: {}",
+        b.stderr
     );
+    assert_eq!(records(&cache, "outcome-").len(), 4, "t2 shares no outcome");
     assert_eq!(
         counts(&campaign(&v1, &root.join("c"), Some(&cache))),
         (2, 0, 0)
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// (f) With every streams record deleted, the outcome records alone answer
+/// a warm campaign into a fresh directory: one hit per mix, no simulation,
+/// and the cold run's stdout and reports byte for byte.
+#[test]
+fn outcome_records_alone_answer_a_warm_campaign() {
+    let root = tdir("outcomes");
+    let spec = write_spec(&root, "spec.toml", "\"pr\", \"bfs\"", "1, 2", "");
+    let cache = root.join("cache");
+    let cold = campaign(&spec, &root.join("cold"), Some(&cache));
+    assert_eq!(counts(&cold), (0, 4, 4));
+    assert_eq!(records(&cache, "outcome-").len(), 4, "one outcome per mix");
+    for path in records(&cache, "streams-") {
+        std::fs::remove_file(path).expect("remove streams record");
+    }
+    let warm = campaign(&spec, &root.join("warm"), Some(&cache));
+    assert_eq!(counts(&warm), (4, 0, 0), "4 mixes, all outcome hits");
+    assert!(
+        warm.stderr
+            .contains("substrate: 0 graphs generated for 0 simulated mixes"),
+        "{}",
+        warm.stderr
+    );
+    assert_same_reports(&cold, &warm, "outcomes only vs cold");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// (g) The rung is part of an outcome's key. A mix with duplicated records
+/// fails strict and passes lenient; a `--lenient` campaign runs it lenient
+/// from the first attempt. Whichever campaign fills the cache, the other
+/// one over it reports what it reports without a cache.
+#[test]
+fn strict_and_lenient_campaigns_share_a_cache_without_sharing_rungs() {
+    let root = tdir("rungs");
+    let spec = write_spec(
+        &root,
+        "spec.toml",
+        "\"pr\"",
+        "46",
+        "faults = [\"none\", \"duplicate\"]",
+    );
+    let (strict, lenient): (&[&str], &[&str]) = (&[], &["--lenient"]);
+    for (tag, first, then) in [
+        ("strict-first", strict, lenient),
+        ("lenient-first", lenient, strict),
+    ] {
+        let cache = root.join(format!("{tag}-cache"));
+        let run = |step: &str, cache: Option<&Path>, flags: &[&str]| {
+            campaign_with(&spec, &root.join(format!("{tag}-{step}")), cache, flags)
+        };
+        run("fill", Some(&cache), first);
+        let over = run("over", Some(&cache), then);
+        let plain = run("plain", None, then);
+        assert_same_reports(&over, &plain, &format!("{tag}: cached vs uncached"));
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// (h) Damaged outcome records never answer a rung. A truncated record, one
+/// with a bit flipped inside a number (still valid JSON) and one sitting
+/// under another key's file name are each a miss, are moved aside, and
+/// their mixes recompute from the streams records to the cold report; the
+/// rewritten outcome records answer the next run with no streams left.
+#[test]
+fn damaged_and_colliding_outcome_records_are_quarantined_misses() {
+    let root = tdir("outcome-damage");
+    let spec = write_spec(&root, "spec.toml", "\"pr\", \"bfs\"", "1, 2, 3", "");
+    let cache = root.join("cache");
+    let cold = campaign(&spec, &root.join("cold"), Some(&cache));
+    assert_eq!(counts(&cold), (0, 6, 6));
+
+    let truncated = outcome_path(&cache, &spec, 0);
+    let bytes = std::fs::read(&truncated).expect("outcome 0");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("truncate outcome 0");
+    // A digit's low bit flipped is another digit: the JSON still parses.
+    let flipped = outcome_path(&cache, &spec, 1);
+    let mut bytes = std::fs::read(&flipped).expect("outcome 1");
+    let field = b"\"makespan_ns\":";
+    let at = bytes
+        .windows(field.len())
+        .position(|w| w == field)
+        .expect("a makespan")
+        + field.len();
+    assert!(bytes[at].is_ascii_digit());
+    bytes[at] ^= 0x01;
+    std::fs::write(&flipped, &bytes).expect("flip outcome 1");
+    // Mix 2's intact outcome under mix 3's name.
+    let collided = outcome_path(&cache, &spec, 3);
+    std::fs::rename(outcome_path(&cache, &spec, 2), &collided).expect("collide outcomes 2 and 3");
+
+    let repaired = campaign(&spec, &root.join("repaired"), Some(&cache));
+    assert_eq!(
+        counts(&repaired),
+        (6, 0, 0),
+        "two outcome hits; four streams hits behind the damaged outcomes"
+    );
+    assert!(
+        repaired.stderr.contains("for 0 simulated mixes"),
+        "{}",
+        repaired.stderr
+    );
+    assert_same_reports(&cold, &repaired, "recomputed vs cold");
+    for bad in [&truncated, &flipped, &collided] {
+        let mut aside = bad.clone().into_os_string();
+        aside.push(".quarantined");
+        assert!(
+            Path::new(&aside).exists(),
+            "{} must be quarantined",
+            bad.display()
+        );
+    }
+
+    for path in records(&cache, "streams-") {
+        std::fs::remove_file(path).expect("remove streams record");
+    }
+    let again = campaign(&spec, &root.join("again"), Some(&cache));
+    assert_eq!(counts(&again), (6, 0, 0), "the outcomes were stored again");
+    assert_same_reports(&cold, &again, "rewritten outcomes vs cold");
     let _ = std::fs::remove_dir_all(&root);
 }

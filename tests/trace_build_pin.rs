@@ -608,12 +608,26 @@ fn containers_are_pinned() {
         mode: MixMode::Lenient,
     };
     run_mix(&mix, "container-pin", attempt, Some(&cache)).expect("a lenient mix");
-    let records: Vec<PathBuf> = fs::read_dir(&dir)
+    let mut records: Vec<PathBuf> = fs::read_dir(&dir)
         .expect("cache dir")
         .map(|e| e.expect("entry").path())
         .collect();
-    assert_eq!(records.len(), 1, "{records:?}");
-    let record = fs::read(&records[0]).expect("record");
+    records.sort();
+    // The rung succeeded, so its outcome record sits beside the streams.
+    let names: Vec<String> = records
+        .iter()
+        .map(|p| {
+            p.file_name()
+                .expect("a file")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert!(
+        matches!(&names[..], [o, s] if o.starts_with("outcome-") && s.starts_with("streams-")),
+        "{names:?}"
+    );
+    let record = fs::read(&records[1]).expect("record");
     container_line(&mut out, "stage-cache record", &record);
     let _ = fs::remove_dir_all(&dir);
 
