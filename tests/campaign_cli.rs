@@ -863,11 +863,15 @@ faults = ["none", "all"]
 "#;
 
 /// The reports of a campaign in which half the mixes climb the retry
-/// ladder are pinned, and one or two claimant threads or two worker
-/// processes reproduce them byte for byte: the rung each mix ends on and
-/// its attempt count do not depend on who ran it.
+/// ladder are pinned, and one or two claimant threads, two worker
+/// processes, or a stage cache cold and then warm reproduce them byte for
+/// byte: the rung each mix ends on and its attempt count do not depend on
+/// who ran it, nor on whether a failing rung was recomputed or read back.
 #[test]
 fn damaged_campaign_matches_its_golden_at_any_width() {
+    let cache = tmp("damaged-stage-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let cache_arg = cache.to_str().expect("utf-8 path");
     reports_match_golden_at_any_width(
         "damaged",
         DAMAGED_SPEC,
@@ -876,8 +880,11 @@ fn damaged_campaign_matches_its_golden_at_any_width() {
             ("t1", &["--threads", "1"]),
             ("t2", &["--threads", "2"]),
             ("w2", &["--threads", "1", "--workers", "2"]),
+            ("cache-cold", &["--threads", "1", "--cache", cache_arg]),
+            ("cache-warm", &["--threads", "1", "--cache", cache_arg]),
         ],
     );
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 /// `--resume` keeps the base mode and the lease the campaign was launched
