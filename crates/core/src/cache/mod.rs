@@ -1,49 +1,35 @@
-//! Stage cache: per campaign mix, one record of its collected streams and
-//! one record of the outcome of each ladder rung that succeeded on them.
+//! Stage cache: one record per campaign-mix ladder rung, holding the rung's
+//! result.
 //!
 //! A mix's wall time is the simulation that produces its streams — graph
 //! generation, partitioning, the algorithm and the cluster simulation are
 //! ≈ 85–90 % of a mix — and the characterization pipeline behind it is a
-//! few milliseconds. So the first boundary worth persisting is the
-//! pipeline's *input*: the collected (post-fault-injection, post-bridge)
-//! event stream and `Vec<RawSeries>` that `grade10_engines::run_mix` hands
-//! to [`crate::pipeline::characterize_stream`]. A store interns the
-//! simulation's `RawEvent`s once, writes that interned form as the record
-//! and returns the [`EventStream`] it numbers to, which is the stream the
-//! record decodes to; `run_mix` characterizes it, so a simulated mix is
-//! interned once. A hit decodes the record into the same stream and hands
-//! `run_mix` that, so no path is cloned per event. A streams hit skips the
-//! simulation.
-//!
-//! The second boundary is the pipeline's *output*. Once the simulation is
-//! gone, decoding and characterizing are most of a warm mix, and the
-//! [`MixOutcome`] they reduce to is about 0.5 KB. So a rung that succeeds
-//! under a cache also writes an outcome record, keyed by the mix identity
-//! plus the rung, and `run_mix` asks for it before anything else: a hit
-//! answers the rung without decoding or characterizing. Per-stage records
-//! stay out (see `docs/robustness.md` for the measurements behind both
-//! cuts), and a failing rung stores no outcome.
+//! few milliseconds. What a rung reduces all of that to is one
+//! [`MixOutcome`] of about 0.5 KB, or the [`Grade10Error`] it returned. A
+//! campaign sets no deadline and no chaos, so that result depends only on
+//! the rung's input, and the cache keeps it: `grade10_engines::run_mix`
+//! asks for a rung's record before anything else, and a hit answers the
+//! rung without simulating, decoding or characterizing anything. A
+//! failing rung's stored error sends the mix down the ladder as the
+//! recomputed one would, and the next rung is answered by its own record.
+//! The collected streams and per-stage results are not kept (see
+//! `docs/robustness.md` for the measurements behind that cut): whatever a
+//! record does not answer is recomputed.
 //!
 //! # Record format and identity
 //!
-//! A record is a binary trace ([`crate::trace::binary`]): the `G10TRACE`
-//! container with the mix's events and series in the sections
-//! [`crate::trace::encode_trace`] writes, plus the key in the optional
-//! `KEY` section, so every truncation or bit flip is detected on read and
-//! `grade10 analyze --trace` reads a record as it reads any trace. The key
-//! is the mix identity the campaign result store already computes
+//! A record is JSON: the full key, the rung's result (its outcome with the
+//! fields a result-store entry has, or its error), and the FNV-1a of that
+//! result's JSON, so a bit flip the parser accepts is detected. The key is
+//! the mix identity the campaign result store already computes
 //! ([`MixSpec::content_string`](crate::campaign::MixSpec::content_string):
-//! every spec field plus the code version). File names carry only a 64-bit
-//! FNV-1a of the key, which can collide; the full key is therefore stored
-//! inside the record and compared byte-for-byte on every lookup — a
-//! collision, a tampered record or one in an older format is a miss (and
-//! is quarantined), never a silently wrong answer.
-//!
-//! An outcome record is JSON: the full key (the mix key plus
-//! `;rung=<rung>`), the outcome with the fields a result-store entry has,
-//! and the FNV-1a of that outcome's JSON, so a bit flip the parser accepts
-//! is a miss too. It sits beside the streams records, at the top level of
-//! the cache directory.
+//! every spec field plus the code version) plus `;rung=<rung>`, because the
+//! same mix ends `strict` in one campaign and `lenient` in a `--lenient`
+//! one. File names carry only a 64-bit FNV-1a of the key, which can
+//! collide; the full key is therefore stored inside the record and compared
+//! byte-for-byte on every lookup — a collision, a tampered record or one in
+//! an older format is a miss (and is quarantined), never a silently wrong
+//! answer.
 //!
 //! Writes reuse the atomic pid+seq-qualified temp-file discipline of the
 //! campaign store ([`crate::campaign::Store`]): concurrent workers sharing
@@ -62,20 +48,16 @@ use serde::{Deserialize, Serialize};
 use crate::campaign::{atomic_write, quarantine, MixOutcome};
 use crate::error::Grade10Error;
 use crate::hash::fnv1a;
-use crate::parse::{EventStream, FirstSeen, RawEvent};
-use crate::trace::binary::{decode_streams, encode_streams, Streams};
-use crate::trace::repair::RawSeries;
 
-/// Monotonic counters of one cache's activity.
+/// Monotonic counters of one cache's rung records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageCacheStats {
-    /// Lookups that returned a verified, decodable record, of either kind.
+    /// Lookups that returned a verified record.
     pub hits: u64,
-    /// Streams lookups that found nothing usable (absent, corrupt,
-    /// colliding, or in an older format). An outcome miss is not counted:
-    /// it falls through to a streams lookup, which counts.
+    /// Lookups that found nothing usable (absent, corrupt, colliding, or
+    /// in an older format).
     pub misses: u64,
-    /// Streams records written.
+    /// Records written.
     pub stores: u64,
 }
 
@@ -91,22 +73,29 @@ impl StageCacheStats {
     }
 }
 
-/// What an outcome record holds: its full key, the rung's outcome, and the
-/// FNV-1a of that outcome's JSON.
+/// A rung's result as its record spells it.
+#[derive(Clone, Serialize, Deserialize)]
+enum RungResult {
+    Outcome(MixOutcome),
+    Error(Grade10Error),
+}
+
+/// What a record holds: its full key, the rung's result, and the FNV-1a
+/// of that result's JSON.
 #[derive(Serialize, Deserialize)]
-struct OutcomeRecord {
+struct RungRecord {
     key: String,
-    outcome: MixOutcome,
+    result: RungResult,
     fnv: u64,
 }
 
-/// The FNV-1a of an outcome's JSON, the checksum of its record.
-fn outcome_fnv(outcome: &MixOutcome) -> Option<u64> {
-    Some(fnv1a(serde_json::to_string(outcome).ok()?.as_bytes()))
+/// The FNV-1a of a result's JSON, the checksum of its record.
+fn result_fnv(result: &RungResult) -> Option<u64> {
+    Some(fnv1a(serde_json::to_string(result).ok()?.as_bytes()))
 }
 
-/// A directory of streams and outcome records. Cheap to clone behind an
-/// `Arc`; safe to share across pool workers and campaign peers.
+/// A directory of rung records. Cheap to clone behind an `Arc`; safe to
+/// share across pool workers and campaign peers.
 #[derive(Debug)]
 pub struct StageCache {
     dir: PathBuf,
@@ -134,100 +123,62 @@ impl StageCache {
         &self.dir
     }
 
-    /// `<dir>/<kind>-<fnv1a(key)>.<ext>`.
-    fn path_for(&self, kind: &str, key: &str, ext: &str) -> PathBuf {
+    /// `<dir>/outcome-<fnv1a(key)>.json`.
+    fn path_for(&self, key: &str) -> PathBuf {
         let hash = fnv1a(key.as_bytes());
-        self.dir.join(format!("{kind}-{hash:016x}.{ext}"))
+        self.dir.join(format!("outcome-{hash:016x}.json"))
     }
 
-    /// Looks up the outcome a successful rung stored under `key`. A hit
-    /// counts as a hit; an absent record counts nothing, since the caller
-    /// falls through to [`lookup_streams`](Self::lookup_streams). A record
-    /// that does not parse, carries another key or fails its checksum is
-    /// quarantined and treated as absent.
-    pub fn lookup_outcome(&self, key: &str) -> Option<MixOutcome> {
-        let path = self.path_for("outcome", key, "json");
-        let bytes = std::fs::read(&path).ok()?;
-        match serde_json::from_slice::<OutcomeRecord>(&bytes) {
-            Ok(r) if r.key == key && outcome_fnv(&r.outcome) == Some(r.fnv) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(r.outcome)
+    /// Looks up the result a rung stored under `key`. A record that does
+    /// not parse, carries another key or fails its checksum is quarantined
+    /// aside, so it cannot shadow a future store, and counts as a miss
+    /// like an absent one.
+    pub fn lookup(&self, key: &str) -> Option<Result<MixOutcome, Grade10Error>> {
+        let path = self.path_for(key);
+        let found = std::fs::read(&path).ok().and_then(|bytes| {
+            match serde_json::from_slice::<RungRecord>(&bytes) {
+                Ok(r) if r.key == key && result_fnv(&r.result) == Some(r.fnv) => Some(r.result),
+                _ => {
+                    quarantine(&path);
+                    None
+                }
             }
-            _ => {
-                quarantine(&path);
-                None
-            }
-        }
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found.map(|result| match result {
+            RungResult::Outcome(outcome) => Ok(outcome),
+            RungResult::Error(e) => Err(e),
+        })
     }
 
-    /// Persists one rung's outcome under `key`, atomically. Like
-    /// [`store_streams`](Self::store_streams) it swallows failures, and it
-    /// counts no store.
-    pub fn store_outcome(&self, key: &str, outcome: &MixOutcome) {
-        let Some(fnv) = outcome_fnv(outcome) else {
+    /// Persists one rung's result under `key`, atomically. Failures to
+    /// write are swallowed — a cache that cannot write degrades to a cache
+    /// that never hits, it must never fail the rung whose result it was
+    /// storing.
+    pub fn store(&self, key: &str, result: &Result<MixOutcome, Grade10Error>) {
+        let result = match result {
+            Ok(outcome) => RungResult::Outcome(outcome.clone()),
+            Err(e) => RungResult::Error(e.clone()),
+        };
+        let Some(fnv) = result_fnv(&result) else {
             return;
         };
-        let record = OutcomeRecord {
+        let record = RungRecord {
             key: key.to_string(),
-            outcome: outcome.clone(),
+            result,
             fnv,
         };
-        if let Ok(json) = serde_json::to_string(&record) {
-            let path = self.path_for("outcome", key, "json");
-            let _ = atomic_write(&path, json.as_bytes());
-        }
-    }
-
-    /// Looks up the collected streams stored under `key`, decoded into the
-    /// stream ingestion reads and the series as written. Container damage,
-    /// a key mismatch (file-name collision) or a decode failure counts as a
-    /// miss, and the offending file is quarantined aside so it cannot
-    /// shadow a future store.
-    pub fn lookup_streams(&self, key: &str) -> Option<(EventStream, Vec<RawSeries>)> {
-        let path = self.path_for("streams", key, "g10c");
-        let Ok(bytes) = std::fs::read(&path) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let Ok(json) = serde_json::to_string(&record) else {
+            return;
         };
-        match decode_streams(&bytes) {
-            // Another key is a 64-bit file-name collision: a miss, never a
-            // silently wrong artifact.
-            Ok(Streams {
-                events,
-                series: Some(series),
-                key: Some(stored),
-            }) if stored == key.as_bytes() => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((events, series))
-            }
-            _ => {
-                quarantine(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Persists the collected streams of one mix under `key`, atomically,
-    /// and returns the events as the stream ingestion reads: the one the
-    /// record decodes to, interned once for both. Failures to write are
-    /// swallowed — a cache that cannot write degrades to a cache that never
-    /// hits, it must never fail the computation whose input it was storing.
-    pub fn store_streams(
-        &self,
-        key: &str,
-        events: &[RawEvent],
-        series: &[RawSeries],
-    ) -> EventStream {
-        let mut stream = FirstSeen::from_events(events);
-        let series = series
-            .iter()
-            .map(|s| (&s.instance, s.measurements.as_slice()));
-        let bytes = encode_streams(&mut stream, Some(series), Some(key));
-        if atomic_write(&self.path_for("streams", key, "g10c"), &bytes).is_ok() {
+        if atomic_write(&self.path_for(key), json.as_bytes()).is_ok() {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
-        stream.finish()
     }
 
     /// Snapshot of the hit/miss/store counters.

@@ -44,7 +44,8 @@ impl MixSpec {
     }
 
     /// Canonical content string hashed into [`content_hash`](Self::content_hash)
-    /// and stored in full as the key of the mix's stage-cache record. Every
+    /// and stored in full, plus the rung, as the key of the mix's
+    /// stage-cache records. Every
     /// field is keyed so axis values cannot collide across field boundaries.
     pub fn content_string(&self, code_version: &str) -> String {
         format!(

@@ -11,8 +11,11 @@
 
 use std::fmt;
 
-/// Errors produced while ingesting Grade10's inputs.
-#[derive(Clone, Debug, PartialEq, Eq)]
+use serde::{Deserialize, Serialize};
+
+/// Errors produced while ingesting Grade10's inputs. They serialize, so a
+/// stage-cache record can hold the error a ladder rung returned.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Grade10Error {
     /// A log stream violated the event contract (unbalanced phases,

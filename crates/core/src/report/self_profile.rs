@@ -100,8 +100,8 @@ pub fn self_profile_table(meta: &MetaCharacterization) -> Table {
 }
 
 /// One-line stage-cache summary printed after cached campaign runs: how
-/// many mixes reused their streams record, how many simulated, how many
-/// records were written.
+/// many ladder rungs were answered by their record, how many were not, and
+/// how many records were written.
 pub fn stage_cache_line(stats: &crate::cache::StageCacheStats) -> String {
     format!(
         "stage cache: {} hits, {} misses, {} stored ({:.1}% hit rate)",

@@ -30,9 +30,10 @@
 //!   `u64` capacity bits | `u32` measurement count | per measurement
 //!   `start u64 | end u64 | avg-bits u64`. Floats travel as
 //!   [`f64::to_bits`], so a round trip is exact.
-//! * `KEY` (5, optional): the UTF-8 key of a stage-cache record
-//!   (`crate::cache`), written last. [`encode_trace`] never writes it and
-//!   [`decode_trace`] skips it, so a cache record reads as a trace.
+//!
+//! Id 5 is retired: it held the key of a stage-cache record, which is no
+//! longer a container. Nothing writes it, and the decoder, like for any id
+//! it does not know, checks its checksum and ignores it.
 //!
 //! Damage handling: every structural defect — short header, wrong magic,
 //! unsupported version, truncated or overlapping sections, zero-length
@@ -61,7 +62,6 @@ const SECTION_STRINGS: u32 = 1;
 const SECTION_PATHS: u32 = 2;
 const SECTION_EVENTS: u32 = 3;
 const SECTION_RESOURCES: u32 = 4;
-const SECTION_KEY: u32 = 5;
 
 const HEADER_LEN: usize = 24;
 const SECTION_ENTRY_LEN: usize = 32;
@@ -94,14 +94,12 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
 }
 
 /// Encodes a container: `STRINGS`, `PATHS`, `EVENTS`, then `RESOURCES`
-/// when `series` is given and `KEY` when `key` is. The pools are `stream`'s
-/// as they stand, after the series' kinds new to it are interned, so names
-/// appear as `EVENTS` first references them, then as `RESOURCES` does. The
-/// one encoder behind [`encode_trace`] and the stage cache's records.
-pub(crate) fn encode_streams<'a>(
+/// when `series` is given. The pools are `stream`'s as they stand, after
+/// the series' kinds new to it are interned, so names appear as `EVENTS`
+/// first references them, then as `RESOURCES` does.
+fn encode_streams<'a>(
     stream: &mut FirstSeen<'a>,
     series: Option<impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>>,
-    key: Option<&str>,
 ) -> Vec<u8> {
     // The series first: their kinds join the string pool.
     let series = series.map(|s| encode_series(stream, s));
@@ -142,7 +140,6 @@ pub(crate) fn encode_streams<'a>(
         (SECTION_EVENTS, events),
     ];
     sections.extend(series.map(|p| (SECTION_RESOURCES, p)));
-    sections.extend(key.map(|k| (SECTION_KEY, k.as_bytes().to_vec())));
     seal(&sections)
 }
 
@@ -202,7 +199,7 @@ pub fn encode_trace(events: &[RawEvent], resources: Option<&ResourceTrace>) -> V
             (rt.instance(r), rt.measurements(r))
         })
     });
-    encode_streams(&mut FirstSeen::from_events(events), series, None)
+    encode_streams(&mut FirstSeen::from_events(events), series)
 }
 
 /// Encodes and writes a binary trace to `path` through
@@ -500,23 +497,14 @@ fn decode_series(payload: &[u8], strings: &[&str]) -> Result<Vec<RawSeries>, Gra
     Ok(out)
 }
 
-/// What one container carries, as written.
-pub(crate) struct Streams<'a> {
-    /// The `EVENTS` section over the `STRINGS` and `PATHS` pools.
-    pub(crate) events: EventStream,
-    /// The `RESOURCES` section, when present.
-    pub(crate) series: Option<Vec<RawSeries>>,
-    /// The `KEY` section, when present.
-    pub(crate) key: Option<&'a [u8]>,
-}
-
-/// Decodes a container, verifying every checksum, into the stream
-/// ingestion reads: the `STRINGS`, `PATHS` and `EVENTS` sections are a
+/// Decodes a container, verifying every checksum, into what it carries as
+/// written: the stream ingestion reads, and the `RESOURCES` section when
+/// present. The `STRINGS`, `PATHS` and `EVENTS` sections are a
 /// [`FirstSeen`] form, which [`FirstSeen::finish`] numbers as it numbers
 /// interned events, so no path is cloned per event. The one decoder behind
-/// [`decode_trace`], [`read_trace_streams`] and the stage cache's lookups.
-/// Damage is a [`Grade10Error`], never a panic.
-pub(crate) fn decode_streams(bytes: &[u8]) -> Result<Streams<'_>, Grade10Error> {
+/// [`decode_trace`] and [`read_trace_streams`]. Damage is a
+/// [`Grade10Error`], never a panic.
+fn decode_streams(bytes: &[u8]) -> Result<(EventStream, Option<Vec<RawSeries>>), Grade10Error> {
     let sections = parse_container(bytes)?;
     let find = |id: u32| sections.iter().find(|s| s.id == id).map(|s| s.payload);
     let mut stream = FirstSeen::default();
@@ -534,11 +522,7 @@ pub(crate) fn decode_streams(bytes: &[u8]) -> Result<Streams<'_>, Grade10Error> 
     let series = find(SECTION_RESOURCES)
         .map(|p| decode_series(p, &stream.names))
         .transpose()?;
-    Ok(Streams {
-        events: stream.finish(),
-        series,
-        key: find(SECTION_KEY),
-    })
+    Ok((stream.finish(), series))
 }
 
 /// Decodes a binary trace from in-memory bytes, verifying every checksum.
@@ -546,10 +530,10 @@ pub(crate) fn decode_streams(bytes: &[u8]) -> Result<Streams<'_>, Grade10Error> 
 /// [`Grade10Error`]; this function does not panic on arbitrary input. The
 /// monitoring comes back as written, unvalidated.
 pub fn decode_trace(bytes: &[u8]) -> Result<BinaryTrace, Grade10Error> {
-    let streams = decode_streams(bytes)?;
+    let (events, series) = decode_streams(bytes)?;
     Ok(BinaryTrace {
-        events: streams.events.to_events(),
-        resources: streams.series.map(ResourceTrace::from_series),
+        events: events.to_events(),
+        resources: series.map(ResourceTrace::from_series),
     })
 }
 
@@ -574,8 +558,7 @@ pub fn read_trace_file(path: &Path) -> Result<BinaryTrace, Grade10Error> {
 pub fn read_trace_streams(
     path: &Path,
 ) -> Result<(EventStream, Option<Vec<RawSeries>>), Grade10Error> {
-    let Streams { events, series, .. } = decode_streams(&std::fs::read(path)?)?;
-    Ok((events, series))
+    decode_streams(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -689,18 +672,9 @@ mod tests {
         Ok(out)
     }
 
-    /// What one container carries, as written.
-    struct OwnedStreams<'a> {
-        events: Vec<RawEvent>,
-        /// The `RESOURCES` section, when present.
-        series: Option<Vec<RawSeries>>,
-        /// The `KEY` section, when present.
-        key: Option<&'a [u8]>,
-    }
-
     /// [`decode_streams`] as it was: every event materialized with its own
     /// path and resource strings.
-    fn decode_owned(bytes: &[u8]) -> Result<OwnedStreams<'_>, Grade10Error> {
+    fn decode_owned(bytes: &[u8]) -> Result<(Vec<RawEvent>, Option<Vec<RawSeries>>), Grade10Error> {
         let sections = parse_container(bytes)?;
         let find = |id: u32| sections.iter().find(|s| s.id == id).map(|s| s.payload);
         let strings = owned_strings(
@@ -718,11 +692,7 @@ mod tests {
         let series = find(SECTION_RESOURCES)
             .map(|p| decode_series(p, &strings.iter().map(String::as_str).collect::<Vec<_>>()))
             .transpose()?;
-        Ok(OwnedStreams {
-            events,
-            series,
-            key: find(SECTION_KEY),
-        })
+        Ok((events, series))
     }
 
     // -----------------------------------------------------------------------
@@ -840,7 +810,6 @@ mod tests {
     fn encode_pooled<'a>(
         events: &[RawEvent],
         series: Option<impl ExactSizeIterator<Item = (&'a ResourceInstance, &'a [Measurement])>>,
-        key: Option<&str>,
     ) -> Vec<u8> {
         let mut enc = PoolEncoder::default();
         // Record payloads first: interning fills the string/path pools.
@@ -852,7 +821,6 @@ mod tests {
             (SECTION_EVENTS, events_payload),
         ];
         sections.extend(series_payload.map(|p| (SECTION_RESOURCES, p)));
-        sections.extend(key.map(|k| (SECTION_KEY, k.as_bytes().to_vec())));
         seal(&sections)
     }
 
@@ -1048,27 +1016,24 @@ mod tests {
             .map(|s| (&s.instance, s.measurements.as_slice()))
     }
 
-    /// [`random_streams`] encoded, with their series or not and a key or
-    /// not, at random.
+    /// [`random_streams`] encoded, with their series or not, at random.
     fn random_container(
         rng: &mut ChaCha8Rng,
         case: usize,
     ) -> (Vec<RawEvent>, Vec<RawSeries>, Vec<u8>) {
         let (events, series) = random_streams(rng, case);
         let with_series = rng.gen_bool(0.7).then(|| series_refs(&series));
-        let key = rng.gen_bool(0.3).then_some("mix-κ");
-        let bytes = encode_streams(&mut FirstSeen::from_events(&events), with_series, key);
+        let bytes = encode_streams(&mut FirstSeen::from_events(&events), with_series);
         (events, series, bytes)
     }
 
     /// The stream decoder against the owned oracle on one input: the same
-    /// events (through `to_events`), series and key, or the same error.
+    /// events (through `to_events`) and series, or the same error.
     fn agrees_with_the_oracle(bytes: &[u8]) -> bool {
         match (decode_streams(bytes), decode_owned(bytes)) {
             (Ok(mine), Ok(theirs)) => {
-                assert_eq!(mine.events.to_events(), theirs.events);
-                assert_eq!(format!("{:?}", mine.series), format!("{:?}", theirs.series));
-                assert_eq!(mine.key, theirs.key);
+                assert_eq!(mine.0.to_events(), theirs.0);
+                assert_eq!(format!("{:?}", mine.1), format!("{:?}", theirs.1));
                 true
             }
             (Err(mine), Err(theirs)) => {
@@ -1101,17 +1066,13 @@ mod tests {
         let mut previous: Option<Vec<u8>> = None;
         for case in 0..120 {
             let (events, series, bytes) = random_container(&mut rng, case);
-            let fresh = decode_streams(&bytes).expect("a fresh container decodes");
-            assert_eq!(fresh.events.to_events(), events, "case {case}");
-            match fresh.series {
+            let (fresh, fresh_series) = decode_streams(&bytes).expect("a fresh container decodes");
+            assert_eq!(fresh.to_events(), events, "case {case}");
+            match fresh_series {
                 Some(s) => assert_eq!(format!("{s:?}"), format!("{series:?}"), "case {case}"),
                 // Decoded from the pools or interned from the events, one
                 // stream (the series' kinds would join the name pool).
-                None => assert_eq!(
-                    fresh.events,
-                    EventStream::from_events(&events),
-                    "case {case}"
-                ),
+                None => assert_eq!(fresh, EventStream::from_events(&events), "case {case}"),
             }
             tally(agrees_with_the_oracle(&bytes));
             let step = if case < 8 { 1 } else { bytes.len() / 16 + 1 };
@@ -1151,7 +1112,7 @@ mod tests {
     /// The encoder over the first-seen form writes exactly the bytes the
     /// interning encoder did, on random damaged streams (non-ASCII, empty
     /// and prefix names, empty paths) whose series kinds often repeat a
-    /// name of the events, each with and without series and key.
+    /// name of the events, each with and without series.
     #[test]
     fn first_seen_encoder_matches_the_interner_oracle() {
         let mut rng = ChaCha8Rng::seed_from_u64(0xe4c0);
@@ -1183,27 +1144,41 @@ mod tests {
                     .any(|s| names.contains(&s.instance.kind.as_str())),
             );
             with_series += usize::from(!series.is_empty());
-            for (series_on, key) in [
-                (false, None),
-                (true, None),
-                (false, Some("κ")),
-                (true, Some("mix")),
-            ] {
+            for series_on in [false, true] {
                 let mine = encode_streams(
                     &mut FirstSeen::from_events(&events),
                     series_on.then(|| series_refs(&series)),
-                    key,
                 );
-                let theirs = encode_pooled(&events, series_on.then(|| series_refs(&series)), key);
-                assert!(
-                    mine == theirs,
-                    "case {case}: series {series_on}, key {key:?}"
-                );
+                let theirs = encode_pooled(&events, series_on.then(|| series_refs(&series)));
+                assert!(mine == theirs, "case {case}: series {series_on}");
             }
         }
         assert!(
             empty_paths >= 20 && shared_kinds >= 60 && with_series >= 120,
             "{empty_paths} with an empty path, {shared_kinds} sharing a kind, {with_series} with series"
+        );
+    }
+
+    /// A container that carries a section with the retired id 5 (the key
+    /// of a stage-cache record from before records held rung results)
+    /// decodes to the same events and series as the same container without
+    /// it, so such a record still reads as a trace.
+    #[test]
+    fn a_retired_key_section_is_ignored() {
+        let (events, rt) = (sample_events(), sample_resources());
+        let bytes = encode_trace(&events, Some(&rt));
+        let mut sections = sections_of(&bytes);
+        sections.push((5, b"pr;rmat:6;giraph;2;46;all;v1".to_vec()));
+        let with_key = seal(&sections);
+        assert_ne!(with_key, bytes);
+        let (plain, keyed) = (
+            decode_trace(&bytes).unwrap(),
+            decode_trace(&with_key).unwrap(),
+        );
+        assert_eq!(keyed.events, plain.events);
+        assert_eq!(
+            format!("{:?}", keyed.resources),
+            format!("{:?}", plain.resources)
         );
     }
 

@@ -66,7 +66,7 @@ impl ResourceTrace {
     /// The trace of `series` as written, with no checks: the inverse of
     /// [`RawSeries::from_trace`], and the same trust a deserialized
     /// `resources.json` gets. Ingestion validates or repairs it.
-    pub(crate) fn from_series(series: Vec<RawSeries>) -> Self {
+    pub fn from_series(series: Vec<RawSeries>) -> Self {
         let (instances, measurements) = series
             .into_iter()
             .map(|s| (s.instance, s.measurements))

@@ -14,9 +14,9 @@
 //! strings parse into a workload and a fault plan ([`mix_workload`]), the
 //! workload simulates on the claimant thread's last graph when it fits,
 //! and the collected streams — from the rung that failed before, or from
-//! the stage cache when the campaign opened one and it holds them — are
-//! characterized at the mix's degradation-ladder rung, unless that cache
-//! already holds the rung's outcome.
+//! that simulation — are characterized at the mix's degradation-ladder
+//! rung, unless the stage cache the campaign opened already holds the
+//! rung's result.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -471,21 +471,18 @@ pub fn mix_workload(mix: &MixSpec) -> Result<(WorkloadSpec, Option<FaultPlan>), 
 /// full supervision per the rung. The scheduler owns retries and fills the
 /// outcome's identity fields.
 ///
-/// Under a stage cache the rung first asks for its outcome record, keyed by
-/// the mix identity plus the rung: a rung that succeeded once, in any
-/// campaign sharing the cache, answers from it without decoding or
-/// characterizing anything, and one that succeeds here writes it.
+/// Under a stage cache the rung first asks for its record, keyed by the
+/// identity the result store hashes (`content_string` under the campaign's
+/// code version) plus the rung: a rung that ran once, in any campaign
+/// sharing the cache, is answered by its stored outcome or error without
+/// simulating or characterizing anything, and one that runs here stores
+/// its result. A panic unwinds past this function and stores nothing.
 ///
-/// Otherwise the streams are keyed by the identity the result store hashes,
-/// `content_string` under the campaign's code version, and come from the
-/// first source that holds them: the one-slot per-thread memo a failed rung
-/// leaves them in, so a ladder that fails strict and retries lenient
-/// simulates once; the stage cache, when the campaign opened one; a
-/// simulation, which then stores them in that cache. The simulation runs on
-/// the thread's last graph when it fits (the per-thread graph memo). The
-/// memo and the cache hold the event stream already interned, and a
-/// simulated one is interned once, by the store that also encodes it when
-/// there is a cache, so no rung interns it again.
+/// Otherwise the streams come from the one-slot per-thread memo a failed
+/// rung leaves them in, so a ladder that fails strict and retries lenient
+/// simulates once, or from a simulation on the thread's last graph when it
+/// fits (the per-thread graph memo), interned once by
+/// [`EventStream::from_events`].
 pub fn run_mix(
     mix: &MixSpec,
     code_version: &str,
@@ -494,28 +491,23 @@ pub fn run_mix(
 ) -> Result<MixOutcome, Grade10Error> {
     let (spec, plan) = mix_workload(mix).map_err(Grade10Error::Serialization)?;
     let key = mix.content_string(code_version);
-    // Taken first, so an outcome hit drops a stale slot too.
+    // Taken first, so a cache hit drops a stale slot too.
     let failed = FAILED_RUNG.take();
     let rung_key = format!("{key};rung={}", attempt.mode.name());
-    if let Some(outcome) = cache.and_then(|c| c.lookup_outcome(&rung_key)) {
-        return Ok(outcome);
+    if let Some(result) = cache.and_then(|c| c.lookup(&rung_key)) {
+        return result;
     }
     let (events, monitoring) = failed
         .and_then(|(k, streams)| (k == key).then_some(streams))
-        .or_else(|| cache.and_then(|c| c.lookup_streams(&key)))
         .unwrap_or_else(|| {
             let run = with_graph(spec.dataset, |graph| simulate_workload(&spec, graph));
             MIXES_SIMULATED.fetch_add(1, Ordering::Relaxed);
             let (events, monitoring) = collected_streams(&run.sim, plan.as_ref());
-            let events = match cache {
-                Some(c) => c.store_streams(&key, &events, &monitoring),
-                None => EventStream::from_events(&events),
-            };
-            (events, monitoring)
+            (EventStream::from_events(&events), monitoring)
         });
     let expert = spec.engine.expert_input();
     let cfg = CharacterizationConfig::new(attempt.mode != MixMode::Strict, 10 * MILLIS, None);
-    let p = characterize_stream(
+    let result = characterize_stream(
         attempt.mode == MixMode::Partial,
         &expert.model,
         &expert.rules_tuned,
@@ -523,8 +515,7 @@ pub fn run_mix(
         &monitoring,
         &cfg,
     )
-    .inspect_err(|_| FAILED_RUNG.set(Some((key, (events, monitoring)))))?;
-    let outcome = MixOutcome {
+    .map(|p| MixOutcome {
         mix: mix.clone(),
         hash: 0,
         makespan_ns: p.characterization.base_makespan,
@@ -533,11 +524,14 @@ pub fn run_mix(
         degraded: !p.is_complete(),
         attempts: 0,
         mode: String::new(),
-    };
+    });
     if let Some(c) = cache {
-        c.store_outcome(&rung_key, &outcome);
+        c.store(&rung_key, &result);
     }
-    Ok(outcome)
+    if result.is_err() {
+        FAILED_RUNG.set(Some((key, (events, monitoring))));
+    }
+    result
 }
 
 thread_local! {

@@ -158,12 +158,11 @@ spec, --lenient and --lease-ms are fixed at launch in DIR/campaign.json:
 --resume --lease-ms N replaces). --status DIR prints read-only progress
 while workers are live.
 
---cache DIR keeps each mix's collected streams, and the outcome of each
-ladder rung that succeeded, in a stage cache that campaigns can share: a
-rung whose outcome is stored is answered without running, and a mix
-whose streams are stored skips its simulation. A mix that retries down
-the ladder simulates once either way. Cached and uncached runs are
-byte-identical.
+--cache DIR keeps the result of each ladder rung a mix runs, its outcome
+or its error, in a stage cache that campaigns can share: a rung whose
+result is stored is answered without simulating or characterizing
+anything. A mix that retries down the ladder simulates once either way.
+Cached and uncached runs are byte-identical.
 
 exit codes:
   0  clean characterization / campaign
@@ -537,12 +536,11 @@ fn campaign(flags: &Flags) -> Result<RunStatus, CliError> {
             ""
         }
     );
-    // The stage cache keeps each mix's collected streams and each
-    // successful rung's outcome: an outcome hit answers the rung outright,
-    // and a streams hit skips the simulation (the bulk of a mix) and goes
-    // straight to the pipeline. Within one directory the store already
-    // answers every finished mix, so a cache pays only when --cache shares
-    // it between campaigns.
+    // The stage cache keeps each rung's result: a hit answers the rung
+    // outright, skipping the simulation (the bulk of a mix) and the
+    // pipeline. Within one directory the store already answers every
+    // finished mix, so a cache pays only when --cache shares it between
+    // campaigns.
     let cache = flags.get("--cache").map(|d| StageCache::open(Path::new(d)));
     let cache = cache.transpose().map_err(|e| e.to_string())?;
     // Peers join the epoch this process leads, so they start on its first
@@ -792,9 +790,9 @@ fn write_streams(
 }
 
 /// JSON has no NaN or infinity: `serde_json` writes them as `null`, which
-/// [`read_resources`] rejects. A trace that carries one (a stage-cache
-/// record keeps the samples the `monitoring` fault makes NaN) cannot be
-/// exported as text.
+/// [`read_resources`] rejects. A binary trace that carries one (it keeps
+/// every sample bit for bit, so the NaN ones the `monitoring` fault makes
+/// too) cannot be exported as text.
 fn json_safe(rt: &ResourceTrace) -> Result<(), Grade10Error> {
     for (r, inst) in rt.instances().iter().enumerate() {
         let unsafe_value = |what: String| {

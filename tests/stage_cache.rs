@@ -1,50 +1,49 @@
-//! The stage cache: one streams record per campaign mix, and one outcome
-//! record per ladder rung that succeeded.
+//! The stage cache: one record per campaign-mix ladder rung, holding the
+//! rung's result.
 //!
-//! The cache persists a mix's collected streams — the simulation's output
-//! after fault injection and bridging, i.e. exactly what `run_mix` hands
-//! the pipeline — keyed by the mix identity the result store hashes
-//! (`MixSpec::content_string` under the campaign's code version). A streams
-//! hit skips the simulation. A rung that succeeds also stores its outcome
-//! under that key plus the rung, and an outcome hit skips the decode and
-//! the pipeline as well. These tests pin what makes that trustworthy,
-//! through the `grade10 campaign` binary wherever the behaviour lives in
-//! `run_mix`:
+//! A rung that runs under `--cache` stores its outcome, or the error it
+//! returned, keyed by the mix identity the result store hashes
+//! (`MixSpec::content_string` under the campaign's code version) plus the
+//! rung, and a later rung with that key is answered from the record
+//! without simulating or characterizing anything. These tests pin what
+//! makes that trustworthy, through the `grade10 campaign` binary wherever
+//! the behaviour lives in `run_mix`:
 //!
-//! * (a) a warm campaign is all hits, stores nothing, and its reports are
-//!   byte-identical to the cold run's and to those of a run without
-//!   `--cache`, which keeps no cache at all;
-//! * (b) streams damaged by every fault class round-trip bit-exactly, so
-//!   every ladder rung sees the same outcome with and without the cache,
-//!   the stream a store returns is the one its record decodes to, and a
-//!   record is a binary trace that decodes to the same streams;
+//! * (a) a warm campaign is all hits, stores nothing, simulates nothing,
+//!   and its reports are byte-identical to the cold run's and to those of
+//!   a run without `--cache`, which keeps no cache at all; the cache holds
+//!   one outcome record per mix and nothing else;
+//! * (b) streams damaged by every fault class round-trip a binary trace
+//!   bit-exactly, so every ladder rung sees the same result from the
+//!   decoded streams as from the collected ones, and `convert --trace`
+//!   refuses to write NaN samples as JSON; the same fault matrix renders
+//!   one report cold, warm and uncached, and warm it neither misses nor
+//!   simulates;
 //! * (c) a mix that walks the ladder simulates once, with or without a
 //!   cache;
-//! * (d) a truncated, bit-flipped or colliding record is a quarantined
-//!   miss that recomputes to the same report;
-//! * (e) a different code version is a miss;
-//! * (f) outcome records alone answer a warm campaign, which then neither
-//!   simulates nor characterizes and still renders the cold report;
-//! * (g) a strict campaign and a `--lenient` one share a cache without
+//! * (d) a different code version is a miss;
+//! * (e) a strict campaign and a `--lenient` one share a cache without
 //!   taking each other's rungs;
-//! * (h) a truncated, bit-flipped or colliding outcome record is a
-//!   quarantined miss that falls through to the streams.
+//! * (f) a truncated, bit-flipped or colliding record is a quarantined
+//!   miss that recomputes by simulation to the same report;
+//! * (g) a bit-flipped stored error is a quarantined miss, and its rung
+//!   recomputes the same error.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use grade10::cluster::{FaultClass, FaultPlan};
-use grade10::core::cache::{StageCache, StageCacheStats};
-use grade10::core::campaign::CampaignSpec;
+use grade10::core::cache::StageCacheStats;
+use grade10::core::campaign::{CampaignSpec, MixAttempt, MixMode};
 use grade10::core::error::Grade10Error;
 use grade10::core::hash::fnv1a;
 use grade10::core::parse::RawEvent;
 use grade10::core::pipeline::{characterize_events, CharacterizationConfig};
 use grade10::core::supervise::characterize_events_supervised;
-use grade10::core::trace::{decode_trace, RawSeries, MILLIS};
+use grade10::core::trace::{decode_trace, encode_trace, RawSeries, ResourceTrace, MILLIS};
 use grade10::engines::bridge::collected_streams;
 use grade10::engines::pregel::PregelConfig;
-use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
+use grade10::engines::{run_mix, run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
 
 fn tdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("g10-stagecache-{name}-{}", std::process::id()));
@@ -143,23 +142,21 @@ fn assert_same_reports(a: &Campaign, b: &Campaign, what: &str) {
     assert_eq!(a.report_json, b.report_json, "{what}: report.json diverged");
 }
 
-/// The key `run_mix` stores the streams of the `i`-th mix of `spec` under.
-fn mix_key(spec: &Path, i: usize) -> String {
+/// The key `run_mix` stores the record of the `i`-th mix of `spec` at the
+/// strict rung under.
+fn strict_key(spec: &Path, i: usize) -> String {
     let spec = CampaignSpec::load(spec).expect("load spec");
-    spec.expand()[i].content_string(&spec.code_version)
+    format!(
+        "{};rung=strict",
+        spec.expand()[i].content_string(&spec.code_version)
+    )
 }
 
-/// Where the record of the `i`-th mix of `spec` lives in `cache`: the file
-/// name grammar of docs/FORMATS.md, from the key `run_mix` uses.
+/// Where the record of the `i`-th mix of `spec` at the strict rung lives
+/// in `cache`: the file name grammar of docs/FORMATS.md, from the key
+/// `run_mix` uses.
 fn record_path(cache: &Path, spec: &Path, i: usize) -> PathBuf {
-    let key = mix_key(spec, i);
-    cache.join(format!("streams-{:016x}.g10c", fnv1a(key.as_bytes())))
-}
-
-/// Where the outcome record of the `i`-th mix of `spec` at the strict rung
-/// lives in `cache`.
-fn outcome_path(cache: &Path, spec: &Path, i: usize) -> PathBuf {
-    let key = format!("{};rung=strict", mix_key(spec, i));
+    let key = strict_key(spec, i);
     cache.join(format!("outcome-{:016x}.json", fnv1a(key.as_bytes())))
 }
 
@@ -177,17 +174,10 @@ fn records(cache: &Path, prefix: &str) -> Vec<PathBuf> {
     found
 }
 
-/// Removes every outcome record from `cache`, so the next campaign reads
-/// the streams records.
-fn remove_outcomes(cache: &Path) {
-    for path in records(cache, "outcome-") {
-        std::fs::remove_file(path).expect("remove outcome record");
-    }
-}
-
 /// (a) A second campaign into a fresh directory (so the mix-level store
-/// cannot shortcut it) sharing `--cache` is one hit per mix and stores
-/// nothing; cold, warm and uncached reports are byte-identical.
+/// cannot shortcut it) sharing `--cache` is one hit per mix, stores nothing
+/// and simulates nothing; cold, warm and uncached reports are
+/// byte-identical, and the cache holds the four outcome records alone.
 #[test]
 fn warm_campaign_rerun_hits_fully_and_reproduces_the_report() {
     let root = tdir("warm");
@@ -198,17 +188,32 @@ fn warm_campaign_rerun_hits_fully_and_reproduces_the_report() {
     assert_eq!(counts(&cold), (0, 4, 4), "4 mixes, all cold");
     let warm = campaign(&spec, &root.join("warm"), Some(&cache));
     assert_eq!(counts(&warm), (4, 0, 0), "4 mixes, all served from cache");
+    assert!(
+        warm.stderr
+            .contains("substrate: 0 graphs generated for 0 simulated mixes"),
+        "{}",
+        warm.stderr
+    );
     let plain = campaign(&spec, &root.join("plain"), None);
+    let files: Vec<String> = std::fs::read_dir(&cache)
+        .expect("read cache")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        files.len() == 4
+            && files
+                .iter()
+                .all(|f| f.starts_with("outcome-") && f.ends_with(".json")),
+        "{files:?}"
+    );
 
     assert_same_reports(&cold, &warm, "warm vs cold");
     assert_same_reports(&cold, &plain, "uncached vs cold");
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// What `run_mix` reduces one rung's result to, or the class of the rung's
-/// error (which of several unended phases a strict rejection names first
-/// varies between two calls on the same stream).
-type RungOutcome = Result<(u64, Vec<String>, usize, bool), std::mem::Discriminant<Grade10Error>>;
+/// What `run_mix` reduces one rung's result to, or the rung's error.
+type RungOutcome = Result<(u64, Vec<String>, usize, bool), Grade10Error>;
 
 /// The three ladder rungs over one pair of streams, as `run_mix` runs them.
 fn ladder_outcomes(
@@ -226,7 +231,6 @@ fn ladder_outcomes(
             &cfg(lenient),
         )
         .map(|c| (c.base_makespan, c.issue_classes(&expert.model), 0, false))
-        .map_err(|e| std::mem::discriminant(&e))
     };
     let partial = characterize_events_supervised(
         &expert.model,
@@ -243,8 +247,7 @@ fn ladder_outcomes(
             p.incidents.len(),
             !p.is_complete(),
         )
-    })
-    .map_err(|e| std::mem::discriminant(&e));
+    });
     [plain(false), plain(true), partial]
 }
 
@@ -272,12 +275,13 @@ fn series_bits(series: &[RawSeries]) -> Vec<String> {
 
 /// (b) Streams damaged by each stream fault class — dropped, duplicated,
 /// reordered and truncated records, NaN / negative / out-of-order
-/// monitoring, a machine with no log stream — round-trip the record
-/// bit-exactly, and every ladder rung reports the same outcome from the
-/// stored streams as from the collected ones. Each record is a binary
-/// trace: `decode_trace` reads the same streams from it, and `convert
-/// --trace` refuses to write the NaN samples as JSON. Through the binary,
-/// the same fault matrix renders one report cold, warm and uncached.
+/// monitoring, a machine with no log stream — round-trip a binary trace
+/// bit-exactly: `decode_trace` reads the same streams back, they encode to
+/// the same bytes again, and every ladder rung reports the same result
+/// from them as from the collected ones. `convert --trace` refuses to
+/// write the NaN samples as JSON. Through the binary, the same fault
+/// matrix renders one report cold, warm and uncached, and the warm run
+/// neither misses nor simulates.
 #[test]
 fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
     let root = tdir("faults");
@@ -291,7 +295,6 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
     };
     let run = run_workload(&workload);
     let expert = workload.engine.expert_input();
-    let cache = StageCache::open(&root.join("records")).expect("open cache");
     let classes = [
         FaultClass::Drop,
         FaultClass::Duplicate,
@@ -303,45 +306,38 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
     for class in classes {
         let plan = FaultPlan::single(class, 46);
         let (events, monitoring) = collected_streams(&run.sim, Some(&plan));
-        let key = format!("fault={}", class.name());
-        let stored = cache.store_streams(&key, &events, &monitoring);
-        let (back_stream, back_monitoring) = cache
-            .lookup_streams(&key)
-            .unwrap_or_else(|| panic!("{}: stored record must hit", class.name()));
-        // A cold mix characterizes the stream the store interned, a warm
-        // one the stream the record decodes to: they are one stream.
-        assert_eq!(back_stream, stored, "{}: stream", class.name());
-        let back_events = back_stream.to_events();
-        assert_eq!(back_events, events, "{}: events", class.name());
-        assert_eq!(
-            series_bits(&back_monitoring),
-            series_bits(&monitoring),
-            "{}: monitoring",
-            class.name()
+        let bytes = encode_trace(
+            &events,
+            Some(&ResourceTrace::from_series(monitoring.clone())),
         );
-        assert_eq!(
-            ladder_outcomes(&expert, &back_events, &back_monitoring),
-            ladder_outcomes(&expert, &events, &monitoring),
-            "{}: a rung's outcome changed across the cache",
-            class.name()
-        );
-
-        let record = root
-            .join("records")
-            .join(format!("streams-{:016x}.g10c", fnv1a(key.as_bytes())));
-        let trace = decode_trace(&std::fs::read(&record).expect("record")).expect("a trace");
+        let trace = decode_trace(&bytes).expect("a trace");
         assert_eq!(trace.events, events, "{}: decoded events", class.name());
         let resources = trace.resources.expect("a RESOURCES section");
+        let back_monitoring = RawSeries::from_trace(&resources);
         assert_eq!(
-            series_bits(&RawSeries::from_trace(&resources)),
+            series_bits(&back_monitoring),
             series_bits(&monitoring),
             "{}: decoded monitoring",
             class.name()
         );
+        assert!(
+            encode_trace(&trace.events, Some(&resources)) == bytes,
+            "{}: the decoded streams encode to the same bytes",
+            class.name()
+        );
+        assert_eq!(
+            ladder_outcomes(&expert, &trace.events, &back_monitoring),
+            ladder_outcomes(&expert, &events, &monitoring),
+            "{}: a rung's result changed across the round trip",
+            class.name()
+        );
+
         if class == FaultClass::Monitoring {
+            let path = root.join("monitoring.g10t");
+            std::fs::write(&path, &bytes).expect("write trace");
             let out = Command::new(env!("CARGO_BIN_EXE_grade10"))
                 .args(["convert", "--trace"])
-                .arg(&record)
+                .arg(&path)
                 .arg("--out-dir")
                 .arg(root.join("text"))
                 .output()
@@ -357,8 +353,6 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
             assert!(!root.join("text").exists(), "nothing written");
         }
     }
-    let stats = cache.stats();
-    assert_eq!((stats.hits, stats.misses, stats.stores), (6, 0, 6));
 
     let spec = write_spec(
         &root,
@@ -372,6 +366,13 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
     let warm = campaign(&spec, &root.join("warm"), Some(&shared));
     let plain = campaign(&spec, &root.join("plain"), None);
     assert_eq!(counts(&warm).1, 0, "warm fault matrix must not miss");
+    assert_eq!(counts(&warm).0, counts(&cold).2, "one hit per stored rung");
+    assert!(
+        warm.stderr
+            .contains("substrate: 0 graphs generated for 0 simulated mixes"),
+        "failing rungs are answered by their stored errors: {}",
+        warm.stderr
+    );
     assert_same_reports(&cold, &warm, "fault matrix, warm vs cold");
     assert_same_reports(&cold, &plain, "fault matrix, uncached vs cold");
     let _ = std::fs::remove_dir_all(&root);
@@ -379,8 +380,8 @@ fn damaged_streams_round_trip_and_every_rung_sees_the_same_outcome() {
 
 /// (c) A mix whose duplicated records fail the strict rung and pass the
 /// lenient one simulates once, with or without a cache: the failed strict
-/// rung hands its streams to the lenient one in memory. Under `--cache` the
-/// strict attempt misses and stores, and the lenient one never asks.
+/// rung hands its streams to the lenient one in memory. Under `--cache`
+/// each rung misses and stores its result, the strict one its error.
 #[test]
 fn a_mix_that_walks_the_ladder_simulates_once() {
     let root = tdir("ladder");
@@ -408,75 +409,15 @@ fn a_mix_that_walks_the_ladder_simulates_once() {
     }
     assert_eq!(
         counts(&cached),
-        (0, 1, 1),
-        "the memo serves the lenient rung"
+        (0, 2, 2),
+        "two rungs, each looked up and stored"
     );
     assert_same_reports(&cached, &plain, "ladder, uncached vs cached");
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// (d) Damaged records never decode into an answer. A truncated record, a
-/// bit-flipped one, one sitting under another key's file name (a 64-bit
-/// name collision) and one in the older `G10CACHE` container are each a
-/// miss, are moved aside, and the mixes recompute to the cold report; the
-/// next run hits on the rewritten records. The outcome records, which a
-/// warm run would read before any streams record, are removed before each
-/// warm run.
-#[test]
-fn damaged_and_colliding_records_are_quarantined_misses() {
-    let root = tdir("damage");
-    let spec = write_spec(&root, "spec.toml", "\"pr\", \"bfs\"", "1, 2, 3", "");
-    let cache = root.join("cache");
-    let cold = campaign(&spec, &root.join("cold"), Some(&cache));
-    assert_eq!(counts(&cold), (0, 6, 6));
-
-    let truncated = record_path(&cache, &spec, 0);
-    let bytes = std::fs::read(&truncated).expect("record 0");
-    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("truncate record 0");
-    let flipped = record_path(&cache, &spec, 1);
-    let mut bytes = std::fs::read(&flipped).expect("record 1");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x01;
-    std::fs::write(&flipped, &bytes).expect("flip record 1");
-    // Mix 2's intact record under mix 3's name: mix 3 finds a foreign key,
-    // mix 2 finds nothing.
-    let collided = record_path(&cache, &spec, 3);
-    std::fs::rename(record_path(&cache, &spec, 2), &collided).expect("collide records 2 and 3");
-    let older = record_path(&cache, &spec, 4);
-    let mut bytes = std::fs::read(&older).expect("record 4");
-    bytes[..8].copy_from_slice(b"G10CACHE");
-    std::fs::write(&older, &bytes).expect("relabel record 4");
-
-    remove_outcomes(&cache);
-    let repaired = campaign(&spec, &root.join("repaired"), Some(&cache));
-    assert_eq!(
-        counts(&repaired),
-        (1, 5, 5),
-        "the intact record hits; the damaged five recompute and are stored again"
-    );
-    assert_same_reports(&cold, &repaired, "recomputed vs cold");
-    for bad in [&truncated, &flipped, &collided, &older] {
-        let mut aside = bad.clone().into_os_string();
-        aside.push(".quarantined");
-        assert!(
-            Path::new(&aside).exists(),
-            "{} must be quarantined",
-            bad.display()
-        );
-    }
-
-    remove_outcomes(&cache);
-    let again = campaign(&spec, &root.join("again"), Some(&cache));
-    assert_eq!(
-        counts(&again),
-        (6, 0, 0),
-        "a quarantined miss does not poison the slot"
-    );
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-/// (e) The code version is part of the key: the same matrix under another
-/// version shares no record with the first, streams or outcome.
+/// (d) The code version is part of the key: the same matrix under another
+/// version shares no record with the first.
 #[test]
 fn a_different_code_version_is_a_miss() {
     let root = tdir("version");
@@ -503,33 +444,7 @@ fn a_different_code_version_is_a_miss() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// (f) With every streams record deleted, the outcome records alone answer
-/// a warm campaign into a fresh directory: one hit per mix, no simulation,
-/// and the cold run's stdout and reports byte for byte.
-#[test]
-fn outcome_records_alone_answer_a_warm_campaign() {
-    let root = tdir("outcomes");
-    let spec = write_spec(&root, "spec.toml", "\"pr\", \"bfs\"", "1, 2", "");
-    let cache = root.join("cache");
-    let cold = campaign(&spec, &root.join("cold"), Some(&cache));
-    assert_eq!(counts(&cold), (0, 4, 4));
-    assert_eq!(records(&cache, "outcome-").len(), 4, "one outcome per mix");
-    for path in records(&cache, "streams-") {
-        std::fs::remove_file(path).expect("remove streams record");
-    }
-    let warm = campaign(&spec, &root.join("warm"), Some(&cache));
-    assert_eq!(counts(&warm), (4, 0, 0), "4 mixes, all outcome hits");
-    assert!(
-        warm.stderr
-            .contains("substrate: 0 graphs generated for 0 simulated mixes"),
-        "{}",
-        warm.stderr
-    );
-    assert_same_reports(&cold, &warm, "outcomes only vs cold");
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-/// (g) The rung is part of an outcome's key. A mix with duplicated records
+/// (e) The rung is part of a record's key. A mix with duplicated records
 /// fails strict and passes lenient; a `--lenient` campaign runs it lenient
 /// from the first attempt. Whichever campaign fills the cache, the other
 /// one over it reports what it reports without a cache.
@@ -560,25 +475,25 @@ fn strict_and_lenient_campaigns_share_a_cache_without_sharing_rungs() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// (h) Damaged outcome records never answer a rung. A truncated record, one
-/// with a bit flipped inside a number (still valid JSON) and one sitting
-/// under another key's file name are each a miss, are moved aside, and
-/// their mixes recompute from the streams records to the cold report; the
-/// rewritten outcome records answer the next run with no streams left.
+/// (f) Damaged records never answer a rung. A truncated record, one with
+/// a bit flipped inside a number (still valid JSON) and one sitting under
+/// another key's file name (a 64-bit name collision) are each a miss, are
+/// moved aside, and their mixes recompute by simulation to the cold
+/// report; the rewritten records answer the next run.
 #[test]
 fn damaged_and_colliding_outcome_records_are_quarantined_misses() {
-    let root = tdir("outcome-damage");
+    let root = tdir("damage");
     let spec = write_spec(&root, "spec.toml", "\"pr\", \"bfs\"", "1, 2, 3", "");
     let cache = root.join("cache");
     let cold = campaign(&spec, &root.join("cold"), Some(&cache));
     assert_eq!(counts(&cold), (0, 6, 6));
 
-    let truncated = outcome_path(&cache, &spec, 0);
-    let bytes = std::fs::read(&truncated).expect("outcome 0");
-    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("truncate outcome 0");
+    let truncated = record_path(&cache, &spec, 0);
+    let bytes = std::fs::read(&truncated).expect("record 0");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("truncate record 0");
     // A digit's low bit flipped is another digit: the JSON still parses.
-    let flipped = outcome_path(&cache, &spec, 1);
-    let mut bytes = std::fs::read(&flipped).expect("outcome 1");
+    let flipped = record_path(&cache, &spec, 1);
+    let mut bytes = std::fs::read(&flipped).expect("record 1");
     let field = b"\"makespan_ns\":";
     let at = bytes
         .windows(field.len())
@@ -587,19 +502,20 @@ fn damaged_and_colliding_outcome_records_are_quarantined_misses() {
         + field.len();
     assert!(bytes[at].is_ascii_digit());
     bytes[at] ^= 0x01;
-    std::fs::write(&flipped, &bytes).expect("flip outcome 1");
-    // Mix 2's intact outcome under mix 3's name.
-    let collided = outcome_path(&cache, &spec, 3);
-    std::fs::rename(outcome_path(&cache, &spec, 2), &collided).expect("collide outcomes 2 and 3");
+    std::fs::write(&flipped, &bytes).expect("flip record 1");
+    // Mix 2's intact record under mix 3's name: mix 3 finds a foreign key,
+    // mix 2 finds nothing.
+    let collided = record_path(&cache, &spec, 3);
+    std::fs::rename(record_path(&cache, &spec, 2), &collided).expect("collide records 2 and 3");
 
     let repaired = campaign(&spec, &root.join("repaired"), Some(&cache));
     assert_eq!(
         counts(&repaired),
-        (6, 0, 0),
-        "two outcome hits; four streams hits behind the damaged outcomes"
+        (2, 4, 4),
+        "the intact records hit; the damaged four recompute and are stored again"
     );
     assert!(
-        repaired.stderr.contains("for 0 simulated mixes"),
+        repaired.stderr.contains("for 4 simulated mixes"),
         "{}",
         repaired.stderr
     );
@@ -614,11 +530,90 @@ fn damaged_and_colliding_outcome_records_are_quarantined_misses() {
         );
     }
 
-    for path in records(&cache, "streams-") {
-        std::fs::remove_file(path).expect("remove streams record");
-    }
     let again = campaign(&spec, &root.join("again"), Some(&cache));
-    assert_eq!(counts(&again), (6, 0, 0), "the outcomes were stored again");
-    assert_same_reports(&cold, &again, "rewritten outcomes vs cold");
+    assert_eq!(
+        counts(&again),
+        (6, 0, 0),
+        "a quarantined miss does not poison the slot"
+    );
+    assert_same_reports(&cold, &again, "rewritten records vs cold");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// (g) A stored error is the error the rung returns, and is checksummed
+/// like an outcome. The strict rung's record holds exactly what `run_mix`
+/// returns for that rung without a cache. With one letter of that
+/// rejection flipped (still valid JSON), the rung misses, its record is
+/// moved aside, and the mix simulates once to recompute the same error,
+/// which is stored again byte for byte; the lenient rung behind it is
+/// still answered by its own record.
+#[test]
+fn a_flipped_stored_error_is_quarantined_and_recomputed() {
+    let root = tdir("error-damage");
+    let spec = write_spec(
+        &root,
+        "spec.toml",
+        "\"pr\"",
+        "46",
+        "faults = [\"duplicate\"]",
+    );
+    let cache = root.join("cache");
+    let cold = campaign(&spec, &root.join("cold"), Some(&cache));
+    assert_eq!(
+        counts(&cold),
+        (0, 2, 2),
+        "a strict error and a lenient outcome"
+    );
+
+    let loaded = CampaignSpec::load(&spec).expect("load spec");
+    let strict = MixAttempt {
+        index: 0,
+        mode: MixMode::Strict,
+    };
+    let err = run_mix(&loaded.expand()[0], &loaded.code_version, strict, None)
+        .expect_err("duplicated records fail the strict rung");
+    let record = record_path(&cache, &spec, 0);
+    let stored = std::fs::read(&record).expect("the strict rung's record");
+    let want = format!(
+        "\"result\":{{\"Error\":{}}}",
+        serde_json::to_string(&err).expect("an error serializes")
+    );
+    let at = stored
+        .windows(want.len())
+        .position(|w| w == want.as_bytes())
+        .unwrap_or_else(|| panic!("{want} in {}", String::from_utf8_lossy(&stored)));
+    let at = at
+        + want.find(err.detail()).expect("the detail")
+        + err
+            .detail()
+            .find(|c: char| c.is_ascii_alphabetic())
+            .expect("a letter");
+    let mut flipped = stored.clone();
+    flipped[at] ^= 0x20;
+    std::fs::write(&record, &flipped).expect("flip the stored error");
+
+    let warm = campaign(&spec, &root.join("warm"), Some(&cache));
+    assert_eq!(
+        counts(&warm),
+        (1, 1, 1),
+        "the strict rung recomputes, the lenient one hits"
+    );
+    assert!(
+        warm.stderr
+            .contains("substrate: 1 graphs generated for 1 simulated mixes"),
+        "{}",
+        warm.stderr
+    );
+    let mut aside = record.clone().into_os_string();
+    aside.push(".quarantined");
+    assert!(
+        Path::new(&aside).exists(),
+        "the flipped record is moved aside"
+    );
+    assert!(
+        std::fs::read(&record).expect("stored again") == stored,
+        "the recomputed error is the one stored before"
+    );
+    assert_same_reports(&cold, &warm, "recomputed error vs cold");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -39,7 +39,6 @@
 //!
 //! The container test pins every byte of the `G10TRACE` containers that
 //! carry monitoring as well as events: each fixture with its monitoring,
-//! the stage-cache record of one simulated campaign mix (with its `KEY`),
 //! and a hand-built stream whose monitoring kinds repeat a blocking
 //! resource and a path segment. Their string pools list names in the order
 //! `EVENTS` first references them, then the new `RESOURCES` kinds.
@@ -51,8 +50,6 @@ use std::fs;
 use std::path::PathBuf;
 
 use grade10::cluster::{FaultPlan, SimOutput};
-use grade10::core::cache::StageCache;
-use grade10::core::campaign::{MixAttempt, MixMode, MixSpec};
 use grade10::core::hash::{fnv1a, fnv1a_extend};
 use grade10::core::model::execution::{ExecutionModelBuilder, Repeat};
 use grade10::core::model::{ExecutionModel, RuleSet};
@@ -71,9 +68,7 @@ use grade10::engines::dataflow::{
 };
 use grade10::engines::gas::GasConfig;
 use grade10::engines::pregel::PregelConfig;
-use grade10::engines::{
-    run_mix, run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec,
-};
+use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadRun, WorkloadSpec};
 use grade10::graph::partition::EdgeCutPartition;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -578,10 +573,9 @@ fn container_line(out: &mut String, name: &str, bytes: &[u8]) {
 }
 
 /// Every byte of the containers that carry more than events: each
-/// fixture's stream with its monitoring, the stage-cache record of one
-/// simulated campaign mix (`RESOURCES` and `KEY`), and a hand-built stream
-/// whose monitoring kinds repeat a blocking resource and a path segment,
-/// so the string pool's order and its dedup across sections are fixed.
+/// fixture's stream with its monitoring, and a hand-built stream whose
+/// monitoring kinds repeat a blocking resource and a path segment, so the
+/// string pool's order and its dedup across sections are fixed.
 #[test]
 fn containers_are_pinned() {
     let mut out = String::new();
@@ -591,45 +585,6 @@ fn containers_are_pinned() {
         let name = format!("{} with monitoring", f.name);
         container_line(&mut out, &name, &encode_trace(&events, Some(&rt)));
     }
-
-    let dir = std::env::temp_dir().join(format!("g10-container-pin-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let cache = StageCache::open(&dir).expect("open cache");
-    let mix = MixSpec {
-        algorithm: "pr".into(),
-        dataset: "rmat:6".into(),
-        engine: "giraph".into(),
-        machines: 2,
-        seed: 46,
-        fault: "all".into(),
-    };
-    let attempt = MixAttempt {
-        index: 0,
-        mode: MixMode::Lenient,
-    };
-    run_mix(&mix, "container-pin", attempt, Some(&cache)).expect("a lenient mix");
-    let mut records: Vec<PathBuf> = fs::read_dir(&dir)
-        .expect("cache dir")
-        .map(|e| e.expect("entry").path())
-        .collect();
-    records.sort();
-    // The rung succeeded, so its outcome record sits beside the streams.
-    let names: Vec<String> = records
-        .iter()
-        .map(|p| {
-            p.file_name()
-                .expect("a file")
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    assert!(
-        matches!(&names[..], [o, s] if o.starts_with("outcome-") && s.starts_with("streams-")),
-        "{names:?}"
-    );
-    let record = fs::read(&records[1]).expect("record");
-    container_line(&mut out, "stage-cache record", &record);
-    let _ = fs::remove_dir_all(&dir);
 
     let mut rt = ResourceTrace::new();
     for (kind, machine) in [("cpu", Some(0)), ("gc", Some(0)), ("step", None)] {
