@@ -212,6 +212,36 @@ fn warm_campaign_rerun_hits_fully_and_reproduces_the_report() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A cache stripped to its outcome records still answers a warm campaign
+/// in full: every mix is an outcome hit, no graph is generated and the
+/// report matches the cold one.
+#[test]
+fn outcome_records_alone_answer_a_warm_campaign() {
+    let root = tdir("outcomes");
+    let spec = write_spec(&root, "spec.toml", "\"pr\", \"bfs\"", "1, 2", "");
+    let cache = root.join("cache");
+    let cold = campaign(&spec, &root.join("cold"), Some(&cache));
+    assert_eq!(counts(&cold), (0, 4, 4));
+    assert_eq!(records(&cache, "outcome-").len(), 4, "one outcome per mix");
+    for entry in std::fs::read_dir(&cache).expect("read cache") {
+        let path = entry.expect("entry").path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if !name.starts_with("outcome-") {
+            std::fs::remove_file(&path).expect("remove non-outcome record");
+        }
+    }
+    let warm = campaign(&spec, &root.join("warm"), Some(&cache));
+    assert_eq!(counts(&warm), (4, 0, 0), "4 mixes, all outcome hits");
+    assert!(
+        warm.stderr
+            .contains("substrate: 0 graphs generated for 0 simulated mixes"),
+        "{}",
+        warm.stderr
+    );
+    assert_same_reports(&cold, &warm, "outcomes only vs cold");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// What `run_mix` reduces one rung's result to, or the rung's error.
 type RungOutcome = Result<(u64, Vec<String>, usize, bool), Grade10Error>;
 
