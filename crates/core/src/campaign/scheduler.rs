@@ -23,14 +23,19 @@
 //! reclaims the mix, and a mix that keeps killing its claimants is
 //! quarantined as poisoned instead of crash-looping the fleet.
 //!
-//! Claimants take mixes in *claim order*: the matrix stably sorted by
-//! dataset and seed, the two axes that decide a mix's input graph. Mixes
-//! on one graph thus run back to back, and a runner that keeps its last
-//! graph generates each one once per claimant rather than once per mix.
-//! Claim order only decides who runs what when. The final report is
-//! assembled from journal + store alone, in matrix order, so it is
-//! byte-identical regardless of claim order, worker count, kill schedule,
-//! or resume order.
+//! Claimants take mixes by *claim order*: the matrix stably sorted by
+//! dataset and seed, the two axes that decide a mix's input graph, so the
+//! mixes on one graph are one contiguous run of it. A claimant stays on
+//! the graph of its last claim while that graph has a claimable mix, and
+//! otherwise moves to a graph no other worker holds a lease on (see
+//! [`claim_next`]). A runner that keeps its last graph thus generates a
+//! graph once per claimant that works on it, and a fleet of claimants
+//! splits the graphs between them instead of every claimant generating
+//! every one; only a claimant that finds nothing else left takes a mix of
+//! a graph a peer is on. Claim order only decides who runs what when. The
+//! final report is assembled from journal + store alone, in matrix order,
+//! so it is byte-identical regardless of claim order, worker count, kill
+//! schedule, or resume order.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -494,10 +499,11 @@ enum Pick {
     Run(usize),
 }
 
-/// One claimant thread: repeatedly pick the first available mix in claim
-/// order (grouped by input graph; see the module docs), lease it through
-/// the journal, and run it under the retry ladder. Exits when the matrix
-/// is drained or the launch is interrupted.
+/// One claimant thread: repeatedly pick a mix by [`claim_next`]'s rules
+/// (its own input graph first; see the module docs), lease it through the
+/// journal, and run it under the retry ladder. Remembers the mix it claimed
+/// last, which decides its graph. Exits when the matrix is drained or the
+/// launch is interrupted.
 fn worker_loop<F>(shared: &Shared<'_>, slot: usize, runner: &F) -> Result<(), Grade10Error>
 where
     F: Fn(&MixSpec, MixAttempt) -> Result<MixOutcome, Grade10Error> + Sync,
@@ -506,11 +512,12 @@ where
     // Waiting on peers' leases: a flat `poll_ms` nap made a short
     // campaign's wall time hinge on which worker drew the last mix.
     let mut idle = Poll::new(shared.opts.poll());
+    let mut last = None;
     loop {
         if shared.interrupted.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let pick = claim_next(shared, &me)?;
+        let pick = claim_next(shared, &me, last)?;
         match pick {
             Pick::AllTerminal => return Ok(()),
             Pick::Wait => {
@@ -518,7 +525,7 @@ where
                 continue;
             }
             Pick::Progress => {}
-            Pick::Run(idx) => run_claimed_mix(shared, &me, idx, runner)?,
+            Pick::Run(idx) => run_claimed_mix(shared, &me, *last.insert(idx), runner)?,
         }
         idle = Poll::new(shared.opts.poll());
     }
@@ -564,8 +571,15 @@ impl Poll {
 
 /// One claim pass, entirely under the in-process journal lock (so two
 /// local threads never race each other; cross-process races resolve by
-/// journal file order).
-fn claim_next(shared: &Shared<'_>, me: &str) -> Result<Pick, Grade10Error> {
+/// journal file order). Of the claimable mixes — not terminal, and not
+/// under a live lease — the claimant takes, in this order of preference:
+/// the first of the input graph it claimed `last`; the first of a graph
+/// no other worker holds a live lease on; the first in claim order. So two
+/// claimants split the graphs between them instead of alternating inside
+/// each, and one claimant takes the mixes in claim order. Graphs are
+/// contiguous runs of the claim order, so the pass is one walk over it,
+/// ended as soon as no later mix can be preferred.
+fn claim_next(shared: &Shared<'_>, me: &str, last: Option<usize>) -> Result<Pick, Grade10Error> {
     let mut st = lock(&shared.state);
     let JState {
         journal,
@@ -579,60 +593,81 @@ fn claim_next(shared: &Shared<'_>, me: &str) -> Result<Pick, Grade10Error> {
     // (heartbeating at lease/3) always renews within the tolerance window
     // no matter how skewed the wall clocks are.
     let tol = Duration::from_millis(shared.opts.lease_ms.div_ceil(3).max(1));
+    let graph = |i: usize| (&shared.items[i].0.dataset, shared.items[i].0.seed);
+    let mine = last.map(graph);
     let mut all_terminal = true;
-    let mut candidate: Option<(usize, u32)> = None;
-    for &i in &shared.claim_order {
+    // `(index, deaths)` of the first claimable mix: on this claimant's own
+    // graph, on a graph no peer holds, anywhere; and, for the graph being
+    // walked, its first one and whether a peer holds a live lease on it.
+    let (mut own, mut free, mut any, mut first) = (None, None, None, None);
+    let (mut held, mut past_own) = (false, mine.is_none());
+    for (at, &i) in shared.claim_order.iter().enumerate() {
         let hash = &shared.items[i].1;
-        if replay.terminal(*hash) {
-            observed.remove(hash);
-            continue;
-        }
-        all_terminal = false;
-        // A live, unexpired lease belongs to someone; an expired one
-        // means its holder is presumed dead and counts toward poison. The
-        // deadline in the journal is the *claimant's* wall clock, so wall
-        // expiry alone is not trusted: the lease must also have sat
-        // unrenewed for its remaining lifetime plus `tol`, measured on
-        // our own monotonic clock from when we first saw this exact
-        // (worker, deadline) state.
-        let expired = match replay.claims.get(hash) {
-            Some(c) => {
-                let fresh = observed
-                    .get(hash)
-                    .is_none_or(|o| o.worker != c.worker || o.deadline_ms != c.deadline_ms);
-                if fresh {
-                    let remaining = Duration::from_millis(c.deadline_ms.saturating_sub(now));
-                    observed.insert(
-                        *hash,
-                        ObservedLease {
-                            worker: c.worker.clone(),
-                            deadline_ms: c.deadline_ms,
-                            expires_at: Instant::now() + remaining + tol,
-                        },
-                    );
-                }
-                let wall_expired = now > c.deadline_ms;
-                let locally_expired = observed
-                    .get(hash)
-                    .is_some_and(|o| Instant::now() >= o.expires_at);
-                if !(wall_expired && locally_expired) {
-                    continue;
-                }
-                1
-            }
-            None => {
+        let claimable = 'mix: {
+            if replay.terminal(*hash) {
                 observed.remove(hash);
-                0
+                break 'mix None;
             }
+            all_terminal = false;
+            // A live, unexpired lease belongs to someone; an expired one
+            // means its holder is presumed dead and counts toward poison.
+            // The deadline in the journal is the *claimant's* wall clock,
+            // so wall expiry alone is not trusted: the lease must also have
+            // sat unrenewed for its remaining lifetime plus `tol`, measured
+            // on our own monotonic clock from when we first saw this exact
+            // (worker, deadline) state.
+            let expired = match replay.claims.get(hash) {
+                Some(c) => {
+                    let fresh = observed
+                        .get(hash)
+                        .is_none_or(|o| o.worker != c.worker || o.deadline_ms != c.deadline_ms);
+                    if fresh {
+                        let remaining = Duration::from_millis(c.deadline_ms.saturating_sub(now));
+                        observed.insert(
+                            *hash,
+                            ObservedLease {
+                                worker: c.worker.clone(),
+                                deadline_ms: c.deadline_ms,
+                                expires_at: Instant::now() + remaining + tol,
+                            },
+                        );
+                    }
+                    let wall_expired = now > c.deadline_ms;
+                    let locally_expired = observed
+                        .get(hash)
+                        .is_some_and(|o| Instant::now() >= o.expires_at);
+                    if !(wall_expired && locally_expired) {
+                        held |= c.worker != me;
+                        break 'mix None;
+                    }
+                    1
+                }
+                None => {
+                    observed.remove(hash);
+                    0
+                }
+            };
+            let abandoned = replay.abandoned.get(hash).copied().unwrap_or(0);
+            Some((i, abandoned + expired))
         };
-        let abandoned = replay.abandoned.get(hash).copied().unwrap_or(0);
-        candidate = Some((i, abandoned + expired));
-        break;
+        own = own.or(claimable.filter(|_| mine == Some(graph(i))));
+        first = first.or(claimable);
+        any = any.or(claimable);
+        let next = shared.claim_order.get(at + 1);
+        if next.is_none_or(|&j| graph(j) != graph(i)) {
+            // The end of a graph's run of the claim order.
+            free = free.or(first.filter(|_| !held));
+            (first, held) = (None, false);
+            past_own |= mine == Some(graph(i));
+            if own.is_some() || free.is_some() && past_own {
+                break;
+            }
+        }
     }
     if all_terminal {
         return Ok(Pick::AllTerminal);
     }
-    let Some((idx, deaths)) = candidate else {
+    let Some((idx, deaths)) = own.or(free).or(any) else {
         return Ok(Pick::Wait);
     };
     let (mix, hash) = &shared.items[idx];
@@ -1021,6 +1056,153 @@ mod tests {
         let reported: Vec<MixSpec> = run.outcomes.iter().map(|o| o.mix.clone()).collect();
         assert_eq!(reported, sp.expand(), "outcomes stay in matrix order");
         let _ = std::fs::remove_dir_all(&o.dir);
+    }
+
+    /// Calls `test` with the claimants' shared state over `pr` and `bfs` on
+    /// rmat:6 at each of `seeds` — one input graph per seed, claimed
+    /// `pr@seed` then `bfs@seed` — and a fresh journal, so a test can call
+    /// [`claim_next`] directly and script every other journal record.
+    fn claim_bench(name: &str, seeds: Vec<u64>, lease_ms: u64, test: impl FnOnce(&Shared<'_>)) {
+        let mut o = opts(name);
+        o.lease_ms = lease_ms;
+        let _ = std::fs::remove_dir_all(&o.dir);
+        std::fs::create_dir_all(&o.dir).expect("mkdir");
+        let mut sp = spec();
+        sp.seeds = seeds;
+        let items: Vec<(MixSpec, u64)> = sp
+            .expand()
+            .into_iter()
+            .map(|m| {
+                let h = m.content_hash(&sp.code_version);
+                (m, h)
+            })
+            .collect();
+        let store = Store::open(&o.dir.join("store")).expect("store");
+        let journal_path = o.dir.join("journal.jsonl");
+        let journal = Journal::create(&journal_path, &sp.name).expect("journal");
+        test(&Shared {
+            opts: &o,
+            items: &items,
+            claim_order: claim_order(&items),
+            store: &store,
+            journal_path: &journal_path,
+            state: Mutex::new(JState {
+                journal,
+                replay: JournalReplay::default(),
+                observed: BTreeMap::new(),
+            }),
+            interrupted: AtomicBool::new(false),
+            claims_made: AtomicUsize::new(0),
+            executed: AtomicUsize::new(0),
+            local: Mutex::new(BTreeMap::new()),
+        });
+        let _ = std::fs::remove_dir_all(&o.dir);
+    }
+
+    /// `pr@46` names the `pr` mix on seed 46.
+    fn tag(shared: &Shared<'_>, i: usize) -> String {
+        let mix = &shared.items[i].0;
+        format!("{}@{}", mix.algorithm, mix.seed)
+    }
+
+    fn index(shared: &Shared<'_>, mix: &str) -> usize {
+        let found = (0..shared.items.len()).find(|&i| tag(shared, i) == mix);
+        found.unwrap_or_else(|| panic!("no mix {mix}"))
+    }
+
+    /// One claim pass by `who`, whose last claim was `last`: the mix it
+    /// leased, or `wait` / `done` / `progress`.
+    fn pick(shared: &Shared<'_>, who: &str, last: Option<&str>) -> String {
+        let last = last.map(|mix| index(shared, mix));
+        match claim_next(shared, who, last).expect("claim pass") {
+            Pick::Run(i) => tag(shared, i),
+            Pick::Wait => "wait".into(),
+            Pick::AllTerminal => "done".into(),
+            Pick::Progress => "progress".into(),
+        }
+    }
+
+    fn finish(shared: &Shared<'_>, mix: &str) {
+        let (spec, hash) = &shared.items[index(shared, mix)];
+        let mut st = lock(&shared.state);
+        st.journal
+            .record_finished(&spec.id(), *hash, 1)
+            .expect("finish");
+    }
+
+    fn hold(shared: &Shared<'_>, mix: &str, who: &str, deadline_ms: u64) {
+        let (spec, hash) = &shared.items[index(shared, mix)];
+        let mut st = lock(&shared.state);
+        let journal = &mut st.journal;
+        journal
+            .record_claimed(&spec.id(), *hash, who, 1, deadline_ms)
+            .expect("claim");
+    }
+
+    #[test]
+    fn claimants_split_the_graphs_and_each_keeps_to_its_own() {
+        claim_bench("own-graph", vec![46, 47], 30_000, |s| {
+            assert_eq!(pick(s, "A", None), "pr@46");
+            // Seed 46's graph is A's: B starts the untouched one.
+            assert_eq!(pick(s, "B", None), "pr@47");
+            finish(s, "pr@46");
+            finish(s, "pr@47");
+            // No lease is live, and seed 46 comes first in claim order: B
+            // still stays on its own graph, and so does A.
+            assert_eq!(pick(s, "B", Some("pr@47")), "bfs@47");
+            assert_eq!(pick(s, "A", Some("pr@46")), "bfs@46");
+        });
+    }
+
+    #[test]
+    fn a_claimant_whose_graph_is_drained_moves_to_an_untouched_graph() {
+        claim_bench("untouched", vec![46, 47, 48], 30_000, |s| {
+            assert_eq!(pick(s, "A", None), "pr@46");
+            assert_eq!(pick(s, "B", None), "pr@47");
+            finish(s, "pr@46");
+            assert_eq!(pick(s, "A", Some("pr@46")), "bfs@46");
+            finish(s, "bfs@46");
+            // bfs@47 comes first in claim order, but B holds its graph.
+            assert_eq!(pick(s, "A", Some("bfs@46")), "pr@48");
+        });
+    }
+
+    #[test]
+    fn a_claimant_shares_a_peers_graph_only_when_nothing_else_is_left() {
+        claim_bench("shared", vec![46, 47], 30_000, |s| {
+            assert_eq!(pick(s, "A", None), "pr@46");
+            assert_eq!(pick(s, "B", None), "pr@47");
+            finish(s, "pr@47");
+            assert_eq!(pick(s, "B", Some("pr@47")), "bfs@47");
+            finish(s, "bfs@47");
+            // A holds seed 46's graph, and its other mix is the only one
+            // left: B takes it rather than wait.
+            assert_eq!(pick(s, "B", Some("bfs@47")), "bfs@46");
+            assert_eq!(pick(s, "A", Some("pr@46")), "wait");
+            finish(s, "pr@46");
+            finish(s, "bfs@46");
+            assert_eq!(pick(s, "A", Some("pr@46")), "done");
+        });
+    }
+
+    #[test]
+    fn an_expired_lease_on_another_graph_is_still_reclaimed() {
+        // A 30 ms lease: a third of it, 10 ms, is the skew tolerance.
+        claim_bench("expired", vec![46, 47], 30, |s| {
+            let far = now_ms() + 3_600_000;
+            hold(s, "pr@47", "dead", 2);
+            hold(s, "bfs@47", "B", far);
+            assert_eq!(pick(s, "A", None), "pr@46");
+            finish(s, "pr@46");
+            assert_eq!(pick(s, "A", Some("pr@46")), "bfs@46");
+            finish(s, "bfs@46");
+            // The dead worker's lease is seen for the first time, and is
+            // honoured for the tolerance...
+            assert_eq!(pick(s, "A", Some("bfs@46")), "wait");
+            std::thread::sleep(Duration::from_millis(25));
+            // ...then reclaimed, though B holds a live lease on its graph.
+            assert_eq!(pick(s, "A", Some("bfs@46")), "pr@47");
+        });
     }
 
     #[test]

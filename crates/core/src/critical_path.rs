@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use crate::model::execution::{ExecutionModel, PhaseTypeId};
 use crate::replay::{replay_original, ReplayConfig, ReplayResult};
+use crate::supervise::PartialCharacterization;
 use crate::trace::execution::{ExecutionTrace, InstanceId};
 use crate::trace::timeslice::Nanos;
 
@@ -74,6 +75,16 @@ pub fn critical_path(
 ) -> CriticalPath {
     let result = replay_original(model, trace, cfg);
     critical_path_of(model, trace, &result)
+}
+
+impl PartialCharacterization {
+    /// The critical path of the replay the pipeline's replay stage ran,
+    /// without replaying again; `None` when that stage fell back.
+    pub fn critical_path(&self, model: &ExecutionModel) -> Option<CriticalPath> {
+        let schedule = self.schedule.as_ref()?;
+        let result = ReplayResult::scheduled(self.characterization.base_makespan, schedule);
+        Some(critical_path_of(model, &self.trace, &result))
+    }
 }
 
 /// Same, over an existing replay result.
@@ -202,6 +213,26 @@ mod tests {
         let cp = critical_path_of(&model, &trace, &result);
         assert!(cp.hops.len() > 10, "{} hops", cp.hops.len());
         assert_eq!(cp.hops, critical_hops_by_scan(&trace, &result));
+    }
+
+    /// The critical path of the pipeline's own replay is the one a second
+    /// replay of its trace gives, on the same pinned Giraph stream.
+    #[test]
+    fn the_pipelines_critical_path_is_its_traces() {
+        let bundle = include_bytes!("../../../tests/goldens/export_model_giraph.json");
+        let model = ModelBundle::load(&bundle[..]).unwrap().execution;
+        let stream = include_bytes!("../../../tests/goldens/trace_build_giraph.g10t");
+        let events = crate::parse::EventStream::from_events(&decode_trace(stream).unwrap().events);
+        let rules = crate::model::RuleSet::new();
+        let cfg = Default::default();
+        let p = crate::pipeline::characterize_stream(false, &model, &rules, &events, &[], &cfg)
+            .unwrap();
+        let ours = p.critical_path(&model).expect("the replay stage ran");
+        let fresh = critical_path(&model, &p.trace, &ReplayConfig::default());
+        assert!(ours.hops.len() > 10, "{} hops", ours.hops.len());
+        assert_eq!(ours.hops, fresh.hops);
+        assert_eq!(ours.makespan, fresh.makespan);
+        assert_eq!(ours.time_by_type, fresh.time_by_type);
     }
 
     /// job -> step(seq) -> task(par): two steps, two tasks each.

@@ -400,6 +400,8 @@ struct Run<'a> {
     bottlenecks: BottleneckReport,
     /// The replay stage's plan, until issue detection takes it.
     baseline: Mutex<Option<Baseline>>,
+    /// The replay stage's schedule (`None` when it fell back).
+    schedule: Option<Vec<Nanos>>,
     base_makespan: Nanos,
     issues: Vec<PerformanceIssue>,
     report: IngestReport,
@@ -435,6 +437,7 @@ impl<'a> Run<'a> {
             profile: PerformanceProfile::empty(cfg.profile.slice),
             bottlenecks: BottleneckReport::default(),
             baseline: Mutex::default(),
+            schedule: None,
             base_makespan: 0,
             issues: Vec::new(),
             report: IngestReport {
@@ -611,6 +614,7 @@ impl<'a> Run<'a> {
 
     fn characterize(mut self) -> Result<PartialCharacterization, Grade10Error> {
         let stages = self.walk(&STAGES)?;
+        let schedule = self.schedule.take();
         let (characterization, trace, incidents, machines) = self.finish();
         // A run over raw streams assembled its trace: it owns it.
         let trace = trace.into_owned();
@@ -620,6 +624,7 @@ impl<'a> Run<'a> {
             trace,
             incidents,
             coverage,
+            schedule,
         })
     }
 
@@ -947,9 +952,10 @@ fn bottleneck(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error>
 fn replay(run: &mut Run<'_>, stage: &StageDef) -> Result<bool, Grade10Error> {
     let body: Body<'_, _> =
         |run, _, _| Ok(Some(Baseline::new(run.model, &run.trace, &run.cfg.replay)));
-    let (base, skipped) = run.whole(stage, body, None)?;
+    let (mut base, skipped) = run.whole(stage, body, None)?;
     let measured = run.trace.makespan_end();
     run.base_makespan = base.as_ref().map_or(measured, |base| base.makespan);
+    run.schedule = base.as_mut().map(Baseline::take_schedule);
     run.baseline = Mutex::new(base);
     Ok(skipped)
 }

@@ -47,6 +47,17 @@ pub struct ReplayResult {
     pub end: Vec<Nanos>,
 }
 
+impl ReplayResult {
+    /// The result of a run that fired node `v` at `fire_time[v]`.
+    pub(crate) fn scheduled(makespan: Nanos, fire_time: &[Nanos]) -> ReplayResult {
+        ReplayResult {
+            makespan,
+            start: fire_time.iter().step_by(2).copied().collect(),
+            end: fire_time.iter().skip(1).step_by(2).copied().collect(),
+        }
+    }
+}
+
 /// `ReplayPlan::slot_of` value of a container (only leaves run).
 const CONTAINER: u32 = u32::MAX;
 /// `ReplayPlan::slot_of` value of a leaf no concurrency limit applies to.
@@ -207,12 +218,7 @@ impl ReplayPlan {
     /// the plan was built from.
     pub fn run(&mut self, durations: &[Nanos]) -> ReplayResult {
         let makespan = self.makespan(durations);
-        let fire_time = &self.scratch.fire_time;
-        ReplayResult {
-            makespan,
-            start: fire_time.iter().step_by(2).copied().collect(),
-            end: fire_time.iter().skip(1).step_by(2).copied().collect(),
-        }
+        ReplayResult::scheduled(makespan, &self.scratch.fire_time)
     }
 
     /// The makespan of [`run`](Self::run), without materializing the
@@ -363,6 +369,12 @@ impl Baseline {
             durations,
             makespan,
         }
+    }
+
+    /// Moves the baseline replay's node fire times out of the plan, before
+    /// a what-if reruns it: the schedule [`ReplayResult::scheduled`] reads.
+    pub(crate) fn take_schedule(&mut self) -> Vec<Nanos> {
+        std::mem::take(&mut self.plan.scratch.fire_time)
     }
 }
 

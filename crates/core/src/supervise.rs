@@ -78,7 +78,7 @@ use crate::obs;
 use crate::parse::{EventStream, RawEvent};
 use crate::pipeline::{characterize_stream, Characterization, CharacterizationConfig};
 use crate::trace::repair::RawSeries;
-use crate::trace::ExecutionTrace;
+use crate::trace::{ExecutionTrace, Nanos};
 
 /// Knobs of the supervised policy, carried in
 /// [`CharacterizationConfig::supervise`]. The inline policy reads none of
@@ -410,6 +410,8 @@ pub struct PartialCharacterization {
     pub incidents: Vec<Incident>,
     /// What was and was not analyzed.
     pub coverage: Coverage,
+    /// The replay stage's schedule, for [`critical_path`](Self::critical_path).
+    pub(crate) schedule: Option<Vec<Nanos>>,
 }
 
 impl PartialCharacterization {

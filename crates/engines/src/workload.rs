@@ -554,10 +554,12 @@ static GRAPHS_GENERATED: AtomicUsize = AtomicUsize::new(0);
 static MIXES_SIMULATED: AtomicUsize = AtomicUsize::new(0);
 
 /// Calls `f` on `dataset`'s graph, generating it only when this thread's
-/// last graph came from another dataset. The scheduler claims mixes grouped
-/// by dataset and seed, so consecutive mixes on a thread usually share the
-/// graph. The old graph is dropped before the new one is generated, so a
-/// thread never holds more than one, and only while it simulates anyway.
+/// last graph came from another dataset. A campaign claimant keeps to the
+/// `(dataset, seed)` of its last claim while that graph has mixes left, so
+/// consecutive mixes on a thread share the graph, and each graph is
+/// generated about once per fleet rather than once per claimant. The old
+/// graph is dropped before the new one is generated, so a thread never
+/// holds more than one, and only while it simulates anyway.
 fn with_graph<R>(dataset: Dataset, f: impl FnOnce(&CsrGraph) -> R) -> R {
     LAST_GRAPH.with(|slot| {
         let mut slot = slot.borrow_mut();

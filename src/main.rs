@@ -32,8 +32,8 @@ use grade10::core::report::{
 };
 use grade10::core::supervise::PartialCharacterization;
 use grade10::core::trace::{
-    ingest_monitoring, read_trace_file, read_trace_streams, write_trace_file, ExecutionTrace,
-    IngestConfig, IngestMode, RawSeries, ResourceIdx, ResourceTrace, MILLIS,
+    ingest_monitoring, read_trace_file, read_trace_streams, write_trace_file, IngestConfig,
+    IngestMode, RawSeries, ResourceIdx, ResourceTrace, MILLIS,
 };
 use grade10::core::Grade10Error;
 use grade10::engines::bridge::{collected_streams, to_raw_events, to_resource_trace};
@@ -156,7 +156,8 @@ the journal, so SIGKILLed workers are reclaimed by their peers). The
 spec, --lenient and --lease-ms are fixed at launch in DIR/campaign.json:
 --join reads all three, --resume the mode and the lease (which
 --resume --lease-ms N replaces). --status DIR prints read-only progress
-while workers are live.
+while workers are live. The substrate: line on stderr counts the graphs
+and simulations of this process only; peer K's is in DIR/worker-K.log.
 
 --cache DIR keeps the result of each ladder rung a mix runs, its outcome
 or its error, in a stage cache that campaigns can share: a rung whose
@@ -666,12 +667,7 @@ fn characterize_and_report(
         p.trace.instances().len(),
         p.characterization.ingest.events_total
     );
-    print_characterization(
-        model,
-        &p.trace,
-        &p.characterization,
-        flags.contains_key("--gantt"),
-    )?;
+    print_characterization(model, &p, flags.contains_key("--gantt"))?;
     if partial {
         print_supervision(&p)?;
     }
@@ -993,12 +989,12 @@ fn export_self_trace(meta: &MetaCharacterization, dir: &str) -> Result<(), Strin
 
 fn print_characterization(
     model: &ExecutionModel,
-    trace: &ExecutionTrace,
-    result: &grade10::core::pipeline::Characterization,
+    p: &PartialCharacterization,
     gantt: bool,
 ) -> Result<(), String> {
     // Under --self-profile the rendering work is itself a pipeline stage.
     let _span = obs::span(obs::Stage::Report);
+    let (trace, result) = (&p.trace, &p.characterization);
     if !result.ingest.is_clean() {
         outln!("ingestion repaired a degraded input:");
         out!("{}", ingest_table(&result.ingest).render());
@@ -1031,7 +1027,9 @@ fn print_characterization(
         outln!("  - {line}");
     }
     outln!("\ncritical path (replayed), time per phase type:");
-    let cp = critical_path(model, trace, &Default::default());
+    // The pipeline's own replay, unless its replay stage fell back.
+    let cp = p.critical_path(model);
+    let cp = cp.unwrap_or_else(|| critical_path(model, trace, &Default::default()));
     for (path, secs) in cp.rows(model) {
         outln!("  {path:<55} {secs:>7.2}s");
     }

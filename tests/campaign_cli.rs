@@ -887,6 +887,61 @@ fn damaged_campaign_matches_its_golden_at_any_width() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
+/// An 8-mix spec on two input graphs, one per seed, each run by 2
+/// algorithms on 2 engines.
+const AFFINITY_SPEC: &str = r#"
+name = "graph-affinity"
+algorithms = ["pr", "bfs"]
+datasets = ["rmat:6"]
+engines = ["giraph", "powergraph"]
+machines = [2]
+seeds = [46, 47]
+"#;
+
+/// Two claimant threads split the two input graphs instead of alternating
+/// inside each: the process generates at most 3 graphs — each claimant its
+/// own, plus one when a claimant that ran out of its graph takes a mix
+/// left on its peer's — where alternating claims generate all 4. The
+/// reports are byte-identical to one claimant's, which generates 2.
+#[test]
+fn two_claimants_split_the_input_graphs_between_them() {
+    let root = tmp("affinity");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("root");
+    let spec = root.join("spec.toml");
+    std::fs::write(&spec, AFFINITY_SPEC).expect("write spec");
+    let mut reports = Vec::new();
+    for (threads, most) in [("1", 2), ("2", 3)] {
+        let dir = root.join(format!("t{threads}"));
+        let out = grade10()
+            .args(["campaign", "--spec"])
+            .arg(&spec)
+            .arg("--dir")
+            .arg(&dir)
+            .args(["--threads", threads])
+            .output()
+            .expect("run grade10 campaign");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--threads {threads}: {stderr}");
+        let graphs = stderr.lines().find_map(|line| {
+            let n = line.strip_prefix("substrate: ")?;
+            n.strip_suffix(" graphs generated for 8 simulated mixes")?
+                .parse::<usize>()
+                .ok()
+        });
+        let graphs = graphs.unwrap_or_else(|| panic!("no substrate line for 8 mixes: {stderr}"));
+        assert!(
+            graphs <= most,
+            "--threads {threads}: {graphs} graphs generated, at most {most} expected"
+        );
+        let txt = std::fs::read(dir.join("report.txt")).expect("report.txt");
+        let json = std::fs::read(dir.join("report.json")).expect("report.json");
+        reports.push((txt, json));
+    }
+    assert!(reports[0] == reports[1], "reports differ across widths");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// `--resume` keeps the base mode and the lease the campaign was launched
 /// with, read from `campaign.json`: a mix reopened because its stored
 /// outcome is gone reruns lenient under the launch's 500 ms lease, so the
