@@ -16,7 +16,9 @@
 //! * the simulator's log stream, as the `G10TRACE` encoding of its bridged
 //!   events, and the bits of every ground-truth utilization sample, for
 //!   Giraph- and PowerGraph-like runs on both dataset families, at the
-//!   default configurations and off them, and for Spark-like dataflow runs.
+//!   default configurations and off them, and for Spark-like dataflow runs;
+//! * the fault harness's corrupted log and monitoring streams, for every
+//!   fault class alone and the `all` and `hostile` presets, at three seeds.
 //!
 //! Bless with `UPDATE_GOLDENS=1 cargo test --test substrate_pin`.
 
@@ -24,14 +26,16 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use grade10::cluster::SimOutput;
+use grade10::cluster::{FaultClass, FaultPlan, SimOutput};
 use grade10::core::hash::{fnv1a, fnv1a_extend};
 use grade10::core::trace::encode_trace;
 use grade10::engines::bridge::to_raw_events;
 use grade10::engines::dataflow::{run_dataflow, DataflowConfig, JobSpec};
 use grade10::engines::gas::GasConfig;
 use grade10::engines::pregel::PregelConfig;
-use grade10::engines::{run_workload, Algorithm, Dataset, EngineKind, WorkloadSpec};
+use grade10::engines::{
+    run_workload, simulate_workload, Algorithm, Dataset, EngineKind, WorkloadSpec,
+};
 use grade10::graph::generators::rmat::RmatConfig;
 use grade10::graph::partition::{EdgeCutPartition, VertexCutPartition};
 use grade10::graph::CsrGraph;
@@ -280,4 +284,51 @@ fn simulator_variants_are_pinned() {
         }
     }
     check_golden("substrate_sim_variants.txt", &out);
+}
+
+/// The fault harness's raw output: for every class alone and the `all` and
+/// `hostile` presets, at three seeds, the FNV-1a of the `Debug` form of the
+/// corrupted log stream and of the corrupted monitoring series (`Debug`
+/// prints every float exactly, and NaN where the harness writes one), plus
+/// the classes each plan enables.
+#[test]
+fn fault_plans_are_pinned() {
+    let dataset = Dataset::Rmat { scale: 8, seed: 46 };
+    let graph = dataset.generate();
+    let mut out = String::new();
+    for engine in [
+        EngineKind::Giraph(PregelConfig::default()),
+        EngineKind::PowerGraph(GasConfig::default()),
+    ] {
+        let spec = WorkloadSpec {
+            dataset,
+            algorithm: Algorithm::PageRank { iterations: 4 },
+            engine,
+        };
+        let sim = simulate_workload(&spec, &graph).sim;
+        for seed in [1, 46, 7777] {
+            let plans = FaultClass::ALL
+                .iter()
+                .map(|&c| (c.name(), FaultPlan::single(c, seed)))
+                .chain([
+                    ("all", FaultPlan::all(seed)),
+                    ("hostile", FaultPlan::hostile(seed)),
+                ]);
+            for (name, plan) in plans {
+                let logs = format!("{:?}", plan.inject_logs(&sim.logs));
+                let series = format!("{:?}", plan.inject_series(&sim.series));
+                let enabled: Vec<&str> = plan.enabled().iter().map(|c| c.name()).collect();
+                writeln!(
+                    out,
+                    "{} seed={seed} {name} logs={:016x} series={:016x} enabled={}",
+                    spec.engine.name(),
+                    fnv1a(logs.as_bytes()),
+                    fnv1a(series.as_bytes()),
+                    enabled.join(","),
+                )
+                .unwrap();
+            }
+        }
+    }
+    check_golden("substrate_faults.txt", &out);
 }
