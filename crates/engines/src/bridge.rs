@@ -40,29 +40,21 @@ fn convert_path(path: &grade10_cluster::PhasePath) -> RawPath {
         .collect()
 }
 
-/// Converts monitor series into a Grade10 resource trace, averaging every
-/// `downsample` ground-truth samples into one coarse measurement — the
-/// knob the Table II experiment sweeps.
+/// Converts pristine monitor series into a Grade10 resource trace,
+/// averaging every `downsample` ground-truth samples into one coarse
+/// measurement — the knob the Table II experiment sweeps. The samples are
+/// taken as they are; damaged series go through [`to_raw_series`] and the
+/// ingestion layer instead.
 pub fn to_resource_trace(series: &[ResourceSeries], downsample: usize) -> ResourceTrace {
-    let mut rt = ResourceTrace::new();
-    for s in series {
-        let coarse = s.downsample(downsample);
-        let idx = rt.add_resource(ResourceInstance {
-            kind: coarse.spec.kind.name().to_string(),
-            machine: Some(coarse.spec.machine),
-            capacity: coarse.spec.capacity,
-        });
-        rt.add_series(idx, 0, coarse.interval.as_nanos(), &coarse.samples);
-    }
-    rt
+    ResourceTrace::from_series(to_raw_series(series, downsample))
 }
 
 /// Converts monitor series into *unvalidated* raw series for the ingestion
-/// layer. Unlike [`to_resource_trace`] this performs no validation and
-/// preserves whatever the (possibly fault-injected) monitoring stream
-/// contains — NaN samples, negative readings, truncated series — exactly as
-/// a parser of real monitoring dumps would. Coarse windows that average over
-/// a NaN sample become NaN themselves (a missed window).
+/// layer. This performs no validation and preserves whatever the (possibly
+/// fault-injected) monitoring stream contains — NaN samples, negative
+/// readings, truncated series — exactly as a parser of real monitoring
+/// dumps would. Coarse windows that average over a NaN sample become NaN
+/// themselves (a missed window).
 pub fn to_raw_series(series: &[ResourceSeries], downsample: usize) -> Vec<RawSeries> {
     series
         .iter()
