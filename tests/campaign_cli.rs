@@ -551,37 +551,59 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
     }
     assert!(!typo_dir.exists(), "the typo'd campaign never started");
 
-    // 1: a supervision knob without --partial. Each used to run with the
-    // knob silently ignored, since only the supervised policy reads it.
-    let knobs: [&[&str]; 4] = [
-        &["demo", "--dataset", "rmat:6", "--deadline-ms", "1"],
-        &["demo", "--dataset", "rmat:6", "--max-retries", "0"],
-        &[
-            "analyze",
-            "--model",
-            "m.json",
-            "--trace",
-            "t.g10t",
-            "--deadline-ms",
-            "1",
-        ],
-        &[
-            "analyze",
-            "--model",
-            "m.json",
-            "--trace",
-            "t.g10t",
-            "--max-retries",
-            "0",
-        ],
+    // 1: a flag that only modifies another, without it. Each used to run
+    // with the flag silently ignored: only the supervised policy reads the
+    // supervision knobs, only --inject reads --fault-seed (it was not even
+    // parsed), and only --self-profile has a trace for --self-export.
+    let knobs: [(&[&str], &str); 6] = [
+        (
+            &["demo", "--dataset", "rmat:6", "--deadline-ms", "1"],
+            "--partial",
+        ),
+        (
+            &["demo", "--dataset", "rmat:6", "--max-retries", "0"],
+            "--partial",
+        ),
+        (
+            &[
+                "analyze",
+                "--model",
+                "m.json",
+                "--trace",
+                "t.g10t",
+                "--deadline-ms",
+                "1",
+            ],
+            "--partial",
+        ),
+        (
+            &[
+                "analyze",
+                "--model",
+                "m.json",
+                "--trace",
+                "t.g10t",
+                "--max-retries",
+                "0",
+            ],
+            "--partial",
+        ),
+        (
+            &["demo", "--dataset", "rmat:6", "--fault-seed", "abc"],
+            "--inject",
+        ),
+        (
+            &["demo", "--dataset", "rmat:6", "--self-export", "self-out"],
+            "--self-profile",
+        ),
     ];
-    for args in knobs {
+    for (args, needs) in knobs {
         let out = grade10().args(args).output().expect("run grade10");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?} is fatal: {stderr}");
         assert!(
-            stderr.contains("add --partial") && stderr.contains("usage:"),
-            "{args:?} names --partial and prints the usage: {stderr}"
+            stderr.contains(&format!("add {needs}")) && stderr.contains("usage:"),
+            "{args:?} names {needs} and prints the usage: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{args:?} did no work");
     }
@@ -592,7 +614,7 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
     // command line was understood ends on its cause.
     let join_dir = root.join("ok");
     let join_dir = join_dir.to_str().expect("utf-8 path");
-    let usage_errors: [(&[&str], &str); 5] = [
+    let usage_errors: [(&[&str], &str); 6] = [
         (&["frobnicate"], "unknown command 'frobnicate'"),
         (&["campaign"], "campaign needs --spec FILE"),
         (
@@ -601,6 +623,10 @@ fn exit_code_taxonomy_holds_across_subcommand_dispatch() {
         ),
         (&["demo", "--seed"], "flag '--seed' needs a value"),
         (&["demo", "--seed", "x"], "bad seed 'x'"),
+        (
+            &["demo", "--dataset", "rmat:64"],
+            "vertex ids are 32-bit, so the scale is at most 32",
+        ),
     ];
     for (args, cause) in usage_errors {
         let out = grade10().args(args).output().expect("run grade10");
@@ -1159,31 +1185,42 @@ fn campaign_validates_every_mix_before_running_any() {
 }
 
 /// A dataset no graph can be built from is refused at launch, before any
-/// mix runs: `social:0` used to pass validation and panic in every mix.
+/// mix runs: `social:0` used to pass validation and panic in every mix,
+/// and `rmat:64` (more vertices than 32-bit ids can name) to panic on a
+/// wrapped shift.
 #[test]
 fn campaign_refuses_an_empty_dataset_at_launch() {
     let root = tmp("empty-dataset");
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("dir");
     let spec = root.join("spec.toml");
-    std::fs::write(
-        &spec,
-        "name = \"e\"\nalgorithms = [\"pr\"]\ndatasets = [\"rmat:6\", \"social:0\"]\n",
-    )
-    .expect("write spec");
-    let dir = root.join("run");
-    let out = run_campaign(&spec, &dir, false);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "refused up front: {stderr}");
-    assert!(
-        stderr.contains("social:0") && stderr.contains("at least one vertex"),
-        "the error names the mix and the cause: {stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(
-        !dir.join("journal.jsonl").exists(),
-        "nothing ran: validation precedes the journal"
-    );
+    let bad = [
+        ("social:0", "at least one vertex"),
+        ("rmat:64", "the scale is at most 32"),
+        ("social:4294967297", "at most 4294967296 vertices"),
+    ];
+    for (dataset, cause) in bad {
+        std::fs::write(
+            &spec,
+            format!(
+                "name = \"e\"\nalgorithms = [\"pr\"]\ndatasets = [\"rmat:6\", \"{dataset}\"]\n"
+            ),
+        )
+        .expect("write spec");
+        let dir = root.join("run");
+        let out = run_campaign(&spec, &dir, false);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "refused up front: {stderr}");
+        assert!(
+            stderr.contains(dataset) && stderr.contains(cause),
+            "the error names the mix and the cause: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            !dir.join("journal.jsonl").exists(),
+            "nothing ran: validation precedes the journal"
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
